@@ -19,7 +19,8 @@ read-modify-write ``arr[idx] |= x`` desugaring), ``fill``, ``add_at``
 :class:`~repro.mm.mmu.Mmu` can swap it in without changing callers.
 Scatter order is preserved per chunk, so duplicate-index assignment
 keeps numpy's last-write-wins semantics and stays bit-identical to the
-dense arrays.
+dense arrays.  Integer and fancy indices follow dense bounds rules:
+negative indices wrap once, and out-of-range ones raise ``IndexError``.
 """
 
 from __future__ import annotations
@@ -80,32 +81,72 @@ class ChunkedArray:
             start = c << self._shift
             yield start, start + self._chunk_len(c), data
 
-    def _grouped(self, idx: np.ndarray):
-        """Yield ``(chunk, positions)`` with positions in ascending order.
+    def _check_int(self, i: int) -> int:
+        """Wrap a negative scalar index; reject an out-of-range one."""
+        if i < 0:
+            i += self.n
+        if not 0 <= i < self.n:
+            raise IndexError(f"index {i} is out of bounds for size {self.n}")
+        return i
 
-        Ascending position order per chunk preserves numpy's
-        last-write-wins scatter semantics for duplicate indices.
+    def _grouped(self, key) -> tuple[np.ndarray, list]:
+        """Normalize a fancy index and group its positions by chunk.
+
+        Returns ``(idx, groups)``: ``idx`` is the int64 index with
+        negative entries wrapped, and ``groups`` lists ``(chunk,
+        positions)`` for every chunk the index touches, where
+        ``positions`` (a slice or an int array into ``idx``) is in
+        ascending order — which preserves numpy's last-write-wins
+        scatter semantics for duplicate indices.  Out-of-range indices
+        raise ``IndexError`` as a dense array would.
+
+        Cost is O(indices + chunks spanned) with no hashing: one compare
+        pass detects a non-decreasing index, whose chunk boundaries are a
+        single ``searchsorted`` over the chunk edges; any other index is
+        grouped by one stable argsort of its chunk ids.
         """
-        cid = idx >> self._shift
+        idx = np.asarray(key)
+        if idx.dtype == bool:
+            if idx.shape != (self.n,):
+                raise IndexError(f"boolean index of shape {idx.shape} for size {self.n}")
+            idx = np.flatnonzero(idx)
+        idx = idx.astype(np.int64, copy=False)
         if idx.size == 0:
-            return
-        if np.all(cid[1:] >= cid[:-1]):
-            uniq = np.unique(cid)
-            lefts = np.searchsorted(cid, uniq, side="left")
-            rights = np.searchsorted(cid, uniq, side="right")
-            for c, lo, hi in zip(uniq, lefts, rights):
-                yield int(c), slice(int(lo), int(hi))
+            return idx, []
+        ascending = bool(np.all(idx[1:] >= idx[:-1]))
+        if ascending:
+            lo, hi = int(idx[0]), int(idx[-1])
         else:
-            for c in np.unique(cid):
-                yield int(c), np.flatnonzero(cid == c)
+            lo, hi = int(idx.min()), int(idx.max())
+        if lo < -self.n or hi >= self.n:
+            bad = lo if lo < -self.n else hi
+            raise IndexError(f"index {bad} is out of bounds for size {self.n}")
+        if lo < 0:
+            return self._grouped(np.where(idx < 0, idx + self.n, idx))
+        c0, c1 = lo >> self._shift, hi >> self._shift
+        if c0 == c1:
+            return idx, [(c0, slice(None))]
+        if ascending:
+            edges = np.arange(c0 + 1, c1 + 1, dtype=np.int64) << self._shift
+            cuts = [0, *np.searchsorted(idx, edges).tolist(), idx.size]
+            order = None
+        else:
+            cid = (idx >> self._shift) - c0
+            if c1 - c0 < 1 << 16:
+                cid = cid.astype(np.uint16)  # stable sort of 16-bit keys is a radix sort
+            order = np.argsort(cid, kind="stable")
+            cuts = [0, *np.cumsum(np.bincount(cid, minlength=c1 - c0 + 1)).tolist()]
+        return idx, [
+            (c0 + k, slice(a, b) if order is None else order[a:b])
+            for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))
+            if b > a
+        ]
 
     # -- reads -----------------------------------------------------------------
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            i = int(key)
-            if i < 0:
-                i += self.n
+            i = self._check_int(int(key))
             data = self._chunks[i >> self._shift]
             if isinstance(data, np.ndarray):
                 return data[i - ((i >> self._shift) << self._shift)]
@@ -127,12 +168,9 @@ class ChunkedArray:
                     out[pos - start : hi - start] = data
                 pos = hi
             return out
-        idx = np.asarray(key)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        idx = idx.astype(np.int64, copy=False)
+        idx, groups = self._grouped(key)
         out = np.empty(idx.size, dtype=self.dtype)
-        for c, sel in self._grouped(idx):
+        for c, sel in groups:
             data = self._chunks[c]
             if isinstance(data, np.ndarray):
                 out[sel] = data[idx[sel] - (c << self._shift)]
@@ -144,9 +182,7 @@ class ChunkedArray:
 
     def __setitem__(self, key, value) -> None:
         if isinstance(key, (int, np.integer)):
-            i = int(key)
-            if i < 0:
-                i += self.n
+            i = self._check_int(int(key))
             self._dense(i >> self._shift)[i - ((i >> self._shift) << self._shift)] = value
             return
         if isinstance(key, slice):
@@ -177,15 +213,10 @@ class ChunkedArray:
                     self._dense(c)[pos - cstart : hi - cstart] = vals[pos - start : hi - start]
                 pos = hi
             return
-        idx = np.asarray(key)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        idx = idx.astype(np.int64, copy=False)
-        if idx.size == 0:
-            return
+        idx, groups = self._grouped(key)
         scalar = np.ndim(value) == 0
         vals = None if scalar else np.asarray(value)
-        for c, sel in self._grouped(idx):
+        for c, sel in groups:
             local = idx[sel] - (c << self._shift)
             if scalar:
                 data = self._chunks[c]
@@ -202,8 +233,8 @@ class ChunkedArray:
 
     def add_at(self, idx: np.ndarray, vals: np.ndarray) -> None:
         """``np.add.at`` semantics: unbuffered scatter-add (dupes accumulate)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        for c, sel in self._grouped(idx):
+        idx, groups = self._grouped(idx)
+        for c, sel in groups:
             np.add.at(self._dense(c), idx[sel] - (c << self._shift), vals[sel])
 
     # -- whole-array operations ------------------------------------------------

@@ -39,6 +39,9 @@ _UNMAPPED_NODE = -1
 #: 16 GB of 4 KB pages — past the regime where dense arrays are cheap).
 AUTO_CHUNK_PAGES = 1 << 22
 
+#: Pages a chunked span_entries() resolves per pass (~1.5 MB of temporaries).
+_SPAN_WINDOW_PAGES = 1 << 16
+
 
 class PageTable:
     """Leaf page-table state for ``n_pages`` of virtual address space.
@@ -291,8 +294,9 @@ class PageTable:
 
         Returns ``(entries, offsets)`` where span ``i``'s unique entries are
         ``entries[offsets[i]:offsets[i+1]]``, ascending — element-wise equal
-        to ``np.unique(entry_index(arange(start, end)))`` per span, computed
-        with one gather over the concatenated spans.  (Within an ascending
+        to ``np.unique(entry_index(arange(start, end)))`` per span.  Dense
+        tables compute it with one gather over the concatenated spans,
+        chunked tables in bounded windows.  (Within an ascending
         page range ``entry_index`` is non-decreasing because huge mappings
         are aligned spans, so first occurrences *are* the sorted uniques.)
         """
@@ -300,7 +304,9 @@ class PageTable:
         npages = np.asarray(npages, dtype=np.int64)
         if starts.size == 0:
             return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        if perfflags.compiled() and not self.chunked:
+        if self.chunked:
+            return self._span_entries_chunked(starts, npages)
+        if perfflags.compiled():
             # Single fused pass over the dense entry map — no
             # concatenated-pages materialization.
             return kernels.span_entries(starts, npages, self._entry)
@@ -318,6 +324,52 @@ class PageTable:
             ([0], np.cumsum(np.bincount(span_id[first], minlength=starts.size)))
         )
         return entries[first], offsets
+
+    def _span_entries_chunked(
+        self, starts: np.ndarray, npages: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`span_entries` over the chunked entry-delta map.
+
+        The spans' pages, concatenated, form one stream that is resolved
+        in windows of :data:`_SPAN_WINDOW_PAGES`: each window's entries
+        are ``page + delta[page]`` (a slice read when the window lies in
+        one span), and an entry is kept when it starts a span or differs
+        from its predecessor in the stream.  Peak allocation is one
+        window plus the output, not a multiple of the total page count.
+        """
+        bounds = np.concatenate(([0], np.cumsum(npages)))  # span offsets in the stream
+        total = int(bounds[-1])
+        parts = [np.empty(0, dtype=np.int64)]
+        offsets = np.empty(bounds.size, dtype=np.int64)
+        kept = 0
+        prev = np.int64(-1)  # entry at the stream position before the window
+        for w0 in range(0, total, _SPAN_WINDOW_PAGES):
+            w1 = min(w0 + _SPAN_WINDOW_PAGES, total)
+            i0 = int(np.searchsorted(bounds, w0, side="right")) - 1
+            i1 = int(np.searchsorted(bounds, w1, side="left"))  # spans [i0, i1) overlap
+            if i1 - i0 == 1:
+                p0 = int(starts[i0] + w0 - bounds[i0])
+                ents = np.arange(p0, p0 + (w1 - w0), dtype=np.int64)
+                ents += self._entry_delta[p0 : p0 + (w1 - w0)]
+            else:
+                lens = np.minimum(bounds[i0 + 1 : i1 + 1], w1) - np.maximum(bounds[i0:i1], w0)
+                ents = np.arange(w0, w1, dtype=np.int64)
+                ents += np.repeat(starts[i0:i1] - bounds[i0:i1], lens)
+                ents += self._entry_delta[ents]
+            first = np.empty(w1 - w0, dtype=bool)
+            first[0] = ents[0] != prev
+            np.not_equal(ents[1:], ents[:-1], out=first[1:])
+            k0 = int(np.searchsorted(bounds, w0, side="left"))
+            first[bounds[k0:i1] - w0] = True  # span starts in this window
+            keep = np.flatnonzero(first)
+            # Every span start is kept, so span k's entries begin at the
+            # number of kept positions before bounds[k].
+            offsets[k0:i1] = kept + np.searchsorted(keep, bounds[k0:i1] - w0)
+            parts.append(ents[keep])
+            kept += keep.size
+            prev = ents[-1]
+        offsets[np.searchsorted(bounds, total, side="left"):] = kept
+        return np.concatenate(parts), offsets
 
     def _node_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Run-length encoding of ``node``: ``(bounds, values)``.

@@ -330,24 +330,46 @@ class TestChunkedArray:
         return (ChunkedArray(n, dtype, fill, self.CHUNK),
                 np.full(n, fill, dtype=dtype))
 
+    def _indices(self, rng, n):
+        """A fancy index of one of the shapes the grouping special-cases."""
+        nchunks = -(-n // self.CHUNK)
+        kind = rng.integers(0, 7)
+        if kind == 0:  # short, unsorted
+            return rng.integers(0, n, rng.integers(1, 64))
+        if kind == 1:  # sorted over a few chunks, empty chunks in between
+            picked = rng.choice(nchunks, size=3, replace=False) * self.CHUNK
+            idx = (picked[:, None] + rng.integers(0, self.CHUNK, (3, 20))).ravel()
+            return np.sort(idx[idx < n])
+        if kind == 2:  # sorted with many duplicates
+            return np.sort(rng.integers(0, n, 300) // 7 * 7)
+        if kind == 3:  # empty
+            return np.empty(0, dtype=np.int64)
+        if kind == 4:  # all in one chunk, unsorted
+            c = int(rng.integers(0, nchunks)) * self.CHUNK
+            return rng.integers(c, min(c + self.CHUNK, n), rng.integers(1, 64))
+        if kind == 5:  # the partial last chunk
+            return rng.integers((nchunks - 1) * self.CHUNK, n, rng.integers(1, 64))
+        idx = rng.integers(0, n, 3 * self.CHUNK)  # longer than one chunk
+        return np.sort(idx) if rng.integers(0, 2) else idx
+
     def test_random_op_tape_matches_dense(self):
         rng = np.random.default_rng(7)
-        n = 4000  # spans 8 chunks of 512
+        n = 4000  # spans 8 chunks of 512, the last one partial
         chunked, dense = self._pair(n, fill=-1, dtype=np.int16)
-        for _ in range(300):
-            op = rng.integers(0, 6)
+        for _ in range(600):
+            op = rng.integers(0, 7)
             if op == 0:  # slice scalar store
                 a, b = sorted(rng.integers(0, n, 2))
                 v = int(rng.integers(-1, 4))
                 chunked[a:b] = v
                 dense[a:b] = v
             elif op == 1:  # fancy scalar store
-                idx = rng.integers(0, n, rng.integers(1, 64))
+                idx = self._indices(rng, n)
                 v = int(rng.integers(-1, 4))
                 chunked[idx] = v
                 dense[idx] = v
             elif op == 2:  # fancy array store (duplicate last-write-wins)
-                idx = rng.integers(0, n, rng.integers(1, 64))
+                idx = self._indices(rng, n)
                 vals = rng.integers(-1, 4, idx.size).astype(np.int16)
                 chunked[idx] = vals
                 dense[idx] = vals
@@ -361,8 +383,13 @@ class TestChunkedArray:
                 v = int(rng.integers(-1, 4))
                 chunked[i] = v
                 dense[i] = v
+            elif op == 5:  # scatter add
+                idx = self._indices(rng, n)
+                vals = rng.integers(0, 3, idx.size).astype(np.int16)
+                chunked.add_at(idx, vals)
+                np.add.at(dense, idx, vals)
             else:  # gather reads
-                idx = rng.integers(0, n, rng.integers(1, 64))
+                idx = self._indices(rng, n)
                 np.testing.assert_array_equal(chunked[idx], dense[idx])
                 a, b = sorted(rng.integers(0, n, 2))
                 np.testing.assert_array_equal(chunked[a:b], dense[a:b])
@@ -371,11 +398,46 @@ class TestChunkedArray:
     def test_add_at_matches_dense(self):
         rng = np.random.default_rng(8)
         chunked, dense = self._pair(3000)
-        for _ in range(30):
+        for i in range(30):
             idx = rng.integers(0, 3000, rng.integers(1, 200))
+            if i % 2:
+                idx = np.sort(idx)
             vals = rng.integers(1, 9, idx.size).astype(np.int64)
             chunked.add_at(idx, vals)
             np.add.at(dense, idx, vals)
+        np.testing.assert_array_equal(np.asarray(chunked), dense)
+
+    @pytest.mark.parametrize("n", [1000, 1024])  # partial / full last chunk
+    def test_negative_indices_wrap_like_dense(self, n):
+        chunked, dense = self._pair(n, fill=7)
+        for idx in (np.array([-1]), np.array([-n, 3, -2]), np.array([-5, -3, 2])):
+            vals = np.arange(idx.size, dtype=np.int64)
+            chunked[idx] = vals
+            dense[idx] = vals
+            np.testing.assert_array_equal(chunked[idx], dense[idx])
+            chunked.add_at(idx, vals)
+            np.add.at(dense, idx, vals)
+        assert chunked[-1] == dense[-1]
+        np.testing.assert_array_equal(np.asarray(chunked), dense)
+
+    @pytest.mark.parametrize("n", [1000, 1024])
+    def test_out_of_range_indices_raise_like_dense(self, n):
+        chunked, dense = self._pair(n, fill=7)
+        for bad in (np.array([n + 10, 3]), np.array([3, n]), np.array([-n - 1]),
+                    np.array([n, 3, 1])):
+            with pytest.raises(IndexError):
+                dense[bad]
+            with pytest.raises(IndexError):
+                chunked[bad]
+            with pytest.raises(IndexError):
+                chunked[bad] = 7  # the fill value: a silent no-op before
+            with pytest.raises(IndexError):
+                chunked.add_at(bad, np.ones(bad.size, dtype=np.int64))
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                chunked[bad]
+            with pytest.raises(IndexError):
+                chunked[bad] = 1
         np.testing.assert_array_equal(np.asarray(chunked), dense)
 
     def test_uniform_chunks_stay_scalar(self):
@@ -449,6 +511,51 @@ class TestChunkedPageTable:
         de, do = dense.span_entries(starts, npages)
         np.testing.assert_array_equal(ce, de)
         np.testing.assert_array_equal(co, do)
+
+    @pytest.mark.parametrize("window", [97, 512, 1 << 16])
+    def test_span_entries_windows_match_dense(self, window, monkeypatch):
+        # Small windows split spans across passes and put many spans
+        # (unsorted, overlapping, empty) into one pass.
+        import repro.mm.pagetable as pagetable_mod
+        monkeypatch.setattr(pagetable_mod, "_SPAN_WINDOW_PAGES", window)
+        chunked, dense = self._tables()
+        for pt in (chunked, dense):
+            pt.map_range(0, 2048, node=0, huge=True)
+            pt.map_range(2048, 1000, node=1)
+            pt.map_range(5120, 1536, node=2, huge=True)
+            pt.split_huge(512)
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            starts = rng.integers(0, self.N - 700, 30).astype(np.int64)
+            npages = rng.integers(0, 700, 30).astype(np.int64)
+            ce, co = chunked.span_entries(starts, npages)
+            de, do = dense.span_entries(starts, npages)
+            np.testing.assert_array_equal(ce, de)
+            np.testing.assert_array_equal(co, do)
+        starts = np.arange(0, self.N, 300, dtype=np.int64)  # a contiguous cover
+        npages = np.minimum(300, self.N - starts)
+        for got, want in zip(chunked.span_entries(starts, npages),
+                             dense.span_entries(starts, npages)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_chunked_span_entries_peak_allocation(self):
+        # Resolving a whole huge-mapped table must not allocate temporaries
+        # proportional to its page count: < 1 byte per page at 2^22 pages.
+        import tracemalloc
+        n = 1 << 22
+        pt = PageTable(n, chunked=True)
+        pt.map_range(0, n, node=0, huge=True)
+        starts = np.arange(0, n, 4096, dtype=np.int64)
+        npages = np.full(starts.size, 4096, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            entries, offsets = pt.span_entries(starts, npages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(entries, np.arange(0, n, 512))
+        np.testing.assert_array_equal(offsets, np.arange(starts.size + 1) * 8)
+        assert peak < n, f"peak {peak / n:.1f} bytes/page"
 
     def test_chunked_storage_is_sparse(self):
         chunked, dense = self._tables()
