@@ -22,6 +22,7 @@ access-bit checks saturate (see :mod:`repro.mm.mmu`).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.errors import WorkloadError
 from repro.hw.placement import Placer
 from repro.mm.hugepage import ThpManager
 from repro.mm.vma import AddressSpace, Vma
+from repro.sim.rng import poisson_nonzero
 from repro.sim.trace import AccessBatch
 from repro.units import bytes_to_pages
 
@@ -65,8 +67,8 @@ class RateSegment:
     def __post_init__(self) -> None:
         if self.npages < 1:
             raise WorkloadError(f"segment needs >= 1 page, got {self.npages}")
-        if self.rate < 0:
-            raise WorkloadError(f"negative rate: {self.rate}")
+        if not math.isfinite(self.rate) or self.rate < 0:
+            raise WorkloadError(f"rate must be finite and >= 0, got {self.rate}")
         if not 0.0 <= self.write_ratio <= 1.0:
             raise WorkloadError(f"write_ratio must be in [0,1], got {self.write_ratio}")
 
@@ -178,47 +180,33 @@ class SegmentedWorkload(Workload):
         """Batch assembly without intermediate per-segment ``AccessBatch``
         objects.
 
-        RNG draws are identical to the legacy loop (same order, same
-        arguments), so the result is bit-identical; segment lists are
-        normally disjoint and ascending, letting the concatenated arrays
-        skip the unique/scatter-add merge entirely.
+        :func:`~repro.sim.rng.poisson_nonzero` returns exactly the touched
+        pages of each segment's ``rng.poisson`` draw and leaves the
+        generator where that draw would, and segments are drawn in plan
+        order, so the result is bit-identical to the legacy loop.  When the
+        segments' touched page ranges are pairwise disjoint (always, for a
+        non-overlapping plan), every page appears once and the merged
+        histogram is their concatenation in address order; only
+        overlapping plans pay for the unique/scatter-add merge.
         """
-        pages_l: list[np.ndarray] = []
-        counts_l: list[np.ndarray] = []
-        writes_l: list[np.ndarray] = []
-        sockets_l: list[np.ndarray] = []
+        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         for segment in self._current_segments:
             if segment.rate <= 0:
                 continue
-            counts = rng.poisson(segment.rate, segment.npages)
-            touched = np.nonzero(counts)[0]
-            if touched.size == 0:
+            offsets, counts = poisson_nonzero(rng, segment.rate, segment.npages)
+            if offsets.size == 0:
                 continue
-            pages_l.append(segment.start + touched.astype(np.int64))
-            counts_l.append(counts[touched].astype(np.int64))
-            writes_l.append(
-                rng.binomial(counts_l[-1], segment.write_ratio).astype(np.int64)
-            )
-            sockets_l.append(np.full(pages_l[-1].shape, segment.socket, dtype=np.int8))
-        if not pages_l:
+            pages = segment.start + offsets
+            writes = rng.binomial(counts, segment.write_ratio)
+            sockets = np.full(pages.shape, segment.socket, dtype=np.int8)
+            parts.append((pages, counts, writes, sockets))
+        if not parts:
             return AccessBatch.empty()
-        all_pages = np.concatenate(pages_l)
-        if np.all(np.diff(all_pages) > 0):
-            # Disjoint ascending segments: every page appears once, so the
-            # merged histogram IS the concatenation (each page's dominant
-            # socket is its only contributor).
-            return AccessBatch(
-                pages=all_pages,
-                counts=np.concatenate(counts_l),
-                writes=np.concatenate(writes_l),
-                sockets=np.concatenate(sockets_l),
-            )
-        return AccessBatch.merge(
-            [
-                AccessBatch(pages=p, counts=c, writes=w, sockets=s)
-                for p, c, w, s in zip(pages_l, counts_l, writes_l, sockets_l)
-            ]
-        )
+        ordered = sorted(parts, key=lambda part: int(part[0][0]))
+        if all(a[0][-1] < b[0][0] for a, b in zip(ordered, ordered[1:])):
+            # Each page's dominant socket is its only contributor's.
+            return AccessBatch(*map(np.concatenate, zip(*ordered)))
+        return AccessBatch.merge([AccessBatch(*part) for part in parts])
 
     def advance_interval(self) -> None:
         """Advance interval state without synthesizing a batch.

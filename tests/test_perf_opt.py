@@ -33,7 +33,7 @@ def tiny_profile():
 
 class TestVectorizedBitIdentity:
     @pytest.mark.parametrize("solution", ["mtm", "tiered-autonuma", "thermostat"])
-    @pytest.mark.parametrize("workload", ["gups", "bfs"])
+    @pytest.mark.parametrize("workload", ["gups", "bfs", "voltdb", "cassandra"])
     def test_vectorized_equals_legacy(self, tiny_profile, workload, solution):
         with perfflags.legacy_mode():
             legacy = fingerprint(run_solution(solution, workload, tiny_profile))

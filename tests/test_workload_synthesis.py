@@ -1,0 +1,254 @@
+"""Bit-exactness of batch synthesis.
+
+``poisson_nonzero`` decodes Poisson counts from bulk uniforms by replaying
+numpy's multiplication method (``random_poisson_mult``).  Its contract is
+exact: the same nonzero offsets and counts as ``rng.poisson`` followed by
+``np.nonzero``, and the same generator state afterwards.  These tests are
+what fails if a numpy upgrade changes that method.  The vectorized batch
+assembly built on it must match the legacy per-segment loop batch by
+batch.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import perfflags
+from repro.errors import WorkloadError
+from repro.hw.placement import Placer
+from repro.mm.hugepage import ThpManager
+from repro.mm.vma import AddressSpace
+from repro.sim import rng as rngmod
+from repro.sim.rng import POISSON_DECODE_MAX_LAM, POISSON_DECODE_MIN_PAGES, poisson_nonzero
+from repro.sim.trace import AccessBatch
+from repro.workloads.base import RateSegment
+from repro.workloads.registry import build_workload
+
+CUTOFF = POISSON_DECODE_MAX_LAM
+MIN = POISSON_DECODE_MIN_PAGES
+BLOCK = rngmod._DECODE_BLOCK
+
+LAMS = [0.0, 1e-6, 0.0125, 0.2, math.nextafter(CUTOFF, 0.0), CUTOFF, 1.2, 9.99, 10.0, 25.0]
+SIZES = [1, MIN - 1, MIN, MIN + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """A generator holding a buffered uint32, which neither path may touch."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 1000, dtype=np.int32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def assert_matches_poisson(seed: int, lam: float, n: int) -> None:
+    expected_rng, rng = _generator(seed), _generator(seed)
+    counts = expected_rng.poisson(lam, n)
+    expected = np.nonzero(counts)[0]
+
+    offsets, got = poisson_nonzero(rng, lam, n)
+
+    assert offsets.dtype == np.int64 and got.dtype == np.int64
+    np.testing.assert_array_equal(offsets, expected)
+    np.testing.assert_array_equal(got, counts[expected])
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+class TestPoissonNonzero:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_equals_dense_draw(self, lam, n):
+        for seed in (0, 1, 2):
+            assert_matches_poisson(seed, lam, n)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        lam=st.floats(min_value=0.0, max_value=CUTOFF, exclude_max=True),
+        n=st.integers(min_value=1, max_value=3 * BLOCK),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_dense_draw_property(self, seed, lam, n):
+        assert_matches_poisson(seed, lam, n)
+
+    @pytest.mark.parametrize("inside, extra", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_block_cut_inside_an_entry(self, monkeypatch, inside, extra):
+        """An entry cut by the first block's end is finished with scalar
+        draws: ``inside`` of its continuing uniforms lie in the block, and
+        ``extra`` of the finishing draws continue it."""
+        lam = 0.45
+        enlam = math.exp(-lam)
+
+        def cut_with(seed):
+            u = np.random.default_rng(seed).random(BLOCK + 1)
+            if u[BLOCK - inside - 1] > enlam:
+                return False  # the entry must start at u[BLOCK - inside]
+            prod = 1.0
+            for x in u[BLOCK - inside:BLOCK]:
+                prod *= x
+                if prod <= enlam:
+                    return False
+            return (prod * u[BLOCK] > enlam) == bool(extra)
+
+        seed = next(s for s in range(10_000) if cut_with(s))
+        finished = []
+        finish = rngmod._finish_entry
+
+        def spy(*args):
+            finished.append(finish(*args))
+            return finished[-1]
+
+        monkeypatch.setattr(rngmod, "_finish_entry", spy)
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = expected_rng.poisson(lam, 2 * BLOCK)
+        offsets, got = poisson_nonzero(rng, lam, 2 * BLOCK)
+
+        assert finished and finished[0] >= extra
+        np.testing.assert_array_equal(offsets, np.nonzero(counts)[0])
+        np.testing.assert_array_equal(got, counts[offsets])
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_decodes_only_below_cutoff_and_above_min_pages(self, monkeypatch):
+        decoded = []
+        decode = rngmod._decode_block
+
+        def spy(*args):
+            decoded.append(args[1].size)
+            return decode(*args)
+
+        monkeypatch.setattr(rngmod, "_decode_block", spy)
+        rng = np.random.default_rng(0)
+        poisson_nonzero(rng, CUTOFF, 4 * BLOCK)
+        poisson_nonzero(rng, 0.2, MIN - 1)
+        assert decoded == []
+        poisson_nonzero(rng, 0.2, MIN)
+        assert decoded == [MIN]
+
+
+def _lam_with_exp(v: float) -> float | None:
+    """A rate whose ``math.exp(-rate)`` is exactly ``v``, if one exists."""
+    lam = -math.log(v)
+    for _ in range(64):
+        e = math.exp(-lam)
+        if e == v:
+            return lam
+        lam = math.nextafter(lam, math.inf if e > v else -math.inf)
+    return None
+
+
+class TestThresholdTies:
+    """Rates chosen so that a uniform, or a running product, equals
+    ``exp(-lam)`` exactly.  numpy ends an entry on ``prod <= exp(-lam)``;
+    random data almost never ties, so these pin the comparison and the
+    threshold itself in each place the decode applies it."""
+
+    def _check(self, seed: int, lam: float, n: int) -> None:
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = expected_rng.poisson(lam, n)
+        offsets, got = poisson_nonzero(rng, lam, n)
+        np.testing.assert_array_equal(offsets, np.nonzero(counts)[0])
+        np.testing.assert_array_equal(got, counts[offsets])
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @staticmethod
+    def _tie(values, usable):
+        """First ``(index, lam)`` with ``exp(-lam) == values[index]``."""
+        for i in np.flatnonzero(usable):
+            lam = _lam_with_exp(float(values[i]))
+            if lam is not None and lam < CUTOFF:
+                return int(i), lam
+        return None
+
+    def test_uniform_equal_to_threshold_ends_an_entry(self):
+        u = np.random.default_rng(3).random(MIN)
+        # u[i + 1] starts an entry (u[i] ends one); the tie makes it zero.
+        i, lam = self._tie(u[1:], (u[1:] > 0.61) & (u[:-1] <= u[1:]))
+        assert u[i + 1] == math.exp(-lam)
+        self._check(3, lam, 2 * MIN)
+
+    def test_run_product_equal_to_threshold_ends_an_entry(self):
+        u = np.random.default_rng(4).random(MIN)
+        pair = u[1:-1] * u[2:]
+        # u[i + 1] starts an entry and u[i + 2] brings the product to the tie.
+        i, lam = self._tie(pair, (pair > 0.61) & (u[:-2] <= pair))
+        assert u[i + 1] > math.exp(-lam) and u[i + 2] > math.exp(-lam)
+        self._check(4, lam, 2 * MIN)
+
+    def test_finishing_product_equal_to_threshold_ends_the_cut_entry(self):
+        # The block's last two uniforms start an entry and continue it; the
+        # first finishing draw brings the product to the tie.
+        for seed in range(5000):
+            u = np.random.default_rng(seed).random(BLOCK + 1)
+            product = u[-3] * u[-2] * u[-1]
+            if product > 0.61 and u[-4] <= product:
+                tie = self._tie([product], [True])
+                if tie is not None:
+                    break
+        else:
+            pytest.fail("no seed gives a tie across the block end")
+        self._check(seed, tie[1], 2 * BLOCK)
+
+
+class TestRateSegment:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_bad_rate(self, rate):
+        with pytest.raises(WorkloadError, match="rate"):
+            RateSegment(start=0, npages=8, rate=rate)
+
+    def test_accepts_zero_rate(self):
+        assert RateSegment(start=0, npages=8, rate=0.0).rate == 0.0
+
+
+def _built(name: str):
+    w = build_workload(name, 1 / 512, seed=5)
+    w.build(AddressSpace(2_000_000), ThpManager(), Placer(0))
+    return w
+
+
+def _spy_merge(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    merge = AccessBatch.merge.__func__
+
+    def spy(cls, batches):
+        calls.append(len(batches))
+        return merge(cls, batches)
+
+    monkeypatch.setattr(AccessBatch, "merge", classmethod(spy))
+    return calls
+
+
+def _disjoint(segments) -> bool:
+    ordered = sorted(segments, key=lambda s: s.start)
+    return all(a.end <= b.start for a, b in zip(ordered, ordered[1:]))
+
+
+class TestFastAssembly:
+    """``_next_batch_fast`` against the legacy loop, batch by batch."""
+
+    @pytest.mark.parametrize(
+        "name, disjoint", [("gups", True), ("voltdb", False)]
+    )
+    def test_equals_legacy_loop(self, monkeypatch, name, disjoint):
+        legacy, fast = _built(name), _built(name)
+        legacy_rng, fast_rng = np.random.default_rng(11), np.random.default_rng(11)
+        merges = _spy_merge(monkeypatch)
+        for _ in range(6):
+            with perfflags.legacy_mode():
+                want = legacy.next_batch(legacy_rng)
+            del merges[:]
+            got = fast.next_batch(fast_rng)
+            segments = fast._current_segments
+            # The plan shape this case covers: gups plans its cold table
+            # before the hot bands, index and hotinfo below it.
+            assert _disjoint(segments) is disjoint
+            if disjoint:
+                starts = [s.start for s in segments]
+                assert starts != sorted(starts)
+            assert any(s.npages >= MIN and 0 < s.rate < CUTOFF for s in segments)
+            # Only overlapping plans pay for the merge.
+            assert bool(merges) is not disjoint
+            for field in ("pages", "counts", "writes", "sockets"):
+                a, b = getattr(want, field), getattr(got, field)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+        assert fast_rng.bit_generator.state == legacy_rng.bit_generator.state
