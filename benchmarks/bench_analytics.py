@@ -27,12 +27,12 @@ a row-count cliff, not just a suspicious speedup.
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
+from repro.bench.history import update_bench_perf
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.obs.analytics import (
@@ -127,14 +127,7 @@ def run_experiment(profile: BenchProfile) -> str:
         "funnel_occurrences": answers["funnel_occurrences"],
         "diff_metrics": len(diff["metrics"]),
     }
-    payload = {}
-    if OUTPUT.exists():
-        try:
-            payload = json.loads(OUTPUT.read_text())
-        except (ValueError, OSError):
-            payload = {}
-    payload["analytics"] = block
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    update_bench_perf(OUTPUT, {"analytics": block})
 
     row_text = ", ".join(f"{t}={n}" for t, n in sorted(rows.items()))
     return (

@@ -34,6 +34,7 @@ import time
 import urllib.request
 from pathlib import Path
 
+from repro.bench.history import update_bench_perf
 from repro.bench.scaling import BenchProfile
 from repro.metrics.report import Table
 from repro.obs.export import validate_chrome_trace
@@ -263,14 +264,7 @@ def run_experiment(profile: BenchProfile, max_overhead: float = 0.05) -> str:
         "max_overhead": max_overhead,
         "fingerprint_identical": True,
     }
-    payload = {}
-    if OUTPUT.exists():
-        try:
-            payload = json.loads(OUTPUT.read_text())
-        except (ValueError, OSError):
-            payload = {}
-    payload["fleet_obs"] = block
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    update_bench_perf(OUTPUT, {"fleet_obs": block})
 
     table = Table(
         "Fleet observability overhead: plane off vs on "

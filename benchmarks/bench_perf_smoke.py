@@ -4,9 +4,9 @@
 Two measurements, both regression-gated by CI via ``BENCH_perf.json``:
 
 * **matrix** — the 4-workload x 4-solution benchmark matrix, run twice:
-  the pre-optimization serial path (vectorized + incremental hot paths
-  off via :mod:`repro.perfflags` legacy mode, no trace cache, one
-  process) versus the optimized path (vectorized + incremental + shared
+  the pre-optimization serial path (optimized hot paths off via
+  :mod:`repro.perfflags` legacy mode, no trace cache, one process)
+  versus the optimized path (vectorized hot paths + shared
   :class:`~repro.sim.tracecache.TraceCache` + adaptive worker count);
 * **tau sweep** — a 6-point τ sensitivity sweep whose cells share a long
   warmup prefix, run cold (every cell from interval 0, on the already
@@ -28,12 +28,12 @@ summary statistics, and in full by ``tests/test_perf_opt.py`` and
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
-from repro import kernels, perfflags
+from repro import perfflags
+from repro.bench.history import update_bench_perf
 from repro.bench.runner import SweepVariant, run_matrix, run_sweep
 from repro.mm.chunked import DEFAULT_CHUNK_PAGES
 from repro.mm.pagetable import AUTO_CHUNK_PAGES
@@ -242,10 +242,6 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
         "workers_requested": REQUESTED_WORKERS,
         "workers_effective": workers,
         "cpu_count": os.cpu_count(),
-        "backend": perfflags.backend(),
-        "kernel_backend": kernels.active_backend(),
-        "numba_available": kernels.numba_available(),
-        "numba_version": kernels.numba_version(),
         "chunk_pages": DEFAULT_CHUNK_PAGES,
         "chunk_auto_threshold_pages": AUTO_CHUNK_PAGES,
         "baseline_seconds": round(baseline_seconds, 3),
@@ -280,16 +276,7 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
         },
         "results_identical": True,
     }
-    if OUTPUT.exists():
-        # bench_kernels.py appends its block to the same file; keep it
-        # when this driver re-writes the smoke payload.
-        try:
-            previous = json.loads(OUTPUT.read_text())
-        except (ValueError, OSError):
-            previous = {}
-        if "kernels" in previous:
-            payload["kernels"] = previous["kernels"]
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    update_bench_perf(OUTPUT, payload)
 
     return (
         f"perf smoke ({profile.name} profile, {len(workloads)}x{len(SOLUTIONS)} matrix)\n"

@@ -26,13 +26,13 @@ appended as a ``service_throughput`` block to ``BENCH_perf.json``.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+from repro.bench.history import update_bench_perf
 from repro.bench.scaling import BenchProfile
 from repro.metrics.report import Table
 from repro.service.cache import ResultCache
@@ -217,14 +217,7 @@ def run_experiment(profile: BenchProfile, min_speedup: float = 2.0) -> str:
         "wire_compression_ratio": round(wire_ratio, 2),
         "fingerprint_identical": True,
     }
-    payload = {}
-    if OUTPUT.exists():
-        try:
-            payload = json.loads(OUTPUT.read_text())
-        except (ValueError, OSError):
-            payload = {}
-    payload["service_throughput"] = block
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    update_bench_perf(OUTPUT, {"service_throughput": block})
 
     table = Table(
         "Warm-fleet execution: cold fleet vs warm fleet "

@@ -15,9 +15,6 @@ which gives all of them a uniform flag set:
   it up (results are bit-identical at any K);
 * ``--workloads a,b,c`` — restrict the experiment's workload set, mapped
   onto the driver's ``workloads``/``workload`` parameter when it has one;
-* ``--backend legacy|vectorized|compiled`` — hot-path implementation
-  tier (see :mod:`repro.perfflags`); all tiers are bit-identical, the
-  choice only moves wall clock;
 * ``--snapshots/--no-snapshots`` — whether shared-warmup sweeps fork
   from one warmed engine snapshot (the default) or simulate every cell
   from interval 0; installed as the process default every ``run_sweep``
@@ -38,7 +35,6 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from repro import perfflags
 from repro.bench.runner import set_default_snapshots, set_default_workers
 from repro.bench.scaling import profile_by_name, profile_from_env, profile_names
 from repro.errors import ConfigError
@@ -69,11 +65,6 @@ def bench_main(
              "workload accept exactly one name)",
     )
     parser.add_argument(
-        "--backend", choices=perfflags.BACKENDS, default="vectorized",
-        help="hot-path implementation tier (legacy/vectorized/compiled; "
-             "bit-identical, affects wall clock only)",
-    )
-    parser.add_argument(
         "--snapshots", action=argparse.BooleanOptionalAction, default=True,
         help="fork shared-warmup sweep cells from one warmed engine "
              "snapshot (default on; results are identical either way)",
@@ -99,7 +90,6 @@ def bench_main(
     )
     args = parser.parse_args(argv)
 
-    perfflags.set_backend(args.backend)
     set_default_workers(args.workers)
     set_default_snapshots(args.snapshots)
     collector = None
@@ -200,7 +190,6 @@ def _append_history(run_experiment, profile, args, seconds: float) -> None:
             driver=driver,
             profile=profile.name,
             seconds=seconds,
-            backend=getattr(args, "backend", ""),
             workers=getattr(args, "workers", 1),
             metrics=metrics,
         )

@@ -4,7 +4,7 @@
 the repo has no memory of whether a commit made the benchmarks faster
 or slower.  This module gives it a trajectory: every successful
 ``bench_main`` invocation appends exactly one timestamped JSONL record
-(driver, profile, backend, workers, wall seconds, and the flattened
+(driver, profile, workers, wall seconds, and the flattened
 numeric metrics of the ``BENCH_perf.json`` block the run refreshed),
 and ``repro diff --bench`` reads the accumulated history to call
 regressions across entries.
@@ -44,6 +44,23 @@ def resolve_history_path(default_dir) -> Path | None:
     return Path(default_dir) / HISTORY_NAME
 
 
+def update_bench_perf(path, blocks: dict) -> dict:
+    """Write ``blocks`` into the ``BENCH_perf.json`` at ``path``.
+
+    Several drivers share the file and each owns only the top-level keys
+    it writes, so every other key is kept as it was.  A missing or
+    unreadable file starts empty.  Returns the payload written.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except (ValueError, OSError):
+        payload = {}
+    payload.update(blocks)
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return payload
+
+
 def flatten_metrics(payload, prefix: str = "") -> dict[str, float]:
     """Numeric leaves of a nested dict as dotted-path keys."""
     out: dict[str, float] = {}
@@ -62,7 +79,6 @@ def append_record(
     driver: str,
     profile: str,
     seconds: float,
-    backend: str = "",
     workers: int = 1,
     metrics: dict | None = None,
 ) -> dict:
@@ -74,7 +90,6 @@ def append_record(
         "iso": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(now)),
         "driver": driver,
         "profile": profile,
-        "backend": backend,
         "workers": workers,
         "seconds": seconds,
         "metrics": dict(sorted((metrics or {}).items())),

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from queue import Empty
 from typing import TYPE_CHECKING, Callable
 
-from repro import kernels, perfflags
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.errors import ConfigError
@@ -821,12 +820,6 @@ def _pool_map(fn, cells, workers: int, collector: "ObsContext | None" = None):
     global _RELAY_QUEUE
     import multiprocessing as mp
 
-    if perfflags.compiled():
-        # Load + warm the kernel backend before the pool starts: forked
-        # workers inherit the bound/JITted kernels, and spawned workers
-        # at least share the on-disk cache (kernels.kernel_cache_dir())
-        # instead of each paying a cold compile.
-        kernels.warmup()
     method = "fork" if "fork" in mp.get_all_start_methods() else None
     ctx = mp.get_context(method) if method else mp.get_context()
     relay = (collector is not None and collector.stream_sinks

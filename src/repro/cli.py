@@ -50,7 +50,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import perfflags
 from repro.core.baselines import make_engine, solution_names
 from repro.errors import ReproError
 from repro.metrics.breakdown import TimeBreakdown
@@ -75,13 +74,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="N", help="machine capacity scale 1/N (default: 256)",
     )
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--backend", choices=perfflags.BACKENDS, default="vectorized",
-        help="hot-path implementation tier: legacy (pre-optimization "
-             "Python loops), vectorized (numpy pipelines, the default), "
-             "or compiled (repro.kernels: Numba/C where available, "
-             "numpy otherwise); all tiers are bit-identical",
-    )
     parser.add_argument(
         "--faults", type=float, default=0.0, metavar="RATE",
         help="uniform fault-injection rate in [0, 1] across all fault "
@@ -682,7 +674,6 @@ def _export_obs(ctx, args: argparse.Namespace) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``run``: simulate one solution and print its summary."""
-    perfflags.set_backend(args.backend)
     scale = 1.0 / args.scale_denominator
     obs = _make_obs(args)
     try:
@@ -728,7 +719,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """``compare``: run several solutions, print the normalized table."""
-    perfflags.set_backend(args.backend)
     solutions = [s.strip() for s in args.solutions.split(",") if s.strip()]
     if len(solutions) < 2:
         print("compare needs at least two solutions", file=sys.stderr)

@@ -1,17 +1,19 @@
-"""Pure-numpy reference implementations of every compiled kernel.
+"""The simulator's hot-path array kernels.
 
-This module is the always-available floor of the backend ladder: each
-function here is the *definition* of its kernel's semantics, written as
-the same array pipeline the vectorized (PR-2/PR-3) hot paths use.  The
-Numba and C backends must be bit-identical to these — the differential
-suite in ``tests/test_kernels.py`` asserts it — which is possible
-because every kernel is pure integer arithmetic and data movement (or
-element-wise float math); none of them re-orders a float reduction.
+Seven numpy pipelines that the optimized interval path calls by module
+attribute (``kernels.mmu_ingest(...)``, so the layer ledger of
+``benchmarks/e2e`` can wrap them in place): the MMU scatter-reset and
+fused batch ingest, node-map run-length encoding, span majority-node
+resolution, span leaf-entry compaction, per-node access/write
+accumulation, and fused region scoring.  Each is pure integer
+arithmetic and data movement (or element-wise float math) and never
+re-orders a float reduction, so it is bit-identical to the per-element
+loop it replaced; ``tests/test_kernels.py`` checks every function
+against such a loop.
 
-Keeping the fallback in its own module means a machine with neither
-Numba nor a C compiler still runs the ``compiled`` backend tier
-correctly (it simply is the vectorized path, re-entered through the
-kernel interface).
+The MMU kernels take their state arrays as arguments and only index
+them, so they run unchanged on dense ndarrays and on
+:class:`~repro.mm.chunked.ChunkedArray` storage.
 """
 
 from __future__ import annotations

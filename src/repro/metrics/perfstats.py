@@ -108,10 +108,6 @@ class PerfStats:
         migrate_seconds: policy decisions plus planner execution.
         total_seconds: whole ``run()`` call, including phases not broken
             out above (MMU application, PCM counting, bookkeeping).
-        compile_seconds: kernel compile/bind time attributed to this run
-            (the :mod:`repro.kernels` build/JIT work that happened during
-            it); separates one-time compile latency from steady-state
-            run time when the compiled backend is active.
         intervals: intervals simulated.
         cache: trace-cache counters, when a cache served this run.
         snapshots: snapshot-cache counters, when a sweep forked this run
@@ -125,7 +121,6 @@ class PerfStats:
     profile_seconds: float = 0.0
     migrate_seconds: float = 0.0
     total_seconds: float = 0.0
-    compile_seconds: float = 0.0
     intervals: int = 0
     cache: CacheStats | None = field(default=None)
     snapshots: CacheStats | None = field(default=None)
@@ -159,7 +154,7 @@ class PerfStats:
             self, other,
             sum_fields=("workload_seconds", "profile_seconds",
                         "migrate_seconds", "total_seconds",
-                        "compile_seconds", "intervals"),
+                        "intervals"),
         )
         merged.cache = _merge_cache(self.cache, other.cache)
         merged.snapshots = _merge_cache(self.snapshots, other.snapshots)
@@ -175,7 +170,6 @@ class PerfStats:
             "migrate_seconds": self.migrate_seconds,
             "other_seconds": self.other_seconds,
             "total_seconds": self.total_seconds,
-            "compile_seconds": self.compile_seconds,
             "intervals": self.intervals,
         }
         if self.phase_samples:

@@ -100,17 +100,12 @@ class Mmu:
             # (and far cheaper than) three full-array fills.
             touched = self._touched_entries
             if touched is not None and touched.size:
-                if perfflags.compiled() and not self.page_table.chunked:
-                    kernels.mmu_scatter_reset(
-                        touched,
-                        self._entry_counts,
-                        self._entry_writes,
-                        self._entry_socket,
-                    )
-                else:
-                    self._entry_counts[touched] = 0
-                    self._entry_writes[touched] = 0
-                    self._entry_socket[touched] = -1
+                kernels.mmu_scatter_reset(
+                    touched,
+                    self._entry_counts,
+                    self._entry_writes,
+                    self._entry_socket,
+                )
         else:
             self._entry_counts.fill(0)
             self._entry_writes.fill(0)
@@ -126,46 +121,26 @@ class Mmu:
         if perfflags.vectorized() and (
             batch.pages.size < 2 or np.all(batch.pages[1:] > batch.pages[:-1])
         ):
-            if perfflags.compiled() and not self.page_table.chunked:
-                # One fused compiled pass: per-entry accumulation (every
-                # touched slot is zero after the reset above, so += equals
-                # the run-sum assignment), socket attribution, PTE
-                # access/dirty bits, and cumulative ground truth.
-                kernels.mmu_ingest(
-                    entries,
-                    batch.counts,
-                    batch.writes,
-                    batch.sockets,
-                    batch.pages,
-                    self._entry_counts,
-                    self._entry_writes,
-                    self._entry_socket,
-                    self.page_table.flags,
-                    self.cumulative_counts,
-                    self.cumulative_writes,
-                    int(PteFlag.ACCESSED),
-                    int(PteFlag.DIRTY),
-                )
-                return
             # Strictly-ascending unique pages (the AccessBatch histogram
-            # invariant): per-entry sums are contiguous-run reductions over
-            # the non-decreasing entry array, and every slot being summed
-            # into is zero after the reset above — both bit-identical to
-            # (and far cheaper than) ``np.add.at`` scatter-adds.
-            keep = np.empty(entries.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(entries[1:], entries[:-1], out=keep[1:])
-            idx = np.flatnonzero(keep)
-            if idx.size == entries.size:
-                self._entry_counts[entries] = batch.counts
-                self._entry_writes[entries] = batch.writes
-            else:
-                self._entry_counts[entries[idx]] = np.add.reduceat(batch.counts, idx)
-                self._entry_writes[entries[idx]] = np.add.reduceat(batch.writes, idx)
-            self._entry_socket[entries] = batch.sockets
-            self.page_table.set_accessed(entries, written=batch.writes > 0)
-            self.cumulative_counts[batch.pages] += batch.counts
-            self.cumulative_writes[batch.pages] += batch.writes
+            # invariant): one fused pass of per-entry run sums (every slot
+            # summed into is zero after the reset above, so assignment
+            # equals ``np.add.at``), socket attribution, PTE access/dirty
+            # bits, and cumulative ground truth.
+            kernels.mmu_ingest(
+                entries,
+                batch.counts,
+                batch.writes,
+                batch.sockets,
+                batch.pages,
+                self._entry_counts,
+                self._entry_writes,
+                self._entry_socket,
+                self.page_table.flags,
+                self.cumulative_counts,
+                self.cumulative_writes,
+                int(PteFlag.ACCESSED),
+                int(PteFlag.DIRTY),
+            )
             return
         _add_at(self._entry_counts, entries, batch.counts)
         _add_at(self._entry_writes, entries, batch.writes)

@@ -306,24 +306,7 @@ class PageTable:
             return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
         if self.chunked:
             return self._span_entries_chunked(starts, npages)
-        if perfflags.compiled():
-            # Single fused pass over the dense entry map — no
-            # concatenated-pages materialization.
-            return kernels.span_entries(starts, npages, self._entry)
-        bounds = np.concatenate(([0], np.cumsum(npages)))
-        total = int(bounds[-1])
-        span_id = np.repeat(np.arange(starts.size), npages)
-        pages = np.arange(total, dtype=np.int64) - np.repeat(bounds[:-1], npages) + np.repeat(starts, npages)
-        entries = self.entry_index(pages)
-        first = np.empty(total, dtype=bool)
-        first[0] = True
-        np.logical_or(
-            entries[1:] != entries[:-1], span_id[1:] != span_id[:-1], out=first[1:]
-        )
-        offsets = np.concatenate(
-            ([0], np.cumsum(np.bincount(span_id[first], minlength=starts.size)))
-        )
-        return entries[first], offsets
+        return kernels.span_entries(starts, npages, self._entry)
 
     def _span_entries_chunked(
         self, starts: np.ndarray, npages: np.ndarray
@@ -382,15 +365,8 @@ class PageTable:
         if self._node_rle is None or self._node_rle[0] != self._node_version:
             if self.chunked:
                 bounds, values = self._node_runs_chunked()
-            elif perfflags.compiled():
-                bounds, values = kernels.node_rle(self.node)
             else:
-                change = np.flatnonzero(self.node[1:] != self.node[:-1])
-                bounds = np.empty(change.size + 2, dtype=np.int64)
-                bounds[0] = 0
-                bounds[1:-1] = change + 1
-                bounds[-1] = self.n_pages
-                values = self.node[bounds[:-1]].astype(np.int64)
+                bounds, values = kernels.node_rle(self.node)
             self._node_rle = (self._node_version, bounds, values)
         return self._node_rle[1], self._node_rle[2]
 
@@ -437,36 +413,7 @@ class PageTable:
         if starts.size == 0:
             return np.empty(0, dtype=np.int64)
         bounds, values = self._node_runs()
-        if perfflags.compiled():
-            return kernels.span_majority(starts, npages, bounds, values)
-        ends = starts + npages
-        lo = np.searchsorted(bounds, starts, side="right") - 1
-        hi = np.searchsorted(bounds, ends, side="left")  # runs [lo, hi) overlap
-        nruns = np.maximum(hi - lo, 0)
-        offs = np.concatenate(([0], np.cumsum(nruns)))
-        span_id = np.repeat(np.arange(starts.size), nruns)
-        ridx = (
-            np.arange(int(offs[-1]), dtype=np.int64)
-            - np.repeat(offs[:-1], nruns)
-            + np.repeat(lo, nruns)
-        )
-        weights = np.minimum(bounds[ridx + 1], np.repeat(ends, nruns)) - np.maximum(
-            bounds[ridx], np.repeat(starts, nruns)
-        )
-        nodes = values[ridx]
-        mapped = (nodes >= 0) & (weights > 0)
-        result = np.full(starts.size, -1, dtype=np.int64)
-        if not np.any(mapped):
-            return result
-        n_nodes = int(nodes[mapped].max()) + 1
-        counts = np.bincount(
-            span_id[mapped] * n_nodes + nodes[mapped],
-            weights=weights[mapped],
-            minlength=starts.size * n_nodes,
-        ).reshape(starts.size, n_nodes)
-        has_mapped = counts.sum(axis=1) > 0
-        result[has_mapped] = np.argmax(counts[has_mapped], axis=1)
-        return result
+        return kernels.span_majority(starts, npages, bounds, values)
 
     def huge_heads(self) -> np.ndarray:
         """Heads of all current huge mappings, ascending."""

@@ -34,24 +34,12 @@ class PcmCounters:
         if batch.pages.size == 0:
             return
         nodes = page_table.node_of(batch.pages)
-        if perfflags.compiled():
-            # Compiled integer histogram; exact sums match the weighted
-            # float bincount below bit-for-bit (counts stay below 2**53).
+        if perfflags.vectorized():
+            # One per-node histogram instead of a mask + two sums per node;
+            # unmapped pages (node -1) land in slot 0 and are dropped,
+            # matching the per-node masks below.
             length = max(self.topology.node_ids) + 2
             acc, wr = kernels.node_accumulate(nodes, batch.counts, batch.writes, length)
-            for node in self.topology.node_ids:
-                if acc[node + 1] or wr[node + 1]:
-                    self.node_accesses[node] += int(acc[node + 1])
-                    self.node_writes[node] += int(wr[node + 1])
-            return
-        if perfflags.vectorized():
-            # One weighted histogram instead of a mask + two sums per node.
-            # Unmapped pages (node -1) are shifted into bin 0 and dropped,
-            # matching the per-node masks below.
-            shifted = nodes.astype(np.int64) + 1
-            length = max(self.topology.node_ids) + 2
-            acc = np.bincount(shifted, weights=batch.counts, minlength=length)
-            wr = np.bincount(shifted, weights=batch.writes, minlength=length)
             for node in self.topology.node_ids:
                 if acc[node + 1] or wr[node + 1]:
                     self.node_accesses[node] += int(acc[node + 1])

@@ -1,33 +1,25 @@
 """Process-wide switches between optimized and legacy hot paths.
 
-Three switches, forming the backend ladder ``legacy -> vectorized ->
-compiled``:
-
-* **vectorized** — the PR-2 optimizations (struct-of-arrays region
-  bookkeeping, bulk entry/node resolution, scatter-reset MMU state,
-  fused batch assembly);
-* **incremental** — the delta-driven interval pipeline: per-interval
-  work (entry resolution, region node lookup, PTE bookkeeping) scales
-  with the pages *touched this interval* plus dirty-region
-  invalidations, instead of with the total footprint.  Incremental
-  paths build on the vectorized ones, so they only activate when both
-  switches are on.
-* **compiled** — the :mod:`repro.kernels` backend: hot-path loops
-  fused into single compiled passes (Numba ``@njit`` where installed,
-  a ctypes-loaded C shared object where only a C compiler is present,
-  and a pure-numpy fallback otherwise, so the switch is always safe to
-  enable).  Compiled paths replace individual *vectorized* array
-  pipelines one kernel at a time, so they only activate when the
-  vectorized switch is also on.
+One switch, **vectorized**, selects the optimized hot paths (the
+default): struct-of-arrays region bookkeeping, bulk entry/node
+resolution, the :mod:`repro.kernels` array pipelines (scatter-reset MMU
+state, fused batch ingest, span resolution, per-node accumulation,
+fused region scoring), and the delta-driven interval pipeline, whose
+per-interval work (entry resolution, region node lookup, PTE
+bookkeeping) scales with the pages *touched this interval* plus
+dirty-region invalidations instead of with the total footprint.
 
 All optimized implementations are bit-identical to the original
 per-region Python loops by construction — every RNG draw happens in
 the same order with the same arguments, and cached values are
 invalidated whenever the state they derive from changes.  The legacy
-paths are kept behind these switches for two reasons: differential
-tests assert the equivalence, and ``benchmarks/bench_perf_smoke.py``
-uses the legacy mode as the pre-optimization baseline it reports its
-speedup against.
+paths are kept behind the switch for two reasons: differential tests
+assert the equivalence, and ``benchmarks/bench_perf_smoke.py`` uses the
+legacy mode as the pre-optimization baseline it reports its speedup
+against.
+
+A second, independent override forces the page-table storage layout
+(dense or chunked) so the differential suites can exercise both.
 
 The flags are process-global (workers forked by the parallel matrix
 runner inherit them), defaulting to fully optimized.
@@ -38,76 +30,18 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 _VECTORIZED = True
-_INCREMENTAL = True
-_COMPILED = False
 _CHUNKED_OVERRIDE: bool | None = None
-
-#: The selectable backend tiers, in increasing optimization order.
-BACKENDS = ("legacy", "vectorized", "compiled")
 
 
 def vectorized() -> bool:
-    """Whether the vectorized hot paths are active (the default)."""
+    """Whether the optimized hot paths are active (the default)."""
     return _VECTORIZED
 
 
 def set_vectorized(enabled: bool) -> None:
-    """Switch every flagged hot path between vectorized and legacy."""
+    """Switch every flagged hot path between optimized and legacy."""
     global _VECTORIZED
     _VECTORIZED = bool(enabled)
-
-
-def incremental() -> bool:
-    """Whether the O(touched) incremental interval paths are active."""
-    return _INCREMENTAL
-
-
-def set_incremental(enabled: bool) -> None:
-    """Switch the delta-driven interval pipeline on or off."""
-    global _INCREMENTAL
-    _INCREMENTAL = bool(enabled)
-
-
-def compiled() -> bool:
-    """Whether the compiled :mod:`repro.kernels` hot paths are active.
-
-    Compiled kernels replace individual vectorized pipelines, so the
-    switch only bites while ``vectorized()`` is also on (mirroring how
-    ``incremental`` stacks on ``vectorized``).
-    """
-    return _COMPILED and _VECTORIZED
-
-
-def set_compiled(enabled: bool) -> None:
-    """Switch the compiled-kernel hot paths on or off."""
-    global _COMPILED
-    _COMPILED = bool(enabled)
-
-
-def backend() -> str:
-    """The active backend tier name (``legacy``/``vectorized``/``compiled``)."""
-    if compiled():
-        return "compiled"
-    if _VECTORIZED:
-        return "vectorized"
-    return "legacy"
-
-
-def set_backend(name: str) -> None:
-    """Select a backend tier by name.
-
-    ``legacy`` disables every optimization switch; ``vectorized``
-    enables the vectorized + incremental paths (the default);
-    ``compiled`` additionally routes ported hot loops through
-    :mod:`repro.kernels`.  All three tiers are bit-identical — the
-    differential suites assert it — so the choice only affects wall
-    clock (and, for ``compiled``, a one-time JIT/compile cost).
-    """
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {BACKENDS}")
-    set_vectorized(name != "legacy")
-    set_incremental(name != "legacy")
-    set_compiled(name == "compiled")
 
 
 def chunked_override() -> bool | None:
@@ -144,29 +78,12 @@ def chunked_mode(value: bool = True):
 def legacy_mode():
     """Run a block on the legacy (pre-optimization) code paths.
 
-    Disables the vectorized, incremental, and compiled switches and
-    restores their previous values on exit.
+    Disables the vectorized switch and restores its previous value on
+    exit.
     """
-    prev_vec, prev_inc, prev_comp = _VECTORIZED, _INCREMENTAL, _COMPILED
+    prev = _VECTORIZED
     set_vectorized(False)
-    set_incremental(False)
-    set_compiled(False)
     try:
         yield
     finally:
-        set_vectorized(prev_vec)
-        set_incremental(prev_inc)
-        set_compiled(prev_comp)
-
-
-@contextmanager
-def backend_mode(name: str):
-    """Run a block on the named backend tier, restoring flags on exit."""
-    prev_vec, prev_inc, prev_comp = _VECTORIZED, _INCREMENTAL, _COMPILED
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_vectorized(prev_vec)
-        set_incremental(prev_inc)
-        set_compiled(prev_comp)
+        set_vectorized(prev)

@@ -197,7 +197,7 @@ class DamonProfiler(Profiler):
         if obs is not None:
             self._emit_formation(obs, merges=merges_delta, splits=splits_delta)
 
-        if perfflags.incremental():
+        if perfflags.vectorized():
             # Resolve every region's resident node in one RLE pass rather
             # than a per-region O(npages) slice; bit-identical ordering.
             starts, sizes, _ = self.regions.as_arrays()

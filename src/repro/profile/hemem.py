@@ -115,7 +115,7 @@ class PebsOnlyProfiler(Profiler):
             valid = idx >= 0
             np.add.at(self._scores, idx[valid], sample_set.samples[valid].astype(np.float64))
 
-        if perfflags.incremental():
+        if perfflags.vectorized():
             # One bulk pass over the placement RLE instead of a per-chunk
             # O(chunk_pages) slice+count; bit-identical node resolution
             # (both tie-break toward the lowest node id).

@@ -77,11 +77,6 @@ class MtmProfilerConfig:
             hot region into cold neighbours (formation-model ablation).
         heterogeneity_guard: False lets internally mixed regions merge
             (formation-model ablation).
-        vectorized: resolve region entries and resident nodes for all
-            regions in bulk array operations instead of per-region loops.
-            Bit-identical to the loop path (the differential tests assert
-            it); False forces the legacy path regardless of the global
-            :mod:`repro.perfflags` switch.
     """
 
     interval: float = 10.0
@@ -104,7 +99,6 @@ class MtmProfilerConfig:
     guided_splits: bool = True
     ema_merge_guard: bool = True
     heterogeneity_guard: bool = True
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.num_scans < 1:
@@ -266,8 +260,7 @@ class MtmProfiler(Profiler):
         to_profile: list[tuple[MemoryRegion, np.ndarray]] = []
         idle: list[MemoryRegion] = []
         pebs_active = cfg.use_pebs and pebs is not None
-        use_vec = cfg.vectorized and perfflags.vectorized()
-        use_inc = use_vec and perfflags.incremental()
+        use_vec = perfflags.vectorized()
         region_entries: list[np.ndarray] | None = None
         with obs.span("scan.resolve", cat="profile") if obs is not None else nullcontext():
             if use_vec:
@@ -275,16 +268,13 @@ class MtmProfiler(Profiler):
                 # needs them, resident nodes) in one pass over the page table.
                 # The per-region loop below then only slices precomputed arrays;
                 # all RNG draws keep their exact legacy order and arguments.
+                # O(touched): unchanged regions are served from the entry
+                # cache and only spans invalidated by formation or by
+                # huge-page transitions since last interval are gathered.
                 starts_arr, npages_arr, _ = self.regions.as_arrays()
-                if use_inc:
-                    # O(touched): serve unchanged regions from the entry cache
-                    # and gather only spans invalidated by formation or by
-                    # huge-page transitions since last interval.
-                    region_entries = self._resolve_entries_cached(
-                        page_table, starts_arr, npages_arr
-                    )
-                else:
-                    ents_all, ents_offs = page_table.span_entries(starts_arr, npages_arr)
+                region_entries = self._resolve_entries_cached(
+                    page_table, starts_arr, npages_arr
+                )
                 nodes_all = (
                     page_table.span_majority_nodes(starts_arr, npages_arr)
                     if pebs_active
@@ -293,8 +283,6 @@ class MtmProfiler(Profiler):
             for idx, region in enumerate(regions):
                 if region_entries is not None:
                     entries = region_entries[idx]
-                elif use_vec:
-                    entries = ents_all[ents_offs[idx] : ents_offs[idx + 1]]
                 else:
                     entries = region.entries(page_table)
                 if entries.size == 0:
@@ -381,7 +369,7 @@ class MtmProfiler(Profiler):
                 detected = mmu.scan_detect(
                     chosen, cfg.num_scans, self.rng, exposure=cfg.scan_exposure
                 )
-                if perfflags.compiled():
+                if use_vec:
                     # Fused sum/min/max/argmax pass.  total/size equals
                     # detected.mean() bit-for-bit: detected counts are
                     # small integers, so numpy's float64 accumulation is
@@ -460,13 +448,12 @@ class MtmProfiler(Profiler):
             # nodes for the final layout in one bulk pass.
             starts2, npages2, _ = self.regions.as_arrays()
             nodes2 = page_table.span_majority_nodes(starts2, npages2)
-            if use_inc:
-                # Drop cache entries for spans no longer in the layout so
-                # the cache stays bounded by the live region count.
-                live = set(zip(starts2.tolist(), npages2.tolist()))
-                self._entry_cache = {
-                    k: v for k, v in self._entry_cache.items() if k in live
-                }
+            # Drop cache entries for spans no longer in the layout so the
+            # cache stays bounded by the live region count.
+            live = set(zip(starts2.tolist(), npages2.tolist()))
+            self._entry_cache = {
+                k: v for k, v in self._entry_cache.items() if k in live
+            }
             reports = [
                 RegionReport(
                     start=r.start,

@@ -122,7 +122,7 @@ class MemoryRegion:
 
     def node(self, page_table: PageTable) -> int:
         """Component holding the majority of this region's pages (-1 if unmapped)."""
-        if perfflags.incremental():
+        if perfflags.vectorized():
             # Run-length resolution over the page table's placement runs:
             # O(runs overlapping the region) instead of O(npages), and
             # bit-identical — both paths break majority ties toward the

@@ -206,9 +206,9 @@ class CostModel:
         nodes = page_table.node_of(batch.pages)
         latency_seconds = 0.0
         worst_drain = 0.0
-        if perfflags.compiled():
-            # One compiled pass over the batch replaces a mask + sum per
-            # node.  Integer per-node sums are exact, so multiplying by
+        if perfflags.vectorized():
+            # One per-node histogram replaces a mask + sum per node.
+            # Integer per-node sums are exact, so multiplying by
             # rate_compensation afterwards is bit-identical to the
             # per-node ``counts[mask].sum() * rate_compensation`` below
             # (counts are >= 1, so a zero sum is exactly "no pages here").

@@ -27,7 +27,6 @@ import numpy as np
 import time as _time
 from typing import TYPE_CHECKING
 
-from repro import kernels
 from repro.errors import ConfigError, TransientError
 from repro.faults.injector import FaultInjector, FaultLog
 from repro.faults.watchdog import IntervalWatchdog
@@ -422,13 +421,8 @@ class SimulationEngine:
         """Simulate ``num_intervals`` profiling intervals."""
         if num_intervals < 1:
             raise ConfigError(f"num_intervals must be >= 1, got {num_intervals}")
-        compile_before = kernels.compile_seconds()
         for _ in range(num_intervals):
             self.step()
-        # Attribute kernel compile/JIT work that happened during this run
-        # (first compiled-backend call in the process) so the perf stats
-        # separate one-time compile latency from steady-state run time.
-        self.perfstats.compile_seconds += kernels.compile_seconds() - compile_before
         return self.result()
 
     def step(self) -> IntervalRecord:

@@ -389,8 +389,8 @@ class TestBootstrap:
 class TestHistory:
     def _record(self, path, seconds, metrics=None):
         return append_record(path, driver="bench_x", profile="quick",
-                             seconds=seconds, backend="vectorized",
-                             workers=1, metrics=metrics or {})
+                             seconds=seconds, workers=1,
+                             metrics=metrics or {})
 
     def test_append_and_read(self, tmp_path):
         path = tmp_path / HISTORY_NAME

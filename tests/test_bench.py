@@ -1,7 +1,11 @@
-"""Tests for the benchmark harness: profiles and runners."""
+"""Tests for the benchmark harness: profiles, runners, and the shared
+``BENCH_perf.json`` writer."""
+
+import json
 
 import pytest
 
+from repro.bench.history import update_bench_perf
 from repro.bench.runner import MatrixResult, run_matrix, run_solution
 from repro.bench.scaling import FULL, QUICK, BenchProfile, profile_from_env
 from repro.errors import ConfigError
@@ -110,3 +114,28 @@ class TestStats:
             repeated_comparison("gups", ["mtm"], tiny_profile, repeats=0)
         with pytest.raises(ConfigError):
             repeated_comparison("gups", ["mtm"], tiny_profile, baseline="nope")
+
+
+class TestBenchPerfFile:
+    FOREIGN = {
+        "service_throughput": {"speedup": 2.5, "cells": 12},
+        "fleet_obs": {"overhead": 0.01},
+        "analytics": {"ingest_seconds": 0.2},
+    }
+
+    def test_perf_smoke_write_keeps_foreign_blocks(self, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        path.write_text(json.dumps({"speedup": 1.0, **self.FOREIGN}))
+        # The perf smoke writes its top-level keys, not a single block.
+        smoke = {"profile": "quick", "speedup": 3.1,
+                 "tau_sweep": {"speedup": 1.9}, "results_identical": True}
+        update_bench_perf(path, smoke)
+        written = json.loads(path.read_text())
+        assert written == {**self.FOREIGN, **smoke}
+
+    def test_missing_or_corrupt_file_starts_empty(self, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        assert update_bench_perf(path, {"analytics": {"x": 1}}) == {"analytics": {"x": 1}}
+        path.write_text("{not json")
+        update_bench_perf(path, {"fleet_obs": {"y": 2}})
+        assert json.loads(path.read_text()) == {"fleet_obs": {"y": 2}}

@@ -1,45 +1,28 @@
-"""Differential suite for the compiled kernel backend and chunked
-page-table storage.
+"""Differential suite for the hot-path kernels and chunked page-table
+storage.
 
 Two invariants are enforced:
 
-* **backend bit-identity** — the ``compiled`` tier (whatever rung the
-  dispatcher resolved: Numba, the C shared object, or the numpy
-  fallback) produces fingerprint-identical simulations to ``vectorized``
-  and ``legacy``, across solutions, under fault injection, through
-  snapshot fork/resume, and at any worker count;
+* **kernel semantics** — every :mod:`repro.kernels` function equals an
+  independent per-element Python loop on adversarial inputs (huge-page
+  duplicate entries, single runs, alternating runs, ties, unmapped
+  spans);
 * **storage bit-identity** — chunked page tables (including multi-chunk
   layouts far below the auto threshold) are indistinguishable from the
   dense arrays above the :class:`~repro.mm.pagetable.PageTable` API.
-
-Kernel-level randomized differentials additionally pin every
-:mod:`repro.kernels` entry point to its pure-numpy reference
-(:mod:`repro.kernels._fallback`) on adversarial inputs.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import repro
 from repro import kernels, perfflags
-from repro.bench.runner import run_matrix, run_solution
+from repro.bench.runner import run_solution
 from repro.bench.scaling import BenchProfile
-from repro.core.baselines import make_engine
-from repro.faults.injector import FaultConfig, FaultInjector
-from repro.kernels import _fallback
 from repro.mm.chunked import ChunkedArray
 from repro.mm.pagetable import PageTable
-from repro.sim.engine import SimulationEngine
-from tests.support import fingerprint, matrix_fingerprint
+from tests.support import fingerprint
 
 SCALE = 1 / 512
-SOLUTIONS = ["first-touch", "hmc", "tiered-autonuma", "hemem", "thermostat", "mtm"]
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -53,161 +36,130 @@ def tiny_profile():
     )
 
 
-def _run(solution, workload, profile, backend, **kwargs):
-    with perfflags.backend_mode(backend):
-        return fingerprint(run_solution(solution, workload, profile, **kwargs))
+def _run(solution, workload, profile, legacy=False):
+    if legacy:
+        with perfflags.legacy_mode():
+            return fingerprint(run_solution(solution, workload, profile))
+    return fingerprint(run_solution(solution, workload, profile))
 
 
-class TestBackendLadder:
-    def test_backend_names_round_trip(self):
-        for name in perfflags.BACKENDS:
-            with perfflags.backend_mode(name):
-                assert perfflags.backend() == name
-        assert perfflags.backend() == "vectorized"
-
-    def test_compiled_requires_vectorized(self):
-        with perfflags.backend_mode("compiled"):
-            perfflags.set_vectorized(False)
-            assert not perfflags.compiled()
-            perfflags.set_vectorized(True)
-            assert perfflags.compiled()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            perfflags.set_backend("turbo")
-
-    def test_warmup_is_idempotent_and_accounted(self):
-        first = kernels.warmup()
-        assert first >= 0.0
-        assert kernels.warmup() == 0.0  # second call is a no-op
-        assert kernels.compile_seconds() >= first
-        assert kernels.active_backend() in ("numba", "cc", "numpy")
+# -- per-element Python loops: the reference semantics of each kernel --------
 
 
-class TestCompiledBitIdentity:
-    @pytest.mark.parametrize("solution", SOLUTIONS)
-    def test_compiled_equals_vectorized_and_legacy(self, tiny_profile, solution):
-        compiled = _run(solution, "gups", tiny_profile, "compiled")
-        assert compiled == _run(solution, "gups", tiny_profile, "vectorized")
-        assert compiled == _run(solution, "gups", tiny_profile, "legacy")
-
-    @pytest.mark.parametrize("workload", ["voltdb", "bfs"])
-    def test_compiled_equals_vectorized_other_workloads(self, tiny_profile, workload):
-        assert (_run("mtm", workload, tiny_profile, "compiled")
-                == _run("mtm", workload, tiny_profile, "vectorized"))
-
-    def test_compiled_under_fault_injection(self, tiny_profile):
-        kwargs = dict(fault_rate=0.05, fault_seed=123)
-        compiled = _run("mtm", "gups", tiny_profile, "compiled", **kwargs)
-        legacy = _run("mtm", "gups", tiny_profile, "legacy", **kwargs)
-        assert compiled == legacy
-
-    def test_compiled_snapshot_fork_resume(self):
-        intervals, warmup = 6, 3
-
-        def engine():
-            return make_engine("mtm", "gups", scale=SCALE, seed=3,
-                               injector=FaultInjector(
-                                   FaultConfig.uniform(0.05), seed=123))
-
-        with perfflags.backend_mode("legacy"):
-            reference = fingerprint(engine().run(intervals))
-        with perfflags.backend_mode("compiled"):
-            warm = engine()
-            for _ in range(warmup):
-                warm.step()
-            forked = SimulationEngine.fork(warm.snapshot())
-            resumed = forked.run(intervals - warmup)
-        assert fingerprint(resumed) == reference
-
-    def test_compiled_matrix_any_worker_count(self, tiny_profile):
-        workloads, solutions = ["gups"], ["first-touch", "mtm"]
-        with perfflags.backend_mode("compiled"):
-            serial = matrix_fingerprint(
-                run_matrix(workloads, solutions, tiny_profile, workers=1))
-            parallel = matrix_fingerprint(
-                run_matrix(workloads, solutions, tiny_profile, workers=2))
-        with perfflags.backend_mode("legacy"):
-            legacy = matrix_fingerprint(
-                run_matrix(workloads, solutions, tiny_profile, workers=1))
-        assert serial == parallel == legacy
-
-    def test_compile_seconds_recorded_not_simulated(self, tiny_profile):
-        with perfflags.backend_mode("compiled"):
-            result = run_solution("mtm", "gups", tiny_profile)
-        assert result.perf is not None
-        assert result.perf.compile_seconds >= 0.0
-        assert "compile_seconds" in result.perf.as_dict()
+def loop_scatter_reset(touched, entry_counts, entry_writes, entry_socket):
+    for e in touched.tolist():
+        entry_counts[e] = 0
+        entry_writes[e] = 0
+        entry_socket[e] = -1
 
 
-class TestForcedNumpyRung:
-    """``REPRO_KERNEL_BACKEND=numpy`` must pin the dispatcher to the
-    fallback and stay bit-identical (run in a subprocess because the
-    dispatcher caches its resolution per process)."""
+def loop_mmu_ingest(entries, counts, writes, sockets, pages, entry_counts,
+                    entry_writes, entry_socket, flags, cumulative_counts,
+                    cumulative_writes, accessed_bit, dirty_bit):
+    for i in range(entries.size):
+        e = int(entries[i])
+        c = int(counts[i])
+        w = int(writes[i])
+        entry_counts[e] += c
+        entry_writes[e] += w
+        entry_socket[e] = sockets[i]
+        f = int(flags[e]) | accessed_bit
+        if w > 0:
+            f |= dirty_bit
+        flags[e] = f
+        p = int(pages[i])
+        cumulative_counts[p] += c
+        cumulative_writes[p] += w
 
-    def _subprocess(self, code, backend):
-        env = dict(os.environ,
-                   REPRO_KERNEL_BACKEND=backend,
-                   PYTHONPATH=os.pathsep.join(
-                       [SRC_DIR, os.path.dirname(os.path.dirname(__file__))]
-                   ))
-        return subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
 
-    def test_numpy_rung_resolves(self):
-        proc = self._subprocess(
-            "import repro.kernels as k; print(k.active_backend(), "
-            "k.numba_available())", "numpy")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split()[0] == "numpy"
+def loop_node_rle(node):
+    bounds = [0]
+    values = [int(node[0])]
+    for i in range(1, node.shape[0]):
+        if node[i] != node[i - 1]:
+            bounds.append(i)
+            values.append(int(node[i]))
+    bounds.append(node.shape[0])
+    return (np.asarray(bounds, dtype=np.int64),
+            np.asarray(values, dtype=np.int64))
 
-    def test_numpy_rung_fingerprint_identical(self, tiny_profile):
-        code = """
-import json
-from repro import perfflags
-from repro.bench.runner import run_solution
-from repro.bench.scaling import BenchProfile
-from tests.support import fingerprint
 
-profile = BenchProfile(name="tiny", scale=1 / 512,
-                       intervals={"gups": 4}, seed=3)
-with perfflags.backend_mode("compiled"):
-    print(json.dumps(fingerprint(run_solution("mtm", "gups", profile))))
-"""
-        proc = self._subprocess(code, "numpy")
-        assert proc.returncode == 0, proc.stderr
-        pinned = json.loads(proc.stdout)
-        native = json.loads(json.dumps(
-            _run("mtm", "gups", tiny_profile, "compiled")))
-        assert pinned == native
+def loop_span_majority(starts, npages, bounds, values):
+    """Most pages wins; ties go to the lowest node; -1 when unmapped."""
+    out = np.full(starts.size, -1, dtype=np.int64)
+    blist = bounds.tolist()
+    vlist = values.tolist()
+    for s in range(starts.size):
+        start = int(starts[s])
+        end = start + int(npages[s])
+        tally: dict[int, int] = {}
+        for r in range(len(vlist)):
+            lo = max(blist[r], start)
+            hi = min(blist[r + 1], end)
+            if hi > lo and vlist[r] >= 0:
+                tally[vlist[r]] = tally.get(vlist[r], 0) + (hi - lo)
+        if tally:
+            out[s] = max(tally.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    return out
 
-    def test_unknown_rung_rejected(self):
-        proc = self._subprocess(
-            "import repro.kernels as k; k.active_backend()", "fortran")
-        assert proc.returncode != 0
-        assert "fortran" in proc.stderr
+
+def loop_span_entries(starts, npages, entry):
+    out: list[int] = []
+    offsets = [0]
+    for s in range(starts.size):
+        prev = None
+        for p in range(int(starts[s]), int(starts[s]) + int(npages[s])):
+            e = int(entry[p])
+            if e != prev:
+                out.append(e)
+                prev = e
+        offsets.append(len(out))
+    return (np.asarray(out, dtype=np.int64),
+            np.asarray(offsets, dtype=np.int64))
+
+
+def loop_node_accumulate(nodes, counts, writes, n_slots):
+    acc = [0] * n_slots
+    wr = [0] * n_slots
+    for i in range(nodes.size):
+        slot = int(nodes[i]) + 1
+        acc[slot] += int(counts[i])
+        wr[slot] += int(writes[i])
+    return (np.asarray(acc, dtype=np.int64), np.asarray(wr, dtype=np.int64))
+
+
+def loop_score_detected(detected):
+    """(total, min, max, first argmax)."""
+    total = 0
+    mn = mx = int(detected[0])
+    arg = 0
+    for i in range(detected.size):
+        d = int(detected[i])
+        total += d
+        mn = min(mn, d)
+        if d > mx:
+            mx = d
+            arg = i
+    return total, mn, mx, arg
 
 
 class TestKernelDifferentials:
-    """Randomized pin of the active rung against the numpy reference."""
+    """Randomized pin of every kernel against its Python loop."""
 
     def test_mmu_scatter_reset(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 2000))
             touched = np.unique(rng.integers(0, n, size=rng.integers(1, n + 1)))
-            state = [
-                (rng.integers(0, 99, n), rng.integers(0, 99, n),
-                 rng.integers(-1, 2, n).astype(np.int8))
-                for _ in range(2)
-            ]
-            state[1] = tuple(a.copy() for a in state[0])
-            kernels.mmu_scatter_reset(touched, *state[0])
-            _fallback.mmu_scatter_reset(touched, *state[1])
-            for got, want in zip(state[0], state[1]):
-                np.testing.assert_array_equal(got, want)
+            got = (rng.integers(0, 99, n), rng.integers(0, 99, n),
+                   rng.integers(-1, 2, n).astype(np.int8))
+            want = tuple(a.copy() for a in got)
+            kernels.mmu_scatter_reset(touched, *got)
+            loop_scatter_reset(touched, *want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
-    def _ingest_state(self, rng, n):
+    def _ingest_state(self, n):
         return (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
                 np.full(n, -1, dtype=np.int8), np.zeros(n, dtype=np.uint16),
                 np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
@@ -224,12 +176,12 @@ class TestKernelDifferentials:
             counts = rng.integers(1, 50, batch).astype(np.int64)
             writes = rng.integers(0, 5, batch).astype(np.int64)
             sockets = rng.integers(0, 2, batch).astype(np.int8)
-            got = self._ingest_state(rng, n)
-            want = self._ingest_state(rng, n)
+            got = self._ingest_state(n)
+            want = self._ingest_state(n)
             kernels.mmu_ingest(entries, counts, writes, sockets, pages,
                                *got, 32, 64)
-            _fallback.mmu_ingest(entries, counts, writes, sockets, pages,
-                                 *want, 32, 64)
+            loop_mmu_ingest(entries, counts, writes, sockets, pages,
+                            *want, 32, 64)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
 
@@ -247,15 +199,15 @@ class TestKernelDifferentials:
             cases.append(node)
         for node in cases:
             gb, gv = kernels.node_rle(node)
-            wb, wv = _fallback.node_rle(node)
+            wb, wv = loop_node_rle(node)
             np.testing.assert_array_equal(gb, wb)
             np.testing.assert_array_equal(gv, wv)
 
     def test_node_rle_capacity_retry(self):
-        # More runs than the C wrapper's first-pass capacity.
+        # A run boundary at nearly every page: as many runs as pages.
         node = (np.arange(10_000, dtype=np.int16) % 5) - 1
         gb, gv = kernels.node_rle(node)
-        wb, wv = _fallback.node_rle(node)
+        wb, wv = loop_node_rle(node)
         np.testing.assert_array_equal(gb, wb)
         np.testing.assert_array_equal(gv, wv)
 
@@ -270,14 +222,21 @@ class TestKernelDifferentials:
                     [node, np.full(n - node.size, -1, np.int16)])
             if trial == 0:
                 node[:] = -1  # fully unmapped: every span must be -1
-            bounds, values = _fallback.node_rle(node)
+            if trial == 1:
+                node[:] = 2
+                node[: n // 2] = 1  # two equal halves: the tie goes to 1
+            bounds, values = loop_node_rle(node)
             nspans = int(rng.integers(1, 40))
             starts = rng.integers(0, n - 1, nspans).astype(np.int64)
             npages = rng.integers(
                 1, np.maximum(2, n - starts), nspans).astype(np.int64)
+            if trial == 1:
+                starts[0], npages[0] = 0, n - n % 2
             got = kernels.span_majority(starts, npages, bounds, values)
-            want = _fallback.span_majority(starts, npages, bounds, values)
+            want = loop_span_majority(starts, npages, bounds, values)
             np.testing.assert_array_equal(got, want)
+        empty = np.empty(0, dtype=np.int64)
+        assert kernels.span_majority(empty, empty, bounds, values).size == 0
 
     def test_span_entries(self):
         rng = np.random.default_rng(4)
@@ -291,20 +250,20 @@ class TestKernelDifferentials:
             npages = rng.integers(
                 1, np.maximum(2, n - starts), nspans).astype(np.int64)
             ge, go = kernels.span_entries(starts, npages, entry)
-            we, wo = _fallback.span_entries(starts, npages, entry)
+            we, wo = loop_span_entries(starts, npages, entry)
             np.testing.assert_array_equal(ge, we)
             np.testing.assert_array_equal(go, wo)
 
     def test_node_accumulate_small_and_wide_slot_counts(self):
         rng = np.random.default_rng(5)
-        for n_slots in (2, 6, 70):  # 70 exercises the C fallback branch
+        for n_slots in (2, 6, 70):
             for _ in range(10):
                 n = int(rng.integers(1, 3000))
                 nodes = rng.integers(-1, n_slots - 1, n).astype(np.int16)
                 counts = rng.integers(0, 100, n).astype(np.int64)
                 writes = rng.integers(0, 10, n).astype(np.int64)
                 ga, gw = kernels.node_accumulate(nodes, counts, writes, n_slots)
-                wa, ww = _fallback.node_accumulate(nodes, counts, writes, n_slots)
+                wa, ww = loop_node_accumulate(nodes, counts, writes, n_slots)
                 np.testing.assert_array_equal(ga, wa)
                 np.testing.assert_array_equal(gw, ww)
 
@@ -317,7 +276,7 @@ class TestKernelDifferentials:
                   for _ in range(20)]
         for detected in cases:
             assert kernels.score_detected(detected) == \
-                _fallback.score_detected(detected)
+                loop_score_detected(detected)
 
 
 class TestChunkedArray:
@@ -568,19 +527,20 @@ class TestChunkedPageTable:
         with pytest.raises(ConfigError):
             PageTable(2048, chunked=True, chunk_pages=100)
 
-    @pytest.mark.parametrize("backend", ["legacy", "vectorized", "compiled"])
-    def test_chunked_simulation_fingerprints(self, tiny_profile, backend):
-        dense = _run("mtm", "gups", tiny_profile, backend)
+    @pytest.mark.parametrize("mode", ["legacy", "vectorized"])
+    def test_chunked_simulation_fingerprints(self, tiny_profile, mode):
+        legacy = mode == "legacy"
+        dense = _run("mtm", "gups", tiny_profile, legacy)
         with perfflags.chunked_mode(True):
-            chunked = _run("mtm", "gups", tiny_profile, backend)
+            chunked = _run("mtm", "gups", tiny_profile, legacy)
         assert chunked == dense
 
     def test_chunked_multi_chunk_simulation(self, tiny_profile, monkeypatch):
         # Force chunks far smaller than the footprint so the run crosses
         # many chunk boundaries.
         import repro.mm.pagetable as pagetable_mod
-        dense = _run("first-touch", "gups", tiny_profile, "compiled")
+        dense = _run("first-touch", "gups", tiny_profile)
         monkeypatch.setattr(pagetable_mod, "DEFAULT_CHUNK_PAGES", 512)
         with perfflags.chunked_mode(True):
-            chunked = _run("first-touch", "gups", tiny_profile, "compiled")
+            chunked = _run("first-touch", "gups", tiny_profile)
         assert chunked == dense

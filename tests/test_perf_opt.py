@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from repro import perfflags
-from repro.bench.runner import MatrixResult, run_matrix, run_solution
+from repro.bench.runner import MatrixResult, run_matrix, run_solution, run_sweep
 from repro.bench.scaling import BenchProfile
 from repro.errors import ConfigError
 from repro.metrics.perfstats import CacheStats, PerfStats
 from repro.sim.tracecache import TraceCache
-from tests.support import fingerprint, matrix_fingerprint
+from tests.support import fingerprint, matrix_fingerprint, sweep_fingerprint
+from tests.test_snapshot import TAU_VARIANTS, set_tau
 
 SCALE = 1 / 512
 
@@ -32,7 +33,8 @@ def tiny_profile():
 
 
 class TestVectorizedBitIdentity:
-    @pytest.mark.parametrize("solution", ["mtm", "tiered-autonuma", "thermostat"])
+    @pytest.mark.parametrize("solution", ["mtm", "tiered-autonuma", "thermostat",
+                                          "first-touch", "hmc", "hemem"])
     @pytest.mark.parametrize("workload", ["gups", "bfs", "voltdb", "cassandra"])
     def test_vectorized_equals_legacy(self, tiny_profile, workload, solution):
         with perfflags.legacy_mode():
@@ -40,6 +42,23 @@ class TestVectorizedBitIdentity:
         assert perfflags.vectorized()
         fast = fingerprint(run_solution(solution, workload, tiny_profile))
         assert legacy == fast
+
+    def test_faults_fork_and_workers_equal_legacy(self, tiny_profile):
+        # One comparison through fault injection, snapshot fork and a
+        # two-process pool: forked cells on two workers against cold
+        # serial cells on the legacy paths.
+        kwargs = dict(fault_rate=0.05, fault_seed=123)
+        with perfflags.legacy_mode():
+            legacy = run_sweep(
+                "mtm", "gups", tiny_profile, TAU_VARIANTS, set_tau,
+                warmup_intervals=2, use_snapshots=False, workers=1, **kwargs,
+            )
+        fast = run_sweep(
+            "mtm", "gups", tiny_profile, TAU_VARIANTS, set_tau,
+            warmup_intervals=2, use_snapshots=True, workers=2, **kwargs,
+        )
+        assert sweep_fingerprint(fast) == sweep_fingerprint(legacy)
+        assert fast.results[TAU_VARIANTS[0].label].fault_log is not None
 
     def test_legacy_mode_restores_flag(self):
         assert perfflags.vectorized()

@@ -6,8 +6,9 @@ solutions:
 * ``fork(snapshot(k)).run(n - k)`` is bit-identical to ``run(n)`` for
   every branch point ``k`` — with and without fault injection (fixed
   fault seed, as with ``--fault-seed``);
-* the delta-driven interval pipeline (``repro.perfflags.incremental``)
-  matches ``legacy_mode()`` on every ``SimulationResult`` field.
+* the delta-driven interval pipeline (part of the default
+  ``repro.perfflags.vectorized`` paths) matches ``legacy_mode()`` on
+  every ``SimulationResult`` field.
 
 Example counts are small: each example simulates full runs, and the
 properties are about exactness, not about covering a large input space.
@@ -68,5 +69,5 @@ def test_incremental_equals_legacy(solution, workload, seed, fault_rate):
 
     with perfflags.legacy_mode():
         legacy = fingerprint(run())
-    assert perfflags.incremental() and perfflags.vectorized()
+    assert perfflags.vectorized()
     assert fingerprint(run()) == legacy
