@@ -1,12 +1,16 @@
 """Differential suite for the hot-path kernels and chunked page-table
 storage.
 
-Two invariants are enforced:
+Three invariants are enforced:
 
 * **kernel semantics** — every :mod:`repro.kernels` function equals an
   independent per-element Python loop on adversarial inputs (huge-page
   duplicate entries, single runs, alternating runs, ties, unmapped
   spans);
+* **kernel-path bit-identity** — simulations on the kernel path, dense
+  and chunked, are fingerprint-identical to the ``legacy_mode()`` loops
+  across solutions, under fault injection, through snapshot fork/resume,
+  and at any worker count;
 * **storage bit-identity** — chunked page tables (including multi-chunk
   layouts far below the auto threshold) are indistinguishable from the
   dense arrays above the :class:`~repro.mm.pagetable.PageTable` API.
@@ -16,13 +20,17 @@ import numpy as np
 import pytest
 
 from repro import kernels, perfflags
-from repro.bench.runner import run_solution
+from repro.bench.runner import run_matrix, run_solution
 from repro.bench.scaling import BenchProfile
+from repro.core.baselines import make_engine
+from repro.faults.injector import FaultConfig, FaultInjector
 from repro.mm.chunked import ChunkedArray
 from repro.mm.pagetable import PageTable
-from tests.support import fingerprint
+from repro.sim.engine import SimulationEngine
+from tests.support import fingerprint, matrix_fingerprint
 
 SCALE = 1 / 512
+SOLUTIONS = ["first-touch", "hmc", "tiered-autonuma", "hemem", "thermostat", "mtm"]
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +44,12 @@ def tiny_profile():
     )
 
 
-def _run(solution, workload, profile, legacy=False):
+def _run(solution, workload, profile, legacy=False, **kwargs):
     if legacy:
         with perfflags.legacy_mode():
-            return fingerprint(run_solution(solution, workload, profile))
-    return fingerprint(run_solution(solution, workload, profile))
+            return fingerprint(
+                run_solution(solution, workload, profile, **kwargs))
+    return fingerprint(run_solution(solution, workload, profile, **kwargs))
 
 
 # -- per-element Python loops: the reference semantics of each kernel --------
@@ -277,6 +286,62 @@ class TestKernelDifferentials:
         for detected in cases:
             assert kernels.score_detected(detected) == \
                 loop_score_detected(detected)
+
+
+class TestCompiledBitIdentity:
+    """Whole simulations on the kernel path against the legacy loops.
+
+    The names date from when these kernels were a separately built
+    ``compiled`` tier; they are now the default path, chunked page
+    tables included, so each check runs both storage layouts.
+    """
+
+    @pytest.mark.parametrize("solution", SOLUTIONS)
+    def test_compiled_equals_vectorized_and_legacy(self, tiny_profile, solution):
+        dense = _run(solution, "gups", tiny_profile)
+        with perfflags.chunked_mode(True):
+            assert _run(solution, "gups", tiny_profile) == dense
+        assert _run(solution, "gups", tiny_profile, legacy=True) == dense
+
+    @pytest.mark.parametrize("workload", ["voltdb", "bfs"])
+    def test_compiled_equals_vectorized_other_workloads(self, tiny_profile, workload):
+        dense = _run("mtm", workload, tiny_profile)
+        with perfflags.chunked_mode(True):
+            assert _run("mtm", workload, tiny_profile) == dense
+
+    def test_compiled_under_fault_injection(self, tiny_profile):
+        kwargs = dict(fault_rate=0.05, fault_seed=123)
+        legacy = _run("mtm", "gups", tiny_profile, legacy=True, **kwargs)
+        assert _run("mtm", "gups", tiny_profile, **kwargs) == legacy
+        with perfflags.chunked_mode(True):
+            assert _run("mtm", "gups", tiny_profile, **kwargs) == legacy
+
+    def test_compiled_snapshot_fork_resume(self):
+        intervals, warmup = 6, 3
+
+        def engine():
+            return make_engine("mtm", "gups", scale=SCALE, seed=3,
+                               injector=FaultInjector(
+                                   FaultConfig.uniform(0.05), seed=123))
+
+        with perfflags.legacy_mode():
+            reference = fingerprint(engine().run(intervals))
+        warm = engine()
+        for _ in range(warmup):
+            warm.step()
+        forked = SimulationEngine.fork(warm.snapshot())
+        assert fingerprint(forked.run(intervals - warmup)) == reference
+
+    def test_compiled_matrix_any_worker_count(self, tiny_profile):
+        workloads, solutions = ["gups"], ["first-touch", "mtm"]
+        serial = matrix_fingerprint(
+            run_matrix(workloads, solutions, tiny_profile, workers=1))
+        parallel = matrix_fingerprint(
+            run_matrix(workloads, solutions, tiny_profile, workers=2))
+        with perfflags.legacy_mode():
+            legacy = matrix_fingerprint(
+                run_matrix(workloads, solutions, tiny_profile, workers=1))
+        assert serial == parallel == legacy
 
 
 class TestChunkedArray:
