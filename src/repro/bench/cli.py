@@ -22,9 +22,10 @@ which gives all of them a uniform flag set:
 * ``--obs [--obs-out DIR]`` — install a process-wide observability
   collector (see :mod:`repro.obs`); every runner call records events,
   spans, metrics, and migration provenance into it, and the collector is
-  exported (Chrome ``trace.json``, ``events.jsonl``, ``metrics.json``,
-  ``provenance.jsonl``) after the experiment finishes.  Observability
-  never changes results — runs are bit-identical with it on or off.
+  exported (Chrome ``trace.json`` and the ``run.ndjson`` record that
+  ``repro query``/``report``/``trace`` read) after the experiment
+  finishes.  Observability never changes results — runs are
+  bit-identical with it on or off.
 """
 
 from __future__ import annotations

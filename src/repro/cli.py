@@ -111,7 +111,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--obs-compress", action="store_true",
-        help="gzip the exported JSONL artifacts (*.jsonl.gz); every "
+        help="gzip the exported record (run.ndjson.gz); every "
              "reader (trace/report/query) handles both forms",
     )
 

@@ -1,19 +1,15 @@
-"""Host-side performance instrumentation for simulator runs.
+"""Run-level counters for simulator runs: intervals and cache activity.
 
-:class:`PerfStats` records *real* (host wall-clock) seconds spent in each
-engine phase, as opposed to the simulated seconds the
-:class:`~repro.sim.clock.Clock` accounts.  It exists so the performance
-work — vectorized hot paths, the trace cache, the snapshot/fork engine,
-the parallel matrix runner — can be measured and regression-gated
-(``benchmarks/bench_perf_smoke.py``) without touching simulated timing,
-which must stay bit-identical across all of those switches.
+:class:`PerfStats` carries the interval count and the trace- and
+snapshot-cache counters of one engine run, so the performance work —
+the trace cache, the snapshot/fork engine, the parallel matrix runner —
+can be checked without touching simulated timing, which must stay
+bit-identical across all of those switches.  Host wall time is not kept
+here: the engine's one host timer is its obs spans
+(:mod:`repro.obs.spans`), and the end-to-end ledger times layers from
+outside.
 
-Besides per-phase totals, each phase keeps its per-interval duration
-samples so tail behaviour is visible: :meth:`PerfStats.percentiles`
-reports p50/p95 per phase, which is how a rare O(footprint) slip in an
-otherwise O(touched) pipeline shows up.
-
-The measurements never feed back into the simulation, so the
+The counters never feed back into the simulation, so the
 instrumentation itself cannot perturb results.
 """
 
@@ -21,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.registry import combine_fields, delta_fields, merge_sample_maps
+from repro.obs.registry import combine_fields, delta_fields
 
 #: CacheStats merge semantics, shared with the obs registry primitives.
 _CACHE_SUM_FIELDS = ("hits", "misses", "evictions")
@@ -83,65 +79,20 @@ class CacheStats:
         }
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    """Linear-interpolation percentile of ``samples`` (q in [0, 100])."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    pos = (len(ordered) - 1) * q / 100.0
-    lo = int(pos)
-    frac = pos - lo
-    if lo + 1 >= len(ordered):
-        return ordered[-1]
-    return ordered[lo] * (1.0 - frac) + ordered[lo + 1] * frac
-
-
 @dataclass
 class PerfStats:
-    """Per-phase host wall-time of one engine run.
+    """Run-level counters of one engine run.
 
     Attributes:
-        workload_seconds: batch synthesis (or cache lookup) time.
-        profile_seconds: profiler passes.
-        migrate_seconds: policy decisions plus planner execution.
-        total_seconds: whole ``run()`` call, including phases not broken
-            out above (MMU application, PCM counting, bookkeeping).
         intervals: intervals simulated.
         cache: trace-cache counters, when a cache served this run.
         snapshots: snapshot-cache counters, when a sweep forked this run
             (attached by the sweep runner, not the engine).
-        phase_samples: per-interval duration samples keyed by phase name
-            (``workload``/``profile``/``migrate``/``interval``) feeding
-            the p50/p95 percentiles.
     """
 
-    workload_seconds: float = 0.0
-    profile_seconds: float = 0.0
-    migrate_seconds: float = 0.0
-    total_seconds: float = 0.0
     intervals: int = 0
     cache: CacheStats | None = field(default=None)
     snapshots: CacheStats | None = field(default=None)
-    phase_samples: dict[str, list[float]] = field(default_factory=dict)
-
-    @property
-    def other_seconds(self) -> float:
-        """Wall time not attributed to a named phase."""
-        accounted = self.workload_seconds + self.profile_seconds + self.migrate_seconds
-        return max(0.0, self.total_seconds - accounted)
-
-    def record_sample(self, phase: str, seconds: float) -> None:
-        """Append one per-interval duration sample for ``phase``."""
-        self.phase_samples.setdefault(phase, []).append(seconds)
-
-    def percentiles(self, qs: tuple[float, ...] = (50.0, 95.0)) -> dict[str, dict[str, float]]:
-        """Per-phase wall-time percentiles, e.g. ``{"profile": {"p50": ..}}``."""
-        return {
-            phase: {f"p{q:g}": _percentile(samples, q) for q in qs}
-            for phase, samples in self.phase_samples.items()
-        }
 
     def merge(self, other: "PerfStats") -> "PerfStats":
         """Aggregate two runs' stats.
@@ -150,30 +101,14 @@ class PerfStats:
         runner's aggregation path); when either side is ``None`` the
         other is kept as-is.
         """
-        merged = combine_fields(
-            self, other,
-            sum_fields=("workload_seconds", "profile_seconds",
-                        "migrate_seconds", "total_seconds",
-                        "intervals"),
-        )
+        merged = combine_fields(self, other, sum_fields=("intervals",))
         merged.cache = _merge_cache(self.cache, other.cache)
         merged.snapshots = _merge_cache(self.snapshots, other.snapshots)
-        merged.phase_samples = merge_sample_maps(self.phase_samples,
-                                                 other.phase_samples)
         return merged
 
     def as_dict(self) -> dict:
-        """JSON-ready snapshot (used by the perf-smoke benchmark)."""
-        out = {
-            "workload_seconds": self.workload_seconds,
-            "profile_seconds": self.profile_seconds,
-            "migrate_seconds": self.migrate_seconds,
-            "other_seconds": self.other_seconds,
-            "total_seconds": self.total_seconds,
-            "intervals": self.intervals,
-        }
-        if self.phase_samples:
-            out["percentiles"] = self.percentiles()
+        """JSON-ready snapshot."""
+        out: dict = {"intervals": self.intervals}
         if self.cache is not None:
             out["cache"] = self.cache.as_dict()
         if self.snapshots is not None:

@@ -117,12 +117,11 @@ class Mechanism(abc.ABC):
                 handles = self._bind_obs_handles(obs)
             else:
                 handles = self._obs_handles
-            if handles is not None:
-                calls, pages, critical, background = handles
-                calls()
-                pages(npages)
-                critical(timing.critical_time)
-                background(timing.background_time)
+            calls, pages, critical, background = handles
+            calls()
+            pages(npages)
+            critical(timing.critical_time)
+            background(timing.background_time)
             if timing.switched_to_sync:
                 from repro.obs.events import EV_MECH_SYNC_SWITCH
 
@@ -132,15 +131,9 @@ class Mechanism(abc.ABC):
         return timing
 
     def _bind_obs_handles(self, obs):
-        """Resolve registry handles once per attached context.
-
-        Returns ``None`` (and caches that) when the context has metrics
-        disabled, so the per-call cost stays a couple of attribute reads.
-        """
+        """Resolve registry handles once per attached context, so the
+        per-call cost stays a couple of attribute reads."""
         self._obs_bound = obs
-        if not obs.config.metrics:
-            self._obs_handles = None
-            return None
         registry = obs.registry
         self._obs_handles = (
             registry.counter_handle("mechanism.calls", mechanism=self.name),

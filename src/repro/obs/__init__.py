@@ -63,7 +63,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     combine_fields,
     delta_fields,
-    merge_sample_maps,
 )
 from repro.obs.spans import Span, SpanTracer
 
@@ -107,7 +106,6 @@ __all__ = [
     "default_context",
     "delta_fields",
     "iter_ndjson",
-    "merge_sample_maps",
     "set_default_context",
     "validate_chrome_trace",
 ]

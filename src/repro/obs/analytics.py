@@ -2,14 +2,17 @@
 
 Three layers on top of :mod:`repro.obs.store`:
 
-* **Ingest** — :func:`ingest_run` folds a run/sweep/service directory
-  (``events.jsonl``, ``metrics.json``, ``provenance.jsonl``,
-  ``trace.json``, ``stream.ndjson``, ``journal.ndjson``; plain or
-  ``.gz``) into the deterministic columnar bundle ``analytics.npz``.
-  Final export artifacts are preferred over the live stream — the relay
-  drain order of a pooled run is not deterministic, the export is.
-  Rows are canonicalized (events stably sorted by track, provenance by
-  its full key) so the bundle bytes do not depend on absorb order.
+* **Ingest** — :func:`fold_run` (the *fold*) reads a directory's one
+  NDJSON record: ``run.ndjson`` written by the export, or, with no
+  export, the ``stream.ndjson`` the run streamed (plain or ``.gz``).
+  Both are the stream schema, so one set of merge rules rebuilds the
+  events, spans, provenance, and merged metrics of either.
+  :func:`ingest_run` folds a run/sweep/service directory (service
+  state directories add ``journal.ndjson``) into the deterministic
+  columnar bundle ``analytics.npz``, and the ``report``/``trace`` CLIs
+  render the same fold.  Rows are canonicalized (events and spans
+  stably sorted by track, provenance by its full key) so the bundle
+  bytes do not depend on absorb or relay order.
 * **Analyses** — :func:`dwell_time`, :func:`top_pages`,
   :func:`lifecycle_funnel`, :func:`ping_pong`, and a generic
   :func:`query_table` verb with filter/group/top-N.  Each returns a
@@ -32,18 +35,25 @@ share" here is *hotness-mass share*.
 
 from __future__ import annotations
 
-import json
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.obs.export import RUN_RECORD
 from repro.obs.provenance import (
     STAGE_COMMITTED,
     STAGE_PLANNED,
     ProvenanceLog,
     ProvenanceRecord,
+)
+from repro.obs.registry import (
+    HistogramStat,
+    MetricsRegistry,
+    label_key,
+    render_key,
 )
 from repro.obs.store import (
     EVENT_FIELD_COLUMNS,
@@ -74,6 +84,118 @@ def find_artifact(run_dir: Path, name: str) -> Path | None:
 
 
 # -- ingest --------------------------------------------------------------------
+
+
+@dataclass
+class RunFold:
+    """One directory's telemetry, folded from its NDJSON record.
+
+    Attributes:
+        source: ``"export"`` (``run.ndjson``) or ``"stream"``
+            (``stream.ndjson``).
+        label: track of the ``end`` record (the top-level context's
+            label); ``None`` when the record has no end.
+        events: event records, in record order.
+        spans: span records, in record order.
+        provenance: the merged provenance log, in record order.
+        counters, gauges, histograms: the merged registry keyed by
+            rendered ``name{k=v,...}``; histograms as
+            count/total/min/max/mean dicts.
+    """
+
+    source: str
+    label: str | None = None
+    events: list = field(default_factory=list)
+    spans: list = field(default_factory=list)
+    provenance: list = field(default_factory=list)
+    counters: dict = field(default_factory=dict)
+    gauges: dict = field(default_factory=dict)
+    histograms: dict = field(default_factory=dict)
+
+    def event_counts(self) -> dict[str, int]:
+        """Event counts by name (the ``repro report`` events table)."""
+        out: dict[str, int] = {}
+        for record in self.events:
+            name = record.get("name", "")
+            out[name] = out.get(name, 0) + 1
+        return out
+
+
+def _provenance_record(record: dict) -> ProvenanceRecord:
+    return ProvenanceRecord(
+        interval=int(record.get("interval", -1)),
+        stage=str(record.get("stage", "")),
+        page_start=int(record.get("page_start", 0)),
+        npages=int(record.get("npages", 0)),
+        src_node=int(record.get("src_node", -1)),
+        dst_node=int(record.get("dst_node", -1)),
+        reason=str(record.get("reason", "") or ""),
+        score=float(record.get("score", 0.0)),
+        attempt=int(record.get("attempt", 0)),
+        detail=str(record.get("detail", "") or ""),
+    )
+
+
+def fold_run(run_dir) -> RunFold | None:
+    """Fold ``run.ndjson`` — or ``stream.ndjson`` when there is no
+    export — with the registry's merge rules; ``None`` if neither exists.
+
+    Per track, counter deltas sum, a gauge keeps its last value and a
+    histogram its last cumulative summary; the tracks then merge through
+    :meth:`MetricsRegistry.merge_data` (counters sum, gauges keep the
+    maximum, histograms merge), in order of first appearance.  The
+    export writes the merged registry once, under one track, so folding
+    it is the identity; a matrix's stream, where each cell streams under
+    its own track, folds to the same merged values.
+    """
+    from repro.obs.stream import iter_ndjson
+
+    run_dir = Path(run_dir)
+    path = find_artifact(run_dir, RUN_RECORD)
+    fold = RunFold("export")
+    if path is None:
+        path = find_artifact(run_dir, "stream.ndjson")
+        fold.source = "stream"
+        if path is None:
+            return None
+    tracks: dict[str, tuple[dict, dict, dict]] = {}
+    for record in iter_ndjson(path):
+        rtype = record.get("type") if isinstance(record, dict) else None
+        if rtype == "event":
+            fold.events.append(record)
+        elif rtype == "span":
+            fold.spans.append(record)
+        elif rtype == "provenance":
+            fold.provenance.append(_provenance_record(record))
+        elif rtype == "metric":
+            counters, gauges, histograms = tracks.setdefault(
+                str(record.get("track", "")), ({}, {}, {}))
+            key = (str(record.get("name", "")),
+                   label_key(dict(record.get("labels") or ())))
+            kind = record.get("kind")
+            if kind == "counter":
+                counters[key] = counters.get(key, 0) + record.get("delta", 0)
+            elif kind == "gauge":
+                gauges[key] = record.get("value", 0)
+            elif kind == "histogram":
+                count = int(record.get("count", 0))
+                histograms[key] = HistogramStat(
+                    count, float(record.get("total", 0.0)),
+                    float(record.get("min", 0.0)),
+                    float(record.get("max", 0.0)),
+                ) if count else HistogramStat()
+        elif rtype == "end":
+            fold.label = record.get("track")
+    registry = MetricsRegistry()
+    for data in tracks.values():
+        registry.merge_data(*data)
+    for (name, labels), value in sorted(registry.counters.items()):
+        fold.counters[render_key(name, labels)] = value
+    for (name, labels), value in sorted(registry.gauges.items()):
+        fold.gauges[render_key(name, labels)] = value
+    for (name, labels), stat in sorted(registry.histograms.items()):
+        fold.histograms[render_key(name, labels)] = stat.as_dict()
+    return fold
 
 
 def _ingest_provenance(builder: TableBuilder, records) -> int:
@@ -107,13 +229,22 @@ def _ingest_events(builder: TableBuilder, rows: list[dict]) -> None:
         _event_row(builder, record)
 
 
-def _ingest_metrics(builder: TableBuilder, data: dict) -> None:
+def _ingest_span_records(builder: TableBuilder, rows: list[dict]) -> None:
+    rows.sort(key=lambda r: str(r.get("track", "")))  # as for events
+    for record in rows:
+        builder.add(name=record.get("name", ""),
+                    track=record.get("track", ""),
+                    ts=float(record.get("ts", 0.0)),
+                    dur=float(record.get("dur", 0.0)))
+
+
+def _ingest_metrics(builder: TableBuilder, fold: RunFold) -> None:
     rows: list[tuple] = []
-    for name, value in data.get("counters", {}).items():
+    for name, value in fold.counters.items():
         rows.append(("counter", name, float(value), None, None, None, None))
-    for name, value in data.get("gauges", {}).items():
+    for name, value in fold.gauges.items():
         rows.append(("gauge", name, float(value), None, None, None, None))
-    for name, stat in data.get("histograms", {}).items():
+    for name, stat in fold.histograms.items():
         rows.append(("histogram", name, float(stat.get("mean", 0.0)),
                      float(stat.get("count", 0)), float(stat.get("total", 0.0)),
                      float(stat.get("min", 0.0)), float(stat.get("max", 0.0))))
@@ -121,20 +252,6 @@ def _ingest_metrics(builder: TableBuilder, data: dict) -> None:
             rows, key=lambda r: (r[0], r[1])):
         builder.add(name=name, kind=kind, value=value, count=count,
                     total=total, min=mn, max=mx)
-
-
-def _ingest_spans(builder: TableBuilder, trace: dict) -> None:
-    tracks: dict[tuple[int, int], str] = {}
-    for ev in trace.get("traceEvents", []):
-        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-            tracks[(ev.get("pid", 0), ev.get("tid", 0))] = (
-                ev.get("args", {}).get("name", ""))
-    for ev in trace.get("traceEvents", []):
-        if ev.get("ph") != "X":
-            continue
-        track = tracks.get((ev.get("pid", 0), ev.get("tid", 0)), "")
-        builder.add(name=ev.get("name", ""), track=track,
-                    ts=float(ev.get("ts", 0.0)), dur=float(ev.get("dur", 0.0)))
 
 
 def _ingest_journal(builder: TableBuilder, state_dir: Path) -> None:
@@ -150,137 +267,45 @@ def _ingest_journal(builder: TableBuilder, state_dir: Path) -> None:
                     attempt=int(record.get("attempt", -1)))
 
 
-def _metric_key(record: dict) -> str:
-    labels = sorted((str(k), str(v)) for k, v in (record.get("labels") or []))
-    name = record.get("name", "")
-    if not labels:
-        return name
-    return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
-
-
-def _ingest_stream(path: Path, events: TableBuilder,
-                   prov_records: list) -> dict:
-    """Reconstruct events/provenance/metrics from a live NDJSON stream.
-
-    Fallback for directories that only have ``stream.ndjson`` (a run
-    SIGKILLed before export).  Counters stream as deltas and are summed;
-    gauges keep the last value; histograms keep the last cumulative
-    summary — matching what the export would have written.
-    """
-    from repro.obs.stream import iter_ndjson
-
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict] = {}
-    rows: list[dict] = []
-    for record in iter_ndjson(path):
-        rtype = record.get("type") if isinstance(record, dict) else None
-        if rtype == "event":
-            rows.append(record)
-        elif rtype == "provenance":
-            prov_records.append(ProvenanceRecord(
-                interval=int(record.get("interval", -1)),
-                stage=str(record.get("stage", "")),
-                page_start=int(record.get("page_start", 0)),
-                npages=int(record.get("npages", 0)),
-                src_node=int(record.get("src_node", -1)),
-                dst_node=int(record.get("dst_node", -1)),
-                reason=str(record.get("reason", "") or ""),
-                score=float(record.get("score", 0.0)),
-                attempt=int(record.get("attempt", 0)),
-                detail=str(record.get("detail", "") or ""),
-            ))
-        elif rtype == "metric":
-            key = _metric_key(record)
-            kind = record.get("kind")
-            if kind == "counter":
-                counters[key] = counters.get(key, 0.0) + float(
-                    record.get("delta", 0.0))
-            elif kind == "gauge":
-                gauges[key] = float(record.get("value", 0.0))
-            elif kind == "histogram":
-                count = float(record.get("count", 0))
-                total = float(record.get("total", 0.0))
-                histograms[key] = {
-                    "count": count, "total": total,
-                    "min": float(record.get("min", 0.0)),
-                    "max": float(record.get("max", 0.0)),
-                    "mean": total / count if count else 0.0,
-                }
-    _ingest_events(events, rows)
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
 def ingest_run(run_dir, store_path=None) -> Path:
     """Fold one artifact directory into ``analytics.npz``; returns its path.
 
-    Accepts a run/sweep export (``--obs-out``), a service state
-    directory (journal + optional stream), or a bare ``--obs-stream``
-    directory that never exported.  Deterministic: ingesting the same
-    directory twice writes byte-identical bundles.
+    Accepts a run/sweep export (``--obs-out``), a bare ``--obs-stream``
+    directory that never exported, or a service state directory
+    (journal + optional stream); :func:`fold_run` reads the first two.
+    Deterministic: ingesting the same directory twice writes
+    byte-identical bundles.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"{run_dir} is not a directory")
     store_path = Path(store_path) if store_path else run_dir / STORE_NAME
 
-    metrics_path = find_artifact(run_dir, "metrics.json")
-    events_path = find_artifact(run_dir, "events.jsonl")
-    prov_path = find_artifact(run_dir, "provenance.jsonl")
-    trace_path = find_artifact(run_dir, "trace.json")
-    stream_path = find_artifact(run_dir, "stream.ndjson")
+    fold = fold_run(run_dir)
     journal_path = find_artifact(run_dir, "journal.ndjson")
-    if not any((metrics_path, events_path, prov_path, stream_path,
-                journal_path)):
+    if fold is None and journal_path is None:
         raise ConfigError(
             f"{run_dir} holds no observability artifacts — was the run "
             f"made with --obs (or the service with --obs-stream)?"
         )
 
-    from repro.obs.stream import open_text
-
     tables: dict[str, dict] = {}
-    meta: dict = {"source": "export" if metrics_path else
-                  ("service" if journal_path else "stream")}
+    meta: dict = {"source": "service" if journal_path else fold.source}
     events = TableBuilder("events")
     prov = TableBuilder("provenance")
-    prov_records: list = []
-
-    if metrics_path:
-        with open(metrics_path, encoding="utf-8") as fh:
-            data = json.load(fh)
+    if fold is not None:
+        if fold.label is not None:
+            meta["label"] = fold.label
         metrics = TableBuilder("metrics")
-        _ingest_metrics(metrics, data)
+        _ingest_metrics(metrics, fold)
         tables["metrics"] = metrics.freeze()
-        if data.get("label") is not None:
-            meta["label"] = data["label"]
-        if events_path:
-            rows = []
-            with open_text(events_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rows.append(json.loads(line))
-            _ingest_events(events, rows)
-        if prov_path:
-            prov_records = ProvenanceLog.read_jsonl(prov_path).records
-    elif stream_path:
-        # No export: rebuild what it would have said from the stream.
-        data = _ingest_stream(stream_path, events, prov_records)
-        metrics = TableBuilder("metrics")
-        _ingest_metrics(metrics, data)
-        tables["metrics"] = metrics.freeze()
-
-    _ingest_provenance(prov, prov_records)
+        _ingest_events(events, fold.events)
+        _ingest_provenance(prov, fold.provenance)
+        spans = TableBuilder("spans")
+        _ingest_span_records(spans, fold.spans)
+        tables["spans"] = spans.freeze()
     tables["events"] = events.freeze()
     tables["provenance"] = prov.freeze()
-
-    if trace_path:
-        with open(trace_path, encoding="utf-8") as fh:
-            trace = json.load(fh)
-        spans = TableBuilder("spans")
-        _ingest_spans(spans, trace)
-        tables["spans"] = spans.freeze()
     if journal_path:
         journal = TableBuilder("journal")
         _ingest_journal(journal, run_dir)
@@ -946,12 +971,14 @@ def render_diff_html(diff: dict, title: str = "repro diff") -> str:
 
 __all__ = [
     "REPORT_VERSION",
+    "RunFold",
     "diff_bench",
     "diff_runs",
     "dwell_samples",
     "dwell_time",
     "ensure_store",
     "find_artifact",
+    "fold_run",
     "ingest_run",
     "lifecycle_funnel",
     "ping_pong",

@@ -1,14 +1,15 @@
-"""Query CLIs over an exported observability directory.
+"""Query CLIs over an observability directory.
 
 ``python -m repro trace --run DIR --page N`` prints the migration
 provenance history of the region(s) covering a page — every lifecycle
 transition with interval, tiers, policy reason, score, attempt — plus
-the plan→commit queue latency.  ``python -m repro report --obs --run
-DIR`` prints the merged metrics table and event counts of a run.
+the plan→commit queue latency.  ``python -m repro report --run DIR``
+prints the merged metrics table and event counts of a run.
 
-Both commands work purely from the files ``--obs-out`` wrote
-(``provenance.jsonl``, ``metrics.json``, ``events.jsonl``); no live
-simulation state is needed.
+Both render :func:`repro.obs.analytics.fold_run` over the directory's
+record — ``run.ndjson`` from ``--obs-out``, or the ``stream.ndjson`` of
+a streamed run that never exported; no live simulation state is
+needed.
 """
 
 from __future__ import annotations
@@ -21,22 +22,22 @@ from repro.metrics.report import Table
 from repro.obs.provenance import STAGE_COMMITTED, ProvenanceLog
 
 
-def _load_provenance(run_dir: Path) -> ProvenanceLog:
-    from repro.obs.analytics import find_artifact
+def _fold(run_dir: Path):
+    from repro.obs.analytics import fold_run
 
-    path = find_artifact(run_dir, "provenance.jsonl")
-    if path is None:
+    fold = fold_run(run_dir)
+    if fold is None:
         raise ConfigError(
-            f"no provenance log under {run_dir} — was the run made "
-            f"with --obs?"
+            f"no run.ndjson or stream.ndjson under {run_dir} — was the "
+            f"run made with --obs?"
         )
-    return ProvenanceLog.read_jsonl(path)
+    return fold
 
 
 def trace_report(run_dir, page: int | None = None, limit: int = 50) -> str:
     """Human-readable provenance answer for one run directory."""
     run_dir = Path(run_dir)
-    log = _load_provenance(run_dir)
+    log = ProvenanceLog(_fold(run_dir).provenance)
     lines: list[str] = []
     if page is None:
         table = Table(f"Migration provenance summary ({run_dir})",
@@ -247,8 +248,8 @@ def _pingpong_summary(run_dir: Path) -> dict | None:
 def obs_report(run_dir, as_json: bool = False):
     """Metrics + event-count report for one run directory.
 
-    Service state directories (a journal but no ``metrics.json``) route
-    to :func:`service_report` so ``repro report --run STATE_DIR`` folds
+    Service state directories (those holding a journal) route to
+    :func:`service_report` so ``repro report --run STATE_DIR`` folds
     the fleet counters and alert history instead of erroring.  With
     ``as_json`` the same content returns as a machine-readable dict
     (scriptable ``repro report --json``); when the directory holds an
@@ -257,8 +258,7 @@ def obs_report(run_dir, as_json: bool = False):
     from repro.service.journal import JOURNAL_NAME
 
     run_dir = Path(run_dir)
-    path = run_dir / "metrics.json"
-    if not path.exists() and (run_dir / JOURNAL_NAME).exists():
+    if (run_dir / JOURNAL_NAME).exists():
         if as_json:
             from repro.service.journal import Journal
 
@@ -267,35 +267,29 @@ def obs_report(run_dir, as_json: bool = False):
                     "records": journal.lines(),
                     "alerts": journal.alerts()}
         return service_report(run_dir)
-    if not path.exists():
-        raise ConfigError(
-            f"no metrics at {path} — was the run made with --obs?"
-        )
-    with open(path) as fh:
-        data = json.load(fh)
+    fold = _fold(run_dir)
+    counts = fold.event_counts()
     pingpong = _pingpong_summary(run_dir)
     if as_json:
-        out = {"kind": "run", "run": str(run_dir), **data}
+        out = {"kind": "run", "run": str(run_dir), "label": fold.label,
+               "event_counts": counts, "counters": fold.counters,
+               "gauges": fold.gauges, "histograms": fold.histograms}
         if pingpong is not None:
             out["pingpong"] = pingpong
         return out
     lines: list[str] = []
 
-    counts = data.get("event_counts", {})
-    table = Table(f"Events ({data.get('label') or run_dir})",
-                  ["event", "count"])
+    table = Table(f"Events ({fold.label or run_dir})", ["event", "count"])
     for name, count in sorted(counts.items()):
         table.add_row(name, count)
     lines.append(table.render())
-    if data.get("dropped_events"):
-        lines.append(f"dropped events: {data['dropped_events']}")
 
     table = Table("Metrics", ["metric", "kind", "value"])
-    for name, value in sorted(data.get("counters", {}).items()):
+    for name, value in sorted(fold.counters.items()):
         table.add_row(name, "counter", f"{value:g}")
-    for name, value in sorted(data.get("gauges", {}).items()):
+    for name, value in sorted(fold.gauges.items()):
         table.add_row(name, "gauge", f"{value:g}")
-    for name, stat in sorted(data.get("histograms", {}).items()):
+    for name, stat in sorted(fold.histograms.items()):
         table.add_row(
             name, "histogram",
             f"n={stat['count']} mean={stat['mean']:.3g} "

@@ -38,22 +38,17 @@ from repro.obs.spans import SpanTracer
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Which planes are collected; picklable, travels to pool workers.
+    """Collection settings; picklable, travels to pool workers.
 
-    ``stream`` arms the incremental publisher (:mod:`repro.obs.stream`):
-    contexts with sinks attached encode new telemetry every
-    ``stream_flush_every``-th interval flush.  The flag is picklable
-    config only — sinks themselves never travel to workers (forked
-    workers attach a relay instead; see ``bench.runner``).
+    ``max_events`` bounds the event buffer.  ``stream`` arms the
+    incremental publisher (:mod:`repro.obs.stream`): contexts with sinks
+    attached encode new telemetry at every interval flush.  The flag is
+    picklable config only — sinks themselves never travel to workers
+    (forked workers attach a relay instead; see ``bench.runner``).
     """
 
-    events: bool = True
-    spans: bool = True
-    metrics: bool = True
-    provenance: bool = True
     max_events: int = DEFAULT_MAX_EVENTS
     stream: bool = False
-    stream_flush_every: int = 1
 
 
 @dataclass
@@ -89,31 +84,23 @@ class ObsContext:
 
     def emit(self, name: str, sim_time: float = 0.0, interval: int = -1,
              **fields) -> None:
-        if self.config.events:
-            self.bus.emit(name, sim_time, interval, **fields)
+        self.bus.emit(name, sim_time, interval, **fields)
 
     def span(self, name: str, cat: str = "engine", **args):
-        """Context manager timing one phase (no-op when spans are off)."""
-        if self.config.spans:
-            return self.tracer.span(name, cat, **args)
-        from contextlib import nullcontext
-        return nullcontext()
+        """Context manager timing one phase on the host clock."""
+        return self.tracer.span(name, cat, **args)
 
     def inc(self, name: str, value: float = 1, **labels) -> None:
-        if self.config.metrics:
-            self.registry.inc(name, value, **labels)
+        self.registry.inc(name, value, **labels)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        if self.config.metrics:
-            self.registry.set_gauge(name, value, **labels)
+        self.registry.set_gauge(name, value, **labels)
 
     def observe(self, name: str, value: float, **labels) -> None:
-        if self.config.metrics:
-            self.registry.observe(name, value, **labels)
+        self.registry.observe(name, value, **labels)
 
     def record_provenance(self, *args, **kwargs) -> None:
-        if self.config.provenance:
-            self.provenance.record(*args, **kwargs)
+        self.provenance.record(*args, **kwargs)
 
     # -- streaming ------------------------------------------------------------
 
@@ -136,11 +123,11 @@ class ObsContext:
             return []
         return [sink for sink, _ in self._publisher.sinks]
 
-    def stream_flush(self, force: bool = False) -> int:
+    def stream_flush(self) -> int:
         """Push new telemetry to the sinks (no-op without a publisher)."""
         if self._publisher is None:
             return 0
-        return self._publisher.flush(force=force)
+        return self._publisher.flush()
 
     def stream_close(self, end_record: bool = True) -> None:
         """Final flush + optional ``end`` marker; closes owned sinks."""
@@ -160,25 +147,19 @@ class ObsContext:
     # -- absorbing run-level summaries into the registry ---------------------
 
     def record_perfstats(self, perf, label: str = "") -> None:
-        """Unified view of a run's host-side :class:`PerfStats`."""
-        if not self.config.metrics or perf is None:
+        """Unified view of a run's :class:`PerfStats` counters."""
+        if perf is None:
             return
         labels = {"run": label} if label else {}
-        for phase in ("workload", "profile", "migrate", "total"):
-            self.inc(f"perf.{phase}_seconds",
-                     getattr(perf, f"{phase}_seconds"), **labels)
         self.inc("perf.intervals", perf.intervals, **labels)
-        for phase, samples in perf.phase_samples.items():
-            for value in samples:
-                self.observe(f"perf.phase.{phase}", value, **labels)
         if perf.cache is not None:
             self.record_cache_stats(perf.cache, cache="trace", **labels)
-        if getattr(perf, "snapshots", None) is not None:
+        if perf.snapshots is not None:
             self.record_cache_stats(perf.snapshots, cache="snapshot", **labels)
 
     def record_cache_stats(self, stats, **labels) -> None:
         """Unified view of a :class:`CacheStats` counter block."""
-        if not self.config.metrics or stats is None:
+        if stats is None:
             return
         self.inc("cache.hits", stats.hits, **labels)
         self.inc("cache.misses", stats.misses, **labels)
@@ -187,7 +168,7 @@ class ObsContext:
 
     def record_migration_log(self, log, label: str = "") -> None:
         """Unified view of the planner's migration/robustness counters."""
-        if not self.config.metrics or log is None:
+        if log is None:
             return
         labels = {"run": label} if label else {}
         for name in ("promoted_pages", "demoted_pages", "promoted_bytes",
@@ -211,17 +192,16 @@ class ObsContext:
         context's own relay/sinks failed to deliver.
         """
         counters, gauges, histograms = self.registry.data()
-        if self.config.metrics:
-            dropped = self.bus.dropped
-            if self._publisher is not None:
-                dropped += self._publisher.dropped
-                backpressure = self._publisher.owned_sink_dropped()
-                if backpressure:
-                    key = ("obs.relay_backpressure", ())
-                    counters[key] = counters.get(key, 0) + backpressure
-            if dropped:
-                key = ("obs.dropped_events", ())
-                counters[key] = counters.get(key, 0) + dropped
+        dropped = self.bus.dropped
+        if self._publisher is not None:
+            dropped += self._publisher.dropped
+            backpressure = self._publisher.owned_sink_dropped()
+            if backpressure:
+                key = ("obs.relay_backpressure", ())
+                counters[key] = counters.get(key, 0) + backpressure
+        if dropped:
+            key = ("obs.dropped_events", ())
+            counters[key] = counters.get(key, 0) + dropped
         return ObsData(
             label=label if label is not None else self.label,
             events=list(self.bus.events),
@@ -270,9 +250,10 @@ class ObsContext:
     # -- export ---------------------------------------------------------------
 
     def export(self, out_dir, compress: bool = False) -> dict:
-        """Write every sink under ``out_dir``; returns written paths.
+        """Write ``trace.json`` and ``run.ndjson`` under ``out_dir``;
+        returns the written paths.
 
-        ``compress`` gzips the JSONL artifacts (``*.jsonl.gz``).
+        ``compress`` gzips the record (``run.ndjson.gz``).
         """
         from repro.obs.export import export_context
 

@@ -1,13 +1,17 @@
 """Export sinks for a collected :class:`~repro.obs.context.ObsContext`.
 
-Writes four artifacts under ``--obs-out``:
+Writes two artifacts under ``--obs-out``:
 
 * ``trace.json`` — Chrome trace-event format; open in ``ui.perfetto.dev``
   or ``chrome://tracing``.  The collector's own spans are the ``main``
   track; every absorbed child run gets its own named track.
-* ``events.jsonl`` — one JSON line per structured event (track-tagged).
-* ``metrics.json`` — the merged metrics registry.
-* ``provenance.jsonl`` — the merged migration provenance log.
+* ``run.ndjson`` (``run.ndjson.gz`` compressed) — the whole run in the
+  live stream's record schema (:mod:`repro.obs.stream`): per track a
+  ``meta`` record with its events and spans, then the merged provenance
+  log, the merged registry as final ``metric`` records, and one ``end``
+  record.  :func:`repro.obs.analytics.fold_run` reads it (or, with no
+  export, the ``stream.ndjson`` a run streamed) for ``repro
+  query``/``report``/``trace``.
 
 Also hosts :func:`validate_chrome_trace`, a dependency-free structural
 validator for the Chrome trace-event schema, used by tests and by the
@@ -20,6 +24,15 @@ import json
 from pathlib import Path
 
 from repro.obs.spans import events_to_trace_events, spans_to_trace_events
+from repro.obs.stream import (
+    end_line,
+    event_line,
+    meta_line,
+    metric_line,
+    open_text,
+    provenance_line,
+    span_line,
+)
 
 #: Trace-event phases this exporter produces (subset of the full spec).
 _EMITTED_PHASES = {"X", "i", "M"}
@@ -87,80 +100,62 @@ def validate_chrome_trace(trace) -> list[str]:
     return problems
 
 
-def write_events_jsonl(ctx, path) -> int:
-    """Track-tagged event lines; returns the number written.
+#: File name of the exported record (``.gz`` appended when compressed).
+RUN_RECORD = "run.ndjson"
 
-    Gzip-compressed when ``path`` ends in ``.gz`` (the analytics ingest
-    and ``iter_ndjson`` read either form transparently).
+
+def record_lines(ctx):
+    """The collected run as stream-schema lines, from memory.
+
+    Own and absorbed tracks each get a ``meta`` record followed by their
+    events and spans; then the merged provenance log and the merged
+    registry follow under the collector's label.  The stream-loss
+    counters ``obs.dropped_events`` and ``obs.relay_backpressure`` are
+    always written — a zero means "measured, no loss", which an absent
+    record cannot say.
     """
-    from repro.obs.stream import open_text
-
-    written = 0
-    with open_text(path, "w") as fh:
-        for event in ctx.bus.events:
-            fh.write(json.dumps(
-                {"track": ctx.label or "main", **event.as_dict()}) + "\n")
-            written += 1
-        for track in ctx.tracks:
-            for event in track.events:
-                fh.write(json.dumps(
-                    {"track": track.label, **event.as_dict()}) + "\n")
-                written += 1
-    return written
+    own = ctx.snapshot()
+    for track in (own, *ctx.tracks):
+        yield meta_line(track.label)
+        for event in track.events:
+            yield event_line(track.label, event)
+        for span in track.spans:
+            yield span_line(track.label, span)
+    label = own.label
+    for rec in own.provenance:
+        yield provenance_line(label, rec)
+    counters = own.counters
+    for name in ("obs.dropped_events", "obs.relay_backpressure"):
+        counters.setdefault((name, ()), 0)
+    for key, value in counters.items():
+        yield metric_line(label, "counter", key, value)
+    for key, value in own.gauges.items():
+        yield metric_line(label, "gauge", key, value)
+    for key, stat in own.histograms.items():
+        yield metric_line(label, "histogram", key, stat)
+    yield end_line(label)
 
 
 def export_context(ctx, out_dir, compress: bool = False) -> dict:
-    """Write trace.json / events.jsonl / metrics.json / provenance.jsonl.
+    """Write ``trace.json`` and ``run.ndjson``; returns their paths.
 
-    With ``compress`` the two JSONL artifacts (the bulky ones) are
-    written gzipped as ``*.jsonl.gz``; every reader in the repo resolves
-    either suffix.
+    With ``compress`` the record is written gzipped as
+    ``run.ndjson.gz``; every reader resolves either suffix.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    suffix = ".gz" if compress else ""
     paths = {
         "trace": out / "trace.json",
-        "events": out / f"events.jsonl{suffix}",
-        "metrics": out / "metrics.json",
-        "provenance": out / f"provenance.jsonl{suffix}",
+        "run": out / (RUN_RECORD + (".gz" if compress else "")),
     }
-    trace = build_chrome_trace(ctx)
     with open(paths["trace"], "w") as fh:
-        json.dump(trace, fh)
-    write_events_jsonl(ctx, paths["events"])
-    rendered = ctx.registry.as_dict()
-    # Child runs injected their stream-loss counters at snapshot time and
-    # absorb() merged them; the collector's *own* bus/publisher/sink drops
-    # are added here, into the rendered copy only (repeated exports must
-    # not compound them in the live registry).  Both counters are always
-    # materialized — a zero in metrics.json means "measured, no loss",
-    # which an absent key cannot say.
-    own_dropped = ctx.bus.dropped
-    backpressure = 0
-    publisher = getattr(ctx, "_publisher", None)
-    if publisher is not None:
-        own_dropped += publisher.dropped
-        backpressure = publisher.owned_sink_dropped()
-    counters = rendered["counters"]
-    counters["obs.dropped_events"] = (
-        counters.get("obs.dropped_events", 0) + own_dropped
-    )
-    counters["obs.relay_backpressure"] = (
-        counters.get("obs.relay_backpressure", 0) + backpressure
-    )
-    with open(paths["metrics"], "w") as fh:
-        json.dump({
-            "label": ctx.label,
-            "dropped_events": ctx.dropped_events(),
-            "event_counts": ctx.event_counts(),
-            **rendered,
-        }, fh, indent=2, sort_keys=True)
-    ctx.provenance.write_jsonl(paths["provenance"])
+        json.dump(build_chrome_trace(ctx), fh)
+    with open_text(paths["run"], "w") as fh:
+        fh.writelines(record_lines(ctx))
     return {key: str(path) for key, path in paths.items()}
 
 
 __all__ = [
-    "build_chrome_trace", "export_context", "validate_chrome_trace",
-    "write_events_jsonl",
+    "RUN_RECORD", "build_chrome_trace", "export_context", "record_lines",
+    "validate_chrome_trace",
 ]

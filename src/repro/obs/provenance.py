@@ -7,14 +7,15 @@ migration order it touches — planned, committed, transient failures
 switches, demote-for-room evictions — each carrying the region span,
 tiers, policy reason, hotness score, and attempt number.
 
-The log is queryable by page (:meth:`ProvenanceLog.for_page`) and
-round-trips through JSONL so ``python -m repro trace`` can interrogate a
-finished run from its ``--obs-out`` directory.
+The log is queryable by page (:meth:`ProvenanceLog.for_page`).  Its
+records travel as stream-schema ``provenance`` records in
+``stream.ndjson`` and ``run.ndjson``; ``python -m repro trace`` rebuilds
+the log from either through :func:`repro.obs.analytics.fold_run`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 #: Lifecycle stages in causal order.
 STAGE_PLANNED = "planned"
@@ -49,9 +50,6 @@ class ProvenanceRecord:
 
     def covers(self, page: int) -> bool:
         return self.page_start <= page < self.page_start + self.npages
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -124,34 +122,6 @@ class ProvenanceLog:
         committed); see :meth:`queue_latencies` for all occurrences."""
         latencies = self.queue_latencies(page)
         return latencies[0] if latencies else None
-
-    # -- JSONL round trip ----------------------------------------------------
-
-    def write_jsonl(self, path) -> None:
-        """Write the log as JSONL (gzipped when ``path`` ends ``.gz``)."""
-        import json
-
-        from repro.obs.stream import open_text
-
-        with open_text(path, "w") as fh:
-            for r in self.records:
-                fh.write(json.dumps(r.as_dict()) + "\n")
-
-    @classmethod
-    def read_jsonl(cls, path) -> "ProvenanceLog":
-        """Load a log written by :meth:`write_jsonl` (plain or ``.gz``)."""
-        import json
-
-        from repro.obs.stream import open_text
-
-        log = cls()
-        with open_text(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                log.records.append(ProvenanceRecord(**json.loads(line)))
-        return log
 
 
 __all__ = [

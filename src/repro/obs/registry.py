@@ -1,7 +1,7 @@
 """Metrics registry: labeled counters, gauges, and histograms.
 
 One registry instance absorbs every numeric signal a run produces — the
-engine's host-side :class:`~repro.metrics.perfstats.PerfStats`, cache
+engine's :class:`~repro.metrics.perfstats.PerfStats` counters, cache
 counters, the planner's migration log, robustness counters — behind a
 single interface with uniform merge semantics:
 
@@ -10,12 +10,15 @@ single interface with uniform merge semantics:
   ``cached_bytes``, where the peak is the meaningful aggregate);
 * **histograms** merge count/sum/min/max.
 
+A registry is written out only as stream-schema ``metric`` records
+(:mod:`repro.obs.stream`); :func:`repro.obs.analytics.fold_run` reads
+them back with the same merge rules.
+
 The same arithmetic is exposed as free functions
-(:func:`combine_fields`, :func:`delta_fields`,
-:func:`merge_sample_maps`) operating on plain dataclasses, so counter
-containers elsewhere in the tree (``CacheStats``, ``PerfStats``) share
-one implementation of their delta/merge logic instead of hand-rolling
-it per class.
+(:func:`combine_fields`, :func:`delta_fields`) operating on plain
+dataclasses, so counter containers elsewhere in the tree
+(``CacheStats``, ``PerfStats``) share one implementation of their
+delta/merge logic instead of hand-rolling it per class.
 
 A registry never feeds back into the simulation; it only observes.
 """
@@ -231,60 +234,6 @@ class MetricsRegistry:
             {key: replace(stat) for key, stat in self.histograms.items()},
         )
 
-    # -- sinks ---------------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot with rendered metric names."""
-        return {
-            "counters": {
-                render_key(n, lk): v for (n, lk), v in sorted(self.counters.items())
-            },
-            "gauges": {
-                render_key(n, lk): v for (n, lk), v in sorted(self.gauges.items())
-            },
-            "histograms": {
-                render_key(n, lk): s.as_dict()
-                for (n, lk), s in sorted(self.histograms.items())
-            },
-        }
-
-    def table(self, title: str = "Metrics"):
-        """Human-readable table of every series (lazy report import)."""
-        from repro.metrics.report import Table
-
-        table = Table(title, ["metric", "kind", "value"])
-        for (name, lk), value in sorted(self.counters.items()):
-            table.add_row(render_key(name, lk), "counter", f"{value:g}")
-        for (name, lk), value in sorted(self.gauges.items()):
-            table.add_row(render_key(name, lk), "gauge", f"{value:g}")
-        for (name, lk), stat in sorted(self.histograms.items()):
-            table.add_row(
-                render_key(name, lk),
-                "histogram",
-                f"n={stat.count} mean={stat.mean:.3g} "
-                f"min={stat.as_dict()['min']:.3g} max={stat.as_dict()['max']:.3g}",
-            )
-        return table
-
-    def write_jsonl(self, path) -> None:
-        """One JSON line per series (streaming-friendly sink)."""
-        import json
-
-        with open(path, "w") as fh:
-            for (name, lk), value in sorted(self.counters.items()):
-                fh.write(json.dumps(
-                    {"metric": render_key(name, lk), "kind": "counter", "value": value}
-                ) + "\n")
-            for (name, lk), value in sorted(self.gauges.items()):
-                fh.write(json.dumps(
-                    {"metric": render_key(name, lk), "kind": "gauge", "value": value}
-                ) + "\n")
-            for (name, lk), stat in sorted(self.histograms.items()):
-                fh.write(json.dumps(
-                    {"metric": render_key(name, lk), "kind": "histogram",
-                     **stat.as_dict()}
-                ) + "\n")
-
 
 # -- shared counter-container arithmetic --------------------------------------
 #
@@ -322,15 +271,6 @@ def delta_fields(now, before, counter_fields: tuple, gauge_fields: tuple = ()):
     return replace(now, **kwargs)
 
 
-def merge_sample_maps(a: dict[str, list], b: dict[str, list]) -> dict[str, list]:
-    """Concatenate per-key sample lists (e.g. per-phase duration samples)."""
-    merged: dict[str, list] = {}
-    for src in (a, b):
-        for key, values in src.items():
-            merged.setdefault(key, []).extend(values)
-    return merged
-
-
 __all__ = [
     "HistogramStat",
     "LatencyReservoir",
@@ -338,7 +278,6 @@ __all__ = [
     "combine_fields",
     "delta_fields",
     "label_key",
-    "merge_sample_maps",
     "quantile",
     "render_key",
 ]

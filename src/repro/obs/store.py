@@ -1,7 +1,7 @@
 """Deterministic columnar store for offline observability analytics.
 
 The analytics engine (:mod:`repro.obs.analytics`) folds a run
-directory's JSON artifacts into numpy column arrays and persists them
+directory's NDJSON record into numpy column arrays and persists them
 here as a versioned ``.npz``-style bundle (``analytics.npz``): a plain
 zip whose members are one ``.npy`` file per column plus a
 ``manifest.json`` describing tables, dtypes, dictionaries, and run
@@ -85,9 +85,6 @@ TABLE_SCHEMAS: dict[str, dict[str, str]] = {
 #: tests/test_obs_identity.py); excluded from :func:`sim_fingerprint`.
 HOST_METRIC_PREFIXES = ("cache.", "perf.", "obs.")
 HOST_EVENT_PREFIXES = ("cache.",)
-#: Name substrings marking host wall-clock metrics outside the host
-#: prefixes (e.g. ``engine.interval_host_seconds``).
-HOST_METRIC_SUBSTRINGS = ("host_seconds",)
 #: Event columns carrying host wall-clock, excluded from the fingerprint.
 _HOST_EVENT_COLUMNS = ("ts",)
 
@@ -352,9 +349,7 @@ def sim_fingerprint(store: Store) -> str:
         digest.update(b"metrics\n")
         names = store.decoded("metrics", "name")
         keep = ~np.array(
-            [n.startswith(HOST_METRIC_PREFIXES)
-             or any(s in n for s in HOST_METRIC_SUBSTRINGS)
-             for n in names], dtype=bool
+            [n.startswith(HOST_METRIC_PREFIXES) for n in names], dtype=bool
         ) if len(names) else np.zeros(0, dtype=bool)
         schema = TABLE_SCHEMAS["metrics"]
         cols = [(store.decoded("metrics", c) if schema[c] == "cat"
@@ -373,7 +368,6 @@ __all__ = [
     "EVENT_FIELD_COLUMNS",
     "HOST_EVENT_PREFIXES",
     "HOST_METRIC_PREFIXES",
-    "HOST_METRIC_SUBSTRINGS",
     "STORE_NAME",
     "STORE_SCHEMA_VERSION",
     "Store",

@@ -33,6 +33,12 @@ Counters stream as deltas so a reader can sum them without knowing flush
 boundaries; gauges stream as the current value; histograms stream their
 cumulative summary (idempotent for a late-joining reader).
 
+The end-of-run export (:mod:`repro.obs.export`) writes the same schema
+to ``run.ndjson`` through the same per-record encoders
+(:func:`meta_line`, :func:`event_line`, :func:`span_line`,
+:func:`provenance_line`, :func:`metric_line`, :func:`end_line`), so one
+fold (:func:`repro.obs.analytics.fold_run`) reads either file.
+
 :func:`iter_ndjson` is the matching reader: it tolerates a truncated
 final line (a crash mid-``writelines`` loses at most that line — the
 partial tail is buffered until the newline arrives, or forever if it
@@ -105,10 +111,10 @@ _PROVENANCE_FIELDS = (
 def open_text(path, mode: str = "r"):
     """Open a text file, transparently gzipped when the name ends ``.gz``.
 
-    The single chokepoint for JSONL artifact IO: readers and writers
-    (``iter_ndjson``, :class:`~repro.obs.provenance.ProvenanceLog`, the
-    analytics ingest) route through it, so large artifact directories
-    can compress at rest without any caller knowing the difference.
+    The single chokepoint for NDJSON artifact IO: the export's
+    ``run.ndjson`` writer and ``iter_ndjson`` (hence the fold) route
+    through it, so large artifact directories can compress at rest
+    without any caller knowing the difference.
     """
     if str(path).endswith(".gz"):
         import gzip
@@ -127,6 +133,59 @@ _ENCODE = json.JSONEncoder(
 def encode_record(record: dict) -> str:
     """One compact NDJSON line (including the trailing newline)."""
     return _ENCODE(record) + "\n"
+
+
+# -- per-record encoders ---------------------------------------------------------
+#
+# Shared by the live publisher and the end-of-run export
+# (:func:`repro.obs.export.record_lines`), so ``stream.ndjson`` and
+# ``run.ndjson`` are one schema read by one fold.
+
+
+def meta_line(track: str) -> str:
+    return encode_record({"type": "meta", "v": STREAM_SCHEMA_VERSION,
+                          "track": track, "pid": os.getpid()})
+
+
+def event_line(track: str, event: Event) -> str:
+    return encode_record({"type": "event", "track": track, **event.as_dict()})
+
+
+def span_line(track: str, span) -> str:
+    return encode_record({
+        "type": "span", "track": track, "name": span.name, "cat": span.cat,
+        "ts": span.ts, "dur": span.dur, "depth": span.depth,
+        "args": span.args,
+    })
+
+
+def provenance_line(track: str, rec) -> str:
+    return encode_record({
+        "type": "provenance", "track": track,
+        **{f: getattr(rec, f) for f in _PROVENANCE_FIELDS},
+    })
+
+
+def metric_line(track: str, kind: str, key: tuple, value) -> str:
+    """A counter ``delta``, a gauge ``value``, or a histogram's
+    cumulative summary (``value`` is then a ``HistogramStat``)."""
+    name, labels = key
+    record = {"type": "metric", "track": track, "kind": kind, "name": name,
+              "labels": [list(p) for p in labels]}
+    if kind == "counter":
+        record["delta"] = value
+    elif kind == "gauge":
+        record["value"] = value
+    else:
+        empty = value.count == 0
+        record.update(count=value.count, total=value.total,
+                      min=0.0 if empty else value.minimum,
+                      max=0.0 if empty else value.maximum)
+    return encode_record(record)
+
+
+def end_line(track: str) -> str:
+    return encode_record({"type": "end", "track": track})
 
 
 def validate_stream_record(record) -> list[str]:
@@ -223,10 +282,8 @@ class StreamPublisher:
         self._gauge_last: dict = {}
         self._hist_count: dict = {}
         self._meta_sent = False
-        self._flush_calls = 0
         self._closed = False
-        if ctx.config.events:
-            ctx.bus.subscribe(self._on_event)
+        ctx.bus.subscribe(self._on_event)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -264,80 +321,42 @@ class StreamPublisher:
         track = self.ctx.label
         lines: list[str] = []
         if not self._meta_sent:
-            lines.append(encode_record({
-                "type": "meta", "v": STREAM_SCHEMA_VERSION,
-                "track": track, "pid": os.getpid(),
-            }))
+            lines.append(meta_line(track))
             self._meta_sent = True
         if self._pending_events:
-            for event in self._pending_events:
-                lines.append(encode_record({
-                    "type": "event", "track": track, **event.as_dict(),
-                }))
+            lines.extend(event_line(track, e) for e in self._pending_events)
             self._pending_events.clear()
         spans = self.ctx.tracer.spans
         if self._span_cursor < len(spans):
-            for span in spans[self._span_cursor:]:
-                lines.append(encode_record({
-                    "type": "span", "track": track, "name": span.name,
-                    "cat": span.cat, "ts": span.ts, "dur": span.dur,
-                    "depth": span.depth, "args": span.args,
-                }))
+            lines.extend(span_line(track, s)
+                         for s in spans[self._span_cursor:])
             self._span_cursor = len(spans)
         records = self.ctx.provenance.records
         if self._prov_cursor < len(records):
-            for rec in records[self._prov_cursor:]:
-                lines.append(encode_record({
-                    "type": "provenance", "track": track,
-                    **{f: getattr(rec, f) for f in _PROVENANCE_FIELDS},
-                }))
+            lines.extend(provenance_line(track, r)
+                         for r in records[self._prov_cursor:])
             self._prov_cursor = len(records)
         registry = self.ctx.registry
         for key, value in registry.counters.items():
             delta = value - self._counter_base.get(key, 0)
             if delta:
-                name, labels = key
-                lines.append(encode_record({
-                    "type": "metric", "track": track, "kind": "counter",
-                    "name": name, "labels": [list(p) for p in labels],
-                    "delta": delta,
-                }))
+                lines.append(metric_line(track, "counter", key, delta))
                 self._counter_base[key] = value
         for key, value in registry.gauges.items():
             if self._gauge_last.get(key) != value:
-                name, labels = key
-                lines.append(encode_record({
-                    "type": "metric", "track": track, "kind": "gauge",
-                    "name": name, "labels": [list(p) for p in labels],
-                    "value": value,
-                }))
+                lines.append(metric_line(track, "gauge", key, value))
                 self._gauge_last[key] = value
         for key, stat in registry.histograms.items():
             if self._hist_count.get(key) != stat.count:
-                name, labels = key
-                lines.append(encode_record({
-                    "type": "metric", "track": track, "kind": "histogram",
-                    "name": name, "labels": [list(p) for p in labels],
-                    "count": stat.count, "total": stat.total,
-                    "min": stat.minimum if stat.count else 0.0,
-                    "max": stat.maximum if stat.count else 0.0,
-                }))
+                lines.append(metric_line(track, "histogram", key, stat))
                 self._hist_count[key] = stat.count
         return lines
 
     # -- flushing -------------------------------------------------------------
 
-    def flush(self, force: bool = False) -> int:
-        """Encode-and-write everything new; returns lines written.
-
-        Honors ``config.stream_flush_every``: only every Nth non-forced
-        call actually writes, so high-frequency intervals can batch.
-        """
+    def flush(self) -> int:
+        """Encode-and-write everything new; returns lines written."""
         if self._closed or not self.sinks:
-            return 0
-        self._flush_calls += 1
-        every = getattr(self.ctx.config, "stream_flush_every", 1)
-        if not force and every > 1 and self._flush_calls % every:
             return 0
         lines = self._encode_new()
         if lines:
@@ -357,9 +376,7 @@ class StreamPublisher:
             return
         lines = self._encode_new()
         if end_record:
-            lines.append(encode_record({
-                "type": "end", "track": self.ctx.label,
-            }))
+            lines.append(end_line(self.ctx.label))
         if lines:
             self.write_raw(lines)
         for sink, owned in self.sinks:
@@ -475,12 +492,10 @@ def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
                 chunk = ""
             if chunk:
                 last_data = deadline_clock()
-                buffer += chunk
-                while True:
-                    newline = buffer.find("\n")
-                    if newline < 0:
-                        break
-                    line, buffer = buffer[:newline], buffer[newline + 1:]
+                # One split per chunk; the last piece is the partial tail
+                # (empty when the chunk ended on a newline).
+                *lines, buffer = (buffer + chunk).split("\n")
+                for line in lines:
                     line = line.strip()
                     if not line:
                         continue
@@ -517,8 +532,14 @@ __all__ = [
     "STREAM_SCHEMA_VERSION",
     "StreamPublisher",
     "encode_record",
+    "end_line",
+    "event_line",
     "iter_ndjson",
+    "meta_line",
+    "metric_line",
     "open_text",
+    "provenance_line",
     "resolve_dead_writer_grace",
+    "span_line",
     "validate_stream_record",
 ]

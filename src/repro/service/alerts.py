@@ -204,7 +204,7 @@ class AlertEngine:
                     transitions.append(entry)
                     if self.obs is not None:
                         self.obs.emit(EV_SERVICE_ALERT_FIRING, **entry)
-                        self.obs.stream_flush(force=True)
+                        self.obs.stream_flush()
                     if self.journal is not None:
                         self.journal.record_alert(entry)
             else:
@@ -218,7 +218,7 @@ class AlertEngine:
                     transitions.append(entry)
                     if self.obs is not None:
                         self.obs.emit(EV_SERVICE_ALERT_RESOLVED, **entry)
-                        self.obs.stream_flush(force=True)
+                        self.obs.stream_flush()
                     if self.journal is not None:
                         self.journal.record_alert(entry)
         return transitions

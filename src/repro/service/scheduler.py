@@ -170,7 +170,7 @@ class SchedulerCore:
     def _emit(self, name: str, **fields) -> None:
         if self.obs is not None:
             self.obs.emit(name, **fields)
-            self.obs.stream_flush(force=True)
+            self.obs.stream_flush()
 
     def _refresh_gauges(self) -> None:
         """Publish result-cache and warm-snapshot gauges (`repro watch`).

@@ -20,12 +20,11 @@ per-interval records, the Fig. 5 time breakdown, per-tier access counters
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-
-import time as _time
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError, TransientError
 from repro.faults.injector import FaultInjector, FaultLog
@@ -428,10 +427,9 @@ class SimulationEngine:
     def step(self) -> IntervalRecord:
         """Simulate one profiling interval."""
         obs = self.obs
-        if obs is not None:
-            with obs.span("interval", cat="engine", index=len(self._records)):
-                return self._step_impl(obs)
-        return self._step_impl(None)
+        with (obs.span("interval", cat="engine", index=len(self._records))
+              if obs is not None else nullcontext()):
+            return self._step_impl(obs)
 
     def _next_batch(self) -> AccessBatch:
         if self.trace_cache is not None and self.trace_key is not None:
@@ -446,7 +444,6 @@ class SimulationEngine:
         return self.workload.next_batch(self.rngs["workload"])
 
     def _step_impl(self, obs: "ObsContext | None") -> IntervalRecord:
-        t_step = _time.perf_counter()
         if obs is not None:
             obs.emit(EV_INTERVAL_START, sim_time=self.clock.now,
                      interval=len(self._records))
@@ -454,13 +451,9 @@ class SimulationEngine:
                 # Fault events carry the current interval in the stream;
                 # the injector has no other view of simulation progress.
                 self.injector.current_interval = len(self._records)
-            with obs.span("workload", cat="engine", index=len(self._records)):
-                batch = self._next_batch()
-        else:
+        with (obs.span("workload", cat="engine", index=len(self._records))
+              if obs is not None else nullcontext()):
             batch = self._next_batch()
-        dt = _time.perf_counter() - t_step
-        self.perfstats.workload_seconds += dt
-        self.perfstats.record_sample("workload", dt)
         self.mmu.begin_interval(batch)
         fast_before = self._fast_tier_count()
         self.pcm.count(batch, self.space.page_table)
@@ -499,11 +492,9 @@ class SimulationEngine:
                 # scan and migration budget; only the retry backlog
                 # drains, so the daemon catches up instead of piling on.
                 if self.planner is not None:
-                    if obs is not None:
-                        with obs.span("migrate.drain", cat="migrate",
-                                      index=record.index):
-                            timing = self.planner.drain_retries(self.mmu)
-                    else:
+                    with (obs.span("migrate.drain", cat="migrate",
+                                   index=record.index)
+                          if obs is not None else nullcontext()):
                         timing = self.planner.drain_retries(self.mmu)
                     self.clock.advance(timing.critical_time, CATEGORY_MIGRATION)
                     self.clock.record_background(timing.background_time)
@@ -532,9 +523,6 @@ class SimulationEngine:
         # Every consumer of the interval's activity has run; drop the
         # batch so peak RSS stays O(one interval), not O(run length).
         self.mmu.release_batch()
-        dt = _time.perf_counter() - t_step
-        self.perfstats.total_seconds += dt
-        self.perfstats.record_sample("interval", dt)
         self.perfstats.intervals += 1
         if obs is not None:
             obs.emit(
@@ -548,7 +536,6 @@ class SimulationEngine:
                 degraded=record.degraded,
                 fault_events=record.fault_events,
             )
-            obs.observe("engine.interval_host_seconds", dt)
             obs.inc("engine.intervals")
             if record.degraded:
                 obs.inc("engine.degraded_intervals")
@@ -565,19 +552,11 @@ class SimulationEngine:
         """One interval of daemon work: scan, decide, migrate."""
         assert self.profiler is not None
         obs = self.obs
-        t0 = _time.perf_counter()
-        if obs is not None:
-            with obs.span("profile", cat="profile", index=record.index):
-                snapshot = self.profiler.profile(
-                    self.mmu, pebs=self.pebs, socket=self.socket
-                )
-        else:
+        with (obs.span("profile", cat="profile", index=record.index)
+              if obs is not None else nullcontext()):
             snapshot = self.profiler.profile(
                 self.mmu, pebs=self.pebs, socket=self.socket
             )
-        dt = _time.perf_counter() - t0
-        self.perfstats.profile_seconds += dt
-        self.perfstats.record_sample("profile", dt)
         self.clock.advance(snapshot.profiling_time, CATEGORY_PROFILING)
         record.profiling_time = snapshot.profiling_time
         record.region_count = len(snapshot.reports)
@@ -586,31 +565,23 @@ class SimulationEngine:
             if truth.size:
                 record.quality = evaluate_quality(snapshot, truth)
         if self.planner is not None:
-            t0 = _time.perf_counter()
             state = PlacementState(
                 page_table=self.space.page_table,
                 frames=self.frames,
                 topology=self.topology,
             )
-            if obs is not None:
-                with obs.span("plan", cat="migrate", index=record.index):
-                    orders = self.policy.decide(snapshot, state)
-            else:
+            with (obs.span("plan", cat="migrate", index=record.index)
+                  if obs is not None else nullcontext()):
                 orders = self.policy.decide(snapshot, state)
             before = (self.planner.log.promoted_pages, self.planner.log.demoted_pages)
             try:
-                if obs is not None:
-                    with obs.span("migrate", cat="migrate", index=record.index,
-                                  orders=len(orders)):
-                        timing = self.planner.execute(orders, self.mmu)
-                else:
+                with (obs.span("migrate", cat="migrate", index=record.index,
+                               orders=len(orders))
+                      if obs is not None else nullcontext()):
                     timing = self.planner.execute(orders, self.mmu)
             finally:
                 record.promoted_pages = self.planner.log.promoted_pages - before[0]
                 record.demoted_pages = self.planner.log.demoted_pages - before[1]
-                dt = _time.perf_counter() - t0
-                self.perfstats.migrate_seconds += dt
-                self.perfstats.record_sample("migrate", dt)
             self.clock.advance(timing.critical_time, CATEGORY_MIGRATION)
             self.clock.record_background(timing.background_time)
             record.migration_time = timing.critical_time
@@ -657,7 +628,7 @@ class SimulationEngine:
             self.perfstats.cache = self.trace_cache.stats()
         obs_data: "ObsData | None" = None
         if self.obs is not None:
-            # Run-level summaries (host perf, migration counters) land in
+            # Run-level summaries (perf and migration counters) land in
             # the registry once, on the first result() call.
             if not self._obs_summarized:
                 self._obs_summarized = True

@@ -28,6 +28,7 @@ from repro.obs.analytics import (
     dwell_samples,
     dwell_time,
     find_artifact,
+    fold_run,
     ingest_run,
     lifecycle_funnel,
     ping_pong,
@@ -36,7 +37,7 @@ from repro.obs.analytics import (
     render_diff_text,
     top_pages,
 )
-from repro.obs.context import ObsContext
+from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.provenance import ProvenanceLog
 from repro.obs.store import (
     STORE_NAME,
@@ -46,6 +47,7 @@ from repro.obs.store import (
     validate_store,
     write_store,
 )
+from repro.obs.sinks import NdjsonFileSink
 from repro.obs.stream import iter_ndjson
 from repro.bench.history import (
     HISTORY_NAME,
@@ -182,11 +184,36 @@ class TestIngest:
                 prints.append(sim_fingerprint(store))
         assert prints[0] == prints[1]
 
+    def test_stream_only_ingests_like_export(self, tiny_profile, tmp_path):
+        """A directory holding only the live stream ingests to the same
+        simulated content as the export, spans included, at any worker
+        count: gauges keep their per-track last value (max across
+        tracks) and histograms merge per-track summaries, as the
+        registry does."""
+        for workers in (1, 2):
+            obs = ObsContext(ObsConfig(stream=True), label="matrix")
+            out = tmp_path / f"w{workers}"
+            obs.add_sink(NdjsonFileSink(out / "stream.ndjson"))
+            run_matrix(WORKLOADS, SOLUTIONS, tiny_profile, workers=workers,
+                       obs=obs)
+            obs.export(out)
+            obs.stream_close()
+            stream_only = tmp_path / f"w{workers}-stream"
+            stream_only.mkdir()
+            (out / "stream.ndjson").rename(stream_only / "stream.ndjson")
+            with Store(ingest_run(out)) as exported, \
+                    Store(ingest_run(stream_only)) as streamed:
+                assert exported.meta["source"] == "export"
+                assert streamed.meta["source"] == "stream"
+                assert sim_fingerprint(streamed) == sim_fingerprint(exported)
+                assert streamed.rows("spans") == exported.rows("spans") > 0
+
     def test_compressed_export_ingests_identically(self, run_a, tmp_path):
         gz_dir = _export_run(tmp_path / "gz", intervals=RUN_INTERVALS,
                              compress=True)
-        assert (gz_dir / "provenance.jsonl.gz").exists()
-        assert find_artifact(gz_dir, "provenance.jsonl").name.endswith(".gz")
+        assert {p.name for p in gz_dir.iterdir()} == {
+            "trace.json", "run.ndjson.gz"}
+        assert find_artifact(gz_dir, "run.ndjson").name.endswith(".gz")
         with Store(ingest_run(run_a)) as plain, \
                 Store(ingest_run(gz_dir)) as zipped:
             assert sim_fingerprint(plain) == sim_fingerprint(zipped)
@@ -462,15 +489,16 @@ class TestProvenanceQueries:
 
 class TestGzip:
     def test_provenance_jsonl_gz_round_trip(self, tmp_path):
+        """Provenance round-trips through a compressed run.ndjson.gz."""
         log = _log([(0, "planned", 0, 4, 2, 0),
                     (1, "committed", 0, 4, 2, 0)])
-        path = tmp_path / "provenance.jsonl.gz"
-        log.write_jsonl(path)
-        with gzip.open(path, "rt") as fh:  # really gzip on disk
-            assert json.loads(fh.readline())["stage"] == "planned"
-        back = ProvenanceLog.read_jsonl(path)
-        assert [r.as_dict() for r in back.records] == [
-            r.as_dict() for r in log.records]
+        ctx = ObsContext(label="gz")
+        ctx.provenance.extend(log.records)
+        ctx.export(tmp_path, compress=True)
+        with gzip.open(tmp_path / "run.ndjson.gz", "rt") as fh:  # really gzip
+            stages = [json.loads(line).get("stage") for line in fh]
+        assert stages.count("planned") == 1
+        assert fold_run(tmp_path).provenance == log.records
 
     def test_iter_ndjson_reads_gz(self, tmp_path):
         path = tmp_path / "stream.ndjson.gz"

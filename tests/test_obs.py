@@ -22,7 +22,8 @@ import pytest
 from repro.cli import main as repro_main
 from repro.core.baselines import make_engine
 from repro.errors import ConfigError
-from repro.obs.context import ObsConfig, ObsContext
+from repro.obs.analytics import fold_run
+from repro.obs.context import ObsContext
 from repro.obs.events import ALL_EVENTS, EventBus
 from repro.obs.export import (
     build_chrome_trace,
@@ -32,6 +33,7 @@ from repro.obs.export import (
 from repro.obs.provenance import STAGE_COMMITTED, STAGE_PLANNED, ProvenanceLog
 from repro.obs.registry import MetricsRegistry, label_key, render_key
 from repro.obs.spans import SpanTracer
+from repro.obs.stream import iter_ndjson, validate_stream_record
 
 SCALE = 1 / 512
 SEED = 3
@@ -114,17 +116,6 @@ class TestRegistry:
         assert render_key("x", ()) == "x"
         assert render_key("x", label_key({"b": 2, "a": 1})) == "x{a=1,b=2}"
 
-    def test_write_jsonl_round_trips_kinds(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.inc("c", 2, who="a")
-        reg.set_gauge("g", 7)
-        reg.observe("h", 1.5)
-        path = tmp_path / "metrics.jsonl"
-        reg.write_jsonl(path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        kinds = {row["metric"]: row["kind"] for row in rows}
-        assert kinds == {"c{who=a}": "counter", "g": "gauge", "h": "histogram"}
-
 
 # -- event bus -----------------------------------------------------------------
 
@@ -174,27 +165,10 @@ class TestSpanTracer:
         assert [s.name for s in tracer.spans] == ["scan", "scan", "interval"]
 
 
-# -- context gating and absorption ---------------------------------------------
+# -- context absorption --------------------------------------------------------
 
 
 class TestObsContext:
-    def test_config_gates_each_plane(self):
-        ctx = ObsContext(ObsConfig(events=False, spans=False, metrics=False,
-                                   provenance=False))
-        ctx.emit("profile.scan")
-        with ctx.span("interval"):
-            pass
-        ctx.inc("c")
-        ctx.observe("h", 1.0)
-        ctx.set_gauge("g", 1.0)
-        ctx.record_provenance(0, STAGE_PLANNED, 0, 1, 2, 1)
-        assert len(ctx.bus) == 0
-        assert ctx.tracer.spans == []
-        assert ctx.registry.counters == {}
-        assert ctx.registry.histograms == {}
-        assert ctx.registry.gauges == {}
-        assert len(ctx.provenance) == 0
-
     def test_snapshot_absorb_round_trip(self):
         child = ObsContext(label="child")
         child.emit("profile.scan")
@@ -245,11 +219,19 @@ class TestEngineEmission:
         assert reg.counter_total("perf.intervals") == INTERVALS
 
     def test_spans_cover_engine_phases(self, traced_run):
+        """Spans are the engine's one host timer: every phase, every
+        interval, nested inside that interval's span."""
         obs, _ = traced_run
         counts = obs.tracer.counts()
-        assert counts["interval"] == INTERVALS
-        assert counts["profile"] == INTERVALS
-        assert counts["scan.classify"] == INTERVALS
+        for phase in ("interval", "workload", "profile", "plan", "migrate",
+                      "scan.classify"):
+            assert counts[phase] == INTERVALS, phase
+        intervals = [s for s in obs.tracer.spans if s.name == "interval"]
+        assert all(s.depth == 0 and s.dur > 0 for s in intervals)
+        phases = [s for s in obs.tracer.spans
+                  if s.name in ("workload", "profile", "plan", "migrate")]
+        assert all(s.depth == 1 for s in phases)
+        assert sum(s.dur for s in phases) <= sum(s.dur for s in intervals)
 
     def test_provenance_records_migrations(self, traced_run):
         obs, result = traced_run
@@ -348,14 +330,24 @@ class TestExport:
     def test_export_writes_all_sinks(self, traced_run, tmp_path):
         obs, _ = traced_run
         paths = export_context(obs, tmp_path / "out")
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {
+            "trace.json", "run.ndjson"}
         trace = json.loads(open(paths["trace"]).read())
         assert validate_chrome_trace(trace) == []
-        events = [json.loads(line) for line in open(paths["events"])]
-        assert len(events) == obs.event_count()
-        metrics = json.loads(open(paths["metrics"]).read())
-        assert metrics["event_counts"] == obs.event_counts()
-        log = ProvenanceLog.read_jsonl(paths["provenance"])
-        assert len(log) == len(obs.provenance)
+        records = list(iter_ndjson(paths["run"]))
+        assert [p for r in records for p in validate_stream_record(r)] == []
+        assert records[-1]["type"] == "end"
+        fold = fold_run(tmp_path / "out")
+        assert fold.source == "export"
+        assert fold.label == "traced"
+        assert len(fold.events) == obs.event_count()
+        assert fold.event_counts() == obs.event_counts()
+        assert len(fold.spans) == len(obs.tracer.spans)
+        assert fold.provenance == obs.provenance.records
+        assert fold.counters["engine.intervals"] == INTERVALS
+        # Stream-loss counters are always present: zero means no loss.
+        assert fold.counters["obs.dropped_events"] == 0
+        assert fold.counters["obs.relay_backpressure"] == 0
 
 
 # -- provenance queries --------------------------------------------------------
@@ -375,62 +367,80 @@ class TestProvenance:
         assert log.region_starts() == [512, 4096]
 
     def test_jsonl_round_trip(self, tmp_path):
-        log = ProvenanceLog()
-        log.record(1, STAGE_PLANNED, 0, 8, 2, 1, reason="hot", attempt=1)
-        path = tmp_path / "prov.jsonl"
-        log.write_jsonl(path)
-        again = ProvenanceLog.read_jsonl(path)
-        assert again.records == log.records
+        """The log round-trips through the exported run.ndjson."""
+        ctx = ObsContext(label="prov")
+        ctx.record_provenance(1, STAGE_PLANNED, 0, 8, 2, 1, reason="hot",
+                              attempt=1)
+        ctx.record_provenance(3, STAGE_COMMITTED, 0, 8, 2, 1, score=0.5,
+                              detail="x")
+        ctx.export(tmp_path)
+        assert fold_run(tmp_path).provenance == ctx.provenance.records
 
 
 # -- CLI end to end ------------------------------------------------------------
+
+
+def _cli_run(out, *obs_flags) -> None:
+    assert repro_main([
+        "run", "--solution", "mtm", "--workload", "gups",
+        "--intervals", str(INTERVALS),
+        "--scale-denominator", "512", "--seed", str(SEED),
+        *obs_flags, "--obs-out", str(out),
+    ]) == 0
 
 
 class TestObsCli:
     @pytest.fixture(scope="class")
     def export_dir(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("obs") / "run"
-        code = repro_main([
-            "run", "--solution", "mtm", "--workload", "gups",
-            "--intervals", str(INTERVALS),
-            "--scale-denominator", "512", "--seed", str(SEED),
-            "--obs", "--obs-out", str(out),
-        ])
-        assert code == 0
+        _cli_run(out, "--obs")
         return out
+
+    @pytest.fixture(scope="class")
+    def run_dirs(self, export_dir, tmp_path_factory):
+        """The export, and the same run as a directory holding only the
+        ``stream.ndjson`` it streamed (a run that never exported)."""
+        streamed = tmp_path_factory.mktemp("obs") / "streamed"
+        _cli_run(streamed, "--obs-stream")
+        stream_only = tmp_path_factory.mktemp("obs") / "stream-only"
+        stream_only.mkdir()
+        (streamed / "stream.ndjson").rename(stream_only / "stream.ndjson")
+        return export_dir, stream_only
 
     def test_run_export_is_complete_and_valid(self, export_dir):
         names = {p.name for p in export_dir.iterdir()}
-        assert names == {"trace.json", "events.jsonl", "metrics.json",
-                         "provenance.jsonl"}
+        assert names == {"trace.json", "run.ndjson"}
         trace = json.loads((export_dir / "trace.json").read_text())
         assert validate_chrome_trace(trace) == []
 
-    def test_trace_summary_and_page_query(self, export_dir, capsys):
-        assert repro_main(["trace", "--run", str(export_dir)]) == 0
-        summary = capsys.readouterr().out
-        assert "planned" in summary
-        log = ProvenanceLog.read_jsonl(export_dir / "provenance.jsonl")
-        committed = [r for r in log.records if r.stage == STAGE_COMMITTED]
-        page = committed[0].page_start
-        assert repro_main(["trace", "--run", str(export_dir),
-                           "--page", str(page)]) == 0
-        out = capsys.readouterr().out
-        assert f"Migration history for page {page}" in out
-        assert "queue" in out
+    def test_trace_summary_and_page_query(self, run_dirs, capsys):
+        for run_dir in run_dirs:
+            assert repro_main(["trace", "--run", str(run_dir)]) == 0
+            summary = capsys.readouterr().out
+            assert "planned" in summary
+            committed = [r for r in fold_run(run_dir).provenance
+                         if r.stage == STAGE_COMMITTED]
+            page = committed[0].page_start
+            assert repro_main(["trace", "--run", str(run_dir),
+                               "--page", str(page)]) == 0
+            out = capsys.readouterr().out
+            assert f"Migration history for page {page}" in out
+            assert "queue" in out
 
     def test_trace_page_without_history(self, export_dir, capsys):
-        log = ProvenanceLog.read_jsonl(export_dir / "provenance.jsonl")
-        free_page = max(r.page_start + r.npages for r in log.records) + 10_000
+        log = fold_run(export_dir).provenance
+        free_page = max(r.page_start + r.npages for r in log) + 10_000
         assert repro_main(["trace", "--run", str(export_dir),
                            "--page", str(free_page)]) == 0
         assert "no migration provenance" in capsys.readouterr().out
 
-    def test_report_lists_events_and_metrics(self, export_dir, capsys):
-        assert repro_main(["report", "--run", str(export_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "interval.start" in out
-        assert "engine.intervals" in out
+    def test_report_lists_events_and_metrics(self, run_dirs, capsys):
+        for run_dir in run_dirs:
+            assert repro_main(["report", "--run", str(run_dir)]) == 0
+            out = capsys.readouterr().out
+            assert "interval.start" in out
+            assert "engine.intervals" in out
+            assert "tier.occupancy_pages{node=1}" in out
 
     def test_trace_on_missing_run_fails_cleanly(self, tmp_path, capsys):
         assert repro_main(["trace", "--run", str(tmp_path / "nope")]) == 1

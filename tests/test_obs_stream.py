@@ -35,6 +35,7 @@ from repro.bench.runner import run_matrix
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.errors import ConfigError
+from repro.obs.analytics import fold_run
 from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.sinks import NdjsonFileSink, RelaySink, SocketSink, parse_address
 from repro.obs.stream import (
@@ -53,10 +54,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def stream_engine(tmp_path, *, intervals=INTERVALS, name="stream.ndjson",
-                  flush_every=1, max_events=None, injector=None):
+                  max_events=None, injector=None):
     """Run one engine with a file-sink streaming context; return
     (path, context, result)."""
-    kwargs = {"stream": True, "stream_flush_every": flush_every}
+    kwargs = {"stream": True}
     if max_events is not None:
         kwargs["max_events"] = max_events
     ctx = ObsContext(ObsConfig(**kwargs), label="t")
@@ -199,17 +200,6 @@ class TestStreamPublisher:
         }
         assert totals == pytest.approx(expected)
 
-    def test_flush_every_n_reduces_writes_not_records(self, tmp_path):
-        p1, _, _ = stream_engine(tmp_path, name="every1.ndjson",
-                                 flush_every=1)
-        p4, _, _ = stream_engine(tmp_path, name="every4.ndjson",
-                                 flush_every=4)
-        # Same telemetry reaches the stream either way.
-        count = lambda p, t: sum(1 for r in read_records(p)
-                                 if r["type"] == t)
-        for kind in ("event", "span", "provenance"):
-            assert count(p1, kind) == count(p4, kind)
-
     def test_bounded_pending_surfaces_as_dropped_metric(self):
         ctx = ObsContext(ObsConfig(stream=True), label="t")
         ctx.add_sink(RelaySink(_NullQueue()))
@@ -261,7 +251,7 @@ class TestRelaySink:
         ctx = ObsContext(ObsConfig(stream=True), label="t")
         ctx.add_sink(RelaySink(_FullQueue()), owned=True)
         ctx.emit("interval.start", interval=0)
-        ctx.stream_flush(force=True)
+        ctx.stream_flush()
         snap = ctx.snapshot()
         assert snap.counters[("obs.relay_backpressure", ())] > 0
 
@@ -618,8 +608,11 @@ class TestCliLazyDir:
         assert rc == 0
         records = read_records(out / "stream.ndjson")
         assert records[-1]["type"] == "end"
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["counters"]
+        assert {p.name for p in out.iterdir()} == {
+            "stream.ndjson", "trace.json", "run.ndjson"}
+        fold = fold_run(out)
+        assert fold.source == "export"
+        assert fold.counters["engine.intervals"] == 4
 
 
 # -- socket collector under concurrency ----------------------------------------

@@ -212,12 +212,8 @@ class TestPerfStats:
         perf = result.perf
         assert perf is not None
         assert perf.intervals == 4
-        assert perf.total_seconds > 0
-        assert perf.other_seconds >= 0
         assert perf.cache is None
-        d = perf.as_dict()
-        assert set(d) >= {"workload_seconds", "profile_seconds",
-                          "migrate_seconds", "total_seconds", "intervals"}
+        assert perf.as_dict() == {"intervals": 4}
 
     def test_cache_stats_attached_when_cached(self, tiny_profile):
         result = run_solution(
@@ -228,12 +224,8 @@ class TestPerfStats:
         assert "cache" in result.perf.as_dict()
 
     def test_merge_accumulates(self):
-        a = PerfStats(workload_seconds=1.0, total_seconds=3.0, intervals=2)
-        b = PerfStats(profile_seconds=0.5, total_seconds=1.0, intervals=1,
-                      cache=CacheStats(hits=3))
+        a = PerfStats(intervals=2)
+        b = PerfStats(intervals=1, cache=CacheStats(hits=3))
         merged = a.merge(b)
-        assert merged.workload_seconds == 1.0
-        assert merged.profile_seconds == 0.5
-        assert merged.total_seconds == 4.0
         assert merged.intervals == 3
         assert merged.cache.hits == 3
