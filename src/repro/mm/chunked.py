@@ -13,8 +13,10 @@ touch, not the footprint.
 
 The class implements the indexing surface the simulator's hot paths
 actually use — integer/slice/fancy get and set (including the
-read-modify-write ``arr[idx] |= x`` desugaring), ``fill``, ``add_at``
-(the ``np.add.at`` equivalent), whole-array ``== scalar``, and
+read-modify-write ``arr[idx] |= x`` desugaring), ``fill``, ``tile`` (a
+pattern repeated over a range), ``add_at`` (the ``np.add.at``
+equivalent), whole-array ``== scalar``, bit tests over a range
+(``any_and``) or the whole array (``count_nonzero_and``), and
 ``__array__`` — so :class:`~repro.mm.pagetable.PageTable` and
 :class:`~repro.mm.mmu.Mmu` can swap it in without changing callers.
 Scatter order is preserved per chunk, so duplicate-index assignment
@@ -80,6 +82,27 @@ class ChunkedArray:
         for c, data in enumerate(self._chunks):
             start = c << self._shift
             yield start, start + self._chunk_len(c), data
+
+    def _pieces(self, start: int, stop: int):
+        """Yield ``(chunk, lo, hi)`` for each chunk ``[start, stop)`` meets.
+
+        ``lo``/``hi`` bound the piece within the chunk, so the piece is
+        elements ``[(chunk << shift) + lo, (chunk << shift) + hi)``.  The
+        range must lie within ``[0, n]``: slices are clamped by
+        ``slice.indices`` and explicit ranges by :meth:`_check_span`.
+        """
+        pos = start
+        while pos < stop:
+            c = pos >> self._shift
+            cstart = c << self._shift
+            hi = min(stop, cstart + self._chunk_len(c))
+            yield c, pos - cstart, hi - cstart
+            pos = hi
+
+    def _check_span(self, start: int, stop: int) -> None:
+        """Reject an explicit range outside ``0 <= start <= stop <= n``."""
+        if not 0 <= start <= stop <= self.n:
+            raise IndexError(f"range [{start}, {stop}) is out of bounds for size {self.n}")
 
     def _check_int(self, i: int) -> int:
         """Wrap a negative scalar index; reject an out-of-range one."""
@@ -156,17 +179,10 @@ class ChunkedArray:
             if step != 1:
                 return self.__getitem__(np.arange(start, stop, step, dtype=np.int64))
             out = np.empty(max(stop - start, 0), dtype=self.dtype)
-            pos = start
-            while pos < stop:
-                c = pos >> self._shift
-                cstart = c << self._shift
-                hi = min(stop, cstart + self._chunk_len(c))
+            for c, lo, hi in self._pieces(start, stop):
                 data = self._chunks[c]
-                if isinstance(data, np.ndarray):
-                    out[pos - start : hi - start] = data[pos - cstart : hi - cstart]
-                else:
-                    out[pos - start : hi - start] = data
-                pos = hi
+                at = (c << self._shift) - start
+                out[at + lo : at + hi] = data[lo:hi] if isinstance(data, np.ndarray) else data
             return out
         idx, groups = self._grouped(key)
         out = np.empty(idx.size, dtype=self.dtype)
@@ -190,28 +206,21 @@ class ChunkedArray:
             if step != 1:
                 self.__setitem__(np.arange(start, stop, step, dtype=np.int64), value)
                 return
-            if stop <= start:
-                return
             scalar = np.ndim(value) == 0
             vals = None if scalar else np.asarray(value)
-            pos = start
-            while pos < stop:
-                c = pos >> self._shift
-                cstart = c << self._shift
-                clen = self._chunk_len(c)
-                hi = min(stop, cstart + clen)
+            for c, lo, hi in self._pieces(start, stop):
                 if scalar:
-                    if pos == cstart and hi == cstart + clen:
+                    if lo == 0 and hi == self._chunk_len(c):
                         # Whole-chunk uniform assignment collapses back
                         # to scalar storage.
                         self._chunks[c] = self.dtype.type(value)
                     else:
                         data = self._chunks[c]
                         if isinstance(data, np.ndarray) or data != self.dtype.type(value):
-                            self._dense(c)[pos - cstart : hi - cstart] = value
+                            self._dense(c)[lo:hi] = value
                 else:
-                    self._dense(c)[pos - cstart : hi - cstart] = vals[pos - start : hi - start]
-                pos = hi
+                    at = (c << self._shift) - start
+                    self._dense(c)[lo:hi] = vals[at + lo : at + hi]
             return
         idx, groups = self._grouped(key)
         scalar = np.ndim(value) == 0
@@ -230,6 +239,24 @@ class ChunkedArray:
         """Set every element to ``value`` (all chunks become scalar)."""
         v = self.dtype.type(value)
         self._chunks = [v] * len(self._chunks)
+
+    def tile(self, start: int, stop: int, pattern: np.ndarray) -> None:
+        """Store ``pattern`` repeated over ``[start, stop)``.
+
+        ``start``, ``stop`` and the chunk length must be multiples of the
+        pattern's length, so every chunk receives whole periods and is
+        written in place by one broadcast: no temporary the size of the
+        range is built.
+        """
+        self._check_span(start, stop)
+        period = pattern.size
+        if start % period or stop % period or self.chunk_pages % period:
+            raise ConfigError(
+                f"[{start}, {stop}) with chunks of {self.chunk_pages} does not "
+                f"tile by a period of {period}"
+            )
+        for c, lo, hi in self._pieces(start, stop):
+            self._dense(c)[lo:hi].reshape(-1, period)[:] = pattern
 
     def add_at(self, idx: np.ndarray, vals: np.ndarray) -> None:
         """``np.add.at`` semantics: unbuffered scatter-add (dupes accumulate)."""
@@ -272,7 +299,22 @@ class ChunkedArray:
                 total += end - start
         return total
 
-    def count_nonzero_and(self, mask: int) -> int:
+    def any_and(self, mask, start: int, stop: int) -> bool:
+        """Whether an element of ``[start, stop)`` has any of ``mask``'s bits.
+
+        O(1) per scalar chunk; a dense chunk tests only its piece.
+        """
+        self._check_span(start, stop)
+        for c, lo, hi in self._pieces(start, stop):
+            data = self._chunks[c]
+            if isinstance(data, np.ndarray):
+                if np.any(data[lo:hi] & mask):
+                    return True
+            elif data & mask:
+                return True
+        return False
+
+    def count_nonzero_and(self, mask) -> int:
         """Number of elements with any of ``mask``'s bits set."""
         total = 0
         for start, end, data in self.chunks():

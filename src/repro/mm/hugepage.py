@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.mm.pagetable import PageTable
+from repro.mm.pte import HUGE_MASK, PRESENT_MASK
 from repro.mm.vma import Vma
 from repro.units import PAGES_PER_HUGE_PAGE
 
@@ -23,17 +24,35 @@ from repro.units import PAGES_PER_HUGE_PAGE
 class ThpPlan:
     """How one VMA's pages should be mapped.
 
+    The plan is held as run boundaries, never per page: a VMA of any size
+    costs O(huge spans) to plan and O(runs) to map.
+
     Attributes:
-        huge_heads: heads of spans to map as 2 MB pages.
-        base_pages: pages to map as 4 KB PTEs.
+        start: first page of the VMA.
+        end: one past its last page.
+        huge_heads: heads of spans to map as 2 MB pages, ascending.
     """
 
+    start: int
+    end: int
     huge_heads: np.ndarray
-    base_pages: np.ndarray
 
-    @property
-    def total_pages(self) -> int:
-        return int(self.huge_heads.size) * PAGES_PER_HUGE_PAGE + int(self.base_pages.size)
+    def huge_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, npages)`` of the maximal runs of adjacent huge spans."""
+        heads = self.huge_heads
+        starts_run = np.ones(heads.size, dtype=bool)
+        starts_run[1:] = np.diff(heads) != PAGES_PER_HUGE_PAGE
+        firsts = np.flatnonzero(starts_run)
+        counts = np.diff(np.append(firsts, heads.size))
+        return heads[firsts], counts * PAGES_PER_HUGE_PAGE
+
+    def base_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, npages)`` of the gaps the huge runs leave, ascending."""
+        starts, npages = self.huge_runs()
+        lo = np.concatenate(([self.start], starts + npages))
+        hi = np.append(starts, self.end)
+        keep = hi > lo
+        return lo[keep], (hi - lo)[keep]
 
 
 class ThpManager:
@@ -57,29 +76,18 @@ class ThpManager:
 
     def plan(self, vma: Vma, rng: np.random.Generator | None = None) -> ThpPlan:
         """Decide huge spans and leftover base pages for ``vma``."""
-        all_pages = vma.pages()
-        if not self.enabled or self.huge_fraction == 0.0:
-            return ThpPlan(huge_heads=np.empty(0, dtype=np.int64), base_pages=all_pages)
-
+        if not self.deterministic and rng is None:
+            raise ConfigError("a non-deterministic THP plan needs a generator")
         first_aligned = -(-vma.start // PAGES_PER_HUGE_PAGE) * PAGES_PER_HUGE_PAGE
         last_aligned_end = (vma.end // PAGES_PER_HUGE_PAGE) * PAGES_PER_HUGE_PAGE
-        if last_aligned_end <= first_aligned:
-            return ThpPlan(huge_heads=np.empty(0, dtype=np.int64), base_pages=all_pages)
-
-        candidates = np.arange(first_aligned, last_aligned_end, PAGES_PER_HUGE_PAGE, dtype=np.int64)
-        n_huge = int(round(candidates.size * self.huge_fraction))
-        if n_huge == 0:
-            return ThpPlan(huge_heads=np.empty(0, dtype=np.int64), base_pages=all_pages)
-        if self.deterministic or rng is None:
+        n_spans = max(0, (last_aligned_end - first_aligned) // PAGES_PER_HUGE_PAGE)
+        n_huge = int(round(n_spans * self.huge_fraction)) if self.enabled else 0
+        candidates = first_aligned + PAGES_PER_HUGE_PAGE * np.arange(n_spans, dtype=np.int64)
+        if self.deterministic or n_huge == 0:
             heads = candidates[:n_huge]
         else:
             heads = np.sort(rng.choice(candidates, size=n_huge, replace=False))
-
-        in_huge = np.zeros(vma.npages, dtype=bool)
-        for head in heads:
-            offset = head - vma.start
-            in_huge[offset : offset + PAGES_PER_HUGE_PAGE] = True
-        return ThpPlan(huge_heads=heads, base_pages=all_pages[~in_huge])
+        return ThpPlan(start=vma.start, end=vma.end, huge_heads=heads)
 
     def populate(
         self,
@@ -88,18 +96,16 @@ class ThpManager:
         node: int,
         rng: np.random.Generator | None = None,
     ) -> ThpPlan:
-        """Map the whole VMA onto ``node`` following the THP plan."""
+        """Map the whole VMA onto ``node`` following the THP plan.
+
+        One ``map_range`` call per maximal run of adjacent huge spans and
+        one per gap between them, so the work is O(runs), not O(pages).
+        """
         plan = self.plan(vma, rng)
-        for head in plan.huge_heads:
-            page_table.map_range(int(head), PAGES_PER_HUGE_PAGE, node, huge=True)
-        base = plan.base_pages
-        if base.size:
-            # Map maximal contiguous runs of base pages in one call each.
-            breaks = np.nonzero(np.diff(base) != 1)[0]
-            run_starts = np.concatenate(([0], breaks + 1))
-            run_ends = np.concatenate((breaks + 1, [base.size]))
-            for lo, hi in zip(run_starts, run_ends):
-                page_table.map_range(int(base[lo]), int(hi - lo), node)
+        for start, npages in zip(*plan.huge_runs()):
+            page_table.map_range(int(start), int(npages), node, huge=True)
+        for start, npages in zip(*plan.base_runs()):
+            page_table.map_range(int(start), int(npages), node)
         return plan
 
     @staticmethod
@@ -115,9 +121,7 @@ class ThpManager:
         for head in range(first, last_end, PAGES_PER_HUGE_PAGE):
             span = slice(head, head + PAGES_PER_HUGE_PAGE)
             flags = page_table.flags[span]
-            from repro.mm.pte import PteFlag
-
-            if np.all(flags & PteFlag.PRESENT) and not np.any(flags & PteFlag.HUGE):
+            if np.all(flags & PRESENT_MASK) and not np.any(flags & HUGE_MASK):
                 if np.unique(page_table.node[span]).size == 1:
                     page_table.collapse_huge(head)
                     collapsed += 1

@@ -30,7 +30,7 @@ from repro import kernels, perfflags
 from repro.errors import ConfigError, TranslationError
 from repro.mm.chunked import DEFAULT_CHUNK_PAGES, ChunkedArray
 from repro.mm.layout import PageTableGeometry, X86_64_GEOMETRY
-from repro.mm.pte import PteFlag
+from repro.mm.pte import ACCESSED_MASK, DIRTY_MASK, HUGE_MASK, PRESENT_MASK, PteFlag
 from repro.units import PAGES_PER_HUGE_PAGE
 
 _UNMAPPED_NODE = -1
@@ -41,6 +41,9 @@ AUTO_CHUNK_PAGES = 1 << 22
 
 #: Pages a chunked span_entries() resolves per pass (~1.5 MB of temporaries).
 _SPAN_WINDOW_PAGES = 1 << 16
+
+#: Entry deltas of one huge span, ``-(page % 512)``; chunked tables tile it.
+_HUGE_ENTRY_DELTA = -np.arange(PAGES_PER_HUGE_PAGE, dtype=np.int16)
 
 
 class PageTable:
@@ -123,7 +126,11 @@ class PageTable:
         if node < 0:
             raise ConfigError(f"invalid node {node}")
         sl = slice(start, start + npages)
-        if np.any(self.flags[sl] & PteFlag.PRESENT):
+        if self.chunked:
+            mapped = self.flags.any_and(PRESENT_MASK, start, start + npages)
+        else:
+            mapped = np.any(self.flags[sl] & PRESENT_MASK)
+        if mapped:
             raise TranslationError(f"range [{start}, {start + npages}) already mapped")
         base = np.uint16(PteFlag.default_mapped())
         if huge:
@@ -131,7 +138,7 @@ class PageTable:
                 raise ConfigError(
                     f"huge mapping [{start}, {start + npages}) is not 2MB-aligned"
                 )
-            base |= np.uint16(PteFlag.HUGE)
+            base |= HUGE_MASK
         self.flags[sl] = base
         self.node[sl] = node
         self._node_version += 1
@@ -142,7 +149,7 @@ class PageTable:
         """Remove the mapping for ``npages`` pages starting at ``start``."""
         self._check_range(start, npages)
         sl = slice(start, start + npages)
-        if not np.all(self.flags[sl] & PteFlag.PRESENT):
+        if not np.all(self.flags[sl] & PRESENT_MASK):
             raise TranslationError(f"range [{start}, {start + npages}) not fully mapped")
         heads = self._partial_huge_heads(start, npages)
         if heads.size:
@@ -156,7 +163,7 @@ class PageTable:
 
     def is_mapped(self, pages: np.ndarray | int) -> np.ndarray | bool:
         """Presence test for one page or an array of pages."""
-        present = (self.flags[pages] & PteFlag.PRESENT) != 0
+        present = (self.flags[pages] & PRESENT_MASK) != 0
         if np.isscalar(pages) or isinstance(pages, (int, np.integer)):
             return bool(present)
         return present
@@ -173,7 +180,7 @@ class PageTable:
         pages = np.asarray(pages, dtype=np.int64)
         if dst_node < 0:
             raise ConfigError(f"invalid node {dst_node}")
-        if not np.all((self.flags[pages] & PteFlag.PRESENT) != 0):
+        if not np.all((self.flags[pages] & PRESENT_MASK) != 0):
             raise TranslationError("move_pages on unmapped page(s)")
         self.node[pages] = dst_node
         self._node_version += 1
@@ -182,7 +189,7 @@ class PageTable:
 
     def is_huge(self, pages: np.ndarray | int) -> np.ndarray | bool:
         """Whether each page is part of a huge mapping."""
-        huge = (self.flags[pages] & PteFlag.HUGE) != 0
+        huge = (self.flags[pages] & HUGE_MASK) != 0
         if np.isscalar(pages) or isinstance(pages, (int, np.integer)):
             return bool(huge)
         return huge
@@ -197,18 +204,18 @@ class PageTable:
             raise ConfigError(f"head {head} not huge-aligned")
         self._check_range(head, PAGES_PER_HUGE_PAGE)
         sl = slice(head, head + PAGES_PER_HUGE_PAGE)
-        if not np.all(self.flags[sl] & PteFlag.PRESENT):
+        if not np.all(self.flags[sl] & PRESENT_MASK):
             raise TranslationError(f"span at {head} not fully mapped")
         if np.unique(self.node[sl]).size != 1:
             raise TranslationError(f"span at {head} straddles nodes; cannot collapse")
-        self.flags[sl] |= np.uint16(PteFlag.HUGE)
+        self.flags[sl] |= HUGE_MASK
         # Bits of the constituent pages fold into the single PMD entry.
         folded = np.uint16(0)
-        if np.any(self.flags[sl] & PteFlag.ACCESSED):
-            folded |= np.uint16(PteFlag.ACCESSED)
-        if np.any(self.flags[sl] & PteFlag.DIRTY):
-            folded |= np.uint16(PteFlag.DIRTY)
-        self.flags[sl] &= ~np.uint16(PteFlag.ACCESSED | PteFlag.DIRTY)
+        if np.any(self.flags[sl] & ACCESSED_MASK):
+            folded |= ACCESSED_MASK
+        if np.any(self.flags[sl] & DIRTY_MASK):
+            folded |= DIRTY_MASK
+        self.flags[sl] &= ~(ACCESSED_MASK | DIRTY_MASK)
         self.flags[head] |= folded
         self._entry_mark_huge(head, head + PAGES_PER_HUGE_PAGE)
 
@@ -224,8 +231,8 @@ class PageTable:
         if not self.is_huge(head):
             raise TranslationError(f"page {head} is not huge")
         sl = slice(head, head + PAGES_PER_HUGE_PAGE)
-        inherited = self.flags[head] & np.uint16(PteFlag.ACCESSED | PteFlag.DIRTY)
-        self.flags[sl] &= ~np.uint16(PteFlag.HUGE)
+        inherited = self.flags[head] & (ACCESSED_MASK | DIRTY_MASK)
+        self.flags[sl] &= ~HUGE_MASK
         self.flags[sl] |= inherited
         self._entry_mark_identity(head, head + PAGES_PER_HUGE_PAGE)
 
@@ -263,13 +270,16 @@ class PageTable:
         self._mark_entries_dirty(start, end)
 
     def _entry_mark_huge(self, start: int, end: int) -> None:
-        """Point the huge-aligned ``[start, end)`` at its span heads."""
+        """Point the huge-aligned ``[start, end)`` at its span heads.
+
+        Written in place: chunked tables tile one span's deltas into each
+        chunk, dense tables broadcast each span's head over its row.
+        """
         if self.chunked:
-            rel = np.arange(start, end, dtype=np.int64) % PAGES_PER_HUGE_PAGE
-            self._entry_delta[start:end] = (-rel).astype(np.int16)
+            self._entry_delta.tile(start, end, _HUGE_ENTRY_DELTA)
         else:
-            span = np.arange(start, end, dtype=np.int64)
-            self._entry[start:end] = span - (span % PAGES_PER_HUGE_PAGE)
+            heads = np.arange(start, end, PAGES_PER_HUGE_PAGE, dtype=np.int64)
+            self._entry[start:end].reshape(-1, PAGES_PER_HUGE_PAGE)[:] = heads[:, None]
         self._mark_entries_dirty(start, end)
 
     def entry_index(self, pages: np.ndarray) -> np.ndarray:
@@ -284,7 +294,7 @@ class PageTable:
             if self.chunked:
                 return pages + self._entry_delta[pages]
             return self._entry[pages]
-        huge = (self.flags[pages] & PteFlag.HUGE) != 0
+        huge = (self.flags[pages] & HUGE_MASK) != 0
         entries = pages.copy()
         entries[huge] = pages[huge] - (pages[huge] % PAGES_PER_HUGE_PAGE)
         return entries
@@ -418,7 +428,7 @@ class PageTable:
     def huge_heads(self) -> np.ndarray:
         """Heads of all current huge mappings, ascending."""
         candidates = np.arange(0, self.n_pages, PAGES_PER_HUGE_PAGE)
-        mask = (self.flags[candidates] & PteFlag.HUGE) != 0
+        mask = (self.flags[candidates] & HUGE_MASK) != 0
         return candidates[mask]
 
     # -- accessed / dirty bits -----------------------------------------------
@@ -426,10 +436,10 @@ class PageTable:
     def set_accessed(self, entries: np.ndarray, written: np.ndarray | None = None) -> None:
         """MMU path: mark entries accessed, and dirty where ``written``."""
         entries = np.asarray(entries, dtype=np.int64)
-        self.flags[entries] |= np.uint16(PteFlag.ACCESSED)
+        self.flags[entries] |= ACCESSED_MASK
         if written is not None:
             written = np.asarray(written, dtype=bool)
-            self.flags[entries[written]] |= np.uint16(PteFlag.DIRTY)
+            self.flags[entries[written]] |= DIRTY_MASK
 
     def scan_accessed(self, entries: np.ndarray, reset: bool = True) -> np.ndarray:
         """Read (and by default clear) the access bit of ``entries``.
@@ -438,16 +448,16 @@ class PageTable:
         *cost* of the scan is charged separately by the cost model.
         """
         entries = np.asarray(entries, dtype=np.int64)
-        accessed = (self.flags[entries] & PteFlag.ACCESSED) != 0
+        accessed = (self.flags[entries] & ACCESSED_MASK) != 0
         if reset:
-            self.flags[entries] &= ~np.uint16(PteFlag.ACCESSED)
+            self.flags[entries] &= ~ACCESSED_MASK
         return accessed
 
     def test_and_clear_dirty(self, entries: np.ndarray) -> np.ndarray:
         """Read and clear the dirty bit of ``entries``."""
         entries = np.asarray(entries, dtype=np.int64)
-        dirty = (self.flags[entries] & PteFlag.DIRTY) != 0
-        self.flags[entries] &= ~np.uint16(PteFlag.DIRTY)
+        dirty = (self.flags[entries] & DIRTY_MASK) != 0
+        self.flags[entries] &= ~DIRTY_MASK
         return dirty
 
     # -- auxiliary flags (profiler / migration machinery) ----------------------
@@ -469,14 +479,14 @@ class PageTable:
     def mapped_pages(self) -> int:
         """Number of mapped base pages."""
         if self.chunked:
-            return self.flags.count_nonzero_and(int(PteFlag.PRESENT))
-        return int(np.count_nonzero(self.flags & PteFlag.PRESENT))
+            return self.flags.count_nonzero_and(PRESENT_MASK)
+        return int(np.count_nonzero(self.flags & PRESENT_MASK))
 
     def huge_mapped_pages(self) -> int:
         """Number of base pages covered by huge mappings."""
         if self.chunked:
-            return self.flags.count_nonzero_and(int(PteFlag.HUGE))
-        return int(np.count_nonzero(self.flags & PteFlag.HUGE))
+            return self.flags.count_nonzero_and(HUGE_MASK)
+        return int(np.count_nonzero(self.flags & HUGE_MASK))
 
     def leaf_entries(self) -> int:
         """Leaf entries a full scan must touch (4 KB PTEs + one per PMD)."""

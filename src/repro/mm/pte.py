@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 
 class PteFlag(enum.IntFlag):
     """Flags stored per leaf page-table entry."""
@@ -34,3 +36,12 @@ class PteFlag(enum.IntFlag):
     def default_mapped(cls) -> "PteFlag":
         """Flags of a freshly mapped, writable, clean page."""
         return cls.PRESENT | cls.WRITABLE
+
+
+# Flag masks as uint16 scalars, the dtype of the page table's flags.  Numpy
+# takes an IntFlag member for a strong int64 scalar, so masking the flags with
+# ``PteFlag.X`` widens the result to int64; masking with these does not.
+PRESENT_MASK = np.uint16(PteFlag.PRESENT)
+HUGE_MASK = np.uint16(PteFlag.HUGE)
+ACCESSED_MASK = np.uint16(PteFlag.ACCESSED)
+DIRTY_MASK = np.uint16(PteFlag.DIRTY)

@@ -40,8 +40,8 @@ class MtmPolicyConfig:
     Attributes:
         migration_budget_bytes: promoted bytes per interval (the paper's
             ``N``).  ``None`` scales the paper's 200 MB by ``scale`` with a
-            floor of two regions so scaled machines still migrate whole
-            regions.
+            floor of sixteen 2 MB regions (32 MB) so scaled machines still
+            migrate whole regions.
         scale: machine capacity scale (for the default budget).
         num_buckets: WHI histogram resolution.
         default_socket: view used when a region's accessor is unknown.

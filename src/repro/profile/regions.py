@@ -179,9 +179,15 @@ class RegionSet:
         self._total_samples = 0
         self._total_pages = 0
         self.stats = RegionStats()
-        if regions:
-            for region in sorted(regions, key=lambda r: r.start):
-                self.add(region)
+        # One ordered pass: once sorted, a region can only overlap its
+        # predecessor, so no bisecting insert is needed.
+        prev = None
+        for region in sorted(regions or (), key=lambda r: r.start):
+            if prev is not None and region.start < prev.end:
+                raise ProfilingError(f"{region} overlaps {prev}")
+            self._regions.append(region)
+            self._adopt(region)
+            prev = region
 
     # -- container ----------------------------------------------------------
 

@@ -23,6 +23,7 @@ from repro import kernels, perfflags
 from repro.bench.runner import run_matrix, run_solution
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
+from repro.errors import ConfigError
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.mm.chunked import ChunkedArray
 from repro.mm.pagetable import PageTable
@@ -492,6 +493,36 @@ class TestChunkedArray:
         dense[200:400] = 7
         np.testing.assert_array_equal(chunked[dense == 7], dense[dense == 7])
 
+    def test_tile_and_any_and_match_dense(self):
+        rng = np.random.default_rng(9)
+        n = 4000  # the last chunk is partial
+        chunked, dense = self._pair(n, fill=0, dtype=np.uint16)
+        period = 128
+        pattern = (np.arange(period, dtype=np.uint16) * 3) % 8
+        for _ in range(300):
+            op = rng.integers(0, 3)
+            a, b = sorted(rng.integers(0, n // period + 1, 2) * period)
+            if op == 0:
+                chunked.tile(a, b, pattern)
+                dense[a:b] = np.tile(pattern, (b - a) // period)
+            elif op == 1:  # scalar stores keep some chunks scalar, some dense
+                a, b = sorted(rng.integers(0, n, 2))
+                v = int(rng.integers(0, 8))
+                chunked[a:b] = v
+                dense[a:b] = v
+            else:
+                a, b = sorted(rng.integers(0, n, 2))
+                mask = np.uint16(1 << int(rng.integers(0, 3)))
+                assert chunked.any_and(mask, a, b) == bool(np.any(dense[a:b] & mask))
+        np.testing.assert_array_equal(np.asarray(chunked), dense)
+        with pytest.raises(ConfigError):
+            chunked.tile(period // 2, period, pattern)
+        for a, b in ((0, n + 100), (-period, period), (2 * period, period)):
+            with pytest.raises(IndexError):
+                chunked.any_and(np.uint16(1), a, b)
+            with pytest.raises(IndexError):
+                chunked.tile(a, b, pattern)
+
 
 class TestChunkedPageTable:
     """Multi-chunk tables (chunk_pages=512, far below the auto
@@ -588,7 +619,6 @@ class TestChunkedPageTable:
         assert chunked.storage_nbytes() < dense.storage_nbytes()
 
     def test_chunk_pages_must_align_to_huge_pages(self):
-        from repro.errors import ConfigError
         with pytest.raises(ConfigError):
             PageTable(2048, chunked=True, chunk_pages=100)
 

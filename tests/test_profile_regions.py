@@ -74,6 +74,36 @@ class TestRegionSetContainer:
         rs = RegionSet.from_spans([(0, 2048)])
         rs.check_invariants()
 
+    @pytest.mark.parametrize(
+        ("spans", "region_pages"),
+        [
+            ([(4096, 1100), (0, 1024), (1024, 512)], 512),  # unsorted, adjacent, tail
+            ([(10, 7), (0, 10), (17, 0), (40, 3)], 4),  # tails, an empty span
+            ([(2048, 512), (512, 1536), (0, 300)], 700),  # regions wider than a span
+        ],
+    )
+    def test_from_spans_matches_region_by_region(self, spans, region_pages):
+        seeded = RegionSet.from_spans(spans, region_pages=region_pages)
+        one_by_one = RegionSet()
+        for start, n in spans:
+            for off in range(start, start + n, region_pages):
+                one_by_one.add(MemoryRegion(start=off, npages=min(region_pages, start + n - off)))
+        assert [(r.start, r.npages, r.n_samples) for r in seeded] == [
+            (r.start, r.npages, r.n_samples) for r in one_by_one
+        ]
+        assert seeded.total_samples() == one_by_one.total_samples()
+        assert seeded.total_pages() == one_by_one.total_pages() == sum(n for _, n in spans)
+        seeded.check_invariants()
+        seeded[1].n_samples += 4
+        assert seeded.total_samples() == one_by_one.total_samples() + 4
+        seeded.check_invariants()
+
+    @pytest.mark.parametrize("spans", [[(0, 1024), (512, 1024)], [(2048, 10), (0, 4096)],
+                                       [(0, 512), (0, 512)]])
+    def test_from_spans_rejects_overlap(self, spans):
+        with pytest.raises(ProfilingError):
+            RegionSet.from_spans(spans)
+
 
 class TestMerge:
     def test_merges_alike_neighbors(self):
