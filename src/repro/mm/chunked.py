@@ -13,13 +13,11 @@ touch, not the footprint.
 
 The class implements the indexing surface the simulator's hot paths
 actually use — integer/slice/fancy get and set (including the
-read-modify-write ``arr[idx] |= x`` desugaring), ``fill``, ``tile`` (a
-pattern repeated over a range), ``add_at`` (the ``np.add.at``
-equivalent), whole-array ``== scalar``, bit tests over a range
-(``any_and``) or the whole array (``count_nonzero_and``), and
-``__array__`` — so :class:`~repro.mm.pagetable.PageTable` and
-:class:`~repro.mm.mmu.Mmu` can swap it in without changing callers.
-Scatter order is preserved per chunk, so duplicate-index assignment
+read-modify-write ``arr[idx] |= x`` desugaring), ``tile`` (a pattern
+repeated over a range), whole-array ``== scalar``, bit tests over a
+range (``any_and``) or the whole array (``count_nonzero_and``), and
+``__array__`` — so :class:`~repro.mm.pagetable.PageTable` can swap it
+in without changing callers.  Scatter order is preserved per chunk, so duplicate-index assignment
 keeps numpy's last-write-wins semantics and stays bit-identical to the
 dense arrays.  Integer and fancy indices follow dense bounds rules:
 negative indices wrap once, and out-of-range ones raise ``IndexError``.
@@ -235,11 +233,6 @@ class ChunkedArray:
             else:
                 self._dense(c)[local] = vals[sel]
 
-    def fill(self, value) -> None:
-        """Set every element to ``value`` (all chunks become scalar)."""
-        v = self.dtype.type(value)
-        self._chunks = [v] * len(self._chunks)
-
     def tile(self, start: int, stop: int, pattern: np.ndarray) -> None:
         """Store ``pattern`` repeated over ``[start, stop)``.
 
@@ -257,12 +250,6 @@ class ChunkedArray:
             )
         for c, lo, hi in self._pieces(start, stop):
             self._dense(c)[lo:hi].reshape(-1, period)[:] = pattern
-
-    def add_at(self, idx: np.ndarray, vals: np.ndarray) -> None:
-        """``np.add.at`` semantics: unbuffered scatter-add (dupes accumulate)."""
-        idx, groups = self._grouped(idx)
-        for c, sel in groups:
-            np.add.at(self._dense(c), idx[sel] - (c << self._shift), vals[sel])
 
     # -- whole-array operations ------------------------------------------------
 

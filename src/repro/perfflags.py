@@ -2,17 +2,18 @@
 
 One switch, **vectorized**, selects the optimized hot paths (the
 default): struct-of-arrays region bookkeeping, bulk entry/node
-resolution, the :mod:`repro.kernels` array pipelines (scatter-reset MMU
-state, fused batch ingest, span resolution, per-node accumulation,
-fused region scoring), and the delta-driven interval pipeline, whose
-per-interval work (entry resolution, region node lookup, PTE
-bookkeeping) scales with the pages *touched this interval* plus
-dirty-region invalidations instead of with the total footprint.
+resolution, the :mod:`repro.kernels` array pipelines (fused MMU batch
+ingest, span resolution, per-node accumulation, batched region
+scoring), and the delta-driven interval pipeline, whose per-interval
+work (entry resolution, region node lookup, PTE bookkeeping) scales
+with the pages *touched this interval* plus dirty-region invalidations
+instead of with the total footprint.
 
 All optimized implementations are bit-identical to the original
 per-region Python loops by construction — every RNG draw happens in
-the same order with the same arguments, and cached values are
-invalidated whenever the state they derive from changes.  The legacy
+the same order (a batched draw consumes the stream element by element,
+as the per-region calls did), and cached values are invalidated
+whenever the state they derive from changes.  The legacy
 paths are kept behind the switch for two reasons: differential tests
 assert the equivalence, and ``benchmarks/bench_perf_smoke.py`` uses the
 legacy mode as the pre-optimization baseline it reports its speedup

@@ -593,7 +593,7 @@ class SimulationEngine:
         """Serialize the engine's complete state after the current interval.
 
         The snapshot captures everything a continued run depends on —
-        simulated clock, MMU arrays, page table, profiler/policy state,
+        simulated clock, MMU histogram, page table, profiler/policy state,
         planner backlog, RNG streams, fault-injector state — so
         ``SimulationEngine.fork(snapshot).run(m)`` is bit-identical to
         running ``m`` more intervals on this engine (test-enforced).

@@ -9,14 +9,15 @@ memoizing the workload's batch stream, memoize the *whole engine state*
 at the branch point.
 
 :func:`capture_engine` serializes a :class:`~repro.sim.engine.
-SimulationEngine` — simulated clock, MMU arrays, page table, frame
-accounting, profiler/policy/planner state, fault injector, and every
-named RNG stream — into one self-contained byte payload (pickle protocol
-5; ~40 MB and ~60 ms at the quick bench scale).  :func:`fork_engine`
-rebuilds an independent engine from it: forks share nothing mutable with
-the parent or with sibling forks, and running a fork is bit-identical to
-continuing the original run (test-enforced, including under fault
-injection).
+SimulationEngine` — simulated clock, the MMU's interval histogram, page
+table, frame accounting, profiler/policy/planner state, fault injector,
+and every named RNG stream — into one self-contained byte payload
+(pickle protocol 5).  At the quick bench scale (1/512) a warmed mtm
+engine dumps to ~10.5 MB, nearly all of it the page table, in ~10 ms.
+:func:`fork_engine` rebuilds an independent engine from it: forks share
+nothing mutable with the parent or with sibling forks, and running a
+fork is bit-identical to continuing the original run (test-enforced,
+including under fault injection).
 
 The shared :class:`~repro.sim.tracecache.TraceCache` is deliberately
 *not* captured: it can be arbitrarily large, it is shared across engines,
@@ -63,8 +64,9 @@ class EngineSnapshot:
             solution-prefix, interval)``; ``None`` for ad-hoc snapshots.
         interval: intervals simulated when the snapshot was taken.
         payload: the pickled engine (protocol 5, uncompressed — zlib
-            would save ~30x the bytes but costs more time than simulating
-            several intervals, the wrong trade for a speedup cache).
+            shrinks it ~10x but takes ~0.4 s at the quick bench scale,
+            the time of ~40 simulated intervals, the wrong trade for a
+            speedup cache).
         trace_key: the engine's trace-cache key, exposed so forking code
             can tell whether the fork needs a cache attached.
     """

@@ -12,9 +12,12 @@ import pytest
 from repro import perfflags
 from repro.bench.runner import MatrixResult, run_matrix, run_solution, run_sweep
 from repro.bench.scaling import BenchProfile
+from repro.core.baselines import make_engine
 from repro.errors import ConfigError
+from repro.faults.injector import FaultConfig, FaultInjector
 from repro.metrics.perfstats import CacheStats, PerfStats
 from repro.sim.tracecache import TraceCache
+from repro.workloads.registry import build_workload
 from tests.support import fingerprint, matrix_fingerprint, sweep_fingerprint
 from tests.test_snapshot import TAU_VARIANTS, set_tau
 
@@ -59,6 +62,31 @@ class TestVectorizedBitIdentity:
         )
         assert sweep_fingerprint(fast) == sweep_fingerprint(legacy)
         assert fast.results[TAU_VARIANTS[0].label].fault_log is not None
+
+    def test_two_socket_mtm_under_faults_equals_legacy(self):
+        # The vectorized MTM pass scans every region in one call and
+        # gathers hint-fault sockets in one lookup.  Half the accesses
+        # come from socket 1, so that gather picks real sockets, and
+        # injected scan truncation shortens the chosen sets.
+        def run():
+            workload = build_workload("gups", SCALE, seed=3,
+                                      remote_thread_fraction=0.5)
+            engine = make_engine(
+                "mtm", workload, scale=SCALE, seed=3,
+                injector=FaultInjector(FaultConfig.uniform(0.05), seed=123),
+            )
+            result = fingerprint(engine.run(8))
+            regions = [(r.start, r.npages, r.whi, r.dominant_socket, r.hottest_entry)
+                       for r in engine.profiler.regions]
+            return engine, result, regions
+
+        with perfflags.legacy_mode():
+            _, legacy, legacy_regions = run()
+        engine, fast, regions = run()
+        assert fast == legacy
+        assert regions == legacy_regions
+        assert engine.injector.log.truncated_scans > 0
+        assert {r[3] for r in regions} >= {0, 1}
 
     def test_legacy_mode_restores_flag(self):
         assert perfflags.vectorized()

@@ -305,3 +305,13 @@ class TestBatchRelease:
         engine = make_engine("mtm", "gups", scale=SCALE, seed=SEED)
         engine.run(4)
         assert engine.mmu._current_batch is None
+
+    def test_payload_is_page_table_plus_interval_state(self):
+        # The MMU keeps one compact histogram of the last interval, so a
+        # captured engine is its page table plus well under a megabyte
+        # (per-page MMU arrays made this payload 39.4 MB against a
+        # 10.5 MB table).
+        engine = make_engine("mtm", "gups", scale=SCALE, seed=SEED)
+        engine.run(4)
+        snap = capture_engine(engine)
+        assert snap.nbytes <= engine.space.page_table.storage_nbytes() + (1 << 20)
