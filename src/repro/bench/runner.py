@@ -3,13 +3,16 @@
 The matrix runner supports three independent accelerations, all
 result-preserving:
 
-* a shared :class:`~repro.sim.tracecache.TraceCache` so each workload's
-  batch stream is synthesized once instead of once per solution;
-* ``workers=K`` — a ``ProcessPoolExecutor`` fans the matrix cells out
-  across processes.  Every cell builds its own engine from
-  ``(solution, workload, profile)`` with fully deterministic seeding, and
-  cells are keyed (not ordered) on collection, so ``workers=4`` is
-  bit-identical to ``workers=1`` (asserted by tests);
+* a :class:`~repro.sim.tracecache.TraceCache` per process, so each
+  workload's batch stream is synthesized once per process and replayed
+  to the workload's other solutions;
+* ``workers=K`` — a ``ProcessPoolExecutor`` runs the matrix as workload
+  rows, heaviest first, one row per task, so a row's stream is
+  synthesized once in whichever worker takes it.  Every cell builds its
+  own engine from ``(solution, workload, profile)`` with fully
+  deterministic seeding, and cells are keyed (not ordered) on
+  collection, so ``workers=4`` is bit-identical to ``workers=1``
+  (asserted by tests);
 * the vectorized hot paths (see :mod:`repro.perfflags`), inherited by
   forked workers.
 
@@ -40,6 +43,7 @@ from repro.metrics.perfstats import CacheStats, PerfStats
 from repro.metrics.report import Table, normalize
 from repro.sim.engine import SimulationEngine, SimulationResult
 from repro.sim.snapshot import SnapshotCache, capture_engine
+from repro.workloads.registry import workload_spec
 
 if TYPE_CHECKING:
     from repro.obs.context import ObsConfig, ObsContext
@@ -254,12 +258,12 @@ class MatrixResult:
     Attributes:
         results: ``results[workload][solution]`` -> SimulationResult.
         baseline: solution used for normalization.
-        perf: host-side stats merged across every cell — phase times and
-            samples summed, and each cell's trace-cache counters recorded
-            as the *delta* its run contributed (so a cache shared by
-            sibling cells in one process is not double-counted).  With
-            ``workers=K`` this is how worker-side counters survive the
-            process boundary instead of being dropped.
+        perf: run-level counters summed over the cells this call
+            simulated: intervals, and the trace-cache hits, misses and
+            evictions each engine's own requests added (so a cache
+            shared by sibling cells is not double-counted, in this
+            process or in a pool worker).  Cells served from a result
+            cache carry no ``perf``.
     """
 
     results: dict[str, dict[str, SimulationResult]]
@@ -307,37 +311,84 @@ class MatrixResult:
 # -- parallel execution ----------------------------------------------------
 
 #: Per-worker-process trace cache, created lazily inside the worker so
-#: sibling cells in the same process share synthesized streams.
+#: every task the worker runs shares its synthesized streams.
 _worker_cache: "TraceCache | None" = None
 
 
-def _run_cell(args: tuple) -> tuple[str, str, SimulationResult]:
-    """Executes one matrix cell in a worker process (must be picklable)."""
+def _process_trace_cache() -> "TraceCache":
+    """This worker process's trace cache (built on first use)."""
     global _worker_cache
-    (workload, solution, profile, intervals, fault_rate, fault_seed,
-     use_cache, recovery, obs_config) = args
-    if use_cache and _worker_cache is None:
+    if _worker_cache is None:
         from repro.sim.tracecache import TraceCache
 
         _worker_cache = TraceCache()
-    before = _worker_cache.stats() if use_cache else None
-    result = run_solution(
-        solution,
-        workload,
-        profile,
-        intervals=intervals,
-        fault_rate=fault_rate,
-        fault_seed=fault_seed,
-        trace_cache=_worker_cache if use_cache else None,
-        recovery=recovery,
-        obs=obs_config,
-    )
-    if use_cache and result.perf is not None:
-        # The per-process cache is shared by every cell this worker runs;
-        # report this cell's *contribution* so the parent can sum cells
-        # without double counting.
-        result.perf.cache = _worker_cache.stats().delta(before)
-    return workload, solution, result
+    return _worker_cache
+
+
+def _row_tasks(
+    workloads: list[str],
+    solutions: list[str],
+    skip: frozenset,
+    profile: BenchProfile,
+    intervals: int | None,
+    workers: int,
+) -> list[tuple[str, tuple[str, ...]]]:
+    """The matrix's cells not in ``skip``, as ``(workload, solutions)`` tasks.
+
+    A task is one workload row, run in solution order in one process,
+    so that process's trace cache synthesizes the row's stream once and
+    replays it to the rest of the row.  Rows go heaviest first (paper
+    footprint x intervals): a pool hands each task to whichever worker
+    frees up first, so the longest row must not start last.  Only when
+    the workers outnumber the rows does each row split into
+    ``ceil(workers / rows)`` contiguous chunks, so every worker has work.
+    """
+
+    def weight(row: tuple[str, tuple[str, ...]]) -> int:
+        """Paper footprint x intervals: what the row's stream costs."""
+        workload = row[0]
+        n = intervals if intervals is not None else profile.intervals_for(workload)
+        return workload_spec(workload).footprint_bytes * n
+
+    rows = [
+        (w, tuple(s for s in solutions if (w, s) not in skip)) for w in workloads
+    ]
+    rows = sorted(((w, sols) for w, sols in rows if sols), key=weight, reverse=True)
+    parts = math.ceil(workers / len(rows)) if rows else 1
+    tasks = []
+    for workload, sols in rows:
+        n = min(parts, len(sols))
+        bounds = [len(sols) * i // n for i in range(n + 1)]
+        tasks += [(workload, sols[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return tasks
+
+
+def _run_row(
+    task: tuple, trace_cache: "TraceCache | None" = None
+) -> list[tuple[str, str, SimulationResult]]:
+    """Run one task's solutions on its workload, in order (picklable).
+
+    Serial matrices pass their own cache; in a pool worker a caching
+    task runs on the worker process's cache.
+    """
+    (workload, solutions, profile, intervals, fault_rate, fault_seed,
+     use_cache, recovery, obs_config) = task
+    if use_cache and trace_cache is None:
+        trace_cache = _process_trace_cache()
+    return [
+        (workload, solution, run_solution(
+            solution,
+            workload,
+            profile,
+            intervals=intervals,
+            fault_rate=fault_rate,
+            fault_seed=fault_seed,
+            trace_cache=trace_cache,
+            recovery=recovery,
+            obs=obs_config,
+        ))
+        for solution in solutions
+    ]
 
 
 def run_matrix(
@@ -358,16 +409,19 @@ def run_matrix(
     """Run every solution on every workload (Fig. 4 / Fig. 5 driver).
 
     Args:
-        workers: processes to fan cells out over; ``None`` uses the CLI
+        workers: processes to run the matrix over; ``None`` uses the CLI
             default (see :func:`set_default_workers`), 1 runs serial in
-            this process.  Parallel results are keyed on
-            ``(workload, solution)``, never on completion order, and each
-            cell seeds deterministically — ``workers=K`` is bit-identical
-            to serial for any K.
+            this process.  Either way the cells run as workload-row
+            tasks, heaviest row first (see :func:`_row_tasks`); a pool
+            splits rows only when ``workers`` exceeds their number.
+            Results are keyed on ``(workload, solution)``, never on
+            completion order, and each cell seeds deterministically —
+            ``workers=K`` is bit-identical to serial for any K.
         fault_rate / fault_seed: per-cell fault injection (each cell gets
             a fresh injector with exactly this seed).
-        trace_cache: cache for the serial path; ``None`` builds a private
-            one.  Parallel workers always use a per-process cache.
+        trace_cache: the serial run's cache; ``None`` builds a private
+            one.  Pool workers each use their process's own cache, which
+            synthesizes a stream once per row task it runs.
         use_cache: ``False`` disables batch-stream memoization entirely
             (the pre-optimization behaviour; the perf-smoke benchmark's
             baseline arm).
@@ -413,12 +467,12 @@ def run_matrix(
                     collected[(workload, solution)] = hit
     cached_coords = frozenset(collected)
 
-    cells = [
-        (workload, solution, profile, intervals, fault_rate, fault_seed,
+    tasks = [
+        (workload, chunk, profile, intervals, fault_rate, fault_seed,
          use_cache, recovery, obs_config)
-        for workload in workloads
-        for solution in solutions
-        if (workload, solution) not in cached_coords
+        for workload, chunk in _row_tasks(
+            workloads, solutions, cached_coords, profile, intervals, workers
+        )
     ]
     if workers == 1:
         if not use_cache:
@@ -427,44 +481,31 @@ def run_matrix(
             from repro.sim.tracecache import TraceCache
 
             trace_cache = TraceCache()
-        with _stream_collector(collector):
-            for workload, solution, *_ in cells:
-                before = trace_cache.stats() if trace_cache is not None else None
-                result = run_solution(
-                    solution,
-                    workload,
-                    profile,
-                    intervals=intervals,
-                    fault_rate=fault_rate,
-                    fault_seed=fault_seed,
-                    trace_cache=trace_cache,
-                    recovery=recovery,
-                    obs=obs_config,
-                )
-                if trace_cache is not None and result.perf is not None:
-                    result.perf.cache = trace_cache.stats().delta(before)
-                collected[(workload, solution)] = result
+        rows = (_run_row(task, trace_cache) for task in tasks)
     else:
-        for workload, solution, result in _pool_map(
-            _run_cell, cells, workers, collector=collector
-        ):
-            collected[(workload, solution)] = result
+        rows = _pool_map(_run_row, tasks, workers, collector=collector)
+    with _stream_collector(collector):
+        for row in rows:
+            for workload, solution, result in row:
+                collected[(workload, solution)] = result
 
     if result_cache is not None:
         for coords, result in collected.items():
             if coords not in cached_coords:
                 result_cache.put(cell_keys[coords], result)
 
-    if collector is not None:
-        for result in collected.values():
-            if result.obs is not None:
-                collector.absorb(result.obs)
-
     results: dict[str, dict[str, SimulationResult]] = {}
     for workload in workloads:
         results[workload] = {}
         for solution in solutions:
             results[workload][solution] = collected[(workload, solution)]
+
+    if collector is not None:
+        # Matrix order, not run order: tracks land the same at any K.
+        for row in results.values():
+            for result in row.values():
+                if result.obs is not None:
+                    collector.absorb(result.obs)
     return MatrixResult(
         results=results, baseline=baseline, perf=_aggregate_perf(collected.values())
     )
@@ -555,21 +596,14 @@ def _run_variant_cold(
 
 def _run_cold_cell(args: tuple) -> tuple[str, SimulationResult]:
     """Cold sweep cell in a worker process (must be picklable)."""
-    global _worker_cache
     (solution, workload, profile, label, params, apply_fn, warmup, rest,
      fault_rate, fault_seed, collect_quality, engine_kwargs, obs_config) = args
-    if _worker_cache is None:
-        from repro.sim.tracecache import TraceCache
-
-        _worker_cache = TraceCache()
-    before = _worker_cache.stats()
     result = _run_variant_cold(
         solution, workload, profile, params, apply_fn, warmup, rest,
-        fault_rate, fault_seed, collect_quality, _worker_cache, engine_kwargs,
-        obs_config=obs_config, obs_label=f"{workload}/{solution}/{label}",
+        fault_rate, fault_seed, collect_quality, _process_trace_cache(),
+        engine_kwargs, obs_config=obs_config,
+        obs_label=f"{workload}/{solution}/{label}",
     )
-    if result.perf is not None:
-        result.perf.cache = _worker_cache.stats().delta(before)
     return label, result
 
 
@@ -580,26 +614,19 @@ _worker_snapshots: dict = {}
 
 def _run_fork_cell(args: tuple) -> tuple[str, SimulationResult]:
     """Forked sweep cell in a worker process (must be picklable)."""
-    global _worker_cache, _worker_snapshots
     path, label, params, apply_fn, rest, obs_config, obs_label = args
     snap = _worker_snapshots.get(path)
     if snap is None:
         with open(path, "rb") as fh:
             snap = pickle.load(fh)
         _worker_snapshots[path] = snap
-    if _worker_cache is None:
-        from repro.sim.tracecache import TraceCache
-
-        _worker_cache = TraceCache()
-    before = _worker_cache.stats()
     engine = SimulationEngine.fork(
-        snap, trace_cache=_worker_cache, obs=_cell_obs(obs_config, label=obs_label)
+        snap, trace_cache=_process_trace_cache(),
+        obs=_cell_obs(obs_config, label=obs_label),
     )
     apply_fn(engine, params)
     result = engine.run(rest)
     _close_cell_stream(engine.obs)
-    if result.perf is not None:
-        result.perf.cache = _worker_cache.stats().delta(before)
     return label, result
 
 
@@ -681,17 +708,13 @@ def run_sweep(
                 trace_cache = TraceCache()
             with _stream_collector(collector):
                 for v in variants:
-                    before = trace_cache.stats()
-                    result = _run_variant_cold(
+                    collected[v.label] = _run_variant_cold(
                         solution, workload, profile, v.params, apply_fn,
                         warmup_intervals, rest, fault_rate, fault_seed,
                         collect_quality, trace_cache, engine_kwargs,
                         obs_config=obs_config,
                         obs_label=f"{workload}/{solution}/{v.label}",
                     )
-                    if result.perf is not None:
-                        result.perf.cache = trace_cache.stats().delta(before)
-                    collected[v.label] = result
         else:
             cells = [
                 (solution, workload, profile, v.label, v.params, apply_fn,
@@ -749,7 +772,6 @@ def run_sweep(
             if workers == 1:
                 with _stream_collector(collector):
                     for v in variants:
-                        before = trace_cache.stats()
                         engine = SimulationEngine.fork(
                             snap,
                             trace_cache=trace_cache,
@@ -758,11 +780,8 @@ def run_sweep(
                             ),
                         )
                         apply_fn(engine, v.params)
-                        result = engine.run(rest)
+                        collected[v.label] = engine.run(rest)
                         _close_cell_stream(engine.obs)
-                        if result.perf is not None:
-                            result.perf.cache = trace_cache.stats().delta(before)
-                        collected[v.label] = result
             else:
                 if snapshot_cache.spill_dir is not None:
                     path = snapshot_cache.spill_path(key)

@@ -62,9 +62,10 @@ class CacheStats:
     def delta(self, before: "CacheStats | None") -> "CacheStats":
         """Counters accumulated since the ``before`` snapshot.
 
-        Used by the matrix runner to attribute a shared (per-process)
-        cache's activity to individual cells, so worker-side counters
-        can be summed in the parent without double counting.
+        An engine reports its trace cache's delta since the cache was
+        attached, so runs sharing one cache (in this process or in a
+        pool worker) sum without double counting; the sweep runner
+        reports its snapshot cache the same way.
         """
         return delta_fields(self, before, counter_fields=_CACHE_SUM_FIELDS,
                             gauge_fields=_CACHE_MAX_FIELDS)

@@ -129,10 +129,6 @@ class LiveAggregate:
         elif rtype not in ("span", "provenance"):
             self.invalid_records += 1
 
-    def feed_lines(self, records) -> None:
-        for record in records:
-            self.feed(record)
-
     # -- derived views --------------------------------------------------------
 
     def counter_total(self, name: str) -> float:

@@ -106,9 +106,8 @@ def run_cell(spec: JobSpec, workload: str, solution: str,
     if spec.sweep is not None:
         return _run_sweep_cell(spec, workload, solution, warm_cache,
                                tracer=tracer)
-    before = _worker_cache.stats()
     with _span(tracer, "run", workload=workload, solution=solution):
-        result = run_solution(
+        return run_solution(
             solution,
             workload,
             spec.profile,
@@ -119,9 +118,6 @@ def run_cell(spec: JobSpec, workload: str, solution: str,
             recovery=spec.recovery,
             obs=None,
         )
-    if result.perf is not None:
-        result.perf.cache = _worker_cache.stats().delta(before)
-    return result
 
 
 def _run_sweep_cell(spec: JobSpec, workload: str, label: str,
@@ -186,6 +182,8 @@ def _run_sweep_cell(spec: JobSpec, workload: str, label: str,
             apply_fn(engine, params)
             result = engine.run(rest)
     if result.perf is not None:
+        # The engine counts only its own requests; charge the cell with
+        # the warmup it may have simulated too.
         result.perf.cache = _worker_cache.stats().delta(before)
     return result
 

@@ -285,7 +285,7 @@ class SimulationEngine:
         self.watchdog = watchdog if watchdog is not None else IntervalWatchdog()
         self.recovery = recovery
         self._transient_aborts = 0
-        self.trace_cache = trace_cache
+        self._attach_trace_cache(trace_cache)
         self.trace_key = trace_key
         if (
             trace_cache is not None
@@ -336,6 +336,16 @@ class SimulationEngine:
         self._records: list[IntervalRecord] = []
         self._obs_summarized = False
         self._attach_obs(obs)
+
+    def _attach_trace_cache(self, cache: "TraceCache | None") -> None:
+        """Replay batches from ``cache`` and count its activity from here on.
+
+        A cache is usually shared with other engines, so :meth:`result`
+        reports only the hits, misses and evictions added since the
+        cache was attached, not the cache's lifetime totals.
+        """
+        self.trace_cache = cache
+        self._cache_base = cache.stats() if cache is not None else None
 
     def _attach_obs(self, obs: "ObsContext | None") -> None:
         """(Re)wire one obs context through every emitting component.
@@ -625,7 +635,7 @@ class SimulationEngine:
     def result(self) -> SimulationResult:
         """Assemble the run's result (and snapshot the obs context)."""
         if self.trace_cache is not None:
-            self.perfstats.cache = self.trace_cache.stats()
+            self.perfstats.cache = self.trace_cache.stats().delta(self._cache_base)
         obs_data: "ObsData | None" = None
         if self.obs is not None:
             # Run-level summaries (perf and migration counters) land in

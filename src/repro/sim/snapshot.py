@@ -134,7 +134,7 @@ def fork_engine(
             from repro.sim.tracecache import TraceCache
 
             trace_cache = TraceCache()
-        engine.trace_cache = trace_cache
+        engine._attach_trace_cache(trace_cache)
     engine._attach_obs(obs)
     if obs is not None:
         from repro.obs.events import EV_SNAPSHOT_FORK

@@ -66,6 +66,13 @@ def workload_names() -> list[str]:
     return list(WORKLOAD_SPECS)
 
 
+def workload_spec(name: str) -> WorkloadSpec:
+    """The registered spec of workload ``name``."""
+    if name not in WORKLOAD_SPECS:
+        raise WorkloadError(f"unknown workload {name!r}; choose from {workload_names()}")
+    return WORKLOAD_SPECS[name]
+
+
 def build_workload(name: str, scale: float, seed: int = 0, **overrides) -> Workload:
     """Instantiate a workload by name at the given machine scale.
 
@@ -75,8 +82,7 @@ def build_workload(name: str, scale: float, seed: int = 0, **overrides) -> Workl
         seed: RNG seed forwarded to the workload config.
         **overrides: extra config fields for the chosen workload.
     """
-    if name not in WORKLOAD_SPECS:
-        raise WorkloadError(f"unknown workload {name!r}; choose from {workload_names()}")
+    workload_spec(name)
     if name == "gups":
         return GupsWorkload(GupsConfig(scale=scale, seed=seed, **overrides))
     if name == "voltdb":

@@ -6,11 +6,15 @@ serial/pooled runner path — may never change a simulated number.  And
 aggregation must be exact: a pooled run's collector holds the same
 events and counters as a serial run's, each child absorbed exactly once.
 
-Host-side telemetry is excluded from cross-process equality on purpose:
-``cache.*`` events/counters describe the *process-private* trace caches
-(pool workers miss where the serial host hits), and ``perf.*_seconds``
-are wall-clock readings.  Everything derived from the simulation must
-match exactly.
+Host-side telemetry is excluded from cross-process equality where it
+genuinely differs.  ``cache.*`` describes the process-private trace
+caches: a pooled matrix runs each workload row in one worker, so its
+cache hits and misses exactly where the serial cache does (checked
+below), but a row split across workers, or a sweep forked in workers,
+synthesizes its stream once per worker, and the ``cache.cached_bytes``
+gauge reads each process's own cache.  ``perf.*_seconds`` are
+wall-clock readings.  Everything derived from the simulation must match
+exactly.
 """
 
 from __future__ import annotations
@@ -75,6 +79,21 @@ def sim_counters(ctx: ObsContext) -> dict:
     return {
         key: value for key, value in ctx.registry.counters.items()
         if not key[0].startswith(("cache.", "perf.", "obs."))
+    }
+
+
+def cache_counters(ctx: ObsContext) -> dict:
+    """The ``cache.*`` counters, per run label."""
+    return {key: value for key, value in ctx.registry.counters.items()
+            if key[0].startswith("cache.")}
+
+
+def cache_events(ctx: ObsContext) -> dict[str, list]:
+    """Each track's ``cache.*`` events, in emission order."""
+    return {
+        track.label: [(e.name, e.interval, e.fields) for e in track.events
+                      if e.name.startswith("cache.")]
+        for track in ctx.tracks
     }
 
 
@@ -151,6 +170,22 @@ class TestMatrixTelemetry:
         assert matrix_fingerprint(serial) == matrix_fingerprint(pooled)
         assert sim_event_counts(serial_obs) == sim_event_counts(pooled_obs)
         assert sim_counters(serial_obs) == sim_counters(pooled_obs)
+        # Whole rows per worker: the trace caches agree too.
+        assert cache_counters(serial_obs) == cache_counters(pooled_obs)
+        assert cache_events(serial_obs) == cache_events(pooled_obs)
+
+    def test_collector_cache_counters_are_per_run(self, tiny_profile):
+        """Each run's ``cache.*`` counters are what its own requests
+        added to the shared cache, so they sum to the matrix's perf."""
+        obs = ObsContext(label="matrix")
+        matrix = run_matrix(WORKLOADS, SOLUTIONS, tiny_profile, workers=1,
+                            obs=obs)
+        cache = matrix.perf.cache
+        registry = obs.registry
+        assert registry.counter_total("cache.hits") == cache.hits > 0
+        assert registry.counter_total("cache.misses") == cache.misses > 0
+        assert (registry.counter_total("cache.requests")
+                == cache.hits + cache.misses)
 
     def test_collector_holds_one_track_per_cell(self, tiny_profile):
         obs = ObsContext(label="matrix")

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from repro import perfflags
-from repro.bench.runner import MatrixResult, run_matrix, run_solution, run_sweep
+from repro.bench.runner import (
+    MatrixResult,
+    _row_tasks,
+    run_matrix,
+    run_solution,
+    run_sweep,
+)
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.errors import ConfigError
@@ -193,6 +199,56 @@ class TestParallelDeterminism:
     def test_workers_validation(self, tiny_profile):
         with pytest.raises(ConfigError):
             run_matrix(["gups"], ["first-touch", "mtm"], tiny_profile, workers=0)
+
+    def test_pooled_rows_synthesize_each_stream_once(self, tiny_profile):
+        """A pool runs each workload row in one worker, so its cache
+        misses once per interval of each stream, cell for cell as the
+        serial run's one cache does."""
+        serial = run_matrix(self.WORKLOADS, self.SOLUTIONS, tiny_profile, workers=1)
+        pooled = run_matrix(self.WORKLOADS, self.SOLUTIONS, tiny_profile, workers=2)
+        intervals = tiny_profile.intervals_for("gups")
+        assert pooled.perf.cache.misses == len(self.WORKLOADS) * intervals
+        assert pooled.perf.cache.hits == serial.perf.cache.hits
+
+        def counts(result):
+            cache = result.perf.cache
+            return cache.hits, cache.misses, cache.evictions
+
+        for workload in self.WORKLOADS:
+            for solution in self.SOLUTIONS:
+                assert (counts(pooled.results[workload][solution])
+                        == counts(serial.results[workload][solution]))
+
+    def test_row_tasks_heaviest_first_each_cell_once(self, tiny_profile):
+        workloads = ["voltdb", "bfs", "gups"]  # 300, 525 and 512 GB
+        solutions = ["first-touch", "hmc", "mtm"]
+        every_cell = sorted((w, s) for w in workloads for s in solutions)
+        for workers, chunks_per_row in ((1, 1), (2, 1), (3, 1), (4, 2),
+                                        (7, 3), (10, 3)):
+            tasks = _row_tasks(workloads, solutions, frozenset(),
+                               tiny_profile, None, workers)
+            assert sorted((w, s) for w, chunk in tasks for s in chunk) == every_cell
+            assert len(tasks) == len(workloads) * chunks_per_row
+            order = [w for w, _ in tasks]
+            assert order == sorted(order, key=["bfs", "gups", "voltdb"].index)
+            for workload in workloads:
+                row = [s for w, chunk in tasks if w == workload for s in chunk]
+                assert row == solutions
+
+        # Intervals weigh in too, and cached cells are left out.
+        long_voltdb = BenchProfile(name="t", scale=SCALE, seed=3,
+                                   intervals={"voltdb": 40, "bfs": 4, "gups": 4})
+        cached = frozenset({("voltdb", "first-touch"), ("gups", "first-touch"),
+                            ("gups", "hmc"), ("gups", "mtm")})
+        assert _row_tasks(workloads, solutions, cached, long_voltdb, None, 2) == [
+            ("voltdb", ("hmc", "mtm")), ("bfs", tuple(solutions)),
+        ]
+
+    def test_split_row_bit_identical_to_serial(self, tiny_profile):
+        solutions = ["first-touch", "hmc", "mtm"]
+        serial = run_matrix(["gups"], solutions, tiny_profile, workers=1)
+        pooled = run_matrix(["gups"], solutions, tiny_profile, workers=3)
+        assert matrix_fingerprint(serial) == matrix_fingerprint(pooled)
 
 
 class TestGeomean:
