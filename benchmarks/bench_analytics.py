@@ -17,12 +17,11 @@ as numbers:
 * **diff** — ``diff_runs`` over two solutions' stores, including the
   bootstrap confidence intervals on dwell means.
 
-Results are appended as an ``analytics`` block to ``BENCH_perf.json``
-(preserving every other driver's block) so ``repro diff --bench`` and
-CI can track the trajectory.  The analytics layer never touches
-simulation state, so the block also records the store's row counts as a
-sanity anchor: a silent ingest regression (dropped tables) shows up as
-a row-count cliff, not just a suspicious speedup.
+Results are written as an ``analytics`` block of ``BENCH_perf.json``
+(preserving every other driver's block).  The analytics layer never
+touches simulation state, so the block also records the store's row
+counts as a sanity anchor: a silent ingest regression (dropped tables)
+shows up as a row-count cliff, not just a suspicious speedup.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.bench.history import update_bench_perf
+from repro.bench.cli import update_bench_perf
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.obs.analytics import (

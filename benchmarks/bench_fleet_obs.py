@@ -34,7 +34,7 @@ import time
 import urllib.request
 from pathlib import Path
 
-from repro.bench.history import update_bench_perf
+from repro.bench.cli import update_bench_perf
 from repro.bench.scaling import BenchProfile
 from repro.metrics.report import Table
 from repro.obs.export import validate_chrome_trace

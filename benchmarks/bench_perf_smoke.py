@@ -1,29 +1,26 @@
 #!/usr/bin/env python
-"""Perf smoke: wall-clock speedup of the optimized matrix and sweep runners.
+"""Perf smoke: the snapshot-fork and observability gates, plus a leak guard.
 
-Two measurements, both regression-gated by CI via ``BENCH_perf.json``:
+Two timed arms, gated by CI through ``BENCH_perf.json``, and one check
+the script asserts itself:
 
-* **matrix** — the 4-workload x 4-solution benchmark matrix, run twice:
-  the pre-optimization serial path (optimized hot paths off via
-  :mod:`repro.perfflags` legacy mode, no trace cache, one process)
-  versus the optimized path (vectorized hot paths + shared
-  :class:`~repro.sim.tracecache.TraceCache` + adaptive worker count);
 * **tau sweep** — a 6-point τ sensitivity sweep whose cells share a long
-  warmup prefix, run cold (every cell from interval 0, on the already
-  optimized paths) versus forked from one warmed
-  :class:`~repro.sim.snapshot.EngineSnapshot`.  The fork arm's gain is
-  therefore *additional* to the matrix optimizations;
+  warmup prefix, run cold (every cell from interval 0) versus forked
+  from one warmed :class:`~repro.sim.snapshot.EngineSnapshot`;
 * **obs overhead** — a serial matrix run with observability off
   (``obs=None``), on (a fresh :class:`~repro.obs.context.ObsContext`),
   and *streaming* (a collector with ``ObsConfig(stream=True)`` flushing
   every interval into an NDJSON file sink), asserting identical results
   and recording the relative wall-clock overhead each plane adds
   (budget: <5% for tracing vs off, and <5% for what the streaming sink
-  layer adds on top of the enabled obs arm).
+  layer adds on top of the enabled obs arm);
+* **batch release** — after a run the MMU must hold no access batch, or
+  peak RSS would grow with run length.
 
 Every arm produces bit-identical simulation results (asserted here on
 summary statistics, and in full by ``tests/test_perf_opt.py`` and
-``tests/test_snapshot.py``); only the wall clock may differ.
+``tests/test_snapshot.py``); only the wall clock may differ.  End-to-end
+speed is measured by ``benchmarks/e2e``, not here.
 """
 
 from __future__ import annotations
@@ -32,8 +29,7 @@ import os
 import time
 from pathlib import Path
 
-from repro import perfflags
-from repro.bench.history import update_bench_perf
+from repro.bench.cli import update_bench_perf
 from repro.bench.runner import SweepVariant, run_matrix, run_sweep
 from repro.mm.chunked import DEFAULT_CHUNK_PAGES
 from repro.mm.pagetable import AUTO_CHUNK_PAGES
@@ -42,7 +38,6 @@ from repro.core.baselines import make_engine
 
 WORKLOADS = ["gups", "voltdb", "cassandra", "bfs"]
 SOLUTIONS = ["first-touch", "hmc", "tiered-autonuma", "mtm"]
-REQUESTED_WORKERS = 4
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: τ sweep: 6 merge/split-threshold settings diverging after a shared
@@ -107,27 +102,8 @@ def _assert_batch_released(profile: BenchProfile) -> None:
 
 def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) -> str:
     workloads = workloads if workloads is not None else WORKLOADS
-    workers = min(REQUESTED_WORKERS, os.cpu_count() or 1)
-
-    # -- matrix arm ------------------------------------------------------
-    t0 = time.perf_counter()
-    with perfflags.legacy_mode():
-        baseline = run_matrix(workloads, SOLUTIONS, profile, use_cache=False)
-    baseline_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    optimized = run_matrix(workloads, SOLUTIONS, profile, workers=workers)
-    optimized_seconds = time.perf_counter() - t0
-
-    if _matrix_summary(baseline) != _matrix_summary(optimized):
-        raise AssertionError(
-            "optimized arm changed simulated results; the accelerations "
-            "must be bit-identical"
-        )
 
     # -- tau-sweep arm ---------------------------------------------------
-    # Cold runs on the fully optimized paths, so the fork arm's speedup
-    # is what snapshots add *on top of* the matrix optimizations.
     variants = tau_variants()
     t0 = time.perf_counter()
     sweep_cold = run_sweep(
@@ -223,31 +199,19 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
 
     _assert_batch_released(profile)
 
-    matrix_speedup = baseline_seconds / optimized_seconds
     sweep_speedup = sweep_cold_seconds / sweep_fork_seconds
     snap_stats = (
         sweep_fork.perf.snapshots.as_dict()
         if sweep_fork.perf is not None and sweep_fork.perf.snapshots is not None
         else None
     )
-    cache_stats = (
-        optimized.perf.cache.as_dict()
-        if optimized.perf is not None and optimized.perf.cache is not None
-        else None
-    )
     payload = {
         "profile": profile.name,
         "workloads": workloads,
         "solutions": SOLUTIONS,
-        "workers_requested": REQUESTED_WORKERS,
-        "workers_effective": workers,
         "cpu_count": os.cpu_count(),
         "chunk_pages": DEFAULT_CHUNK_PAGES,
         "chunk_auto_threshold_pages": AUTO_CHUNK_PAGES,
-        "baseline_seconds": round(baseline_seconds, 3),
-        "optimized_seconds": round(optimized_seconds, 3),
-        "speedup": round(matrix_speedup, 3),
-        "matrix_cache": cache_stats,
         "tau_sweep": {
             "workload": SWEEP_WORKLOAD,
             "points": list(TAU_POINTS),
@@ -280,10 +244,6 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
 
     return (
         f"perf smoke ({profile.name} profile, {len(workloads)}x{len(SOLUTIONS)} matrix)\n"
-        f"  baseline (legacy serial, uncached): {baseline_seconds:6.2f}s\n"
-        f"  optimized (vectorized + cache + workers={workers}): "
-        f"{optimized_seconds:6.2f}s\n"
-        f"  speedup: {matrix_speedup:.2f}x\n"
         f"  tau sweep ({len(TAU_POINTS)} points, warmup {SWEEP_WARMUP}/{SWEEP_INTERVALS}):\n"
         f"    cold-start: {sweep_cold_seconds:6.2f}s\n"
         f"    snapshot-fork: {sweep_fork_seconds:6.2f}s\n"

@@ -32,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.history import update_bench_perf
+from repro.bench.cli import update_bench_perf
 from repro.bench.scaling import BenchProfile
 from repro.metrics.report import Table
 from repro.service.cache import ResultCache

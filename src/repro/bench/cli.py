@@ -26,13 +26,18 @@ which gives all of them a uniform flag set:
   ``repro query``/``report``/``trace`` read) after the experiment
   finishes.  Observability never changes results — runs are
   bit-identical with it on or off.
+
+Drivers that pin numbers into ``BENCH_perf.json`` write their blocks
+through :func:`update_bench_perf`.  Speed claims are not taken from
+these drivers: ``benchmarks/e2e`` measures them end to end over cold
+reps, and its ``compare.py`` judges two sets of runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import sys
+import json
 from pathlib import Path
 from typing import Callable
 
@@ -134,9 +139,6 @@ def bench_main(
             kwargs["workload"] = names[0]
         else:
             raise ConfigError("this experiment has a fixed workload set")
-    import time
-
-    started = time.perf_counter()
     try:
         print(run_experiment(profile, **kwargs))
     except BaseException:
@@ -147,53 +149,25 @@ def bench_main(
                 if cleanup is not None:
                     cleanup()
         raise
-    seconds = time.perf_counter() - started
     if collector is not None:
         paths = collector.export(args.obs_out)
         collector.stream_close()
         print(f"observability export written to {paths['trace']} "
               f"(open in ui.perfetto.dev) and {args.obs_out}/")
-    _append_history(run_experiment, profile, args, seconds)
 
 
-def _append_history(run_experiment, profile, args, seconds: float) -> None:
-    """One trajectory record per successful driver invocation.
+def update_bench_perf(path, blocks: dict) -> dict:
+    """Write ``blocks`` into the ``BENCH_perf.json`` at ``path``.
 
-    Only ``bench_main`` appends — pytest-benchmark entry points call
-    ``run_experiment`` directly and must not pollute the trajectory.
-    The record carries the flattened numeric content of the
-    ``BENCH_perf.json`` next to the driver, so ``repro diff --bench``
-    can compare pinned numbers (not just wall clock) across entries.
-    A history failure never fails the bench run.
+    Several drivers share the file and each owns only the top-level keys
+    it writes, so every other key is kept as it was.  A missing or
+    unreadable file starts empty.  Returns the payload written.
     """
-    import json
-
-    from repro.bench.history import (
-        append_record,
-        flatten_metrics,
-        resolve_history_path,
-    )
-
+    path = Path(path)
     try:
-        driver_file = Path(inspect.getfile(run_experiment))
-        driver = driver_file.stem
-        root = driver_file.resolve().parent.parent
-        path = resolve_history_path(root)
-        if path is None:
-            return
-        metrics: dict[str, float] = {}
-        perf_path = root / "BENCH_perf.json"
-        if perf_path.exists():
-            with open(perf_path, encoding="utf-8") as fh:
-                metrics = flatten_metrics(json.load(fh))
-        record = append_record(
-            path,
-            driver=driver,
-            profile=profile.name,
-            seconds=seconds,
-            workers=getattr(args, "workers", 1),
-            metrics=metrics,
-        )
-        print(f"bench history: appended {record['iso']} to {path}")
-    except OSError as exc:  # pragma: no cover - depends on host fs state
-        print(f"bench history: skipped ({exc})", file=sys.stderr)
+        payload = json.loads(path.read_text())
+    except (ValueError, OSError):
+        payload = {}
+    payload.update(blocks)
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return payload

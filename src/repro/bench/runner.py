@@ -372,8 +372,8 @@ def _run_row(
     task runs on the worker process's cache.
     """
     (workload, solutions, profile, intervals, fault_rate, fault_seed,
-     use_cache, recovery, obs_config) = task
-    if use_cache and trace_cache is None:
+     recovery, obs_config) = task
+    if trace_cache is None:
         trace_cache = _process_trace_cache()
     return [
         (workload, solution, run_solution(
@@ -401,7 +401,6 @@ def run_matrix(
     fault_rate: float = 0.0,
     fault_seed: int = 0,
     trace_cache: "TraceCache | None" = None,
-    use_cache: bool = True,
     recovery: bool = True,
     result_cache: "ResultCache | None" = None,
     obs="default",
@@ -422,9 +421,6 @@ def run_matrix(
         trace_cache: the serial run's cache; ``None`` builds a private
             one.  Pool workers each use their process's own cache, which
             synthesizes a stream once per row task it runs.
-        use_cache: ``False`` disables batch-stream memoization entirely
-            (the pre-optimization behaviour; the perf-smoke benchmark's
-            baseline arm).
         result_cache: optional on-disk
             :class:`~repro.service.cache.ResultCache` (the sweep
             service's): cells whose content address is already stored are
@@ -469,15 +465,13 @@ def run_matrix(
 
     tasks = [
         (workload, chunk, profile, intervals, fault_rate, fault_seed,
-         use_cache, recovery, obs_config)
+         recovery, obs_config)
         for workload, chunk in _row_tasks(
             workloads, solutions, cached_coords, profile, intervals, workers
         )
     ]
     if workers == 1:
-        if not use_cache:
-            trace_cache = None
-        elif trace_cache is None:
+        if trace_cache is None:
             from repro.sim.tracecache import TraceCache
 
             trace_cache = TraceCache()

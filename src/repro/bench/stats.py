@@ -4,7 +4,9 @@ A single seeded run gives one sample of a stochastic system; paper-grade
 claims ("MTM outperforms X by 17%") deserve a mean and a spread.  This
 module repeats runs across seeds and summarizes normalized times with
 means and 95% confidence half-widths (normal approximation — fine for the
-handful-of-repeats regime these sweeps use).
+handful-of-repeats regime these sweeps use).  :func:`bootstrap_diff_ci`
+gives ``repro diff`` a distribution-free CI of the difference of two
+sample means (the dwell-time rows of :func:`repro.obs.analytics.diff_runs`).
 """
 
 from __future__ import annotations
@@ -46,34 +48,6 @@ class SeriesStats:
         return cls(mean=mean, ci95=ci95, samples=tuple(samples))
 
 
-def bootstrap_ci(
-    samples: list[float],
-    confidence: float = 0.95,
-    n_boot: int = 2000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Bootstrap percentile CI of the sample mean.
-
-    Resampling-based, so it needs no distributional assumption — the
-    right tool for the skewed, few-sample series the analytics diff
-    layer compares (bench-history metrics, dwell-time samples).  Seeded
-    for reproducibility: the same samples always yield the same CI.
-    """
-    import numpy as np
-
-    if not samples:
-        raise ConfigError("no samples")
-    data = np.asarray(samples, dtype=np.float64)
-    if len(data) == 1:
-        return (float(data[0]), float(data[0]))
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(data), size=(n_boot, len(data)))
-    means = data[idx].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    return (float(np.quantile(means, alpha)),
-            float(np.quantile(means, 1.0 - alpha)))
-
-
 def bootstrap_diff_ci(
     a: list[float],
     b: list[float],
@@ -81,10 +55,13 @@ def bootstrap_diff_ci(
     n_boot: int = 2000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Bootstrap CI of ``mean(a) - mean(b)`` (two independent samples).
+    """Bootstrap percentile CI of ``mean(a) - mean(b)``.
 
-    A CI containing zero means the observed mean difference is not
-    statistically distinguishable at the given confidence.
+    The two samples are resampled independently, so the CI needs no
+    distributional assumption — the right tool for skewed, few-sample
+    series such as dwell times.  A CI containing zero means the observed
+    mean difference is not statistically distinguishable at the given
+    confidence.  Seeded: the same samples always yield the same CI.
     """
     import numpy as np
 

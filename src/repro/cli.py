@@ -18,8 +18,7 @@ Commands:
   top-K hot pages, lifecycle funnel, ping-pong, or generic
   filter/group/top-N table queries;
 * ``diff`` — compare two runs metric-by-metric (deltas, bootstrap CIs,
-  verdicts, optional ``--html`` report), or ``--bench`` to check the
-  newest ``BENCH_history.jsonl`` record against earlier entries;
+  verdicts, optional ``--html`` report);
 * ``serve`` — the fault-tolerant sweep scheduler daemon: lease-based
   cell assignment, crash-safe result cache, journal-backed resume;
 * ``worker`` — one fleet member serving cells for a ``serve`` daemon;
@@ -323,36 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     diff = sub.add_parser(
-        "diff", help="compare two runs (or the bench history) metric by "
-                     "metric",
+        "diff", help="compare two runs metric by metric",
     )
     diff.add_argument(
-        "a", nargs="?", default=None, metavar="A",
+        "a", metavar="A",
         help="baseline artifact directory (or analytics.npz)",
     )
     diff.add_argument(
-        "b", nargs="?", default=None, metavar="B",
+        "b", metavar="B",
         help="candidate artifact directory (or analytics.npz)",
     )
     diff.add_argument(
-        "--bench", action="store_true",
-        help="diff the newest BENCH_history.jsonl record against the "
-             "trajectory of earlier records instead of two run dirs",
-    )
-    diff.add_argument(
-        "--history", default="BENCH_history.jsonl", metavar="FILE",
-        help="bench history file for --bench (default: "
-             "BENCH_history.jsonl)",
-    )
-    diff.add_argument(
-        "--driver", default=None, metavar="NAME",
-        help="with --bench: restrict to one driver's records "
-             "(e.g. bench_perf_smoke)",
-    )
-    diff.add_argument(
-        "--tol", type=float, default=None, metavar="FRAC",
-        help="relative change treated as noise (default: 0.01 for runs, "
-             "0.05 for --bench)",
+        "--tol", type=float, default=0.01, metavar="FRAC",
+        help="relative change treated as noise (default: 0.01)",
     )
     diff.add_argument(
         "--reingest", action="store_true",
@@ -526,10 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--chaos-kill-delay", type=float, default=0.05, metavar="SEC",
         help="chaos: delay of the mid-cell SIGKILL (default: 0.05)",
-    )
-    worker.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed for the chaos injector's private RNG (default: 0)",
     )
     worker.add_argument(
         "--secret-file", default=None, metavar="PATH",
@@ -943,23 +921,13 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    """``diff``: compare two runs, or the bench-history trajectory."""
+    """``diff``: compare two runs."""
     import json as _json
 
     from repro.obs import analytics
 
-    if args.bench:
-        diff = analytics.diff_bench(args.history, driver=args.driver,
-                                    tol=args.tol if args.tol is not None
-                                    else 0.05)
-    else:
-        if not args.a or not args.b:
-            print("diff needs two artifact directories (or --bench)",
-                  file=sys.stderr)
-            return 2
-        diff = analytics.diff_runs(args.a, args.b,
-                                   tol=args.tol if args.tol is not None
-                                   else 0.01, reingest=args.reingest)
+    diff = analytics.diff_runs(args.a, args.b, tol=args.tol,
+                               reingest=args.reingest)
     if args.html:
         with open(args.html, "w", encoding="utf-8") as fh:
             fh.write(analytics.render_diff_html(diff))
@@ -1072,7 +1040,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         chaos_kill_after_cells=args.chaos_kill_after_cells,
         chaos_kill_cell=args.chaos_kill_cell,
         chaos_kill_delay=args.chaos_kill_delay,
-        chaos_seed=args.chaos_seed,
         max_idle_claims=args.max_idle_claims,
         secret=resolve_secret(args.secret_file),
         warm=not args.no_warm,

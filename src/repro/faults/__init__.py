@@ -9,15 +9,15 @@ behaviors, and the :class:`IntervalWatchdog` that puts the daemon loop
 into a degraded mode (shed migration budget, skip scans) instead of
 letting a blown overhead budget or a fault burst crash the run.
 
-:class:`ServiceFaultInjector` lifts the same discipline to the *process*
-level for the sweep service (:mod:`repro.service`): SIGKILLed workers,
-severed sockets, and bit-flipped cache entries, seeded and scriptable so
-the chaos suites can assert a sweep under fire still produces results
-bit-identical to a clean serial run.
+:class:`ServiceFaultInjector` scripts *process*-level faults for the
+sweep service (:mod:`repro.service`): SIGKILLed workers, between cells
+or mid-cell, and byte-flipped cache entries, so the chaos suites can
+assert a sweep under fire still produces results bit-identical to a
+clean serial run.
 """
 
 from repro.faults.injector import FaultConfig, FaultInjector, FaultLog
-from repro.faults.service import ServiceFaultConfig, ServiceFaultInjector
+from repro.faults.service import ServiceFaultInjector
 from repro.faults.watchdog import IntervalWatchdog, WatchdogConfig
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "FaultInjector",
     "FaultLog",
     "IntervalWatchdog",
-    "ServiceFaultConfig",
     "ServiceFaultInjector",
     "WatchdogConfig",
 ]

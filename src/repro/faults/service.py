@@ -1,22 +1,18 @@
 """Process-level fault injection for the sweep service.
 
 :mod:`repro.faults.injector` perturbs the *simulated* kernel (EBUSY,
-ENOMEM, sample loss) inside one process.  This module extends the same
-discipline to the failure modes a *fleet* has and a process pool cannot
-survive:
+ENOMEM, sample loss) inside one process.  This module scripts the
+failure modes a *fleet* has and a process pool cannot survive:
 
-* **worker crash** — SIGKILL the current process between cells or on a
-  delay mid-cell (no atexit, no flush, no goodbye — exactly what a
+* **worker crash** — SIGKILL a process now, or arm a delayed SIGKILL
+  mid-cell (no atexit, no flush, no goodbye — exactly what an
   OOM-killed or preempted worker looks like to the scheduler);
-* **severed socket** — hard-close a connection without shutdown
-  handshake, so the peer sees a reset instead of a clean EOF;
-* **cache corruption** — flip a bit (or truncate) inside an on-disk
-  result-cache entry, the rot the checksum discipline must catch.
+* **cache corruption** — flip one byte inside an on-disk result-cache
+  entry, the rot the checksum discipline must catch.
 
-Rates draw from a private seeded generator (mirroring
-:class:`~repro.faults.injector.FaultInjector`), and the imperative
-helpers (``kill_now``, ``flip_byte``) are what the chaos tests and the
-``repro worker --chaos-*`` flags use for deterministic scripting.
+The ``repro worker --chaos-*`` flags and the chaos tests use these
+helpers for deterministic scripting; a flip with no explicit offset
+draws it from a private seeded generator.
 """
 
 from __future__ import annotations
@@ -24,76 +20,23 @@ from __future__ import annotations
 import os
 import signal
 import threading
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.errors import ConfigError
 
 
-@dataclass(frozen=True)
-class ServiceFaultConfig:
-    """Per-model process-level fault rates (all default off).
-
-    Attributes:
-        worker_kill_rate: probability a worker SIGKILLs itself after
-            finishing a cell (crash *between* cells).
-        midcell_kill_rate: probability a worker arms a delayed SIGKILL
-            when starting a cell (crash *mid*-cell).
-        midcell_kill_delay: seconds between cell start and the armed
-            mid-cell SIGKILL.
-        sever_rate: probability a socket send is preceded by a hard
-            close of the connection.
-        cache_flip_rate: probability a just-written cache entry gets one
-            byte flipped (storage rot).
-    """
-
-    worker_kill_rate: float = 0.0
-    midcell_kill_rate: float = 0.0
-    midcell_kill_delay: float = 0.05
-    sever_rate: float = 0.0
-    cache_flip_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name.endswith("_rate"):
-                value = getattr(self, f.name)
-                if not 0.0 <= value <= 1.0:
-                    raise ConfigError(f"{f.name} must be in [0, 1], got {value}")
-        if self.midcell_kill_delay < 0:
-            raise ConfigError(
-                f"midcell_kill_delay must be >= 0, got {self.midcell_kill_delay}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        return any(
-            getattr(self, f.name) > 0.0
-            for f in fields(self) if f.name.endswith("_rate")
-        )
-
-
 class ServiceFaultInjector:
-    """Deterministic, seeded source of process-level chaos.
+    """Scripted process-level chaos.
 
     One injector serves one process (a worker, or a test harness acting
-    on others).  Draws come from a private generator so arming chaos
-    never perturbs simulation RNG streams — the same independence
-    guarantee the in-process injector gives.
+    on others).  Its generator is private, so a seeded flip never
+    perturbs simulation RNG streams — the same independence guarantee
+    the in-process injector gives.
     """
 
-    def __init__(self, config: ServiceFaultConfig | None = None,
-                 seed: int = 0) -> None:
-        self.config = config if config is not None else ServiceFaultConfig()
-        self.seed = seed
+    def __init__(self, seed: int = 0) -> None:
         self.rng = np.random.default_rng(seed)
-        self.severed = 0
-        self.flips = 0
-        self.kills_armed = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
 
     # -- worker crash ----------------------------------------------------------
 
@@ -102,7 +45,7 @@ class ServiceFaultInjector:
         """SIGKILL ``pid`` (default: this process). No cleanup runs."""
         os.kill(pid if pid is not None else os.getpid(), signal.SIGKILL)
 
-    def arm_midcell_kill(self, delay: float | None = None) -> threading.Timer:
+    def arm_midcell_kill(self, delay: float) -> threading.Timer:
         """Schedule a SIGKILL of this process ``delay`` seconds from now.
 
         Returns the timer so a test can cancel it; the worker never
@@ -110,53 +53,10 @@ class ServiceFaultInjector:
         be (that unpredictability *is* the point; determinism lives in
         the requeued re-execution, not the crash site).
         """
-        if delay is None:
-            delay = self.config.midcell_kill_delay
         timer = threading.Timer(delay, self.kill_now)
         timer.daemon = True
         timer.start()
-        self.kills_armed += 1
         return timer
-
-    def maybe_kill_between_cells(self) -> None:
-        """Draw the between-cells crash model (kills, or returns)."""
-        rate = self.config.worker_kill_rate
-        if rate <= 0.0 or self.rng.random() >= rate:
-            return
-        self.kill_now()
-
-    def maybe_arm_midcell_kill(self) -> threading.Timer | None:
-        """Draw the mid-cell crash model at cell start."""
-        rate = self.config.midcell_kill_rate
-        if rate <= 0.0 or self.rng.random() >= rate:
-            return None
-        return self.arm_midcell_kill()
-
-    # -- severed sockets -------------------------------------------------------
-
-    def maybe_sever(self, sock) -> bool:
-        """Hard-close ``sock`` per the sever model; True if severed."""
-        rate = self.config.sever_rate
-        if rate <= 0.0 or self.rng.random() >= rate:
-            return False
-        self.sever(sock)
-        return True
-
-    def sever(self, sock) -> None:
-        """Abortive close: RST to the peer, no shutdown handshake."""
-        import socket as _socket
-        import struct
-
-        try:
-            sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_LINGER,
-                            struct.pack("ii", 1, 0))
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
-        self.severed += 1
 
     # -- cache corruption ------------------------------------------------------
 
@@ -181,25 +81,7 @@ class ServiceFaultInjector:
             byte = fh.read(1)
             fh.seek(offset)
             fh.write(bytes([byte[0] ^ 0xFF]))
-        self.flips += 1
         return offset
 
-    def truncate(self, path, keep: int | None = None) -> None:
-        """Chop the file at ``path`` (default: halfway), as a torn write."""
-        size = os.path.getsize(path)
-        if keep is None:
-            keep = size // 2
-        with open(path, "r+b") as fh:
-            fh.truncate(keep)
-        self.flips += 1
 
-    def maybe_flip_cache_entry(self, path) -> bool:
-        """Draw the cache-rot model against a just-written entry."""
-        rate = self.config.cache_flip_rate
-        if rate <= 0.0 or self.rng.random() >= rate:
-            return False
-        self.flip_byte(path)
-        return True
-
-
-__all__ = ["ServiceFaultConfig", "ServiceFaultInjector"]
+__all__ = ["ServiceFaultInjector"]

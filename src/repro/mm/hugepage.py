@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.mm.pagetable import PageTable
 from repro.mm.pte import HUGE_MASK, PRESENT_MASK
 from repro.mm.vma import Vma
@@ -59,49 +58,29 @@ class ThpManager:
     """Chooses huge/base mappings for VMAs.
 
     Args:
-        enabled: THP off maps everything with base pages.
-        huge_fraction: fraction of each VMA's *eligible aligned spans* mapped
-            huge (1.0 = madvise on the whole VMA; intermediate values model
-            the mixed mappings real THP produces under fragmentation).
-        deterministic: if True, the first spans are chosen (reproducible);
-            otherwise a generator must be supplied to :meth:`plan`.
+        enabled: THP on (madvise on the whole VMA) maps every aligned 2 MB
+            span huge; THP off maps everything with base pages.
     """
 
-    def __init__(self, enabled: bool = True, huge_fraction: float = 1.0, deterministic: bool = True) -> None:
-        if not 0.0 <= huge_fraction <= 1.0:
-            raise ConfigError(f"huge_fraction must be in [0, 1], got {huge_fraction}")
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.huge_fraction = huge_fraction
-        self.deterministic = deterministic
 
-    def plan(self, vma: Vma, rng: np.random.Generator | None = None) -> ThpPlan:
+    def plan(self, vma: Vma) -> ThpPlan:
         """Decide huge spans and leftover base pages for ``vma``."""
-        if not self.deterministic and rng is None:
-            raise ConfigError("a non-deterministic THP plan needs a generator")
         first_aligned = -(-vma.start // PAGES_PER_HUGE_PAGE) * PAGES_PER_HUGE_PAGE
         last_aligned_end = (vma.end // PAGES_PER_HUGE_PAGE) * PAGES_PER_HUGE_PAGE
         n_spans = max(0, (last_aligned_end - first_aligned) // PAGES_PER_HUGE_PAGE)
-        n_huge = int(round(n_spans * self.huge_fraction)) if self.enabled else 0
-        candidates = first_aligned + PAGES_PER_HUGE_PAGE * np.arange(n_spans, dtype=np.int64)
-        if self.deterministic or n_huge == 0:
-            heads = candidates[:n_huge]
-        else:
-            heads = np.sort(rng.choice(candidates, size=n_huge, replace=False))
+        n_huge = n_spans if self.enabled else 0
+        heads = first_aligned + PAGES_PER_HUGE_PAGE * np.arange(n_huge, dtype=np.int64)
         return ThpPlan(start=vma.start, end=vma.end, huge_heads=heads)
 
-    def populate(
-        self,
-        page_table: PageTable,
-        vma: Vma,
-        node: int,
-        rng: np.random.Generator | None = None,
-    ) -> ThpPlan:
+    def populate(self, page_table: PageTable, vma: Vma, node: int) -> ThpPlan:
         """Map the whole VMA onto ``node`` following the THP plan.
 
         One ``map_range`` call per maximal run of adjacent huge spans and
         one per gap between them, so the work is O(runs), not O(pages).
         """
-        plan = self.plan(vma, rng)
+        plan = self.plan(vma)
         for start, npages in zip(*plan.huge_runs()):
             page_table.map_range(int(start), int(npages), node, huge=True)
         for start, npages in zip(*plan.base_runs()):

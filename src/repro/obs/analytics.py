@@ -21,8 +21,7 @@ Three layers on top of :mod:`repro.obs.store`:
   page ranges an admission filter can refuse to re-promote).
 * **Diff** — :func:`diff_runs` compares two runs metric-by-metric with
   verdicts and bootstrap confidence intervals (reusing
-  :mod:`repro.bench.stats`); :func:`diff_bench` compares the newest
-  ``BENCH_history.jsonl`` record against the trajectory of earlier ones.
+  :mod:`repro.bench.stats`).
 
 Page-resolved analyses (dwell, ping-pong, top pages) read the merged
 provenance log.  A multi-cell matrix merges every cell's provenance
@@ -800,63 +799,6 @@ def diff_runs(a, b, tol: float = 0.01, reingest: bool = False) -> dict:
             "only_b": only_b, "summary": summary}
 
 
-def diff_bench(history_path, driver: str | None = None,
-               tol: float = 0.05) -> dict:
-    """Regression check of the newest bench-history record vs the past.
-
-    For every numeric metric the latest record shares with its
-    predecessors, the predecessors' samples form a bootstrap 95% CI of
-    the expected value; a latest value outside the CI *and* beyond
-    ``tol`` relative change is a regression (or an improvement,
-    depending on the metric's direction).
-    """
-    from repro.bench.history import read_history
-    from repro.bench.stats import bootstrap_ci
-
-    records = read_history(history_path)
-    if driver:
-        records = [r for r in records if r.get("driver") == driver]
-    if len(records) < 2:
-        raise ConfigError(
-            f"bench diff needs at least 2 history records"
-            f"{f' for driver {driver!r}' if driver else ''}; "
-            f"found {len(records)} in {history_path}"
-        )
-    latest, prior = records[-1], records[:-1]
-
-    def _flat(record: dict) -> dict[str, float]:
-        out = {"seconds": float(record.get("seconds", 0.0))}
-        for key, value in (record.get("metrics") or {}).items():
-            if isinstance(value, (int, float)):
-                out[key] = float(value)
-        return out
-
-    latest_metrics = _flat(latest)
-    metrics: list[dict] = []
-    for name in sorted(latest_metrics):
-        samples = [_flat(r)[name] for r in prior if name in _flat(r)]
-        if not samples:
-            continue
-        baseline = sum(samples) / len(samples)
-        entry = _compare(name, baseline, latest_metrics[name], tol)
-        if len(samples) >= 2:
-            lo, hi = bootstrap_ci(samples)
-            entry["ci95"] = [lo, hi]
-            if lo <= latest_metrics[name] <= hi:
-                entry["verdict"] = "unchanged"
-        metrics.append(entry)
-    summary = {v: 0 for v in ("improved", "regressed", "unchanged",
-                              "changed")}
-    for entry in metrics:
-        summary[entry["verdict"]] += 1
-    return {"v": REPORT_VERSION, "kind": "bench",
-            "history": str(history_path),
-            "driver": driver or latest.get("driver"),
-            "entries": len(records), "latest": {
-                "iso": latest.get("iso"), "profile": latest.get("profile")},
-            "tol": tol, "metrics": metrics, "summary": summary}
-
-
 # -- rendering -----------------------------------------------------------------
 
 
@@ -872,13 +814,8 @@ def render_diff_text(diff: dict, limit: int | None = None) -> str:
     """Terminal rendering of a diff report."""
     from repro.metrics.report import Table
 
-    if diff["kind"] == "bench":
-        title = (f"bench trajectory: {diff['driver']} "
-                 f"({diff['entries']} records, latest {diff['latest']['iso']})")
-    else:
-        title = f"diff: {diff['a']} -> {diff['b']}"
-    table = Table(title, ["metric", "a", "b", "delta", "rel", "ci95",
-                          "verdict"])
+    table = Table(f"diff: {diff['a']} -> {diff['b']}",
+                  ["metric", "a", "b", "delta", "rel", "ci95", "verdict"])
     interesting = [m for m in diff["metrics"] if m["verdict"] != "unchanged"]
     shown = interesting if limit is None else interesting[:limit]
     for entry in shown:
@@ -899,9 +836,9 @@ def render_diff_text(diff: dict, limit: int | None = None) -> str:
     if len(interesting) > len(shown):
         lines.append(f"... {len(interesting) - len(shown)} more changed "
                      f"metrics (raise --limit)")
-    if diff.get("only_a") or diff.get("only_b"):
-        lines.append(f"unmatched metrics: {len(diff.get('only_a', []))} "
-                     f"only in A, {len(diff.get('only_b', []))} only in B")
+    if diff["only_a"] or diff["only_b"]:
+        lines.append(f"unmatched metrics: {len(diff['only_a'])} "
+                     f"only in A, {len(diff['only_b'])} only in B")
     return "\n".join(lines)
 
 
@@ -914,12 +851,8 @@ def render_diff_html(diff: dict, title: str = "repro diff") -> str:
     from repro.obs.watch import HTML_STYLE, escape_html
 
     s = diff["summary"]
-    if diff["kind"] == "bench":
-        sub = (f"bench trajectory · {escape_html(diff['driver'])} · "
-               f"{diff['entries']} history records")
-    else:
-        sub = (f"{escape_html(diff['a'])} → {escape_html(diff['b'])} · "
-               f"tolerance {diff['tol']:.1%}")
+    sub = (f"{escape_html(diff['a'])} → {escape_html(diff['b'])} · "
+           f"tolerance {diff['tol']:.1%}")
     tiles = [("Improved", s["improved"], "status-ok"),
              ("Regressed", s["regressed"], "status-over"),
              ("Changed", s["changed"], ""),
@@ -972,7 +905,6 @@ def render_diff_html(diff: dict, title: str = "repro diff") -> str:
 __all__ = [
     "REPORT_VERSION",
     "RunFold",
-    "diff_bench",
     "diff_runs",
     "dwell_samples",
     "dwell_time",

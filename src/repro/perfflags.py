@@ -14,10 +14,8 @@ per-region Python loops by construction — every RNG draw happens in
 the same order (a batched draw consumes the stream element by element,
 as the per-region calls did), and cached values are invalidated
 whenever the state they derive from changes.  The legacy
-paths are kept behind the switch for two reasons: differential tests
-assert the equivalence, and ``benchmarks/bench_perf_smoke.py`` uses the
-legacy mode as the pre-optimization baseline it reports its speedup
-against.
+paths stay behind the switch as the reference that the differential
+tests compare against.
 
 A second, independent override forces the page-table storage layout
 (dense or chunked) so the differential suites can exercise both.

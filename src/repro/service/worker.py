@@ -553,11 +553,10 @@ class Worker:
                         "cause": "completion_error"})
             return
         self.cells_done += 1
-        if self.chaos is not None:
-            if (self.chaos_kill_after_cells is not None
-                    and self.cells_done >= self.chaos_kill_after_cells):
-                self.chaos.kill_now()  # crash between cells
-            self.chaos.maybe_kill_between_cells()
+        if (self.chaos is not None
+                and self.chaos_kill_after_cells is not None
+                and self.cells_done >= self.chaos_kill_after_cells):
+            self.chaos.kill_now()  # crash between cells
 
     def _send(self, message: dict, raise_oversize: bool = False) -> None:
         """Fire one work-channel message, tolerating a dead scheduler.
@@ -587,7 +586,6 @@ def worker_main(
     chaos_kill_after_cells: int | None = None,
     chaos_kill_cell: int | None = None,
     chaos_kill_delay: float = 0.05,
-    chaos_seed: int = 0,
     max_idle_claims: int | None = None,
     secret: bytes | None = None,
     warm: bool = True,
@@ -607,7 +605,7 @@ def worker_main(
     if chaos_kill_after_cells is not None or chaos_kill_cell is not None:
         from repro.faults.service import ServiceFaultInjector
 
-        chaos = ServiceFaultInjector(seed=chaos_seed)
+        chaos = ServiceFaultInjector()
     worker = Worker(
         address,
         worker_id=worker_id,

@@ -73,15 +73,12 @@ class _Stream:
         self.batches: list[AccessBatch] = []
         self.nbytes = 0
 
-    def materialize_through(self, interval: int) -> int:
-        """Extend the stream through ``interval``; returns batches added."""
-        added = 0
+    def materialize_through(self, interval: int) -> None:
+        """Extend the stream through ``interval``."""
         while len(self.batches) <= interval:
             batch = self.workload.next_batch(self.rng)
             self.batches.append(batch)
             self.nbytes += _batch_nbytes(batch)
-            added += 1
-        return added
 
 
 class TraceCache:
@@ -112,8 +109,9 @@ class TraceCache:
         """The ``interval``-th batch of the keyed stream (a private copy).
 
         A request counts as a hit when the batch is already materialized,
-        as a miss when it has to be synthesized (first run through a
-        stream, or a re-run after eviction).  ``obs`` (an optional
+        as one miss when it has to be synthesized (first run through a
+        stream, or a re-run after eviction), however many earlier batches
+        the stream must synthesize first.  ``obs`` (an optional
         :class:`~repro.obs.context.ObsContext`) receives per-request
         hit/miss events attributed to the calling engine — the cache is
         shared, so it carries no context of its own.
@@ -132,7 +130,8 @@ class TraceCache:
             if obs is not None:
                 self._emit(obs, True, workload, interval)
         else:
-            self.misses += stream.materialize_through(interval)
+            stream.materialize_through(interval)
+            self.misses += 1
             self._evict(keep=key)
             if obs is not None:
                 self._emit(obs, False, workload, interval)

@@ -1,4 +1,4 @@
-"""Offline analytics engine: store determinism, analyses, diff, history.
+"""Offline analytics engine: store determinism, analyses, diff.
 
 The analytics layer must be a pure *reader* of observability artifacts:
 ingest is deterministic (same export → byte-identical store, any worker
@@ -19,11 +19,11 @@ import pytest
 
 from repro.bench.runner import run_matrix
 from repro.bench.scaling import BenchProfile
+from repro.cli import main
 from repro.core.baselines import make_engine
 from repro.errors import ConfigError
 from repro.obs import analytics
 from repro.obs.analytics import (
-    diff_bench,
     diff_runs,
     dwell_samples,
     dwell_time,
@@ -49,15 +49,7 @@ from repro.obs.store import (
 )
 from repro.obs.sinks import NdjsonFileSink
 from repro.obs.stream import iter_ndjson
-from repro.bench.history import (
-    HISTORY_NAME,
-    append_record,
-    flatten_metrics,
-    read_history,
-    resolve_history_path,
-    validate_history_record,
-)
-from repro.bench.stats import bootstrap_ci, bootstrap_diff_ci
+from repro.bench.stats import bootstrap_diff_ci
 
 SCALE = 1 / 512
 SEED = 3
@@ -390,15 +382,26 @@ class TestDiff:
         assert analytics._direction("analysis.funnel.commit_share") == 1
         assert analytics._direction("tier.occupancy_pages{node=0}") == 0
 
+    def test_diff_command_exit_codes_and_json(self, run_a, run_b, capsys):
+        assert main(["diff", str(run_a), str(run_a)]) == 0
+        capsys.readouterr()
+        main(["diff", str(run_a), str(run_b), "--json"])
+        assert json.loads(capsys.readouterr().out) == diff_runs(run_a, run_b)
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", str(run_a)])
+        assert exc.value.code == 2
+
 
 class TestBootstrap:
     def test_ci_contains_mean_of_tight_samples(self):
-        lo, hi = bootstrap_ci([10.0, 10.1, 9.9, 10.0], seed=1)
-        assert lo <= 10.0 <= hi
+        lo, hi = bootstrap_diff_ci([10.0, 10.1, 9.9, 10.0],
+                                   [5.0, 5.05, 4.95, 5.0], seed=1)
+        assert lo <= 5.0 <= hi
         assert hi - lo < 1.0
 
     def test_ci_is_deterministic(self):
-        assert bootstrap_ci([1.0, 2.0, 3.0]) == bootstrap_ci([1.0, 2.0, 3.0])
+        assert (bootstrap_diff_ci([1.0, 2.0, 3.0], [2.0, 4.0])
+                == bootstrap_diff_ci([1.0, 2.0, 3.0], [2.0, 4.0]))
 
     def test_diff_ci_sign(self):
         # CI of mean(a) - mean(b): a clearly larger -> strictly positive
@@ -407,61 +410,9 @@ class TestBootstrap:
 
     def test_empty_samples_raise(self):
         with pytest.raises(ConfigError):
-            bootstrap_ci([])
-
-
-# -- bench history trajectory --------------------------------------------------
-
-
-class TestHistory:
-    def _record(self, path, seconds, metrics=None):
-        return append_record(path, driver="bench_x", profile="quick",
-                             seconds=seconds, workers=1,
-                             metrics=metrics or {})
-
-    def test_append_and_read(self, tmp_path):
-        path = tmp_path / HISTORY_NAME
-        r1 = self._record(path, 1.0, {"m.a": 2.0})
-        r2 = self._record(path, 1.1, {"m.a": 2.1})
-        assert validate_history_record(r1) == []
-        records = read_history(path)
-        assert [r["seconds"] for r in records] == [1.0, 1.1]
-        assert records[1]["metrics"]["m.a"] == 2.1
-
-    def test_flatten_metrics_numeric_leaves_only(self):
-        flat = flatten_metrics({"a": {"b": 1, "c": "skip", "d": True},
-                                "e": 2.5})
-        assert flat == {"a.b": 1.0, "e": 2.5}
-
-    def test_env_override_disables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", "off")
-        assert resolve_history_path(tmp_path) is None
-        monkeypatch.setenv("REPRO_BENCH_HISTORY",
-                           str(tmp_path / "custom.jsonl"))
-        assert resolve_history_path(tmp_path).name == "custom.jsonl"
-
-    def test_diff_bench_needs_two_records(self, tmp_path):
-        path = tmp_path / HISTORY_NAME
-        self._record(path, 1.0)
+            bootstrap_diff_ci([], [1.0])
         with pytest.raises(ConfigError):
-            diff_bench(path)
-
-    def test_diff_bench_flags_regression(self, tmp_path):
-        path = tmp_path / HISTORY_NAME
-        for s in (1.0, 1.01, 0.99, 1.0):
-            self._record(path, s)
-        self._record(path, 3.0)  # 3x slower than the trajectory
-        diff = diff_bench(path, driver="bench_x")
-        seconds = {r["metric"]: r for r in diff["metrics"]}["seconds"]
-        assert seconds["verdict"] == "regressed"
-        assert diff["summary"]["regressed"] >= 1
-
-    def test_diff_bench_stable_trajectory_unchanged(self, tmp_path):
-        path = tmp_path / HISTORY_NAME
-        for s in (1.0, 1.02, 0.98, 1.01):
-            self._record(path, s)
-        diff = diff_bench(path)
-        assert diff["summary"]["regressed"] == 0
+            bootstrap_diff_ci([1.0], [])
 
 
 # -- provenance queue latencies / gzip satellites ------------------------------

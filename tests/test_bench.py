@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.bench.history import update_bench_perf
+from repro.bench.cli import update_bench_perf
 from repro.bench.runner import MatrixResult, run_matrix, run_solution
 from repro.bench.scaling import FULL, QUICK, BenchProfile, profile_from_env
 from repro.errors import ConfigError

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, TranslationError
-from repro.mm.hugepage import ThpManager
+from repro.errors import TranslationError
+from repro.mm.hugepage import ThpManager, ThpPlan
 from repro.mm.pagetable import PageTable
 from repro.mm.vma import AddressSpace, Vma
 from repro.units import PAGES_PER_HUGE_PAGE
@@ -22,7 +22,7 @@ def space():
 class TestPlan:
     def test_full_thp_covers_aligned_spans(self, space):
         vma = space.allocate_vma(2 * PAGES_PER_HUGE_PAGE + 100, "d")
-        plan = ThpManager(huge_fraction=1.0).plan(vma)
+        plan = ThpManager().plan(vma)
         assert plan.huge_heads.size == 2
         assert plan.base_runs()[1].sum() == 100
         assert plan.huge_heads.size * PAGES_PER_HUGE_PAGE + plan.base_runs()[1].sum() == vma.npages
@@ -33,20 +33,11 @@ class TestPlan:
         assert plan.huge_heads.size == 0
         assert plan.base_runs()[1].sum() == vma.npages
 
-    def test_half_fraction(self, space):
-        vma = space.allocate_vma(4 * PAGES_PER_HUGE_PAGE, "d")
-        plan = ThpManager(huge_fraction=0.5).plan(vma)
-        assert plan.huge_heads.size == 2
-
     def test_small_vma_gets_base_pages(self, space):
         vma = space.allocate_vma(10, "tiny")
         plan = ThpManager().plan(vma)
         assert plan.huge_heads.size == 0
         assert plan.base_runs()[1].sum() == 10
-
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(ConfigError):
-            ThpManager(huge_fraction=1.5)
 
 
 class TestPopulate:
@@ -56,21 +47,6 @@ class TestPopulate:
         assert space.page_table.mapped_pages() == vma.npages
         assert space.page_table.huge_mapped_pages() == 2 * PAGES_PER_HUGE_PAGE
         assert np.all(space.page_table.node[vma.start : vma.end] == 1)
-
-    def test_nondeterministic_plan_uses_rng(self, space):
-        vma = space.allocate_vma(4 * PAGES_PER_HUGE_PAGE, "d")
-        mgr = ThpManager(huge_fraction=0.5, deterministic=False)
-        plan = mgr.plan(vma, rng=np.random.default_rng(0))
-        assert plan.huge_heads.size == 2
-
-    def test_nondeterministic_plan_without_rng_rejected(self, space):
-        vma = space.allocate_vma(4 * PAGES_PER_HUGE_PAGE, "d")
-        mgr = ThpManager(huge_fraction=0.5, deterministic=False)
-        with pytest.raises(ConfigError):
-            mgr.plan(vma)
-        with pytest.raises(ConfigError):
-            mgr.populate(space.page_table, vma, node=0)
-        assert space.page_table.mapped_pages() == 0
 
 
 class TestCollapsePass:
@@ -102,13 +78,29 @@ VMAS = [(100, 5 * P + 37), (6 * P, 4 * P + 200), (11 * P, 12 * P), (23 * P + 10,
 TABLES = {"dense": {"chunked": False}, "chunk512": {"chunked": True, "chunk_pages": P},
           "chunk2048": {"chunked": True, "chunk_pages": 4 * P}}
 
-THP = {"full": {}, "frac0.3": {"huge_fraction": 0.3, "deterministic": False},
-       "frac0.5": {"huge_fraction": 0.5, "deterministic": False}, "off": {"enabled": False}}
+
+class ChosenSpans(ThpManager):
+    """THP that maps only the given spans huge, as fragmentation leaves it."""
+
+    def __init__(self, spans):
+        super().__init__()
+        self.heads = P * np.asarray(spans, dtype=np.int64)
+
+    def plan(self, vma):
+        inside = (self.heads >= vma.start) & (self.heads + P <= vma.end)
+        return ThpPlan(start=vma.start, end=vma.end, huge_heads=self.heads[inside])
 
 
-def reference_populate(mgr, pt, vma, node, rng):
+#: The ``frac`` layouts map 30% and 50% of each VMA's 4, 4 and 12 aligned
+#: spans huge; the long VMA gets several huge runs with base gaps between.
+THP = {"full": ThpManager(), "frac0.3": ChosenSpans([3, 8, 12, 16, 17, 21]),
+       "frac0.5": ChosenSpans([1, 2, 7, 9, 11, 13, 14, 18, 19, 20]),
+       "off": ThpManager(enabled=False)}
+
+
+def reference_populate(mgr, pt, vma, node):
     """Map the plan's huge heads and base pages one ``map_range`` call each."""
-    heads = mgr.plan(vma, rng).huge_heads
+    heads = mgr.plan(vma).huge_heads
     for head in heads:
         pt.map_range(int(head), P, node, huge=True)
     pages = np.arange(vma.start, vma.end)
@@ -120,9 +112,7 @@ def reference_populate(mgr, pt, vma, node, rng):
 
 def populated(table, thp, populate):
     pt = PageTable(N_PAGES, **TABLES[table])
-    mgr = ThpManager(**THP[thp])
-    rng = np.random.default_rng(42)
-    plans = [populate(mgr, pt, Vma(start, n, f"v{i}"), i % 3, rng)
+    plans = [populate(THP[thp], pt, Vma(start, n, f"v{i}"), i % 3)
              for i, (start, n) in enumerate(VMAS)]
     return pt, plans
 
@@ -169,10 +159,10 @@ class TestBulkPopulation:
             assert plan.huge_heads.size * P + npages.sum() == n
         if thp.startswith("frac"):
             assert 0 < bulk.huge_mapped_pages() < bulk.mapped_pages()
-        mgr = ThpManager(**THP[thp])
+            assert plans[2].huge_runs()[0].size >= 3  # huge runs split by base gaps
         for start, n in (VMAS[0], (0, 200)):  # the same VMA; one mapped only at its end
             with pytest.raises(TranslationError):
-                mgr.populate(bulk, Vma(start, n, "again"), node=0, rng=np.random.default_rng(0))
+                THP[thp].populate(bulk, Vma(start, n, "again"), node=0)
 
     def test_aligned_vma_populates_with_one_map_range(self):
         pt = PageTable(64 * P)

@@ -12,6 +12,7 @@ import pytest
 from repro import perfflags
 from repro.bench.runner import (
     MatrixResult,
+    SweepVariant,
     _row_tasks,
     run_matrix,
     run_solution,
@@ -108,13 +109,24 @@ class TestTraceCache:
         assert (cache.hits, cache.misses) == (0, 1)
         cache.get_batch("gups", SCALE, 3, 0)
         assert (cache.hits, cache.misses) == (1, 1)
-        # A cold jump to interval 2 synthesizes intervals 1 and 2.
+        # A cold jump to interval 2 synthesizes intervals 1 and 2, but it
+        # is one request, so it counts one miss.
         cache.get_batch("gups", SCALE, 3, 2)
-        assert (cache.hits, cache.misses) == (1, 3)
+        assert (cache.hits, cache.misses) == (1, 2)
         stats = cache.stats()
-        assert stats.requests == 4
-        assert stats.hit_rate == pytest.approx(1 / 4)
+        assert stats.requests == 3
+        assert stats.hit_rate == pytest.approx(1 / 3)
         assert stats.cached_bytes == cache.cached_bytes > 0
+
+    def test_pooled_sweep_counts_one_outcome_per_request(self):
+        # Each pool worker forks onto a fresh cache, so its first request
+        # synthesizes the whole warmup prefix; that is still one miss.
+        profile = BenchProfile(name="t", scale=SCALE, seed=3, intervals={"gups": 12})
+        variants = TAU_VARIANTS + [SweepVariant(label="tau_m=2", params={"tau_m": 2.0})]
+        sweep = run_sweep("mtm", "gups", profile, variants, set_tau,
+                          warmup_intervals=8, use_snapshots=True, workers=2)
+        cache = sweep.perf.cache
+        assert cache.hits + cache.misses == len(variants) * (12 - 8)
 
     def test_cached_batches_are_immutable(self):
         cache = TraceCache()
