@@ -234,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="observability export directory (an earlier run's --obs-out)",
     )
     report.add_argument(
-        "--obs", action="store_true", default=True,
-        help="include the observability summary (default; reserved for "
-             "future report sections)",
-    )
-    report.add_argument(
         "--json", action="store_true",
         help="emit the report as machine-readable JSON (scriptable; "
              "folds the ping-pong summary when an analytics store exists)",

@@ -12,8 +12,9 @@ Plus the streaming plane (DESIGN.md "Streaming observability"):
 
 * :mod:`repro.obs.stream` — NDJSON record schema + incremental publisher;
 * :mod:`repro.obs.sinks` — append-only file, socket, and mp-queue sinks;
-* :mod:`repro.obs.watch` — live aggregator and the ``repro watch``
-  dashboard.
+* :mod:`repro.obs.watch` — the ``repro watch`` and ``repro fleet``
+  dashboards, live views of :class:`repro.obs.analytics.RunFold`, the
+  one fold every reader of the record shares.
 
 :class:`~repro.obs.context.ObsContext` bundles them; the stack is
 instrumented against ``obs: ObsContext | None`` and emits nothing when

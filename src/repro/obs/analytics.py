@@ -2,15 +2,17 @@
 
 Three layers on top of :mod:`repro.obs.store`:
 
-* **Ingest** — :func:`fold_run` (the *fold*) reads a directory's one
-  NDJSON record: ``run.ndjson`` written by the export, or, with no
-  export, the ``stream.ndjson`` the run streamed (plain or ``.gz``).
-  Both are the stream schema, so one set of merge rules rebuilds the
-  events, spans, provenance, and merged metrics of either.
-  :func:`ingest_run` folds a run/sweep/service directory (service
-  state directories add ``journal.ndjson``) into the deterministic
-  columnar bundle ``analytics.npz``, and the ``report``/``trace`` CLIs
-  render the same fold.  Rows are canonicalized (events and spans
+* **Ingest** — :class:`RunFold` (the *fold*) folds stream-schema
+  records one at a time, and every reader of the record renders a view
+  of it: the ``repro watch`` and ``repro fleet`` dashboards live, and
+  :func:`fold_run` over a directory's one NDJSON record, ``run.ndjson``
+  written by the export or, with no export, the ``stream.ndjson`` the
+  run streamed (plain or ``.gz``).  Both are the stream schema, so one
+  set of merge rules rebuilds the events, spans, provenance, and merged
+  metrics of either.  :func:`ingest_run` folds a run/sweep/service
+  directory (service state directories add ``journal.ndjson``) into the
+  deterministic columnar bundle ``analytics.npz``, and the
+  ``report``/``trace`` CLIs render the same fold.  Rows are canonicalized (events and spans
   stably sorted by track, provenance by its full key) so the bundle
   bytes do not depend on absorb or relay order.
 * **Analyses** — :func:`dwell_time`, :func:`top_pages`,
@@ -35,12 +37,28 @@ share" here is *hotness-mass share*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.obs.events import (
+    EV_FAULT_INJECTED,
+    EV_INTERVAL_END,
+    EV_SERVICE_ALERT_FIRING,
+    EV_SERVICE_ALERT_RESOLVED,
+    EV_SERVICE_CELL_DEAD_LETTER,
+    EV_SERVICE_CELL_DONE,
+    EV_SERVICE_CELL_REQUEUED,
+    EV_SERVICE_JOB_DONE,
+    EV_SERVICE_JOB_FAILED,
+    EV_SERVICE_JOB_SUBMITTED,
+    EV_SERVICE_LEASE_EXPIRED,
+    EV_SERVICE_LEASE_GRANTED,
+    EV_SERVICE_WORKER_JOINED,
+    EV_SERVICE_WORKER_LOST,
+)
 from repro.obs.export import RUN_RECORD
 from repro.obs.provenance import (
     STAGE_COMMITTED,
@@ -62,6 +80,7 @@ from repro.obs.store import (
     validate_store,
     write_store,
 )
+from repro.obs.stream import STREAM_SCHEMA_VERSION, iter_ndjson
 
 #: Report schema version stamped into every analysis dict.
 REPORT_VERSION = 1
@@ -85,39 +104,291 @@ def find_artifact(run_dir: Path, name: str) -> Path | None:
 # -- ingest --------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
+class TrackTally:
+    """One track's ``interval.end`` and ``fault.injected`` tallies."""
+
+    intervals: int = 0
+    sim_time: float = 0.0
+    app_time: float = 0.0
+    prof_time: float = 0.0
+    mig_time: float = 0.0
+    promoted_pages: int = 0
+    demoted_pages: int = 0
+    degraded: int = 0
+    fault_events: int = 0
+    first_end_ts: float | None = None
+    last_end_ts: float | None = None
+    done: bool = False
+
+
 class RunFold:
-    """One directory's telemetry, folded from its NDJSON record.
+    """The one incremental fold over stream-schema records.
+
+    :meth:`feed` folds one decoded record of ``run.ndjson`` or
+    ``stream.ndjson``; every reader of the record renders a view of it:
+    ingest, ``repro report`` and ``repro trace`` through
+    :func:`fold_run`, and the ``repro watch`` and ``repro fleet``
+    dashboards live.  Only a fold made with ``keep_rows=True`` keeps the
+    event, span and provenance rows; without them its memory is bounded
+    by tracks, metric series and workers.
+
+    Metrics fold per track (counter deltas sum, a gauge keeps its last
+    value, a histogram its last cumulative summary); the views merge the
+    tracks through :meth:`MetricsRegistry.merge_data` (counters sum,
+    gauges keep the maximum, histograms merge), in order of first
+    appearance.  The export writes the merged registry once, under one
+    track, so folding it is the identity; a matrix's stream, where each
+    cell streams under its own track, folds to the same merged values.
 
     Attributes:
         source: ``"export"`` (``run.ndjson``) or ``"stream"``
             (``stream.ndjson``).
         label: track of the ``end`` record (the top-level context's
-            label); ``None`` when the record has no end.
-        events: event records, in record order.
-        spans: span records, in record order.
-        provenance: the merged provenance log, in record order.
-        counters, gauges, histograms: the merged registry keyed by
-            rendered ``name{k=v,...}``; histograms as
-            count/total/min/max/mean dicts.
+            label); ``None`` until one arrives.
+        events, spans: event and span records, in record order (rows).
+        provenance: the merged provenance log, in record order (rows).
+        records: dict records folded; ``invalid_records`` counts the
+            rest and records of unknown type.
+        schema_mismatch: ``meta`` records of another schema version.
+        done: an ``end`` record arrived.
+        tracks: per-track tallies, for every track with a meta, event or
+            end record.
+        service_records: ``service.*`` events and gauges folded.
     """
 
-    source: str
-    label: str | None = None
-    events: list = field(default_factory=list)
-    spans: list = field(default_factory=list)
-    provenance: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    gauges: dict = field(default_factory=dict)
-    histograms: dict = field(default_factory=dict)
+    def __init__(self, source: str = "stream", keep_rows: bool = False) -> None:
+        self.source = source
+        self.keep_rows = keep_rows
+        self.label: str | None = None
+        self.events: list = []
+        self.spans: list = []
+        self.provenance: list = []
+        self.records = 0
+        self.invalid_records = 0
+        self.schema_mismatch = 0
+        self.done = False
+        self.tracks: dict[str, TrackTally] = {}
+        self.service_records = 0
+        self._event_counts: dict[str, int] = {}
+        self._metrics: dict[str, tuple[dict, dict, dict]] = {}
+        self._merged: MetricsRegistry | None = None
+        self._workers: dict = {}
+        self._fleet_counters = {"leases_granted": 0, "leases_expired": 0,
+                                "requeues": 0, "completions": 0}
+        self._jobs = {"running": 0, "done": 0, "failed": 0}
+        self._dead_letters = 0
+        self._alerts: dict[str, dict] = {}
+        self._alert_history = 0
+
+    def _track(self, name) -> TrackTally:
+        tally = self.tracks.get(name)
+        if tally is None:
+            tally = self.tracks[name] = TrackTally()
+        return tally
+
+    # -- folding ---------------------------------------------------------------
+
+    def feed(self, record) -> None:
+        """Fold one decoded record in."""
+        if not isinstance(record, dict):
+            self.invalid_records += 1
+            return
+        self.records += 1
+        rtype = record.get("type")
+        if rtype == "metric":
+            self._feed_metric(record)
+        elif rtype == "event":
+            self._feed_event(record)
+        elif rtype == "span":
+            if self.keep_rows:
+                self.spans.append(record)
+        elif rtype == "provenance":
+            if self.keep_rows:
+                self.provenance.append(_provenance_record(record))
+        elif rtype == "meta":
+            self._track(record.get("track", ""))
+            if record.get("v") != STREAM_SCHEMA_VERSION:
+                self.schema_mismatch += 1
+        elif rtype == "end":
+            self._track(record.get("track", "")).done = True
+            self.done = True
+            self.label = record.get("track")
+        else:
+            self.invalid_records += 1
+
+    def _feed_metric(self, record: dict) -> None:
+        counters, gauges, histograms = self._metrics.setdefault(
+            str(record.get("track", "")), ({}, {}, {}))
+        key = (str(record.get("name", "")),
+               label_key(dict(record.get("labels") or ())))
+        kind = record.get("kind")
+        if kind == "counter":
+            counters[key] = counters.get(key, 0) + record.get("delta", 0)
+        elif kind == "gauge":
+            gauges[key] = record.get("value", 0)
+            if key[0].startswith("service."):
+                self.service_records += 1
+        elif kind == "histogram":
+            count = int(record.get("count", 0))
+            histograms[key] = HistogramStat(
+                count, float(record.get("total", 0.0)),
+                float(record.get("min", 0.0)),
+                float(record.get("max", 0.0)),
+            ) if count else HistogramStat()
+        self._merged = None
+
+    def _feed_event(self, record: dict) -> None:
+        name = record.get("name", "")
+        self._event_counts[name] = self._event_counts.get(name, 0) + 1
+        if self.keep_rows:
+            self.events.append(record)
+        tally = self._track(record.get("track", ""))
+        if name == EV_INTERVAL_END:
+            tally.intervals += 1
+            tally.sim_time = record.get("sim_time", tally.sim_time)
+            tally.app_time += record.get("app_time", 0.0)
+            tally.prof_time += record.get("profiling_time", 0.0)
+            tally.mig_time += record.get("migration_time", 0.0)
+            tally.promoted_pages += record.get("promoted_pages", 0)
+            tally.demoted_pages += record.get("demoted_pages", 0)
+            if record.get("degraded"):
+                tally.degraded += 1
+            ts = record.get("ts")
+            if isinstance(ts, (int, float)):
+                if tally.first_end_ts is None:
+                    tally.first_end_ts = ts
+                tally.last_end_ts = ts
+        elif name == EV_FAULT_INJECTED:
+            tally.fault_events += 1
+        elif name.startswith("service."):
+            self._feed_service(name, record)
+
+    def _worker(self, wid) -> dict:
+        worker = self._workers.get(wid)
+        if worker is None:
+            worker = self._workers[wid] = {
+                "cells_done": 0, "staleness": 0.0, "warm_keys": 0,
+                "in_flight": [], "lost": False,
+            }
+        return worker
+
+    def _feed_service(self, name: str, record: dict) -> None:
+        """Fleet state from the scheduler's ``service.*`` events."""
+        self.service_records += 1
+        wid = record.get("worker")
+        cell = {"workload": record.get("workload"),
+                "solution": record.get("solution")}
+        counters = self._fleet_counters
+        if name == EV_SERVICE_WORKER_JOINED:
+            self._worker(wid)["lost"] = False
+        elif name == EV_SERVICE_WORKER_LOST:
+            if wid in self._workers:
+                self._workers[wid].update(lost=True, in_flight=[])
+        elif name == EV_SERVICE_LEASE_GRANTED:
+            counters["leases_granted"] += 1
+            flight = self._worker(wid)["in_flight"]
+            if cell not in flight:
+                flight.append(cell)
+        elif name == EV_SERVICE_LEASE_EXPIRED:
+            counters["leases_expired"] += 1
+            if wid in self._workers and cell in self._workers[wid]["in_flight"]:
+                self._workers[wid]["in_flight"].remove(cell)
+        elif name == EV_SERVICE_CELL_DONE:
+            counters["completions"] += 1
+            worker = self._worker(wid)
+            worker["cells_done"] += 1
+            if cell in worker["in_flight"]:
+                worker["in_flight"].remove(cell)
+        elif name == EV_SERVICE_CELL_REQUEUED:
+            counters["requeues"] += 1
+        elif name == EV_SERVICE_CELL_DEAD_LETTER:
+            self._dead_letters += 1
+        elif name == EV_SERVICE_JOB_SUBMITTED:
+            self._jobs["running"] += 1
+        elif name in (EV_SERVICE_JOB_DONE, EV_SERVICE_JOB_FAILED):
+            self._jobs["running"] = max(0, self._jobs["running"] - 1)
+            self._jobs["done" if name == EV_SERVICE_JOB_DONE else "failed"] += 1
+        elif name == EV_SERVICE_ALERT_FIRING:
+            rule = record.get("rule", "?")
+            self._alerts[rule] = {
+                "rule": rule, "metric": record.get("metric", ""),
+                "value": record.get("value", 0.0),
+                "threshold": record.get("threshold", 0.0),
+                "description": record.get("description", ""),
+            }
+            self._alert_history += 1
+        elif name == EV_SERVICE_ALERT_RESOLVED:
+            self._alerts.pop(record.get("rule", "?"), None)
+            self._alert_history += 1
+
+    # -- views -----------------------------------------------------------------
 
     def event_counts(self) -> dict[str, int]:
         """Event counts by name (the ``repro report`` events table)."""
-        out: dict[str, int] = {}
-        for record in self.events:
-            name = record.get("name", "")
-            out[name] = out.get(name, 0) + 1
-        return out
+        return dict(self._event_counts)
+
+    def registry(self) -> MetricsRegistry:
+        """The tracks' metrics merged into one registry."""
+        if self._merged is None:
+            merged = MetricsRegistry()
+            for data in self._metrics.values():
+                merged.merge_data(*data)
+            self._merged = merged
+        return self._merged
+
+    @property
+    def counters(self) -> dict:
+        """Merged counters keyed by rendered ``name{k=v,...}``, sorted."""
+        return {render_key(name, labels): value for (name, labels), value
+                in sorted(self.registry().counters.items())}
+
+    @property
+    def gauges(self) -> dict:
+        """Merged gauges keyed by rendered ``name{k=v,...}``, sorted."""
+        return {render_key(name, labels): value for (name, labels), value
+                in sorted(self.registry().gauges.items())}
+
+    @property
+    def histograms(self) -> dict:
+        """Merged histograms as count/total/min/max/mean dicts, sorted."""
+        return {render_key(name, labels): stat.as_dict() for (name, labels), stat
+                in sorted(self.registry().histograms.items())}
+
+    def fleet_view(self) -> dict:
+        """The fleet as :meth:`SchedulerCore.fleet_snapshot` shapes it,
+        plus ``alerts``.
+
+        The stream carries no queue depth, heartbeat staleness or lease
+        latency, so those read 0 (or empty).  Two keys the snapshot
+        lacks: ``alert_history`` counts alert transitions, and each
+        worker's ``lost`` marks a ``service.worker_lost``.
+        """
+        gauges = self.registry().gauges
+
+        def family(prefix: str) -> dict:
+            return {name[len(prefix):]: value
+                    for (name, _), value in gauges.items()
+                    if name.startswith(prefix)}
+
+        return {
+            "queue_depth": 0,
+            "active_leases": sum(len(w["in_flight"])
+                                 for w in self._workers.values()
+                                 if not w["lost"]),
+            "dead_letters": self._dead_letters,
+            "counters": dict(self._fleet_counters),
+            "lease_latency": {},
+            # copies: a dashboard renders the view outside the fold's lock
+            "workers": {wid: dict(w, in_flight=list(w["in_flight"]))
+                        for wid, w in self._workers.items()},
+            "cache": family("service.cache."),
+            "warm": family("service.warm."),
+            "jobs": dict(self._jobs),
+            "stopping": False,
+            "alerts": list(self._alerts.values()),
+            "alert_history": self._alert_history,
+        }
 
 
 def _provenance_record(record: dict) -> ProvenanceRecord:
@@ -137,63 +408,18 @@ def _provenance_record(record: dict) -> ProvenanceRecord:
 
 def fold_run(run_dir) -> RunFold | None:
     """Fold ``run.ndjson`` — or ``stream.ndjson`` when there is no
-    export — with the registry's merge rules; ``None`` if neither exists.
-
-    Per track, counter deltas sum, a gauge keeps its last value and a
-    histogram its last cumulative summary; the tracks then merge through
-    :meth:`MetricsRegistry.merge_data` (counters sum, gauges keep the
-    maximum, histograms merge), in order of first appearance.  The
-    export writes the merged registry once, under one track, so folding
-    it is the identity; a matrix's stream, where each cell streams under
-    its own track, folds to the same merged values.
-    """
-    from repro.obs.stream import iter_ndjson
-
+    export — keeping its rows; ``None`` if neither exists."""
     run_dir = Path(run_dir)
     path = find_artifact(run_dir, RUN_RECORD)
-    fold = RunFold("export")
+    source = "export"
     if path is None:
         path = find_artifact(run_dir, "stream.ndjson")
-        fold.source = "stream"
+        source = "stream"
         if path is None:
             return None
-    tracks: dict[str, tuple[dict, dict, dict]] = {}
+    fold = RunFold(source, keep_rows=True)
     for record in iter_ndjson(path):
-        rtype = record.get("type") if isinstance(record, dict) else None
-        if rtype == "event":
-            fold.events.append(record)
-        elif rtype == "span":
-            fold.spans.append(record)
-        elif rtype == "provenance":
-            fold.provenance.append(_provenance_record(record))
-        elif rtype == "metric":
-            counters, gauges, histograms = tracks.setdefault(
-                str(record.get("track", "")), ({}, {}, {}))
-            key = (str(record.get("name", "")),
-                   label_key(dict(record.get("labels") or ())))
-            kind = record.get("kind")
-            if kind == "counter":
-                counters[key] = counters.get(key, 0) + record.get("delta", 0)
-            elif kind == "gauge":
-                gauges[key] = record.get("value", 0)
-            elif kind == "histogram":
-                count = int(record.get("count", 0))
-                histograms[key] = HistogramStat(
-                    count, float(record.get("total", 0.0)),
-                    float(record.get("min", 0.0)),
-                    float(record.get("max", 0.0)),
-                ) if count else HistogramStat()
-        elif rtype == "end":
-            fold.label = record.get("track")
-    registry = MetricsRegistry()
-    for data in tracks.values():
-        registry.merge_data(*data)
-    for (name, labels), value in sorted(registry.counters.items()):
-        fold.counters[render_key(name, labels)] = value
-    for (name, labels), value in sorted(registry.gauges.items()):
-        fold.gauges[render_key(name, labels)] = value
-    for (name, labels), stat in sorted(registry.histograms.items()):
-        fold.histograms[render_key(name, labels)] = stat.as_dict()
+        fold.feed(record)
     return fold
 
 
@@ -905,6 +1131,7 @@ def render_diff_html(diff: dict, title: str = "repro diff") -> str:
 __all__ = [
     "REPORT_VERSION",
     "RunFold",
+    "TrackTally",
     "diff_runs",
     "dwell_samples",
     "dwell_time",

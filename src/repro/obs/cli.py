@@ -9,7 +9,9 @@ prints the merged metrics table and event counts of a run.
 Both render :func:`repro.obs.analytics.fold_run` over the directory's
 record — ``run.ndjson`` from ``--obs-out``, or the ``stream.ndjson`` of
 a streamed run that never exported; no live simulation state is
-needed.
+needed.  On a scheduler state directory ``report`` renders the same
+fold's fleet view, the frame ``repro fleet --run`` prints, plus the
+journal's alert history.
 """
 
 from __future__ import annotations
@@ -189,22 +191,19 @@ def trace_job_report(path) -> str:
 def service_report(state_dir) -> str:
     """Fleet report for a scheduler state directory.
 
-    Folds the ``service.*`` stream (when the daemon ran with
-    ``--obs-stream``) through the fleet aggregate and appends the
-    journal's alert history — the post-hoc twin of ``repro fleet``.
+    Renders the fold's fleet view of the ``service.*`` stream (when the
+    daemon ran with ``--obs-stream``) and appends the journal's alert
+    history — the post-hoc twin of ``repro fleet --run``.
     """
-    from repro.obs.stream import iter_ndjson
-    from repro.obs.watch import FleetAggregate, render_fleet_text
+    from repro.obs.analytics import fold_run
+    from repro.obs.watch import render_fleet_text
     from repro.service.journal import JOURNAL_NAME, Journal
 
     state_dir = Path(state_dir)
     lines: list[str] = []
-    stream = state_dir / "stream.ndjson"
-    if stream.exists():
-        agg = FleetAggregate()
-        for record in iter_ndjson(stream):
-            agg.feed(record)
-        lines.append(render_fleet_text(agg))
+    fold = fold_run(state_dir)
+    if fold is not None:
+        lines.append(render_fleet_text(fold.fleet_view()))
     if (state_dir / JOURNAL_NAME).exists():
         journal = Journal(state_dir)
         alerts = journal.alerts()

@@ -1,6 +1,6 @@
 """Incremental telemetry stream: NDJSON record schema + publisher.
 
-The obs plane of PR 4 buffers everything and exports once at the end.
+The core obs plane buffers everything and exports once at the end.
 This module makes the same telemetry *streamable while the run is live*:
 a :class:`StreamPublisher` rides on an :class:`~repro.obs.context.ObsContext`
 and, on every ``stream_flush()`` (the engine calls it at interval
@@ -37,7 +37,9 @@ The end-of-run export (:mod:`repro.obs.export`) writes the same schema
 to ``run.ndjson`` through the same per-record encoders
 (:func:`meta_line`, :func:`event_line`, :func:`span_line`,
 :func:`provenance_line`, :func:`metric_line`, :func:`end_line`), so one
-fold (:func:`repro.obs.analytics.fold_run`) reads either file.
+fold (:class:`repro.obs.analytics.RunFold`) reads either file for every
+reader: ingest, ``report`` and ``trace``, and the live ``watch`` and
+``fleet`` dashboards.
 
 :func:`iter_ndjson` is the matching reader: it tolerates a truncated
 final line (a crash mid-``writelines`` loses at most that line — the
@@ -73,34 +75,6 @@ DEFAULT_MAX_PENDING = 50_000
 
 #: Default dead-writer escape window of :func:`iter_ndjson` (seconds).
 DEFAULT_DEAD_WRITER_GRACE = 2.0
-
-#: Environment override for the dead-writer grace: a float, or one of
-#: ``none``/``off``/``disabled`` to turn the liveness probe off.
-DEAD_WRITER_GRACE_ENV = "REPRO_STREAM_DEAD_GRACE"
-
-#: Sentinel distinguishing "caller passed nothing" from an explicit None.
-_GRACE_UNSET = object()
-
-
-def resolve_dead_writer_grace(value=_GRACE_UNSET) -> float | None:
-    """The dead-writer grace to use: explicit kwarg > env > default.
-
-    An explicit ``None`` (or env ``none``/``off``/``disabled``) disables
-    the liveness probe entirely; a malformed env value falls back to the
-    default rather than killing a tail that was working yesterday.
-    """
-    if value is not _GRACE_UNSET:
-        return value
-    raw = os.environ.get(DEAD_WRITER_GRACE_ENV)
-    if raw is None:
-        return DEFAULT_DEAD_WRITER_GRACE
-    lowered = raw.strip().lower()
-    if lowered in ("none", "off", "disabled", "disable"):
-        return None
-    try:
-        return float(lowered)
-    except ValueError:
-        return DEFAULT_DEAD_WRITER_GRACE
 
 _PROVENANCE_FIELDS = (
     "interval", "stage", "page_start", "npages", "src_node", "dst_node",
@@ -419,7 +393,7 @@ def _pid_alive(pid: int) -> bool:
 
 def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
                 timeout: float | None = None,
-                dead_writer_grace=_GRACE_UNSET):
+                dead_writer_grace: float | None = DEFAULT_DEAD_WRITER_GRACE):
     """Yield decoded records from an NDJSON stream file.
 
     Tolerant of a truncated final line: only complete (newline-terminated)
@@ -440,15 +414,10 @@ def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
     optionally a ``pids`` list for processes writing through it; the
     escape only triggers once every announced pid is gone.
 
-    The grace defaults to :data:`DEFAULT_DEAD_WRITER_GRACE`, may be
-    overridden by the :data:`DEAD_WRITER_GRACE_ENV` environment variable
-    (a float, or ``none``/``off``/``disabled``), and an explicit kwarg —
-    including ``dead_writer_grace=None`` to disable the probe — beats
-    both (:func:`resolve_dead_writer_grace`).
+    The grace defaults to :data:`DEFAULT_DEAD_WRITER_GRACE`;
+    ``dead_writer_grace=None`` disables the liveness probe.
     """
     import time as _time
-
-    dead_writer_grace = resolve_dead_writer_grace(dead_writer_grace)
 
     deadline_clock = _time.monotonic
     last_data = deadline_clock()
@@ -524,7 +493,6 @@ def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
 
 
 __all__ = [
-    "DEAD_WRITER_GRACE_ENV",
     "DEFAULT_DEAD_WRITER_GRACE",
     "DEFAULT_MAX_PENDING",
     "METRIC_KINDS",
@@ -539,7 +507,6 @@ __all__ = [
     "metric_line",
     "open_text",
     "provenance_line",
-    "resolve_dead_writer_grace",
     "span_line",
     "validate_stream_record",
 ]

@@ -1,31 +1,36 @@
-"""Live telemetry aggregation + the ``repro watch`` dashboard.
+"""The ``repro watch`` and ``repro fleet`` dashboards.
 
-Consumes the NDJSON stream records of :mod:`repro.obs.stream` — from a
-growing ``stream.ndjson`` file (``--run DIR``) or a listening socket fed
-by :class:`~repro.obs.sinks.SocketSink` publishers (``--connect ADDR``;
-the watcher is the *server*, simulations push to it, so one dashboard
-can aggregate many runs) — and folds them into a :class:`LiveAggregate`
-rendered as a refresh-loop terminal dashboard or a static HTML page.
+Both render a :class:`~repro.obs.analytics.RunFold`, the one fold every
+reader of the NDJSON record shares, fed live from a growing
+``stream.ndjson`` (``--run DIR``) or, for watch, from a listening socket
+fed by :class:`~repro.obs.sinks.SocketSink` publishers (``--connect
+ADDR``; the watcher is the *server*, simulations push to it, so one
+dashboard can aggregate many runs).  A live fold keeps no rows, so a
+dashboard's memory is bounded by tracks, metric series and workers.
+``repro fleet --connect`` instead renders the scheduler's ``fleet``
+reply, which also carries queue depth, heartbeat staleness and lease
+latency.  Each dashboard prints refresh-loop terminal frames and may
+write a static HTML page.
 
-The dashboard answers MTM's online questions: is the run making
-intervals, where do pages sit per tier, how much bandwidth is migration
-moving, and is profiling overhead holding under the paper's 5% budget
-(§4's constraint) — plus the reliability counters (faults, retries,
-cache hit ratio, stream drops).
+Watch answers MTM's online questions: is the run making intervals,
+where do pages sit per tier, how much bandwidth is migration moving,
+and is profiling overhead holding under the paper's 5% budget (§4's
+constraint) — plus the reliability counters (faults, retries, cache hit
+ratio, stream drops).  Fleet shows the sweep service's workers, leases,
+jobs and alerts.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
+from html import escape
 
-from repro.obs.events import (
-    EV_CACHE_HIT,
-    EV_CACHE_MISS,
-    EV_FAULT_INJECTED,
-    EV_INTERVAL_END,
-)
+from repro.errors import ServiceError
+from repro.obs.analytics import RunFold
+from repro.obs.events import EV_CACHE_HIT, EV_CACHE_MISS
 from repro.obs.stream import STREAM_SCHEMA_VERSION, iter_ndjson
 from repro.units import PAGE_SIZE
 
@@ -34,191 +39,72 @@ from repro.units import PAGE_SIZE
 DEFAULT_BUDGET = 0.05
 
 
-class TrackState:
-    """Rolling state of one stream track (one engine run)."""
+def watch_view(fold: RunFold) -> dict:
+    """Everything the watch renderers need, as plain values.
 
-    __slots__ = (
-        "intervals", "last_interval", "sim_time", "app_time", "prof_time",
-        "mig_time", "promoted_pages", "demoted_pages", "degraded",
-        "fault_events", "first_end_ts", "last_end_ts", "done",
-    )
-
-    def __init__(self) -> None:
-        self.intervals = 0
-        self.last_interval = -1
-        self.sim_time = 0.0
-        self.app_time = 0.0
-        self.prof_time = 0.0
-        self.mig_time = 0.0
-        self.promoted_pages = 0
-        self.demoted_pages = 0
-        self.degraded = 0
-        self.fault_events = 0
-        self.first_end_ts = None
-        self.last_end_ts = None
-        self.done = False
-
-
-class LiveAggregate:
-    """Folds stream records into the state the dashboard renders."""
-
-    def __init__(self) -> None:
-        self.tracks: dict[str, TrackState] = {}
-        self.counters: dict[tuple, float] = {}
-        self.gauges: dict[tuple, float] = {}
-        self.event_counts: dict[str, int] = {}
-        self.records = 0
-        self.invalid_records = 0
-        self.schema_mismatch = 0
-        self.done = False
-
-    def _track(self, name) -> TrackState:
-        track = self.tracks.get(name)
-        if track is None:
-            track = self.tracks[name] = TrackState()
-        return track
-
-    def feed(self, record) -> None:
-        """Fold one decoded record in (unknown shapes are counted, kept)."""
-        if not isinstance(record, dict):
-            self.invalid_records += 1
-            return
-        self.records += 1
-        rtype = record.get("type")
-        track_name = record.get("track", "")
-        if rtype == "meta":
-            self._track(track_name)
-            if record.get("v") != STREAM_SCHEMA_VERSION:
-                self.schema_mismatch += 1
-        elif rtype == "event":
-            name = record.get("name", "")
-            self.event_counts[name] = self.event_counts.get(name, 0) + 1
-            track = self._track(track_name)
-            if name == EV_INTERVAL_END:
-                track.intervals += 1
-                track.last_interval = record.get("interval", -1)
-                track.sim_time = record.get("sim_time", track.sim_time)
-                track.app_time += record.get("app_time", 0.0)
-                track.prof_time += record.get("profiling_time", 0.0)
-                track.mig_time += record.get("migration_time", 0.0)
-                track.promoted_pages += record.get("promoted_pages", 0)
-                track.demoted_pages += record.get("demoted_pages", 0)
-                if record.get("degraded"):
-                    track.degraded += 1
-                ts = record.get("ts")
-                if isinstance(ts, (int, float)):
-                    if track.first_end_ts is None:
-                        track.first_end_ts = ts
-                    track.last_end_ts = ts
-            elif name == EV_FAULT_INJECTED:
-                track.fault_events += 1
-        elif rtype == "metric":
-            name = record.get("name", "")
-            labels = tuple(tuple(p) for p in record.get("labels") or ())
-            key = (name, labels)
-            kind = record.get("kind")
-            if kind == "counter":
-                self.counters[key] = (
-                    self.counters.get(key, 0) + record.get("delta", 0)
-                )
-            elif kind == "gauge":
-                self.gauges[key] = record.get("value", 0)
-        elif rtype == "end":
-            self._track(track_name).done = True
-            self.done = True
-        elif rtype not in ("span", "provenance"):
-            self.invalid_records += 1
-
-    # -- derived views --------------------------------------------------------
-
-    def counter_total(self, name: str) -> float:
-        return sum(v for (n, _), v in self.counters.items() if n == name)
-
-    def interval_rate(self) -> float:
-        """Aggregate host-side intervals/second across tracks."""
-        rate = 0.0
-        for track in self.tracks.values():
-            if (track.intervals >= 2 and track.first_end_ts is not None
-                    and track.last_end_ts is not None
-                    and track.last_end_ts > track.first_end_ts):
-                rate += (track.intervals - 1) / (
-                    track.last_end_ts - track.first_end_ts
-                )
-        return rate
-
-    def tier_occupancy(self) -> list[tuple[int, float, float]]:
-        """``(node, used_pages, capacity_pages)`` per tier, latest values."""
-        used: dict[int, float] = {}
-        cap: dict[int, float] = {}
-        for (name, labels), value in self.gauges.items():
-            node = next(
-                (int(v) for k, v in labels if k == "node"), None
-            )
-            if node is None:
-                continue
-            if name == "tier.occupancy_pages":
-                used[node] = value
-            elif name == "tier.capacity_pages":
-                cap[node] = value
-        return [
-            (node, used[node], cap.get(node, 0.0)) for node in sorted(used)
-        ]
-
-    def service_gauges(self) -> dict[str, float]:
-        """Latest ``service.*`` gauges (scheduler-side telemetry).
-
-        A ``repro serve --obs-stream`` daemon publishes its result-cache
-        counters (``service.cache.*``) and warm-fleet state
-        (``service.warm.*``: snapshot hits/misses, cached bytes,
-        affinity grants) as gauges; plain simulation streams carry none,
-        so an empty dict hides the service panel entirely.
-        """
-        return {name: value for (name, _labels), value in self.gauges.items()
-                if name.startswith("service.")}
-
-    def summary(self) -> dict:
-        """Everything the renderers need, as plain values."""
-        intervals = sum(t.intervals for t in self.tracks.values())
-        app = sum(t.app_time for t in self.tracks.values())
-        prof = sum(t.prof_time for t in self.tracks.values())
-        mig = sum(t.mig_time for t in self.tracks.values())
-        sim_time = sum(t.sim_time for t in self.tracks.values())
-        promoted = sum(t.promoted_pages for t in self.tracks.values())
-        demoted = sum(t.demoted_pages for t in self.tracks.values())
-        moved_bytes = (promoted + demoted) * PAGE_SIZE
-        hits = self.counter_total("cache.hits") or self.event_counts.get(
-            EV_CACHE_HIT, 0
-        )
-        misses = self.counter_total("cache.misses") or self.event_counts.get(
-            EV_CACHE_MISS, 0
-        )
-        return {
-            "tracks": len(self.tracks),
-            "tracks_done": sum(1 for t in self.tracks.values() if t.done),
-            "records": self.records,
-            "intervals": intervals,
-            "interval_rate": self.interval_rate(),
-            "sim_time": sim_time,
-            "app_time": app,
-            "profile_time": prof,
-            "migrate_time": mig,
-            "profile_overhead": (prof / app) if app > 0 else 0.0,
-            "promoted_pages": promoted,
-            "demoted_pages": demoted,
-            "migration_bandwidth": (moved_bytes / sim_time) if sim_time > 0 else 0.0,
-            "degraded_intervals": sum(t.degraded for t in self.tracks.values()),
-            "faults": sum(t.fault_events for t in self.tracks.values()),
-            "retries_scheduled": self.counter_total("migrate.retries_scheduled"),
-            "retries_succeeded": self.counter_total("migrate.retries_succeeded"),
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "cache_hit_ratio": (hits / (hits + misses)) if (hits + misses) else 0.0,
-            "dropped_events": self.counter_total("obs.dropped_events"),
-            "relay_backpressure": self.counter_total("obs.relay_backpressure"),
-            "tiers": self.tier_occupancy(),
-            "service": self.service_gauges(),
-            "done": self.done,
-        }
+    Counter totals sum over labels; tier occupancy and the ``service.*``
+    gauges read the fold's merged gauges (the maximum over tracks).
+    """
+    tracks = fold.tracks.values()
+    registry = fold.registry()
+    app = sum(t.app_time for t in tracks)
+    prof = sum(t.prof_time for t in tracks)
+    sim_time = sum(t.sim_time for t in tracks)
+    promoted = sum(t.promoted_pages for t in tracks)
+    demoted = sum(t.demoted_pages for t in tracks)
+    moved_bytes = (promoted + demoted) * PAGE_SIZE
+    events = fold.event_counts()
+    hits = registry.counter_total("cache.hits") or events.get(EV_CACHE_HIT, 0)
+    misses = (registry.counter_total("cache.misses")
+              or events.get(EV_CACHE_MISS, 0))
+    rate = 0.0  # host-side intervals/second, summed over tracks
+    for t in tracks:
+        if (t.intervals >= 2 and t.first_end_ts is not None
+                and t.last_end_ts is not None
+                and t.last_end_ts > t.first_end_ts):
+            rate += (t.intervals - 1) / (t.last_end_ts - t.first_end_ts)
+    used: dict[int, float] = {}
+    cap: dict[int, float] = {}
+    for (name, labels), value in registry.gauges.items():
+        node = next((int(v) for k, v in labels if k == "node"), None)
+        if node is None:
+            continue
+        if name == "tier.occupancy_pages":
+            used[node] = value
+        elif name == "tier.capacity_pages":
+            cap[node] = value
+    return {
+        "tracks": len(fold.tracks),
+        "tracks_done": sum(1 for t in tracks if t.done),
+        "records": fold.records,
+        "intervals": sum(t.intervals for t in tracks),
+        "interval_rate": rate,
+        "sim_time": sim_time,
+        "app_time": app,
+        "profile_time": prof,
+        "migrate_time": sum(t.mig_time for t in tracks),
+        "profile_overhead": (prof / app) if app > 0 else 0.0,
+        "promoted_pages": promoted,
+        "demoted_pages": demoted,
+        "migration_bandwidth": (moved_bytes / sim_time) if sim_time > 0 else 0.0,
+        "degraded_intervals": sum(t.degraded for t in tracks),
+        "faults": sum(t.fault_events for t in tracks),
+        "retries_scheduled": registry.counter_total("migrate.retries_scheduled"),
+        "retries_succeeded": registry.counter_total("migrate.retries_succeeded"),
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "cache_hit_ratio": (hits / (hits + misses)) if (hits + misses) else 0.0,
+        "dropped_events": registry.counter_total("obs.dropped_events"),
+        "relay_backpressure": registry.counter_total("obs.relay_backpressure"),
+        # (node, used_pages, capacity_pages) per tier
+        "tiers": [(node, used[node], cap.get(node, 0.0))
+                  for node in sorted(used)],
+        # scheduler-side telemetry; plain simulation streams carry none,
+        # so an empty dict hides the service panel entirely
+        "service": {name: value for (name, _), value in registry.gauges.items()
+                    if name.startswith("service.")},
+        "done": fold.done,
+    }
 
 
 # -- terminal rendering -------------------------------------------------------
@@ -242,9 +128,9 @@ def _fmt_bytes(value: float) -> str:
     return f"{value:.1f} TiB"
 
 
-def render_text(agg: LiveAggregate, budget: float = DEFAULT_BUDGET) -> str:
-    """One dashboard frame as plain text."""
-    s = agg.summary()
+def render_text(fold: RunFold, budget: float = DEFAULT_BUDGET) -> str:
+    """One watch frame as plain text."""
+    s = watch_view(fold)
     lines = []
     status = "done" if s["done"] else "running"
     lines.append(
@@ -311,17 +197,19 @@ def render_text(agg: LiveAggregate, budget: float = DEFAULT_BUDGET) -> str:
         f"stream drops: events {s['dropped_events']:.0f} · "
         f"relay backpressure {s['relay_backpressure']:.0f}"
     )
-    if agg.invalid_records or agg.schema_mismatch:
+    if fold.invalid_records or fold.schema_mismatch:
         lines.append(
-            f"stream problems: {agg.invalid_records} invalid records, "
-            f"{agg.schema_mismatch} schema mismatches"
+            f"stream problems: {fold.invalid_records} invalid records, "
+            f"{fold.schema_mismatch} schema mismatches"
         )
     return "\n".join(lines)
 
 
 # -- HTML rendering -----------------------------------------------------------
 
-_HTML_STYLE = """
+#: The dataviz tokens every HTML page shares (the dashboards and the
+#: analytics diff report, ``repro diff --html``).
+HTML_STYLE = """
 :root { color-scheme: light dark; }
 .viz-root {
   color-scheme: light;
@@ -379,25 +267,15 @@ _HTML_STYLE = """
 """
 
 
-#: Public aliases: the dataviz tokens are shared with the analytics
-#: diff report (``repro diff --html``), which must match the dashboards.
-HTML_STYLE = _HTML_STYLE
-
-
-def _esc(text) -> str:
-    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;"))
-
-
 def escape_html(text) -> str:
-    """Escape text for embedding in the shared HTML reports."""
-    return _esc(text)
+    """Escape text for embedding in the shared HTML pages."""
+    return escape(str(text), quote=False)
 
 
-def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
+def render_html(fold: RunFold, budget: float = DEFAULT_BUDGET,
                 title: str = "repro watch") -> str:
-    """Self-contained static dashboard page (no external assets)."""
-    s = agg.summary()
+    """Self-contained static watch page (no external assets)."""
+    s = watch_view(fold)
     overhead = s["profile_overhead"]
     over = overhead > budget
     tiles = [
@@ -405,7 +283,7 @@ def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
          f"{s['interval_rate']:.1f}/s host rate"),
         ("Sim time", f"{s['sim_time']:.3f} s",
          f"{s['tracks']} tracks, {s['tracks_done']} done"),
-        ("Migration", f"{_esc(_fmt_bytes(s['migration_bandwidth']))}/s",
+        ("Migration", f"{escape_html(_fmt_bytes(s['migration_bandwidth']))}/s",
          f"{s['promoted_pages']} promoted / {s['demoted_pages']} demoted pages"),
         ("Cache hit", f"{s['cache_hit_ratio'] * 100:.1f}%",
          f"{s['cache_hits']:.0f} hits / {s['cache_misses']:.0f} misses"),
@@ -417,7 +295,7 @@ def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
          f"{s['relay_backpressure']:.0f}"),
     ]
     tile_html = "".join(
-        f'<div class="tile"><div class="label">{_esc(label)}</div>'
+        f'<div class="tile"><div class="label">{escape_html(label)}</div>'
         f'<div class="value">{value}</div>'
         f'<div class="detail">{detail}</div></div>'
         for label, value, detail in tiles
@@ -448,7 +326,7 @@ def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
             ("Warm snapshots",
              f"{svc.get('service.warm.hits', 0):.0f} hits",
              f"{svc.get('service.warm.misses', 0):.0f} misses · "
-             f"{_esc(_fmt_bytes(svc.get('service.warm.cached_bytes', 0)))}"
+             f"{escape_html(_fmt_bytes(svc.get('service.warm.cached_bytes', 0)))}"
              " cached"),
             ("Affinity",
              f"{svc.get('service.warm.affinity_hits', 0):.0f} warm grants",
@@ -456,7 +334,7 @@ def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
              "past the FIFO head"),
         ]
         svc_html = "".join(
-            f'<div class="tile"><div class="label">{_esc(label)}</div>'
+            f'<div class="tile"><div class="label">{escape_html(label)}</div>'
             f'<div class="value">{value}</div>'
             f'<div class="detail">{detail}</div></div>'
             for label, value, detail in svc_tiles
@@ -468,10 +346,10 @@ def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
     return f"""<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
 <meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_esc(title)}</title>
-<style>{_HTML_STYLE}</style></head>
+<title>{escape_html(title)}</title>
+<style>{HTML_STYLE}</style></head>
 <body class="viz-root">
-<h1>{_esc(title)}</h1>
+<h1>{escape_html(title)}</h1>
 <p class="sub">{status} · {s['records']} stream records · schema v{STREAM_SCHEMA_VERSION}</p>
 <div class="tiles">{tile_html}</div>
 <div class="panel"><h2>Tier occupancy</h2>{tier_rows or '<p class="sub">no occupancy gauges yet</p>'}</div>
@@ -506,211 +384,57 @@ def _spark(values, width: int = 24) -> str:
     )
 
 
-class FleetAggregate:
-    """State behind ``repro fleet``: per-worker fleet health.
-
-    Two feeding modes, mirrored onto the same summary:
-
-    * **snapshot mode** (``--connect``): :meth:`feed_snapshot` replaces
-      the state wholesale with a scheduler fleet snapshot (the ``fleet``
-      protocol op / ``/fleet.json``);
-    * **stream mode** (``--run``): :meth:`feed` folds ``service.*``
-      stream records from a ``repro serve --obs-stream`` NDJSON file.
-
-    :meth:`sample_throughput` turns the completions counter into a
-    per-refresh rate series for the sparkline.
-    """
+class ThroughputSampler:
+    """Completions per second between refreshes, for the fleet sparkline."""
 
     def __init__(self) -> None:
-        #: wid -> {"cells_done", "staleness", "in_flight", "warm_keys",
-        #:         "lost"}
-        self.workers: dict[str, dict] = {}
-        self.queue_depth = 0
-        self.active_leases = 0
-        self.dead_letters = 0
-        self.counters = {"leases_granted": 0, "leases_expired": 0,
-                         "requeues": 0, "completions": 0}
-        self.lease_latency: dict = {}
-        self.jobs = {"running": 0, "done": 0, "failed": 0}
-        self.cache: dict = {}
-        self.warm: dict = {}
-        #: rule name -> alert entry (currently firing)
-        self.alerts: dict[str, dict] = {}
-        self.alert_history = 0
-        self.records = 0
-        self.stopping = False
-        self._throughput: list[float] = []
-        self._last_completions = 0.0
-        self._last_sample: float | None = None
+        #: the last 120 rates, oldest first
+        self.rates: list[float] = []
+        self._last: tuple[float, float] | None = None
 
-    # -- snapshot mode ---------------------------------------------------------
-
-    def feed_snapshot(self, snapshot: dict) -> None:
-        """Replace the aggregate's state from one ``fleet`` snapshot."""
-        self.records += 1
-        self.queue_depth = int(snapshot.get("queue_depth", 0))
-        self.active_leases = int(snapshot.get("active_leases", 0))
-        self.dead_letters = int(snapshot.get("dead_letters", 0))
-        for key in self.counters:
-            self.counters[key] = int(
-                snapshot.get("counters", {}).get(key, self.counters[key]))
-        self.lease_latency = dict(snapshot.get("lease_latency", {}))
-        self.jobs.update(snapshot.get("jobs", {}))
-        self.cache = dict(snapshot.get("cache", {}))
-        self.warm = dict(snapshot.get("warm", {}))
-        self.stopping = bool(snapshot.get("stopping", False))
-        self.workers = {
-            wid: {
-                "cells_done": entry.get("cells_done", 0),
-                "staleness": entry.get("staleness", 0.0),
-                "in_flight": [
-                    f"{lease.get('workload')}/{lease.get('solution')}"
-                    for lease in entry.get("in_flight", [])
-                ],
-                "warm_keys": entry.get("warm_keys", 0),
-                "lost": False,
-            }
-            for wid, entry in snapshot.get("workers", {}).items()
-        }
-        firing = {}
-        for entry in snapshot.get("alerts", []) or []:
-            firing[entry.get("rule", "?")] = dict(entry)
-        self.alerts = firing
-
-    # -- stream mode -----------------------------------------------------------
-
-    def _worker(self, wid: str) -> dict:
-        worker = self.workers.get(wid)
-        if worker is None:
-            worker = self.workers[wid] = {
-                "cells_done": 0, "staleness": 0.0, "in_flight": [],
-                "warm_keys": 0, "lost": False,
-            }
-        return worker
-
-    def feed(self, record) -> None:
-        """Fold one ``service.*`` stream record (others are ignored)."""
-        if not isinstance(record, dict):
-            return
-        rtype = record.get("type")
-        if rtype == "event":
-            name = record.get("name", "")
-            if not name.startswith("service."):
-                return
-            self.records += 1
-            wid = record.get("worker")
-            cell = f"{record.get('workload')}/{record.get('solution')}"
-            if name == "service.worker_joined":
-                self._worker(wid)["lost"] = False
-            elif name == "service.worker_lost":
-                if wid in self.workers:
-                    self.workers[wid]["lost"] = True
-                    self.workers[wid]["in_flight"] = []
-            elif name == "service.lease_granted":
-                self.counters["leases_granted"] += 1
-                worker = self._worker(wid)
-                if cell not in worker["in_flight"]:
-                    worker["in_flight"].append(cell)
-            elif name == "service.lease_expired":
-                self.counters["leases_expired"] += 1
-                if wid in self.workers:
-                    flight = self.workers[wid]["in_flight"]
-                    if cell in flight:
-                        flight.remove(cell)
-            elif name == "service.cell_done":
-                self.counters["completions"] += 1
-                worker = self._worker(wid)
-                worker["cells_done"] += 1
-                if cell in worker["in_flight"]:
-                    worker["in_flight"].remove(cell)
-            elif name == "service.cell_requeued":
-                self.counters["requeues"] += 1
-            elif name == "service.cell_dead_letter":
-                self.dead_letters += 1
-            elif name == "service.job_submitted":
-                self.jobs["running"] += 1
-            elif name in ("service.job_done", "service.job_failed"):
-                state = "done" if name.endswith("done") else "failed"
-                self.jobs["running"] = max(0, self.jobs["running"] - 1)
-                self.jobs[state] += 1
-            elif name == "service.alert.firing":
-                rule = record.get("rule", "?")
-                self.alerts[rule] = {
-                    "rule": rule, "metric": record.get("metric", ""),
-                    "value": record.get("value", 0.0),
-                    "threshold": record.get("threshold", 0.0),
-                    "description": record.get("description", ""),
-                }
-                self.alert_history += 1
-            elif name == "service.alert.resolved":
-                self.alerts.pop(record.get("rule", "?"), None)
-                self.alert_history += 1
-        elif rtype == "metric" and record.get("kind") == "gauge":
-            name = record.get("name", "")
-            if name.startswith("service.cache."):
-                self.records += 1
-                self.cache[name.rsplit(".", 1)[1]] = record.get("value", 0)
-            elif name.startswith("service.warm."):
-                self.records += 1
-                self.warm[name.rsplit(".", 1)[1]] = record.get("value", 0)
-
-    # -- derived ---------------------------------------------------------------
-
-    def sample_throughput(self, now: float) -> None:
-        """One rate sample (cells/s since the previous call)."""
-        completions = float(self.counters["completions"])
-        if self._last_sample is not None and now > self._last_sample:
-            rate = (completions - self._last_completions) / (
-                now - self._last_sample)
-            self._throughput.append(max(0.0, rate))
-            if len(self._throughput) > 120:
-                del self._throughput[:-120]
-        self._last_sample = now
-        self._last_completions = completions
-
-    def throughput(self) -> list[float]:
-        return list(self._throughput)
-
-    def summary(self) -> dict:
-        live = [w for w in self.workers.values() if not w["lost"]]
-        return {
-            "workers": len(live),
-            "workers_lost": sum(1 for w in self.workers.values() if w["lost"]),
-            "queue_depth": self.queue_depth,
-            "active_leases": self.active_leases or sum(
-                len(w["in_flight"]) for w in live),
-            "dead_letters": self.dead_letters,
-            "counters": dict(self.counters),
-            "lease_latency": dict(self.lease_latency),
-            "jobs": dict(self.jobs),
-            "cache": dict(self.cache),
-            "warm": dict(self.warm),
-            "alerts": sorted(self.alerts.values(),
-                             key=lambda a: a.get("rule", "")),
-            "alert_history": self.alert_history,
-            "throughput": self.throughput(),
-            "records": self.records,
-            "stopping": self.stopping,
-        }
+    def sample(self, view: dict, now: float) -> None:
+        """One rate sample: completions since the previous call, per second."""
+        completions = float(view["counters"]["completions"])
+        if self._last is not None and now > self._last[0]:
+            then, before = self._last
+            self.rates.append(max(0.0, (completions - before) / (now - then)))
+            del self.rates[:-120]
+        self._last = (now, completions)
 
 
-def render_fleet_text(agg: FleetAggregate) -> str:
-    """One ``repro fleet`` frame as plain text."""
-    s = agg.summary()
-    c = s["counters"]
+def _worker_state(worker: dict) -> str:
+    if worker.get("lost"):
+        return "lost"
+    return "busy" if worker["in_flight"] else "idle"
+
+
+def _cells(worker: dict) -> list[str]:
+    return [f"{lease.get('workload')}/{lease.get('solution')}"
+            for lease in worker["in_flight"][:3]]
+
+
+def render_fleet_text(view: dict, throughput=()) -> str:
+    """One ``repro fleet`` frame as plain text.
+
+    ``view`` is a scheduler ``fleet`` reply or
+    :meth:`RunFold.fleet_view`; ``throughput`` the sampled rates.
+    """
+    c = view["counters"]
+    workers = view["workers"]
+    lost = sum(1 for w in workers.values() if w.get("lost"))
     lines = []
-    status = "draining" if s["stopping"] else "serving"
+    status = "draining" if view["stopping"] else "serving"
     lines.append(
-        f"repro fleet · {status} · workers {s['workers']} "
-        f"(+{s['workers_lost']} lost) · queue {s['queue_depth']} · "
-        f"in flight {s['active_leases']}"
+        f"repro fleet · {status} · workers {len(workers) - lost} "
+        f"(+{lost} lost) · queue {view['queue_depth']} · "
+        f"in flight {view['active_leases']}"
     )
     lines.append(
         f"leases: {c['leases_granted']} granted · {c['completions']} done · "
         f"{c['leases_expired']} expired · {c['requeues']} requeued · "
-        f"{s['dead_letters']} dead-lettered"
+        f"{view['dead_letters']} dead-lettered"
     )
-    latency = s["lease_latency"]
+    latency = view["lease_latency"]
     if latency.get("count"):
         lines.append(
             f"lease latency: p50 {latency.get('p50', 0.0) * 1e3:.0f} ms · "
@@ -718,16 +442,15 @@ def render_fleet_text(agg: FleetAggregate) -> str:
             f"p99 {latency.get('p99', 0.0) * 1e3:.0f} ms "
             f"({latency['count']} samples)"
         )
-    jobs = s["jobs"]
+    jobs = view["jobs"]
     lines.append(
         f"jobs: {jobs.get('running', 0)} running · "
         f"{jobs.get('done', 0)} done · {jobs.get('failed', 0)} failed"
     )
-    spark = _spark(s["throughput"])
+    spark = _spark(throughput)
     if spark:
-        current = s["throughput"][-1] if s["throughput"] else 0.0
-        lines.append(f"throughput {spark} {current:.1f} cells/s")
-    cache = s["cache"]
+        lines.append(f"throughput {spark} {throughput[-1]:.1f} cells/s")
+    cache = view["cache"]
     if cache:
         hits, misses = cache.get("hits", 0), cache.get("misses", 0)
         ratio = hits / (hits + misses) if (hits + misses) else 0.0
@@ -735,243 +458,187 @@ def render_fleet_text(agg: FleetAggregate) -> str:
             f"result cache: {ratio * 100:.0f}% hit ({hits:.0f}/{misses:.0f}) "
             f"· {cache.get('corrupt', 0):.0f} corrupt"
         )
-    warm = s["warm"]
+    warm = view["warm"]
     if warm:
         lines.append(
             f"warm snapshots: {warm.get('hits', 0):.0f} hits / "
             f"{warm.get('misses', 0):.0f} misses · "
             f"{_fmt_bytes(warm.get('cached_bytes', 0))} cached"
         )
-    if agg.workers:
+    if workers:
         lines.append("workers:")
-        for wid in sorted(agg.workers):
-            worker = agg.workers[wid]
-            state = "lost" if worker["lost"] else (
-                "busy" if worker["in_flight"] else "idle")
-            flight = ", ".join(worker["in_flight"][:3]) or "-"
-            stale = worker.get("staleness", 0.0)
+        for wid in sorted(workers):
+            worker = workers[wid]
+            flight = ", ".join(_cells(worker)) or "-"
             lines.append(
-                f"  {wid:<28} {state:<5} cells {worker['cells_done']:<5} "
-                f"stale {stale:5.1f}s  warm {worker.get('warm_keys', 0):<3} "
-                f"running {flight}"
+                f"  {wid:<28} {_worker_state(worker):<5} "
+                f"cells {worker['cells_done']:<5} "
+                f"stale {worker.get('staleness', 0.0):5.1f}s  "
+                f"warm {worker.get('warm_keys', 0):<3} running {flight}"
             )
-    if s["alerts"]:
+    alerts = sorted(view.get("alerts", ()), key=lambda a: a.get("rule", ""))
+    if alerts:
         lines.append("ALERTS:")
-        for alert in s["alerts"]:
+        for alert in alerts:
             lines.append(
                 f"  !! {alert['rule']}: {alert.get('description', '')} "
                 f"(value {alert.get('value', 0):g}, "
                 f"threshold {alert.get('threshold', 0):g})"
             )
     else:
-        lines.append(f"alerts: none firing ({s['alert_history']} transitions)")
+        lines.append(
+            f"alerts: none firing ({view.get('alert_history', 0)} transitions)")
     return "\n".join(lines)
 
 
-def render_fleet_html(agg: FleetAggregate,
+def render_fleet_html(view: dict, throughput=(),
                       title: str = "repro fleet") -> str:
     """Self-contained static fleet page (same dataviz skin as watch)."""
-    s = agg.summary()
-    c = s["counters"]
-    latency = s["lease_latency"]
+    c = view["counters"]
+    workers = view["workers"]
+    lost = sum(1 for w in workers.values() if w.get("lost"))
+    latency = view["lease_latency"]
+    alerts = sorted(view.get("alerts", ()), key=lambda a: a.get("rule", ""))
     tiles = [
-        ("Workers", f"{s['workers']}",
-         f"{s['workers_lost']} lost · {s['active_leases']} cells in flight"),
-        ("Queue", f"{s['queue_depth']}",
+        ("Workers", f"{len(workers) - lost}",
+         f"{lost} lost · {view['active_leases']} cells in flight"),
+        ("Queue", f"{view['queue_depth']}",
          f"{c['leases_granted']} granted · {c['requeues']} requeued"),
         ("Completions", f"{c['completions']}",
-         f"{c['leases_expired']} expired · {s['dead_letters']} dead letters"),
+         f"{c['leases_expired']} expired · {view['dead_letters']} dead letters"),
         ("Lease p95", f"{latency.get('p95', 0.0) * 1e3:.0f} ms",
          f"p50 {latency.get('p50', 0.0) * 1e3:.0f} · "
          f"p99 {latency.get('p99', 0.0) * 1e3:.0f} ms "
          f"({latency.get('count', 0)} samples)"),
-        ("Jobs", f"{s['jobs'].get('running', 0)} running",
-         f"{s['jobs'].get('done', 0)} done · "
-         f"{s['jobs'].get('failed', 0)} failed"),
-        ("Alerts", f"{len(s['alerts'])}",
-         f"{s['alert_history']} transitions"),
+        ("Jobs", f"{view['jobs'].get('running', 0)} running",
+         f"{view['jobs'].get('done', 0)} done · "
+         f"{view['jobs'].get('failed', 0)} failed"),
+        ("Alerts", f"{len(alerts)}",
+         f"{view.get('alert_history', 0)} transitions"),
     ]
     tile_html = "".join(
-        f'<div class="tile"><div class="label">{_esc(label)}</div>'
-        f'<div class="value">{_esc(value)}</div>'
-        f'<div class="detail">{_esc(detail)}</div></div>'
+        f'<div class="tile"><div class="label">{escape_html(label)}</div>'
+        f'<div class="value">{escape_html(value)}</div>'
+        f'<div class="detail">{escape_html(detail)}</div></div>'
         for label, value, detail in tiles
     )
     worker_rows = ""
-    for wid in sorted(agg.workers):
-        worker = agg.workers[wid]
-        state = "lost" if worker["lost"] else (
-            "busy" if worker["in_flight"] else "idle")
-        flight = ", ".join(worker["in_flight"][:3]) or "—"
+    for wid in sorted(workers):
+        worker = workers[wid]
+        flight = ", ".join(_cells(worker)) or "—"
         worker_rows += (
-            f'<div class="meter-row"><span class="name">{_esc(wid)}</span>'
-            f'<span class="num">{_esc(state)} · '
+            f'<div class="meter-row"><span class="name">{escape_html(wid)}</span>'
+            f'<span class="num">{escape_html(_worker_state(worker))} · '
             f"{worker['cells_done']} cells · "
             f"stale {worker.get('staleness', 0.0):.1f}s · "
-            f"{_esc(flight)}</span></div>"
+            f"{escape_html(flight)}</span></div>"
         )
     alert_rows = "".join(
         f'<div class="meter-row"><span class="name status-over">'
-        f"{_esc(alert['rule'])}</span>"
-        f'<span class="num">{_esc(alert.get("description", ""))} '
+        f"{escape_html(alert['rule'])}</span>"
+        f'<span class="num">{escape_html(alert.get("description", ""))} '
         f"(value {alert.get('value', 0):g})</span></div>"
-        for alert in s["alerts"]
+        for alert in alerts
     ) or '<p class="sub">none firing</p>'
-    spark = _spark(s["throughput"], width=48)
-    status = "draining" if s["stopping"] else "serving"
+    spark = _spark(throughput, width=48)
+    status = "draining" if view["stopping"] else "serving"
     return f"""<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
 <meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_esc(title)}</title>
-<style>{_HTML_STYLE}</style></head>
+<title>{escape_html(title)}</title>
+<style>{HTML_STYLE}</style></head>
 <body class="viz-root">
-<h1>{_esc(title)}</h1>
-<p class="sub">{status} · {s['records']} updates</p>
+<h1>{escape_html(title)}</h1>
+<p class="sub">{status}</p>
 <div class="tiles">{tile_html}</div>
 <div class="panel"><h2>Throughput (cells/s)</h2>
-<p style="font-size:20px;margin:0">{_esc(spark) or '—'}</p></div>
+<p style="font-size:20px;margin:0">{escape_html(spark) or '—'}</p></div>
 <div class="panel"><h2>Workers</h2>{worker_rows or '<p class="sub">none registered</p>'}</div>
 <div class="panel"><h2>Alerts</h2>{alert_rows}</div>
 </body></html>
 """
 
 
-def run_fleet(
-    connect: str | None = None,
-    run: str | None = None,
-    refresh: float = 1.0,
-    once: bool = False,
-    duration: float | None = None,
-    wait: float | None = None,
-    html: str | None = None,
-    secret: bytes | None = None,
-    out=None,
-) -> int:
-    """Drive the ``repro fleet`` dashboard.
+# -- sources and the refresh loop ---------------------------------------------
 
-    Exactly one of ``connect`` (poll the scheduler's ``fleet`` op over
-    the wire protocol) or ``run`` (tail a ``repro serve --obs-stream``
-    NDJSON file).  Returns 0 once the fleet drains / the stream ends,
-    1 when nothing was ever observed.
-    """
-    if out is None:
-        out = print
-    agg = FleetAggregate()
-    lock = threading.Lock()
+
+def resolve_stream_path(run):
+    """``--run`` accepts the obs dir or the stream file itself."""
+    if os.path.isdir(run):
+        return os.path.join(run, "stream.ndjson")
+    return run
+
+
+def _read_once(path, wait, ready) -> RunFold:
+    """Fold the stream as it stands, re-reading it until ``ready(fold)``
+    or ``wait`` seconds pass (``--once``)."""
+    deadline = time.monotonic() + (wait or 0.0)
+    while True:
+        fold = RunFold()  # the file is re-read from the start
+        for record in iter_ndjson(path):
+            fold.feed(record)
+        if ready(fold) or time.monotonic() >= deadline:
+            return fold
+        time.sleep(0.2)
+
+
+def _follow(path, fold: RunFold, lock, duration) -> threading.Event:
+    """Tail ``path`` into ``fold`` on a thread; set the event to stop."""
     stop = threading.Event()
-    client = None
 
-    def write_html() -> None:
-        if html:
+    def pump() -> None:
+        for record in iter_ndjson(path, follow=True, timeout=duration):
             with lock:
-                page = render_fleet_html(agg)
-            with open(html, "w", encoding="utf-8") as fh:
-                fh.write(page)
+                fold.feed(record)
+            if stop.is_set():
+                return
 
-    if connect is not None:
-        from repro.service.client import ServiceClient
+    threading.Thread(target=pump, daemon=True).start()
+    return stop
 
-        client = ServiceClient(connect, connect_timeout=wait or 10.0,
-                               secret=secret)
 
-        def poll_once() -> bool:
-            """Fetch one fleet snapshot; False while the daemon is away."""
-            from repro.errors import ServiceError
+def _write_page(html, page) -> None:
+    if html:
+        text = page()
+        with open(html, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
-            try:
-                snapshot = client.fleet()
-            except ServiceError:
-                return False
-            with lock:
-                agg.feed_snapshot(snapshot)
-                agg.sample_throughput(time.monotonic())
-            return True
-    else:
-        path = resolve_stream_path(run)
 
-        def pump() -> None:
-            for record in iter_ndjson(path, follow=not once,
-                                      timeout=duration):
-                with lock:
-                    agg.feed(record)
-                if stop.is_set():
-                    return
-
-        if once:
-            deadline = time.monotonic() + (wait or 0.0)
-            while True:
-                attempt = FleetAggregate()
-                for record in iter_ndjson(path):
-                    attempt.feed(record)
-                agg = attempt
-                if agg.records or time.monotonic() >= deadline:
-                    break
-                time.sleep(0.2)
-            write_html()
-            out(render_fleet_text(agg))
-            return 0 if agg.records else 1
-        thread = threading.Thread(target=pump, daemon=True)
-        thread.start()
-
-    if once and connect is not None:
-        observed = poll_once()
-        write_html()
-        out(render_fleet_text(agg))
-        client.close()
-        return 0 if observed else 1
-
+def _show(frame, page, *, once, refresh, duration, html, out) -> None:
+    """Print ``frame()``'s text and write ``page()`` to ``html``: once,
+    or every ``refresh`` seconds until the frame reports it finished,
+    ``duration`` passes, or Ctrl-C."""
+    if once:
+        text, _ = frame()
+        _write_page(html, page)
+        out(text)
+        return
     started = time.monotonic()
     is_tty = hasattr(sys.stdout, "isatty") and sys.stdout.isatty()
     try:
         while True:
             time.sleep(refresh)
-            if client is not None:
-                poll_once()
-            else:
-                with lock:
-                    agg.sample_throughput(time.monotonic())
-            with lock:
-                frame = render_fleet_text(agg)
-                draining = agg.stopping
-            if is_tty:
-                out("\x1b[2J\x1b[H" + frame)
-            else:
-                out(frame)
-            write_html()
-            if draining and not agg.workers:
-                break
+            text, finished = frame()
+            out("\x1b[2J\x1b[H" + text if is_tty else text)
+            _write_page(html, page)
+            if finished:
+                return
             if duration is not None and time.monotonic() - started >= duration:
-                break
+                return
     except KeyboardInterrupt:
         pass
     finally:
-        stop.set()
-        if client is not None:
-            client.close()
-        write_html()
-    return 0 if agg.records else 1
-
-
-# -- sources ------------------------------------------------------------------
-
-
-def resolve_stream_path(run):
-    """``--run`` accepts the obs dir or the stream file itself."""
-    import os
-
-    if os.path.isdir(run):
-        return os.path.join(run, "stream.ndjson")
-    return run
+        _write_page(html, page)
 
 
 class SocketCollector:
     """Listening endpoint for SocketSink publishers (``--connect``).
 
     The watcher binds/listens; each connected simulation pushes its
-    NDJSON lines, decoded and fed to the aggregate under ``lock``.
+    NDJSON lines, decoded and fed to the fold under ``lock``.
     """
 
-    def __init__(self, address: str, agg: LiveAggregate,
+    def __init__(self, address: str, fold: RunFold,
                  lock: threading.Lock) -> None:
         import json as _json
         import socket as _socket
@@ -979,14 +646,12 @@ class SocketCollector:
         from repro.obs.sinks import parse_address
 
         self._json = _json
-        self.agg = agg
+        self.fold = fold
         self.lock = lock
         family, target = parse_address(address)
         if family == "unix":
-            import os as _os
-
             try:
-                _os.unlink(target)
+                os.unlink(target)
             except OSError:
                 pass
             self.sock = _socket.socket(_socket.AF_UNIX, _socket.SOCK_STREAM)
@@ -1042,7 +707,7 @@ class SocketCollector:
                 except ValueError:
                     continue
                 with self.lock:
-                    self.agg.feed(record)
+                    self.fold.feed(record)
         try:
             conn.close()
         except OSError:
@@ -1056,7 +721,7 @@ class SocketCollector:
             pass
 
 
-# -- the watch loop -----------------------------------------------------------
+# -- the dashboards -----------------------------------------------------------
 
 
 def run_watch(
@@ -1070,100 +735,118 @@ def run_watch(
     budget: float = DEFAULT_BUDGET,
     out=None,
 ) -> int:
-    """Drive the dashboard until the stream ends (or forever).
+    """Drive the watch dashboard until the stream ends (or forever).
 
     Exactly one of ``run``/``connect``.  ``once`` drains what is
     available and prints a single frame (CI's tail-while-running mode);
     ``wait`` bounds how long ``--once`` waits for the stream to appear.
     """
-    if out is None:
-        out = print
-    agg = LiveAggregate()
-    lock = threading.Lock()
-    stop = threading.Event()
-    collector = None
-
-    def write_html() -> None:
-        if html:
-            with lock:
-                page = render_html(agg, budget=budget)
-            with open(html, "w", encoding="utf-8") as fh:
-                fh.write(page)
-
-    if run is not None:
-        path = resolve_stream_path(run)
-        if once:
-            deadline = time.monotonic() + (wait or 0.0)
-            while True:
-                # Fresh aggregate per attempt: the file is re-read from
-                # the start, so feeding into the old one would double.
-                attempt = LiveAggregate()
-                for record in iter_ndjson(path):
-                    attempt.feed(record)
-                agg = attempt
-                if agg.records or time.monotonic() >= deadline:
-                    break
-                time.sleep(0.2)
-            write_html()
-            out(render_text(agg, budget=budget))
-            return 0 if agg.records else 1
-
-        def pump() -> None:
-            for record in iter_ndjson(
-                path, follow=True, timeout=duration
-            ):
-                with lock:
-                    agg.feed(record)
-                if stop.is_set():
-                    return
-
-        thread = threading.Thread(target=pump, daemon=True)
-        thread.start()
+    fold, lock = RunFold(), threading.Lock()
+    stop = collector = None
+    if run is not None and once:
+        fold = _read_once(resolve_stream_path(run), wait,
+                          lambda f: f.records)
+    elif run is not None:
+        stop = _follow(resolve_stream_path(run), fold, lock, duration)
     else:
-        collector = SocketCollector(connect, agg, lock)
+        collector = SocketCollector(connect, fold, lock)
         collector.start()
         if once:
             time.sleep(wait if wait is not None else refresh)
-            write_html()
-            out(render_text(agg, budget=budget))
-            collector.close()
-            return 0 if agg.records else 1
 
-    started = time.monotonic()
-    is_tty = hasattr(sys.stdout, "isatty") and sys.stdout.isatty()
+    def frame():
+        with lock:
+            return render_text(fold, budget=budget), fold.done
+
+    def page():
+        with lock:
+            return render_html(fold, budget=budget)
+
     try:
-        while True:
-            time.sleep(refresh)
-            with lock:
-                frame = render_text(agg, budget=budget)
-                done = agg.done
-            if is_tty:
-                out("\x1b[2J\x1b[H" + frame)
-            else:
-                out(frame)
-            write_html()
-            if done:
-                break
-            if duration is not None and time.monotonic() - started >= duration:
-                break
-    except KeyboardInterrupt:
-        pass
+        _show(frame, page, once=once, refresh=refresh, duration=duration,
+              html=html, out=out or print)
     finally:
-        stop.set()
+        if stop is not None:
+            stop.set()
         if collector is not None:
             collector.close()
-        write_html()
-    return 0
+    return 0 if fold.records or not once else 1
+
+
+def run_fleet(
+    connect: str | None = None,
+    run: str | None = None,
+    refresh: float = 1.0,
+    once: bool = False,
+    duration: float | None = None,
+    wait: float | None = None,
+    html: str | None = None,
+    secret: bytes | None = None,
+    out=None,
+) -> int:
+    """Drive the ``repro fleet`` dashboard.
+
+    Exactly one of ``connect`` (poll the scheduler's ``fleet`` op over
+    the wire protocol and render its reply) or ``run`` (tail a ``repro
+    serve --obs-stream`` NDJSON file into a fold and render
+    :meth:`RunFold.fleet_view`).  The loop ends once a polled fleet has
+    drained, after ``duration``, or on Ctrl-C.  Returns 0, or 1 when no
+    reply or ``service.*`` record was ever observed.
+    """
+    fold, lock = RunFold(), threading.Lock()
+    sampler = ThroughputSampler()
+    stop = client = None
+    view = fold.fleet_view()
+    polls = 0
+    if connect is not None:
+        from repro.service.client import ServiceClient
+
+        client = ServiceClient(connect, connect_timeout=wait or 10.0,
+                               secret=secret)
+    elif once:
+        fold = _read_once(resolve_stream_path(run), wait,
+                          lambda f: f.service_records)
+    else:
+        stop = _follow(resolve_stream_path(run), fold, lock, duration)
+
+    def update() -> bool:
+        """Refresh ``view``; False while the daemon is away."""
+        nonlocal view, polls
+        if client is None:
+            with lock:
+                view = fold.fleet_view()
+            return True
+        try:
+            view = client.fleet()
+        except ServiceError:
+            return False
+        polls += 1
+        return True
+
+    def frame():
+        if update():
+            sampler.sample(view, time.monotonic())
+        return (render_fleet_text(view, sampler.rates),
+                view["stopping"] and not view["workers"])
+
+    try:
+        _show(frame, lambda: render_fleet_html(view, sampler.rates),
+              once=once, refresh=refresh, duration=duration, html=html,
+              out=out or print)
+    finally:
+        if stop is not None:
+            stop.set()
+        if client is not None:
+            client.close()
+    return 0 if (polls if client is not None else fold.service_records) else 1
 
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "FleetAggregate",
     "HTML_STYLE",
-    "escape_html",
-    "LiveAggregate",
     "SocketCollector",
-    "TrackState",
+    "ThroughputSampler",
+    "escape_html",
     "render_fleet_html",
     "render_fleet_text",
     "render_html",
@@ -1171,4 +854,5 @@ __all__ = [
     "resolve_stream_path",
     "run_fleet",
     "run_watch",
+    "watch_view",
 ]

@@ -272,7 +272,10 @@ class SimulationEngine:
         self.label = label or policy.name
 
         self.cost_model = CostModel(topology, cost_params)
-        self.rngs = named_rngs(seed, ["workload", "profiler", "pebs", "mechanism", "thp"])
+        # Only "workload" and "pebs" are drawn from; "profiler" keeps
+        # "pebs" at child index 2 (SeedSequence.spawn gives child i the
+        # same stream whatever the count).
+        self.rngs = named_rngs(seed, ["workload", "profiler", "pebs"])
         self.frames = FrameAccountant(topology)
         space_pages = topology.total_capacity() // PAGE_SIZE
         self.space = AddressSpace(space_pages)

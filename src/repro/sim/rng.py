@@ -1,8 +1,9 @@
 """Deterministic random-source management.
 
-Every stochastic component (workloads, profilers, PEBS, mechanisms) gets
-its own generator spawned from one seed, so runs are reproducible and
-components do not perturb each other's streams when one is reconfigured.
+An engine spawns its workload and PEBS generators from one seed
+(:func:`named_rngs`), so runs are reproducible and the two do not
+perturb each other's streams; profilers and mechanisms take their own
+:func:`make_rng` from the baseline factory.
 :func:`poisson_nonzero` is the sparse Poisson draw behind batch synthesis.
 """
 

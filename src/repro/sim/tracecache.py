@@ -67,9 +67,7 @@ class _Stream:
         # Placement never influences batch synthesis (it only maps the
         # page table), so the clone builds on a trivial single-node placer.
         self.workload.build(space, ThpManager(), Placer(node=0, frames=None))
-        self.rng = named_rngs(seed, ["workload", "profiler", "pebs", "mechanism", "thp"])[
-            "workload"
-        ]
+        self.rng = named_rngs(seed, ["workload"])["workload"]
         self.batches: list[AccessBatch] = []
         self.nbytes = 0
 

@@ -17,8 +17,8 @@ The PR's contracts, in test order:
 * **identity**: a fleet run with tracing + metrics + alerts all on
   assembles bit-identical results to serial ``run_cell`` — the
   observability plane reads, never touches, simulation state;
-* the ``repro fleet`` aggregate folds both stream records and wire
-  snapshots into the same renderable summary.
+* the ``repro fleet`` dashboard renders a wire snapshot as it is, and
+  a fold of the scheduler's stream as a view of the same shape.
 """
 
 from __future__ import annotations
@@ -458,7 +458,7 @@ def test_fleet_with_full_obs_plane_is_bit_identical(tmp_path):
         thread.join(timeout=10)
 
 
-# -- the fleet aggregate / dashboard ------------------------------------------
+# -- the fleet view / dashboard -----------------------------------------------
 
 
 def test_spark_shapes():
@@ -472,9 +472,9 @@ def test_spark_shapes():
 
 
 def fed_aggregate():
-    from repro.obs.watch import FleetAggregate
+    from repro.obs.analytics import RunFold
 
-    agg = FleetAggregate()
+    fold = RunFold()
     ev = [
         {"type": "event", "name": "service.worker_joined", "worker": "w-1"},
         {"type": "event", "name": "service.job_submitted", "job_id": "j"},
@@ -489,55 +489,61 @@ def fed_aggregate():
          "value": 5},
     ]
     for record in ev:
-        agg.feed(record)
-    return agg
+        fold.feed(record)
+    return fold
 
 
 def test_fleet_aggregate_stream_mode():
-    agg = fed_aggregate()
-    s = agg.summary()
-    assert s["workers"] == 1
-    assert s["counters"]["completions"] == 1
-    assert agg.workers["w-1"]["cells_done"] == 1
-    assert agg.workers["w-1"]["in_flight"] == []  # done removed it
-    assert [a["rule"] for a in s["alerts"]] == ["dead_letters"]
-    agg.feed({"type": "event", "name": "service.alert.resolved",
-              "rule": "dead_letters"})
-    assert agg.summary()["alerts"] == []
-    assert agg.summary()["alert_history"] == 2
+    fold = fed_aggregate()
+    view = fold.fleet_view()
+    assert set(snapshot_fixture()) <= set(view)  # the snapshot's shape
+    assert len(view["workers"]) == 1
+    assert view["counters"]["completions"] == 1
+    assert view["workers"]["w-1"]["cells_done"] == 1
+    assert view["workers"]["w-1"]["in_flight"] == []  # done removed it
+    assert view["cache"] == {"hits": 5}
+    assert [a["rule"] for a in view["alerts"]] == ["dead_letters"]
+    fold.feed({"type": "event", "name": "service.alert.resolved",
+               "rule": "dead_letters"})
+    assert fold.fleet_view()["alerts"] == []
+    assert fold.fleet_view()["alert_history"] == 2
 
 
 def test_fleet_renderers_smoke():
-    from repro.obs.watch import render_fleet_html, render_fleet_text
+    from repro.obs.watch import (
+        ThroughputSampler,
+        render_fleet_html,
+        render_fleet_text,
+    )
 
-    agg = fed_aggregate()
-    agg.sample_throughput(0.0)
-    agg.sample_throughput(1.0)
-    text = render_fleet_text(agg)
+    view = fed_aggregate().fleet_view()
+    sampler = ThroughputSampler()
+    sampler.sample(view, 0.0)
+    sampler.sample(view, 1.0)
+    text = render_fleet_text(view, sampler.rates)
     assert "w-1" in text and "dead_letters" in text
-    html = render_fleet_html(agg)
+    assert "throughput" in text
+    html = render_fleet_html(view, sampler.rates)
     assert html.startswith("<!DOCTYPE html>")
     assert "w-1" in html and "dead_letters" in html
 
 
 def test_fleet_aggregate_snapshot_mode():
-    from repro.obs.watch import FleetAggregate
+    from repro.obs.watch import ThroughputSampler, render_fleet_text
 
-    agg = FleetAggregate()
     snap = snapshot_fixture()
     snap["alerts"] = [{"rule": "dead_letters", "metric": "dead_letters",
                        "value": 1.0, "threshold": 0.0, "description": "d"}]
-    agg.feed_snapshot(snap)
-    s = agg.summary()
-    assert s["queue_depth"] == 3
-    assert s["counters"]["completions"] == 8
-    assert agg.workers["w-1"]["cells_done"] == 5
-    assert [a["rule"] for a in s["alerts"]] == ["dead_letters"]
-    agg.sample_throughput(0.0)
+    text = render_fleet_text(snap)
+    assert "queue 3" in text
+    assert "8 done" in text
+    assert "w-1" in text and "cells 5" in text
+    assert "!! dead_letters: d" in text
+    sampler = ThroughputSampler()
+    sampler.sample(snap, 0.0)
     snap["counters"]["completions"] = 18
-    agg.feed_snapshot(snap)
-    agg.sample_throughput(5.0)
-    assert agg.throughput()[-1] == pytest.approx(2.0)
+    sampler.sample(snap, 5.0)
+    assert sampler.rates[-1] == pytest.approx(2.0)
 
 
 # -- reports ------------------------------------------------------------------

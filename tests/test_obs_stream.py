@@ -15,7 +15,7 @@ Covers the live-streaming contracts on top of the core obs plane:
   simulated number;
 * a second process can tail a live ``--obs-stream`` run (the headline
   acceptance test for `repro watch`);
-* the watch aggregator/renderers and ``trace --follow``.
+* the watch fold view/renderers and ``trace --follow``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.bench.runner import run_matrix
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.errors import ConfigError
-from repro.obs.analytics import fold_run
+from repro.obs.analytics import RunFold, fold_run
 from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.sinks import NdjsonFileSink, RelaySink, SocketSink, parse_address
 from repro.obs.stream import (
@@ -43,7 +43,7 @@ from repro.obs.stream import (
     iter_ndjson,
     validate_stream_record,
 )
-from repro.obs.watch import LiveAggregate, render_html, render_text, run_watch
+from repro.obs.watch import render_html, render_text, run_watch, watch_view
 from tests.support import fingerprint, matrix_fingerprint
 
 SCALE = 1 / 512
@@ -478,34 +478,76 @@ class TestWatch:
 
     def test_aggregator_folds_the_stream(self, tmp_path):
         path, ctx = self._stream(tmp_path)
-        agg = LiveAggregate()
+        fold = RunFold()
         for rec in read_records(path):
-            agg.feed(rec)
-        assert agg.invalid_records == 0
-        track = agg.tracks["t"]
+            fold.feed(rec)
+        assert fold.invalid_records == 0
+        track = fold.tracks["t"]
         assert track.intervals == 8
-        assert agg.done  # the stream-level end arrived
-        occ = agg.tier_occupancy()
-        assert occ, "no tier occupancy gauges seen"
-        summary = agg.summary()
-        assert summary["records"] == len(read_records(path))
+        assert fold.done  # the stream-level end arrived
+        view = watch_view(fold)
+        assert view["tiers"], "no tier occupancy gauges seen"
+        assert view["records"] == len(read_records(path))
+
+    def test_live_fold_keeps_no_rows(self, tmp_path):
+        """A dashboard's fold holds no event, span or provenance rows;
+        fold_run over the same file holds every one of them."""
+        path, _ = self._stream(tmp_path)
+        records = read_records(path)
+        live = RunFold()
+        for rec in records:
+            live.feed(rec)
+        assert live.events == [] and live.spans == []
+        assert live.provenance == []
+        full = fold_run(tmp_path)
+        for rtype, rows in (("event", full.events), ("span", full.spans),
+                            ("provenance", full.provenance)):
+            expected = sum(1 for r in records if r["type"] == rtype)
+            assert expected and len(rows) == expected, rtype
+        assert live.event_counts() == full.event_counts()
+        assert live.gauges == full.gauges
+
+    def test_matrix_tier_occupancy_is_the_merged_gauge(self, tmp_path):
+        """On a matrix stream (one track per cell) watch's tier
+        occupancy is fold_run's merged gauge, the maximum over tracks,
+        not the last cell's write."""
+        ctx = ObsContext(ObsConfig(stream=True), label="matrix")
+        ctx.add_sink(NdjsonFileSink(tmp_path / "stream.ndjson"))
+        run_matrix(["gups", "voltdb"], ["first-touch", "mtm"],
+                   BenchProfile(name="watch-matrix", scale=SCALE, seed=7),
+                   intervals=INTERVALS, workers=1, obs=ctx)
+        ctx.stream_close()
+        fold = RunFold()
+        for rec in read_records(tmp_path / "stream.ndjson"):
+            fold.feed(rec)
+        merged = fold_run(tmp_path).gauges
+        tiers = watch_view(fold)["tiers"]
+        assert len(tiers) == 4
+        assert {node: used for node, used, _ in tiers} == {
+            node: merged[f"tier.occupancy_pages{{node={node}}}"]
+            for node, _, _ in tiers}
+        last = {}
+        for rec in read_records(tmp_path / "stream.ndjson"):
+            if rec["type"] == "metric" and rec["name"] == "tier.occupancy_pages":
+                last[int(dict(rec["labels"])["node"])] = rec["value"]
+        assert {node: used for node, used, _ in tiers} != last
 
     def test_render_text_mentions_the_key_panels(self, tmp_path):
         path, _ = self._stream(tmp_path)
-        agg = LiveAggregate()
+        fold = RunFold()
         for rec in read_records(path):
-            agg.feed(rec)
-        frame = render_text(agg, budget=0.05)
+            fold.feed(rec)
+        frame = render_text(fold, budget=0.05)
         for needle in ("tier occupancy", "profiling overhead", "budget",
                        "migration", "stream drops"):
             assert needle in frame
 
     def test_render_html_is_self_contained(self, tmp_path):
         path, _ = self._stream(tmp_path)
-        agg = LiveAggregate()
+        fold = RunFold()
         for rec in read_records(path):
-            agg.feed(rec)
-        page = render_html(agg, budget=0.05)
+            fold.feed(rec)
+        page = render_html(fold, budget=0.05)
         assert page.lstrip().startswith("<!DOCTYPE html>")
         assert "prefers-color-scheme" in page
         assert "tier occupancy" in page.lower()
@@ -534,11 +576,11 @@ class TestWatch:
 
     def test_socket_collector_receives_a_streaming_run(self, tmp_path):
         addr = f"unix:{tmp_path}/watch.sock"
-        agg = LiveAggregate()
+        fold = RunFold()
         lock = threading.Lock()
         from repro.obs.watch import SocketCollector
 
-        collector = SocketCollector(addr, agg, lock)
+        collector = SocketCollector(addr, fold, lock)
         collector.start()
         try:
             ctx = ObsContext(ObsConfig(stream=True), label="sock")
@@ -550,12 +592,12 @@ class TestWatch:
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline:
                 with lock:
-                    if agg.done:
+                    if fold.done:
                         break
                 time.sleep(0.05)
             with lock:
-                assert agg.done
-                assert agg.tracks["sock"].intervals == INTERVALS
+                assert fold.done
+                assert fold.tracks["sock"].intervals == INTERVALS
         finally:
             collector.close()
 
@@ -635,11 +677,11 @@ class TestSocketCollectorConcurrency:
         mid-stream.  The collector keeps the other feeds intact and
         never folds the aborted connection's torn tail."""
         addr = f"unix:{tmp_path}/collect.sock"
-        agg = LiveAggregate()
+        fold = RunFold()
         lock = threading.Lock()
         from repro.obs.watch import SocketCollector
 
-        collector = SocketCollector(addr, agg, lock)
+        collector = SocketCollector(addr, fold, lock)
         collector.start()
         try:
             meta = {"v": STREAM_SCHEMA_VERSION, "type": "meta",
@@ -663,20 +705,20 @@ class TestSocketCollectorConcurrency:
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline:
                 with lock:
-                    done = (agg.tracks.get("a") is not None
-                            and agg.tracks["a"].intervals == 3
-                            and agg.tracks.get("b") is not None
-                            and agg.tracks["b"].intervals == 3)
+                    done = (fold.tracks.get("a") is not None
+                            and fold.tracks["a"].intervals == 3
+                            and fold.tracks.get("b") is not None
+                            and fold.tracks["b"].intervals == 3)
                 if done:
                     break
                 time.sleep(0.05)
             with lock:
-                assert agg.tracks["a"].intervals == 3
-                assert agg.tracks["b"].intervals == 3
+                assert fold.tracks["a"].intervals == 3
+                assert fold.tracks["b"].intervals == 3
                 # the aborted publisher's meta landed; its torn event
                 # line must not have been decoded
-                assert agg.tracks.get("dying") is not None
-                assert agg.tracks["dying"].intervals == 0
+                assert fold.tracks.get("dying") is not None
+                assert fold.tracks["dying"].intervals == 0
         finally:
             collector.close()
 
@@ -685,36 +727,7 @@ class TestSocketCollectorConcurrency:
 
 
 class TestDeadWriterGrace:
-    def test_env_overrides_default(self, monkeypatch):
-        from repro.obs.stream import (
-            DEAD_WRITER_GRACE_ENV,
-            DEFAULT_DEAD_WRITER_GRACE,
-            resolve_dead_writer_grace,
-        )
-
-        monkeypatch.delenv(DEAD_WRITER_GRACE_ENV, raising=False)
-        assert resolve_dead_writer_grace() == DEFAULT_DEAD_WRITER_GRACE
-        monkeypatch.setenv(DEAD_WRITER_GRACE_ENV, "0.25")
-        assert resolve_dead_writer_grace() == 0.25
-        monkeypatch.setenv(DEAD_WRITER_GRACE_ENV, "off")
-        assert resolve_dead_writer_grace() is None
-        monkeypatch.setenv(DEAD_WRITER_GRACE_ENV, "banana")
-        assert resolve_dead_writer_grace() == DEFAULT_DEAD_WRITER_GRACE
-
-    def test_explicit_kwarg_beats_env(self, monkeypatch):
-        from repro.obs.stream import (
-            DEAD_WRITER_GRACE_ENV,
-            resolve_dead_writer_grace,
-        )
-
-        monkeypatch.setenv(DEAD_WRITER_GRACE_ENV, "9.0")
-        assert resolve_dead_writer_grace(0.5) == 0.5
-        assert resolve_dead_writer_grace(None) is None  # explicit disable
-
-    def test_follow_escapes_via_env_grace(self, tmp_path, monkeypatch):
-        from repro.obs.stream import DEAD_WRITER_GRACE_ENV
-
-        monkeypatch.setenv(DEAD_WRITER_GRACE_ENV, "0.1")
+    def test_follow_escapes_via_grace(self, tmp_path):
         path = tmp_path / "s.ndjson"
         # a dead writer pid and no end record: only the grace escape ends
         proc = subprocess.Popen([sys.executable, "-c", "pass"])
@@ -723,7 +736,8 @@ class TestDeadWriterGrace:
             {"v": STREAM_SCHEMA_VERSION, "type": "meta", "track": "t",
              "pid": proc.pid, "t0": 0.0}) + "\n")
         t0 = time.monotonic()
-        got = list(iter_ndjson(path, follow=True, poll_interval=0.02))
+        got = list(iter_ndjson(path, follow=True, poll_interval=0.02,
+                               dead_writer_grace=0.1))
         assert time.monotonic() - t0 < 5.0
         assert [r["type"] for r in got] == ["meta"]
 

@@ -567,9 +567,10 @@ def test_snapshot_cache_cleanup_spill_only_touches_own_files(tmp_path):
 
 
 def test_watch_surfaces_service_gauges():
-    from repro.obs.watch import LiveAggregate, render_html, render_text
+    from repro.obs.analytics import RunFold
+    from repro.obs.watch import render_html, render_text, watch_view
 
-    agg = LiveAggregate()
+    fold = RunFold()
     base = {"type": "metric", "kind": "gauge", "track": "service"}
     for name, value in [("service.cache.hits", 7),
                         ("service.cache.misses", 2),
@@ -580,32 +581,31 @@ def test_watch_surfaces_service_gauges():
                         ("service.warm.cached_bytes", 80 * 1024 * 1024),
                         ("service.warm.affinity_hits", 8),
                         ("service.warm.affinity_skips", 3)]:
-        agg.feed(dict(base, name=name, value=value, labels={}))
-    summary = agg.summary()
-    assert summary["service"]["service.warm.hits"] == 10
-    text = render_text(agg)
+        fold.feed(dict(base, name=name, value=value, labels={}))
+    assert watch_view(fold)["service"]["service.warm.hits"] == 10
+    text = render_text(fold)
     assert "service result cache: 7 hits / 2 misses" in text
     assert "warm fleet: 10 warm hits" in text
     assert "affinity 8 hits / 3 redirects" in text
-    html = render_html(agg)
+    html = render_html(fold)
     assert "Sweep service" in html and "8 warm grants" in html
 
 
 def test_watch_hides_service_panel_without_gauges():
-    from repro.obs.watch import LiveAggregate, render_html, render_text
+    from repro.obs.analytics import RunFold
+    from repro.obs.watch import render_html, render_text, watch_view
 
-    agg = LiveAggregate()
-    assert agg.summary()["service"] == {}
-    assert "warm fleet" not in render_text(agg)
-    assert "Sweep service" not in render_html(agg)
+    fold = RunFold()
+    assert watch_view(fold)["service"] == {}
+    assert "warm fleet" not in render_text(fold)
+    assert "Sweep service" not in render_html(fold)
 
 
-def test_scheduler_streams_warm_gauges(tmp_path):
-    """A serve daemon with obs wired publishes ``service.*`` gauges the
-    watch aggregate folds — the end-to-end path ``repro watch`` reads."""
+def write_scheduler_stream(tmp_path):
+    """One cell through a scheduler with a streaming obs context;
+    returns the ``stream.ndjson`` it wrote."""
     from repro.obs.context import ObsConfig, ObsContext
     from repro.obs.sinks import NdjsonFileSink
-    from repro.obs.watch import LiveAggregate
 
     obs = ObsContext(ObsConfig(stream=True), label="service")
     stream = tmp_path / "stream.ndjson"
@@ -625,9 +625,36 @@ def test_scheduler_streams_warm_gauges(tmp_path):
     result = run_cell(grant["spec"], grant["workload"], grant["solution"])
     core.complete(grant["lease_id"], result, now=1.0)
     obs.stream_close()
-    agg = LiveAggregate()
+    return stream
+
+
+def test_scheduler_streams_warm_gauges(tmp_path):
+    """A serve daemon with obs wired publishes ``service.*`` gauges the
+    watch fold reads — the end-to-end path ``repro watch`` renders."""
+    from repro.obs.analytics import RunFold
+    from repro.obs.watch import watch_view
+
+    stream = write_scheduler_stream(tmp_path)
+    fold = RunFold()
     for line in stream.read_text().splitlines():
-        agg.feed(json.loads(line))
-    service = agg.summary()["service"]
+        fold.feed(json.loads(line))
+    service = watch_view(fold)["service"]
     assert service.get("service.warm.hits") == 3
     assert service.get("service.cache.stores", 0) >= 1
+
+
+def test_fleet_cli_once_over_scheduler_stream(tmp_path, capsys):
+    """``repro fleet --run DIR --once`` renders the scheduler stream's
+    worker rows and exits 0; a simulation-only stream exits 1."""
+    from repro.cli import main
+
+    write_scheduler_stream(tmp_path / "svc")
+    assert main(["fleet", "--run", str(tmp_path / "svc"), "--once"]) == 0
+    frame = capsys.readouterr().out
+    assert "workers:" in frame and "w1 " in frame
+    assert "1 done" in frame
+    assert main(["run", "--solution", "mtm", "--workload", "gups",
+                 "--intervals", "2", "--scale-denominator", "512",
+                 "--obs-stream", "--obs-out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    assert main(["fleet", "--run", str(tmp_path / "sim"), "--once"]) == 1

@@ -59,3 +59,24 @@ class TestRng:
         first = named_rngs(3, ["a", "b"])
         second = named_rngs(3, ["a", "b", "c"])
         assert first["a"].integers(0, 1 << 30) == second["a"].integers(0, 1 << 30)
+
+    def test_engine_and_trace_cache_keep_the_five_name_streams(self):
+        """The engine spawns ["workload", "profiler", "pebs"] and the
+        trace cache ["workload"]: each stream draws what the same name
+        drew when both spawned all five names."""
+        from repro.core.baselines import make_engine
+        from repro.sim.tracecache import _Stream
+
+        def draws(rngs):
+            return {name: rng.integers(0, 1 << 62, 32).tolist()
+                    for name, rng in rngs.items()}
+
+        five = draws(named_rngs(7, ["workload", "profiler", "pebs",
+                                    "mechanism", "thp"]))
+        engine = make_engine("mtm", "gups", scale=1 / 512, seed=7)
+        assert list(engine.rngs) == ["workload", "profiler", "pebs"]
+        assert draws(engine.rngs) == {
+            name: five[name] for name in ("workload", "profiler", "pebs")}
+        stream = _Stream("gups", 1 / 512, 7)
+        assert draws({"workload": stream.rng}) == {
+            "workload": five["workload"]}
