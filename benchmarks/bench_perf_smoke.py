@@ -11,9 +11,10 @@ the script asserts itself:
   (``obs=None``), on (a fresh :class:`~repro.obs.context.ObsContext`),
   and *streaming* (a collector with ``ObsConfig(stream=True)`` flushing
   every interval into an NDJSON file sink), asserting identical results
-  and recording the relative wall-clock overhead each plane adds
-  (budget: <5% for tracing vs off, and <5% for what the streaming sink
-  layer adds on top of the enabled obs arm);
+  and recording the relative wall-clock overhead each plane adds as the
+  median of per-round ratios (budget: <5% for tracing vs off, and <5%
+  for what the streaming sink layer adds on top of the enabled obs
+  arm);
 * **batch release** — after a run the MMU must hold no access batch, or
   peak RSS would grow with run length.
 
@@ -26,6 +27,7 @@ speed is measured by ``benchmarks/e2e``, not here.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -48,7 +50,7 @@ SWEEP_WORKLOAD = "gups"
 SWEEP_INTERVALS = 48
 SWEEP_WARMUP = 42
 
-#: Rounds per observability-overhead arm (rotating order, min kept).
+#: Rounds per observability-overhead arm (rotating order, median kept).
 #: Five rounds because the budget being measured (<5%) is smaller than
 #: single-shot wall-clock drift on shared machines.
 OBS_ROUNDS = 5
@@ -130,10 +132,11 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
     # -- observability-overhead arm --------------------------------------
     # Explicit obs=None keeps this arm clean even when the bench CLI's
     # --obs flag installed a process-wide collector.  All three arms run
-    # ``OBS_ROUNDS`` times in rotating order; overheads are computed as
-    # the minimum of *per-round ratios* (arms within a round run
-    # back-to-back), which cancels the slow machine-load drift that
-    # would distort independent per-arm minima on shared CI runners.
+    # ``OBS_ROUNDS`` times in rotating order; each overhead is the
+    # median of *per-round ratios* (arms within a round run
+    # back-to-back), which cancels the slow machine-load drift between
+    # rounds, and the median is not the one round most favourable to
+    # obs.  The seconds reported beside it are per-arm medians.
     import tempfile
 
     from repro.obs.context import ObsConfig, ObsContext
@@ -185,17 +188,19 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
             "observability changed simulated results; tracing and "
             "streaming must be bit-identity-neutral"
         )
-    obs_off_seconds = min(t["off"] for t in round_times)
-    obs_on_seconds = min(t["on"] for t in round_times)
-    obs_stream_seconds = min(t["stream"] for t in round_times)
-    obs_overhead = min(t["on"] / t["off"] for t in round_times) - 1.0
+
+    def median(value) -> float:
+        return statistics.median(value(t) for t in round_times)
+
+    obs_off_seconds = median(lambda t: t["off"])
+    obs_on_seconds = median(lambda t: t["on"])
+    obs_stream_seconds = median(lambda t: t["stream"])
+    obs_overhead = median(lambda t: t["on"] / t["off"]) - 1.0
     # Streaming implies the tracing plane, so its budgeted overhead is
     # what the sink layer *adds* on top of the enabled obs arm; the
     # all-in number vs obs-off is recorded alongside for transparency.
-    stream_overhead = min(t["stream"] / t["on"] for t in round_times) - 1.0
-    stream_overhead_vs_off = (
-        min(t["stream"] / t["off"] for t in round_times) - 1.0
-    )
+    stream_overhead = median(lambda t: t["stream"] / t["on"]) - 1.0
+    stream_overhead_vs_off = median(lambda t: t["stream"] / t["off"]) - 1.0
 
     _assert_batch_released(profile)
 
@@ -226,6 +231,8 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
             "baseline_seconds": round(obs_off_seconds, 3),
             "obs_seconds": round(obs_on_seconds, 3),
             "overhead": round(obs_overhead, 4),
+            "round_ratios": [round(t["on"] / t["off"], 4)
+                             for t in round_times],
             "events": sum(collector.event_counts().values()),
             "spans": len(collector.tracer.spans)
             + sum(len(t.spans) for t in collector.tracks),
@@ -235,6 +242,8 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
             "stream_seconds": round(obs_stream_seconds, 3),
             "overhead": round(stream_overhead, 4),
             "overhead_vs_off": round(stream_overhead_vs_off, 4),
+            "round_ratios": [round(t["stream"] / t["on"], 4)
+                             for t in round_times],
             "records": stream_lines,
             "dropped": stream_dropped,
         },
@@ -248,7 +257,8 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
         f"    cold-start: {sweep_cold_seconds:6.2f}s\n"
         f"    snapshot-fork: {sweep_fork_seconds:6.2f}s\n"
         f"    speedup: {sweep_speedup:.2f}x\n"
-        f"  obs overhead (serial matrix, off vs on): "
+        f"  obs overhead (serial matrix, off vs on, medians of "
+        f"{OBS_ROUNDS} rounds): "
         f"{obs_off_seconds:6.2f}s -> {obs_on_seconds:6.2f}s "
         f"({obs_overhead:+.1%}, budget <5%)\n"
         f"  obs streaming (NDJSON sink, {stream_lines} records, "

@@ -158,14 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="query the migration provenance of an --obs run"
     )
     trace.add_argument(
-        "--run", default=None, metavar="DIR",
+        "--run", required=True, metavar="DIR",
         help="observability export directory (an earlier run's --obs-out)",
-    )
-    trace.add_argument(
-        "--job", default=None, metavar="PATH",
-        help="summarize a stitched per-job fleet trace instead: a job "
-             "directory under the scheduler's STATE_DIR/traces/ (or its "
-             "trace.json, or the traces/ root to list jobs)",
     )
     trace.add_argument(
         "--page", type=int, default=None, metavar="N",
@@ -406,33 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-compress", action="store_true",
         help="never negotiate frame compression with peers",
-    )
-    serve.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve /metrics (Prometheus text), /healthz, and "
-             "/fleet.json on this loopback HTTP port (0 picks a free "
-             "port, printed on startup; default: off)",
-    )
-    serve.add_argument(
-        "--metrics-host", default="127.0.0.1", metavar="HOST",
-        help="bind address of the metrics endpoint (default: 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--trace", action="store_true",
-        help="stitch per-job Perfetto traces (scheduler + worker tracks) "
-             "into STATE_DIR/traces/<job>/trace.json; query with "
-             "`repro trace --job` (default: off)",
-    )
-    serve.add_argument(
-        "--alerts", action="store_true",
-        help="evaluate the stock SLO alert rules each tick (worker "
-             "staleness, lease-expiry storms, cache corruption, dead "
-             "letters); transitions emit obs events and journal records "
-             "(default: off)",
-    )
-    serve.add_argument(
-        "--alert-rules", default=None, metavar="FILE",
-        help="JSON file of custom alert rules (implies --alerts)",
     )
 
     fleet = sub.add_parser(
@@ -734,15 +701,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: answer a provenance query from an export directory."""
-    if args.job is not None:
-        from repro.obs.cli import trace_job_report
-
-        print(trace_job_report(args.job))
-        return 0
-    if args.run is None:
-        print("trace needs --run DIR (provenance) or --job PATH "
-              "(stitched fleet trace)", file=sys.stderr)
-        return 2
     if args.follow:
         from repro.obs.cli import trace_follow
 
@@ -958,15 +916,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         obs = ObsContext(ObsConfig(stream=True), label="service")
         obs.add_sink(NdjsonFileSink(os.path.join(args.state_dir,
                                                  "stream.ndjson")))
-    journal = Journal(args.state_dir)
-    traces = None
-    if args.trace:
-        from repro.service.tracing import JobTraceBook
-
-        traces = JobTraceBook(os.path.join(args.state_dir, "traces"))
     core = SchedulerCore(
         cache=ResultCache(os.path.join(args.state_dir, "cache")),
-        journal=journal,
+        journal=Journal(args.state_dir),
         config=SchedulerConfig(
             lease_timeout=args.lease_timeout,
             max_attempts=args.max_attempts,
@@ -974,28 +926,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             affinity_staleness=args.affinity_staleness,
         ),
         obs=obs,
-        traces=traces,
     )
-    alerts = None
-    if args.alerts or args.alert_rules:
-        from repro.service.alerts import AlertEngine, default_rules, load_rules
-
-        rules = (load_rules(args.alert_rules) if args.alert_rules
-                 else default_rules(args.lease_timeout))
-        alerts = AlertEngine(rules, obs=obs, journal=journal)
     server = SchedulerServer(core, address=args.address, secret=secret,
                              allow_insecure_tcp=args.insecure,
-                             compress=not args.no_compress,
-                             alerts=alerts)
-    health = None
-    if args.metrics_port is not None:
-        from repro.service.health import HealthServer
-
-        health = HealthServer(core, alerts=alerts, host=args.metrics_host,
-                              port=args.metrics_port)
-        health.start()
-        print(f"metrics at {health.url}/metrics "
-              f"(also /healthz, /fleet.json)", flush=True)
+                             compress=not args.no_compress)
     pid_file_write(args.state_dir)
     if not args.no_resume:
         resumed = core.resume()
@@ -1015,11 +949,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGINT, _drain)
     print(f"scheduler listening on {server.address} "
           f"(state: {args.state_dir})", flush=True)
-    try:
-        server.serve_forever()
-    finally:
-        if health is not None:
-            health.stop()
+    server.serve_forever()
     print("scheduler drained; exiting")
     return 0
 

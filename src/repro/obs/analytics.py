@@ -46,8 +46,6 @@ from repro.errors import ConfigError
 from repro.obs.events import (
     EV_FAULT_INJECTED,
     EV_INTERVAL_END,
-    EV_SERVICE_ALERT_FIRING,
-    EV_SERVICE_ALERT_RESOLVED,
     EV_SERVICE_CELL_DEAD_LETTER,
     EV_SERVICE_CELL_DONE,
     EV_SERVICE_CELL_REQUEUED,
@@ -178,8 +176,6 @@ class RunFold:
                                 "requeues": 0, "completions": 0}
         self._jobs = {"running": 0, "done": 0, "failed": 0}
         self._dead_letters = 0
-        self._alerts: dict[str, dict] = {}
-        self._alert_history = 0
 
     def _track(self, name) -> TrackTally:
         tally = self.tracks.get(name)
@@ -274,7 +270,11 @@ class RunFold:
         return worker
 
     def _feed_service(self, name: str, record: dict) -> None:
-        """Fleet state from the scheduler's ``service.*`` events."""
+        """Fleet state from the scheduler's ``service.*`` events.
+
+        An event it does not know (an older stream's ``service.alert.*``)
+        counts as a service record and changes nothing else.
+        """
         self.service_records += 1
         wid = record.get("worker")
         cell = {"workload": record.get("workload"),
@@ -309,18 +309,6 @@ class RunFold:
         elif name in (EV_SERVICE_JOB_DONE, EV_SERVICE_JOB_FAILED):
             self._jobs["running"] = max(0, self._jobs["running"] - 1)
             self._jobs["done" if name == EV_SERVICE_JOB_DONE else "failed"] += 1
-        elif name == EV_SERVICE_ALERT_FIRING:
-            rule = record.get("rule", "?")
-            self._alerts[rule] = {
-                "rule": rule, "metric": record.get("metric", ""),
-                "value": record.get("value", 0.0),
-                "threshold": record.get("threshold", 0.0),
-                "description": record.get("description", ""),
-            }
-            self._alert_history += 1
-        elif name == EV_SERVICE_ALERT_RESOLVED:
-            self._alerts.pop(record.get("rule", "?"), None)
-            self._alert_history += 1
 
     # -- views -----------------------------------------------------------------
 
@@ -356,13 +344,11 @@ class RunFold:
                 in sorted(self.registry().histograms.items())}
 
     def fleet_view(self) -> dict:
-        """The fleet as :meth:`SchedulerCore.fleet_snapshot` shapes it,
-        plus ``alerts``.
+        """The fleet as :meth:`SchedulerCore.fleet_snapshot` shapes it.
 
         The stream carries no queue depth, heartbeat staleness or lease
-        latency, so those read 0 (or empty).  Two keys the snapshot
-        lacks: ``alert_history`` counts alert transitions, and each
-        worker's ``lost`` marks a ``service.worker_lost``.
+        latency, so those read 0 (or empty).  One key the snapshot
+        lacks: each worker's ``lost`` marks a ``service.worker_lost``.
         """
         gauges = self.registry().gauges
 
@@ -386,8 +372,6 @@ class RunFold:
             "warm": family("service.warm."),
             "jobs": dict(self._jobs),
             "stopping": False,
-            "alerts": list(self._alerts.values()),
-            "alert_history": self._alert_history,
         }
 
 

@@ -10,13 +10,11 @@ Both render :func:`repro.obs.analytics.fold_run` over the directory's
 record — ``run.ndjson`` from ``--obs-out``, or the ``stream.ndjson`` of
 a streamed run that never exported; no live simulation state is
 needed.  On a scheduler state directory ``report`` renders the same
-fold's fleet view, the frame ``repro fleet --run`` prints, plus the
-journal's alert history.
+fold's fleet view, the frame ``repro fleet --run`` prints.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.errors import ConfigError
@@ -88,18 +86,17 @@ def trace_follow(run_dir, page: int | None = None, timeout: float | None = None,
                  out=print) -> int:
     """Tail the provenance stream of a still-running ``--obs-stream`` run.
 
-    Reads the NDJSON stream sink (``stream.ndjson``) rather than the
-    final export, so it works while the simulation is live and tolerates
-    a truncated final line.  Stops at the stream's ``end`` record, after
+    Reads the NDJSON stream sink (``stream.ndjson`` of ``run_dir``, or
+    ``run_dir`` itself when it names the file) rather than the final
+    export, so it works while the simulation is live and tolerates a
+    truncated final line.  Stops at the stream's ``end`` record, after
     ``timeout`` seconds without new data, or after ``limit`` printed
     records.  Returns the number of provenance records printed.
     """
     from repro.obs.stream import iter_ndjson
 
-    run_dir = Path(run_dir)
-    path = run_dir / "stream.ndjson" if run_dir.is_dir() else run_dir
     printed = 0
-    for record in iter_ndjson(path, follow=True, poll_interval=poll,
+    for record in iter_ndjson(run_dir, follow=True, poll_interval=poll,
                               timeout=timeout):
         if not isinstance(record, dict) or record.get("type") != "provenance":
             continue
@@ -119,110 +116,28 @@ def trace_follow(run_dir, page: int | None = None, timeout: float | None = None,
     return printed
 
 
-def trace_job_report(path) -> str:
-    """Summarize a stitched per-job fleet trace (``repro trace --job``).
-
-    ``path`` may be the ``trace.json`` itself, a job directory holding
-    one, or a ``traces/`` root (in which case the finished jobs are
-    listed).  The trace is re-validated on every read: a stitched trace
-    that stops loading in Perfetto should fail *here* first.
-    """
-    from repro.obs.export import validate_chrome_trace
-
-    path = Path(path)
-    if path.is_dir() and not (path / "trace.json").exists():
-        jobs = sorted(p.parent.name for p in path.glob("*/trace.json"))
-        if not jobs:
-            raise ConfigError(
-                f"no trace.json under {path} — was the scheduler run "
-                f"with --trace?"
-            )
-        lines = [f"{len(jobs)} stitched job trace(s) under {path}:"]
-        lines += [f"  {job}" for job in jobs]
-        lines.append("query one with --job " + str(path / jobs[0]))
-        return "\n".join(lines)
-    if path.is_dir():
-        path = path / "trace.json"
-    if not path.exists():
-        raise ConfigError(
-            f"no stitched trace at {path} — was the scheduler run "
-            f"with --trace?"
-        )
-    with open(path, encoding="utf-8") as fh:
-        trace = json.load(fh)
-    events = trace.get("traceEvents", [])
-    meta = trace.get("otherData", {})
-    problems = validate_chrome_trace(trace)
-
-    tracks: dict[int, str] = {}
-    spans: dict[int, int] = {}
-    instants: dict[int, int] = {}
-    end_us = 0.0
-    for ev in events:
-        pid = ev.get("pid", 0)
-        ph = ev.get("ph")
-        if ph == "M" and ev.get("name") == "process_name":
-            tracks[pid] = ev.get("args", {}).get("name", f"pid {pid}")
-        elif ph == "X":
-            spans[pid] = spans.get(pid, 0) + 1
-            end_us = max(end_us, ev.get("ts", 0) + ev.get("dur", 0))
-        elif ph == "i":
-            instants[pid] = instants.get(pid, 0) + 1
-
-    lines = [
-        f"job {meta.get('job_id', '?')} — trace {meta.get('trace_id', '?')} "
-        f"({meta.get('state', '?')}, {end_us / 1e6:.3f}s, "
-        f"{len(events)} events)"
-    ]
-    table = Table(f"Tracks ({path})", ["pid", "track", "spans", "instants"])
-    for pid in sorted(set(tracks) | set(spans) | set(instants)):
-        table.add_row(pid, tracks.get(pid, "?"), spans.get(pid, 0),
-                      instants.get(pid, 0))
-    lines.append(table.render())
-    if problems:
-        lines.append(f"INVALID: {len(problems)} validator problem(s), "
-                     f"first: {problems[0]}")
-    else:
-        lines.append("trace validates clean (Chrome/Perfetto loadable); "
-                     "open in ui.perfetto.dev")
-    return "\n".join(lines)
-
-
 def service_report(state_dir) -> str:
     """Fleet report for a scheduler state directory.
 
-    Renders the fold's fleet view of the ``service.*`` stream (when the
-    daemon ran with ``--obs-stream``) and appends the journal's alert
-    history — the post-hoc twin of ``repro fleet --run``.
+    Renders the fold's fleet view of the ``service.*`` stream, the
+    post-hoc twin of ``repro fleet --run``.  A daemon run without
+    ``--obs-stream`` leaves only its journal, reported in one line.
     """
     from repro.obs.analytics import fold_run
     from repro.obs.watch import render_fleet_text
     from repro.service.journal import JOURNAL_NAME, Journal
 
     state_dir = Path(state_dir)
-    lines: list[str] = []
     fold = fold_run(state_dir)
     if fold is not None:
-        lines.append(render_fleet_text(fold.fleet_view()))
-    if (state_dir / JOURNAL_NAME).exists():
-        journal = Journal(state_dir)
-        alerts = journal.alerts()
-        table = Table(f"Alert history ({state_dir})",
-                      ["#", "state", "rule", "metric", "value", "threshold"])
-        for i, entry in enumerate(alerts):
-            table.add_row(i, entry.get("state", "?"), entry.get("rule", "?"),
-                          entry.get("metric", "?"),
-                          f"{entry.get('value', 0):g}",
-                          f"{entry.get('threshold', 0):g}")
-        lines.append(table.render())
-        if not alerts:
-            lines.append("no alert transitions journaled")
-    if not lines:
+        return render_fleet_text(fold.fleet_view())
+    if not (state_dir / JOURNAL_NAME).exists():
         raise ConfigError(
             f"{state_dir} has neither a stream.ndjson nor a journal — "
             f"not a scheduler state directory?"
         )
-    return "\n".join(lines)
+    return (f"{state_dir}: journal holds {Journal(state_dir).lines()} "
+            f"records; the fleet view needs `repro serve --obs-stream`")
 
 
 def _pingpong_summary(run_dir: Path) -> dict | None:
@@ -249,7 +164,7 @@ def obs_report(run_dir, as_json: bool = False):
 
     Service state directories (those holding a journal) route to
     :func:`service_report` so ``repro report --run STATE_DIR`` folds
-    the fleet counters and alert history instead of erroring.  With
+    the fleet counters instead of erroring.  With
     ``as_json`` the same content returns as a machine-readable dict
     (scriptable ``repro report --json``); when the directory holds an
     analytics store, the ping-pong summary is folded into both forms.
@@ -261,10 +176,8 @@ def obs_report(run_dir, as_json: bool = False):
         if as_json:
             from repro.service.journal import Journal
 
-            journal = Journal(run_dir)
             return {"kind": "service", "run": str(run_dir),
-                    "records": journal.lines(),
-                    "alerts": journal.alerts()}
+                    "records": Journal(run_dir).lines()}
         return service_report(run_dir)
     fold = _fold(run_dir)
     counts = fold.event_counts()
@@ -308,5 +221,4 @@ def obs_report(run_dir, as_json: bool = False):
     return "\n".join(lines)
 
 
-__all__ = ["obs_report", "service_report", "trace_follow",
-           "trace_job_report", "trace_report"]
+__all__ = ["obs_report", "service_report", "trace_follow", "trace_report"]

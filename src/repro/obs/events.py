@@ -58,11 +58,6 @@ EV_SERVICE_CACHE_HIT = "service.cache_hit"
 EV_SERVICE_CACHE_QUARANTINED = "service.cache_quarantined"
 EV_SERVICE_DRAIN = "service.drain"
 
-# SLO alert lifecycle (the alert rules engine flips these; firing/resolved
-# pairs share the rule name in ``fields["rule"]``).
-EV_SERVICE_ALERT_FIRING = "service.alert.firing"
-EV_SERVICE_ALERT_RESOLVED = "service.alert.resolved"
-
 #: Every event name the stack emits (tests validate emissions against this).
 ALL_EVENTS = frozenset({
     EV_INTERVAL_START, EV_INTERVAL_END, EV_SCAN, EV_PEBS_BATCH,
@@ -75,7 +70,6 @@ ALL_EVENTS = frozenset({
     EV_SERVICE_CELL_DEAD_LETTER, EV_SERVICE_WORKER_JOINED,
     EV_SERVICE_WORKER_LOST, EV_SERVICE_CACHE_HIT,
     EV_SERVICE_CACHE_QUARANTINED, EV_SERVICE_DRAIN,
-    EV_SERVICE_ALERT_FIRING, EV_SERVICE_ALERT_RESOLVED,
 })
 
 #: Default bounded-buffer size; beyond it events are counted but dropped.
@@ -165,7 +159,6 @@ __all__ = [
     "EV_INTERVAL_END", "EV_INTERVAL_START", "EV_MECH_SYNC_SWITCH",
     "EV_MIG_FAILED", "EV_MIG_ISSUED", "EV_MIG_PLANNED", "EV_MIG_RETRIED",
     "EV_PEBS_BATCH", "EV_REGION_MERGE", "EV_REGION_SPLIT", "EV_SCAN",
-    "EV_SERVICE_ALERT_FIRING", "EV_SERVICE_ALERT_RESOLVED",
     "EV_SERVICE_CACHE_HIT", "EV_SERVICE_CACHE_QUARANTINED",
     "EV_SERVICE_CELL_DEAD_LETTER", "EV_SERVICE_CELL_DONE",
     "EV_SERVICE_CELL_REQUEUED", "EV_SERVICE_DRAIN",

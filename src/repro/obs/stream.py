@@ -391,6 +391,14 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def resolve_stream_path(path):
+    """``path`` itself, or the ``stream.ndjson`` inside it when it is a
+    directory (``--run`` accepts the obs dir or the stream file)."""
+    if os.path.isdir(path):
+        return os.path.join(path, "stream.ndjson")
+    return path
+
+
 def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
                 timeout: float | None = None,
                 dead_writer_grace: float | None = DEFAULT_DEAD_WRITER_GRACE):
@@ -398,15 +406,18 @@ def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
 
     Tolerant of a truncated final line: only complete (newline-terminated)
     lines are decoded; a partial tail is buffered until it completes.
-    Complete-but-unparseable lines are skipped.  In ``follow`` mode the
-    file may not exist yet; the generator waits for it, keeps reading as
-    the file grows, and returns after yielding an ``end`` record, after
-    ``timeout`` seconds without new data, or — the dead-writer escape —
-    once every writer pid announced by a ``meta`` record has exited and
-    the file has stayed quiet for the dead-writer grace.  A SIGKILLed
-    producer never writes its ``end`` record; without the escape a
-    ``repro watch`` (or CI tail) with no ``timeout`` would hang forever
-    on its stream.
+    Complete-but-unparseable lines are skipped.  A directory stands for
+    its ``stream.ndjson`` (:func:`resolve_stream_path`), decided at each
+    open attempt: a run creates its ``--obs-out`` on its first write, so
+    a path that does not exist yet may become either.  In ``follow``
+    mode the file may not exist yet; the generator waits for it, keeps
+    reading as the file grows, and returns after yielding an ``end``
+    record, after ``timeout`` seconds without new data, or — the
+    dead-writer escape — once every writer pid announced by a ``meta``
+    record has exited and the file has stayed quiet for the dead-writer
+    grace.  A SIGKILLed producer never writes its ``end`` record;
+    without the escape a ``repro watch`` (or CI tail) with no
+    ``timeout`` would hang forever on its stream.
 
     Writer pids accumulate across *all* meta records: a multi-process
     stream (the socket collector's merged file, a relay) announces one
@@ -447,7 +458,7 @@ def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
         while True:
             if fh is None:
                 try:
-                    fh = open_text(path)
+                    fh = open_text(resolve_stream_path(path))
                 except OSError:
                     if not follow or _idle_escape():
                         return
@@ -507,6 +518,7 @@ __all__ = [
     "metric_line",
     "open_text",
     "provenance_line",
+    "resolve_stream_path",
     "span_line",
     "validate_stream_record",
 ]

@@ -16,8 +16,8 @@ Watch answers MTM's online questions: is the run making intervals,
 where do pages sit per tier, how much bandwidth is migration moving,
 and is profiling overhead holding under the paper's 5% budget (§4's
 constraint) — plus the reliability counters (faults, retries, cache hit
-ratio, stream drops).  Fleet shows the sweep service's workers, leases,
-jobs and alerts.
+ratio, stream drops).  Fleet shows the sweep service's workers, leases
+and jobs.
 """
 
 from __future__ import annotations
@@ -476,18 +476,6 @@ def render_fleet_text(view: dict, throughput=()) -> str:
                 f"stale {worker.get('staleness', 0.0):5.1f}s  "
                 f"warm {worker.get('warm_keys', 0):<3} running {flight}"
             )
-    alerts = sorted(view.get("alerts", ()), key=lambda a: a.get("rule", ""))
-    if alerts:
-        lines.append("ALERTS:")
-        for alert in alerts:
-            lines.append(
-                f"  !! {alert['rule']}: {alert.get('description', '')} "
-                f"(value {alert.get('value', 0):g}, "
-                f"threshold {alert.get('threshold', 0):g})"
-            )
-    else:
-        lines.append(
-            f"alerts: none firing ({view.get('alert_history', 0)} transitions)")
     return "\n".join(lines)
 
 
@@ -498,7 +486,6 @@ def render_fleet_html(view: dict, throughput=(),
     workers = view["workers"]
     lost = sum(1 for w in workers.values() if w.get("lost"))
     latency = view["lease_latency"]
-    alerts = sorted(view.get("alerts", ()), key=lambda a: a.get("rule", ""))
     tiles = [
         ("Workers", f"{len(workers) - lost}",
          f"{lost} lost · {view['active_leases']} cells in flight"),
@@ -513,8 +500,6 @@ def render_fleet_html(view: dict, throughput=(),
         ("Jobs", f"{view['jobs'].get('running', 0)} running",
          f"{view['jobs'].get('done', 0)} done · "
          f"{view['jobs'].get('failed', 0)} failed"),
-        ("Alerts", f"{len(alerts)}",
-         f"{view.get('alert_history', 0)} transitions"),
     ]
     tile_html = "".join(
         f'<div class="tile"><div class="label">{escape_html(label)}</div>'
@@ -533,13 +518,6 @@ def render_fleet_html(view: dict, throughput=(),
             f"stale {worker.get('staleness', 0.0):.1f}s · "
             f"{escape_html(flight)}</span></div>"
         )
-    alert_rows = "".join(
-        f'<div class="meter-row"><span class="name status-over">'
-        f"{escape_html(alert['rule'])}</span>"
-        f'<span class="num">{escape_html(alert.get("description", ""))} '
-        f"(value {alert.get('value', 0):g})</span></div>"
-        for alert in alerts
-    ) or '<p class="sub">none firing</p>'
     spark = _spark(throughput, width=48)
     status = "draining" if view["stopping"] else "serving"
     return f"""<!DOCTYPE html>
@@ -554,7 +532,6 @@ def render_fleet_html(view: dict, throughput=(),
 <div class="panel"><h2>Throughput (cells/s)</h2>
 <p style="font-size:20px;margin:0">{escape_html(spark) or '—'}</p></div>
 <div class="panel"><h2>Workers</h2>{worker_rows or '<p class="sub">none registered</p>'}</div>
-<div class="panel"><h2>Alerts</h2>{alert_rows}</div>
 </body></html>
 """
 
@@ -562,16 +539,10 @@ def render_fleet_html(view: dict, throughput=(),
 # -- sources and the refresh loop ---------------------------------------------
 
 
-def resolve_stream_path(run):
-    """``--run`` accepts the obs dir or the stream file itself."""
-    if os.path.isdir(run):
-        return os.path.join(run, "stream.ndjson")
-    return run
-
-
 def _read_once(path, wait, ready) -> RunFold:
     """Fold the stream as it stands, re-reading it until ``ready(fold)``
-    or ``wait`` seconds pass (``--once``)."""
+    or ``wait`` seconds pass (``--once``).  ``path`` is the obs dir or
+    the stream file, resolved at each read (:func:`iter_ndjson`)."""
     deadline = time.monotonic() + (wait or 0.0)
     while True:
         fold = RunFold()  # the file is re-read from the start
@@ -744,10 +715,9 @@ def run_watch(
     fold, lock = RunFold(), threading.Lock()
     stop = collector = None
     if run is not None and once:
-        fold = _read_once(resolve_stream_path(run), wait,
-                          lambda f: f.records)
+        fold = _read_once(run, wait, lambda f: f.records)
     elif run is not None:
-        stop = _follow(resolve_stream_path(run), fold, lock, duration)
+        stop = _follow(run, fold, lock, duration)
     else:
         collector = SocketCollector(connect, fold, lock)
         collector.start()
@@ -790,44 +760,48 @@ def run_fleet(
     the wire protocol and render its reply) or ``run`` (tail a ``repro
     serve --obs-stream`` NDJSON file into a fold and render
     :meth:`RunFold.fleet_view`).  The loop ends once a polled fleet has
-    drained, after ``duration``, or on Ctrl-C.  Returns 0, or 1 when no
-    reply or ``service.*`` record was ever observed.
+    drained or the tailed stream's ``end`` record arrives (the fold is
+    done, as in :func:`run_watch`), after ``duration``, or on Ctrl-C.
+    Returns 0, or 1 when no reply or ``service.*`` record was ever
+    observed.
     """
     fold, lock = RunFold(), threading.Lock()
     sampler = ThroughputSampler()
     stop = client = None
     view = fold.fleet_view()
     polls = 0
+    finished = False
     if connect is not None:
         from repro.service.client import ServiceClient
 
         client = ServiceClient(connect, connect_timeout=wait or 10.0,
                                secret=secret)
     elif once:
-        fold = _read_once(resolve_stream_path(run), wait,
-                          lambda f: f.service_records)
+        fold = _read_once(run, wait, lambda f: f.service_records)
     else:
-        stop = _follow(resolve_stream_path(run), fold, lock, duration)
+        stop = _follow(run, fold, lock, duration)
 
     def update() -> bool:
-        """Refresh ``view``; False while the daemon is away."""
-        nonlocal view, polls
+        """Refresh ``view`` and ``finished``; False while the daemon is
+        away."""
+        nonlocal view, polls, finished
         if client is None:
             with lock:
                 view = fold.fleet_view()
+                finished = fold.done
             return True
         try:
             view = client.fleet()
         except ServiceError:
             return False
         polls += 1
+        finished = view["stopping"] and not view["workers"]
         return True
 
     def frame():
         if update():
             sampler.sample(view, time.monotonic())
-        return (render_fleet_text(view, sampler.rates),
-                view["stopping"] and not view["workers"])
+        return render_fleet_text(view, sampler.rates), finished
 
     try:
         _show(frame, lambda: render_fleet_html(view, sampler.rates),
@@ -851,7 +825,6 @@ __all__ = [
     "render_fleet_text",
     "render_html",
     "render_text",
-    "resolve_stream_path",
     "run_fleet",
     "run_watch",
     "watch_view",

@@ -98,7 +98,7 @@ class ServiceClient:
         return self._checked({"op": "ping"})["stats"]
 
     def fleet(self) -> dict:
-        """Fleet snapshot (workers, queue, latency, alerts) — the
+        """Fleet snapshot (workers, queue, lease latency) — the
         ``repro fleet --connect`` dashboard's feed."""
         return self._checked({"op": "fleet"})["fleet"]
 

@@ -87,16 +87,6 @@ class Journal:
         """Terminal / lifecycle job state (``done``/``failed``/``drained``)."""
         self._append({"op": "job", "job_id": job_id, "state": state})
 
-    def record_alert(self, entry: dict) -> None:
-        """One alert transition (``state``: firing / resolved).
-
-        Alert records are advisory like ``cell`` records: :meth:`replay`
-        skips unknown ops, so an old scheduler replays a journal with
-        alerts in it unchanged.  :meth:`alerts` reads them back for
-        ``repro report`` / forensics.
-        """
-        self._append({"op": "alert", **entry})
-
     def record_dead_letter(self, entry: dict) -> None:
         """Mirror one dead-lettered cell into the dead-letter artifact."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
@@ -120,6 +110,8 @@ class Journal:
 
         Tolerates a torn final line and skips records it cannot decode
         (a journal written by a crashed scheduler must still replay).
+        Records of any other op are skipped too, so the ``alert``
+        records that older journals hold replay as no-ops.
         """
         if not self.path.exists():
             return []
@@ -150,24 +142,6 @@ class Journal:
                 terminal.add(record.get("job_id"))
         return [(job_id, submitted[job_id]) for job_id in order
                 if job_id not in terminal]
-
-    def alerts(self) -> list[dict]:
-        """Alert history in journal order (tolerant of torn lines)."""
-        if not self.path.exists():
-            return []
-        out: list[dict] = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if record.get("op") == "alert":
-                    out.append(record)
-        return out
 
     def lines(self) -> int:
         """Journal record count (tests, status output)."""

@@ -16,33 +16,21 @@ Ops (requests are answered with exactly one reply per request):
                    ``codec`` picks one (both sides switch *after* hello)
 ``claim``          worker asks for a cell lease -> ``lease`` or ``idle``;
                    carries ``warm_keys``/``warm_stats`` advertisements
-``heartbeat``      ``{op, worker_id, lease_id, warm_keys?, trace_id?}``
+``heartbeat``      ``{op, worker_id, lease_id, warm_keys?}``
                    -> ``ok``/``error``
-``result``         ``{op, worker_id, lease_id, payload, trace?}``
-                   -> ``ok``/``error``
+``result``         ``{op, worker_id, lease_id, payload}`` -> ``ok``/``error``
 ``nack``           ``{op, worker_id, lease_id, message, transient}`` -> ``ok``
 ``submit``         ``{op, spec: JobSpec}`` -> ``ok {job_id}``
 ``status``         ``{op, job_id}`` -> ``job {state, ...}``
 ``fetch``          ``{op, job_id}`` -> ``ok {result: MatrixResult}``/``error``
 ``ping``           liveness probe -> ``ok {stats}``
-``fleet``          fleet snapshot -> ``ok {fleet}`` (dashboard / health)
+``fleet``          fleet snapshot -> ``ok {fleet}`` (fleet dashboard)
 ``shutdown``       ``{op, drain: bool}`` -> ``ok`` (then the server exits)
 =================  ==========================================================
 
 Replies: ``ok``, ``lease {lease_id, job_id, workload, solution, spec,
-attempt, deadline, trace?}``, ``idle {retry_after}``, ``job {...}``,
+attempt, deadline}``, ``idle {retry_after}``, ``job {...}``,
 ``error {message, transient}``.
-
-Trace fields (all additive, version-neutral; absent when the scheduler
-runs without ``--trace``): a ``lease`` grant may carry ``trace`` — a
-:class:`~repro.obs.spans.TraceContext` wire dict (``trace_id``,
-``parent_span``, ``job_id``).  A worker holding one echoes ``trace_id``
-in heartbeats and attaches a span payload as the result message's
-``trace`` key (``trace_id``, ``worker_id``, ``pid``, ``epoch``,
-``lease_id``, ``spans``) — *beside* the pickled
-:class:`~repro.sim.engine.SimulationResult`, never inside it, so traced
-and untraced results stay byte-identical.  Peers that predate these
-fields ignore them.
 
 Trust boundary
 --------------

@@ -134,7 +134,6 @@ class SchedulerCore:
         journal: Journal | None = None,
         config: SchedulerConfig | None = None,
         obs=None,
-        traces=None,
     ) -> None:
         from repro.obs.registry import LatencyReservoir
 
@@ -142,9 +141,8 @@ class SchedulerCore:
         self.journal = journal
         self.config = config if config is not None else SchedulerConfig()
         self.obs = obs
-        #: optional :class:`~repro.service.tracing.JobTraceBook`
-        self.traces = traces
-        #: lease grant→complete latency window (percentiles on /metrics)
+        #: lease grant→complete latency window (percentiles in the
+        #: ``fleet`` reply)
         self.lease_latency = LatencyReservoir()
         self.leases = LeaseTable(
             lease_timeout=self.config.lease_timeout,
@@ -230,8 +228,6 @@ class SchedulerCore:
             self.jobs[job_id] = job
             if self.journal is not None:
                 self.journal.record_submit(job_id, spec)
-            if self.traces is not None:
-                self.traces.begin_job(job_id, wall=time.time())
             self._emit(EV_SERVICE_JOB_SUBMITTED, job_id=job_id,
                        cells=job.cells_total, tag=spec.tag)
             for workload, solution in spec.cells:
@@ -381,15 +377,6 @@ class SchedulerCore:
             self._emit(EV_SERVICE_LEASE_GRANTED, job_id=lease.job_id,
                        workload=lease.workload, solution=lease.solution,
                        worker=worker_id, attempt=lease.attempt)
-            trace = None
-            if self.traces is not None:
-                trace = self.traces.context_for(lease.job_id)
-                if trace is not None:
-                    self.traces.record_grant(
-                        lease.job_id, lease.lease_id, worker_id,
-                        lease.workload, lease.solution, lease.attempt,
-                        wall=time.time(),
-                    )
             return {
                 "lease_id": lease.lease_id,
                 "job_id": lease.job_id,
@@ -400,12 +387,10 @@ class SchedulerCore:
                 "lease_timeout": self.config.lease_timeout,
                 "warmup_key": lease.warmup_key,
                 "spec": job.spec,
-                "trace": trace,
             }
 
     def heartbeat(self, lease_id: int, now: float | None = None,
-                  worker_id: str | None = None, warm_keys=None,
-                  trace_id: str | None = None) -> bool:
+                  worker_id: str | None = None, warm_keys=None) -> bool:
         if now is None:
             now = time.monotonic()
         with self.lock:
@@ -414,11 +399,7 @@ class SchedulerCore:
                 entry = self.workers.get(worker_id)
                 if entry is not None:
                     entry["last_seen"] = time.monotonic()
-            alive = self.leases.heartbeat(lease_id, now)
-            if alive and trace_id and self.traces is not None:
-                self.traces.record_heartbeat(
-                    trace_id, worker_id or "?", lease_id, wall=time.time())
-            return alive
+            return self.leases.heartbeat(lease_id, now)
 
     def _requeue_failed_completion(self, lease_id: int, now: float,
                                    reason: str) -> None:
@@ -436,8 +417,7 @@ class SchedulerCore:
         self._after_release([released])
 
     def complete(self, lease_id: int, result: "SimulationResult",
-                 now: float | None = None, source: str = "",
-                 trace: dict | None = None) -> bool:
+                 now: float | None = None, source: str = "") -> bool:
         """Accept one finished cell; False if the lease was reclaimed.
 
         A rejected completion is *safe* to discard: the lease expired,
@@ -496,8 +476,6 @@ class SchedulerCore:
                 self.lease_latency.observe(latency)
                 if self.obs is not None:
                     self.obs.observe("service.lease.latency", latency)
-            if trace is not None and self.traces is not None:
-                self.traces.record_worker_payload(trace)
             worker = self.workers.get(lease.worker_id)
             if worker is not None:
                 worker["cells_done"] += 1
@@ -589,8 +567,6 @@ class SchedulerCore:
                 self.journal.record_job(job.job_id, "failed")
             self._emit(EV_SERVICE_JOB_FAILED, job_id=job.job_id,
                        dead=len(self.leases.job_dead_letters(job.job_id)))
-        if job.state in ("done", "failed") and self.traces is not None:
-            self.traces.finish_job(job.job_id, job.state, wall=time.time())
 
     def status(self, job_id: str) -> dict:
         with self.lock:
@@ -666,8 +642,8 @@ class SchedulerCore:
             }
 
     def fleet_snapshot(self, now: float | None = None) -> dict:
-        """Point-in-time fleet view for /metrics, /fleet.json, alerts,
-        and the ``repro fleet`` dashboard.
+        """Point-in-time fleet view: the wire ``fleet`` reply, which
+        ``repro fleet --connect`` renders.
 
         Per-worker ``staleness`` is seconds since that worker last
         spoke to the scheduler (register, claim, heartbeat, or result).
@@ -838,19 +814,17 @@ class SchedulerServer:
     def __init__(self, core: SchedulerCore, address: str = "127.0.0.1:0",
                  secret: bytes | None = None,
                  allow_insecure_tcp: bool = False,
-                 compress: bool = True,
-                 alerts=None) -> None:
+                 compress: bool = True) -> None:
         self.core = core
         self.secret = secret
-        #: optional :class:`~repro.service.alerts.AlertEngine`, evaluated
-        #: once per tick against the fleet snapshot
-        self.alerts = alerts
         #: offer frame compression during hello (peers still negotiate)
         self.compress = compress
         self._listener, self.address = _bind_listener(
             address, secret=secret, allow_insecure_tcp=allow_insecure_tcp)
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
+        #: set once :meth:`shutdown` has finished, stream ``end`` included
+        self._shut = threading.Event()
         self._drain = threading.Event()
         self._accepting = True
         self._inline_warm = None
@@ -885,10 +859,13 @@ class SchedulerServer:
             self._threads.append(thread)
 
     def serve_forever(self, poll: float = 0.2) -> None:
-        """Block until :meth:`shutdown` (the CLI's foreground mode)."""
+        """Block until :meth:`shutdown` has finished (the CLI's
+        foreground mode).  The shutdown runs on another thread, and the
+        daemon exits when this returns, so returning any earlier could
+        cut the stream before its ``end`` record."""
         self.start()
-        while not self._stop.is_set():
-            self._stop.wait(poll)
+        while not self._shut.is_set():
+            self._shut.wait(poll)
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop the daemon; with ``drain``, let in-flight leases land.
@@ -911,8 +888,11 @@ class SchedulerServer:
             self._listener.close()
         except OSError:
             pass
-        if self.core.obs is not None:
-            self.core.obs.stream_close()
+        try:
+            if self.core.obs is not None:
+                self.core.obs.stream_close()
+        finally:
+            self._shut.set()
 
     # -- threads ---------------------------------------------------------------
 
@@ -932,11 +912,6 @@ class SchedulerServer:
     def _tick_loop(self) -> None:
         while not self._stop.is_set():
             self.core.tick()
-            if self.alerts is not None:
-                try:
-                    self.alerts.evaluate(self.core.fleet_snapshot())
-                except Exception:
-                    pass  # alerting must never take the scheduler down
             self._stop.wait(self.core.config.tick_interval)
 
     def _inline_loop(self) -> None:
@@ -1067,7 +1042,6 @@ class SchedulerServer:
                 int(message.get("lease_id", -1)),
                 worker_id=message.get("worker_id"),
                 warm_keys=message.get("warm_keys"),
-                trace_id=message.get("trace_id"),
             )
             if not ok:
                 return reply_error("lease expired or unknown", transient=True)
@@ -1075,7 +1049,6 @@ class SchedulerServer:
         if op == "result":
             accepted = self.core.complete(
                 int(message.get("lease_id", -1)), message.get("payload"),
-                trace=message.get("trace"),
             )
             if not accepted:
                 return reply_error("lease expired; result discarded",
@@ -1103,10 +1076,7 @@ class SchedulerServer:
             stats["wire"] = self.wire_stats()
             return reply_ok(stats=stats)
         if op == "fleet":
-            snapshot = self.core.fleet_snapshot()
-            snapshot["alerts"] = (self.alerts.active()
-                                  if self.alerts is not None else [])
-            return reply_ok(fleet=snapshot)
+            return reply_ok(fleet=self.core.fleet_snapshot())
         if op == "shutdown":
             return reply_ok()
         return reply_error(f"unknown op {op!r}")

@@ -67,22 +67,8 @@ def jittered_backoff(attempt: int, base: float = 0.25, cap: float = 8.0,
     return window * draw
 
 
-def _span(tracer, name: str, **args):
-    """A tracer span, or a free no-op when tracing is off.
-
-    Tracing must stay result-invisible: the tracer only *times* phases,
-    so a traced cell and an untraced cell run the identical engine path.
-    """
-    if tracer is None:
-        from contextlib import nullcontext
-
-        return nullcontext()
-    return tracer.span(name, cat="service", **args)
-
-
 def run_cell(spec: JobSpec, workload: str, solution: str,
-             warm_cache: "SnapshotCache | None" = None,
-             tracer=None) -> "SimulationResult":
+             warm_cache: "SnapshotCache | None" = None) -> "SimulationResult":
     """Execute one cell exactly as the serial matrix runner would.
 
     Deterministic in ``(spec, workload, solution)``: seeds come from the
@@ -104,25 +90,22 @@ def run_cell(spec: JobSpec, workload: str, solution: str,
 
         _worker_cache = TraceCache()
     if spec.sweep is not None:
-        return _run_sweep_cell(spec, workload, solution, warm_cache,
-                               tracer=tracer)
-    with _span(tracer, "run", workload=workload, solution=solution):
-        return run_solution(
-            solution,
-            workload,
-            spec.profile,
-            intervals=spec.intervals,
-            fault_rate=spec.fault_rate,
-            fault_seed=spec.fault_seed,
-            trace_cache=_worker_cache,
-            recovery=spec.recovery,
-            obs=None,
-        )
+        return _run_sweep_cell(spec, workload, solution, warm_cache)
+    return run_solution(
+        solution,
+        workload,
+        spec.profile,
+        intervals=spec.intervals,
+        fault_rate=spec.fault_rate,
+        fault_seed=spec.fault_seed,
+        trace_cache=_worker_cache,
+        recovery=spec.recovery,
+        obs=None,
+    )
 
 
 def _run_sweep_cell(spec: JobSpec, workload: str, label: str,
-                    warm_cache: "SnapshotCache | None",
-                    tracer=None) -> "SimulationResult":
+                    warm_cache: "SnapshotCache | None") -> "SimulationResult":
     """One shared-warmup sweep cell, warm (fork) or cold (from scratch).
 
     The cold path is exactly :func:`repro.bench.runner._run_variant_cold`
@@ -147,40 +130,36 @@ def _run_sweep_cell(spec: JobSpec, workload: str, label: str,
     apply_fn = sweep.resolve_apply()
     before = _worker_cache.stats()
     if warm_cache is None:
-        with _span(tracer, "run.cold", workload=workload, variant=label):
-            result = _run_variant_cold(
-                sweep.solution, workload, profile, params, apply_fn,
-                sweep.warmup_intervals, rest, spec.fault_rate, spec.fault_seed,
-                False, _worker_cache, {"recovery": spec.recovery},
-            )
+        result = _run_variant_cold(
+            sweep.solution, workload, profile, params, apply_fn,
+            sweep.warmup_intervals, rest, spec.fault_rate, spec.fault_seed,
+            False, _worker_cache, {"recovery": spec.recovery},
+        )
     else:
         wkey = warmup_key(spec, workload)
 
         def _warmup():
             from repro.core.baselines import make_engine
 
-            with _span(tracer, "warmup", workload=workload,
-                       intervals=sweep.warmup_intervals):
-                engine = make_engine(
-                    sweep.solution,
-                    workload,
-                    scale=profile.scale,
-                    seed=profile.seed,
-                    injector=_make_injector(spec.fault_rate, spec.fault_seed),
-                    recovery=spec.recovery,
-                    trace_cache=_worker_cache,
-                    obs=None,
-                )
-                for _ in range(sweep.warmup_intervals):
-                    engine.step()
-                return capture_engine(engine, key=(wkey,))
+            engine = make_engine(
+                sweep.solution,
+                workload,
+                scale=profile.scale,
+                seed=profile.seed,
+                injector=_make_injector(spec.fault_rate, spec.fault_seed),
+                recovery=spec.recovery,
+                trace_cache=_worker_cache,
+                obs=None,
+            )
+            for _ in range(sweep.warmup_intervals):
+                engine.step()
+            return capture_engine(engine, key=(wkey,))
 
         snap = warm_cache.get_or_create((wkey,), _warmup)
-        with _span(tracer, "run.warm", workload=workload, variant=label):
-            engine = SimulationEngine.fork(snap, trace_cache=_worker_cache,
-                                           obs=None)
-            apply_fn(engine, params)
-            result = engine.run(rest)
+        engine = SimulationEngine.fork(snap, trace_cache=_worker_cache,
+                                       obs=None)
+        apply_fn(engine, params)
+        result = engine.run(rest)
     if result.perf is not None:
         # The engine counts only its own requests; charge the cell with
         # the warmup it may have simulated too.
@@ -287,8 +266,7 @@ class Worker:
                 else:
                     time.sleep(delay)
 
-    def _heartbeat_loop(self, lease_id: int, interval: float, stop,
-                        trace_id: str | None = None) -> None:
+    def _heartbeat_loop(self, lease_id: int, interval: float, stop) -> None:
         """Extend ``lease_id`` until told to stop (its own channel, so
         heartbeats never interleave with the work channel's frames).
 
@@ -304,13 +282,10 @@ class Worker:
             if conn is None:
                 return  # stopped or scheduler unreachable; lease expires
             while not stop.wait(interval):
-                beat = {"op": "heartbeat",
-                        "worker_id": self.worker_id,
-                        "lease_id": lease_id,
-                        "warm_keys": self._advertised_keys()}
-                if trace_id is not None:
-                    beat["trace_id"] = trace_id
-                reply = conn.request(beat)
+                reply = conn.request({"op": "heartbeat",
+                                      "worker_id": self.worker_id,
+                                      "lease_id": lease_id,
+                                      "warm_keys": self._advertised_keys()})
                 if reply.get("op") != "ok":
                     return  # lease reclaimed; stop wasting frames
         except (OSError, ProtocolError):
@@ -393,11 +368,9 @@ class Worker:
         # expiry; slow cells stay leased, dead workers expire fast.
         interval = max(0.05, float(lease.get("lease_timeout", 3.0)) / 3.0)
         stop = threading.Event()
-        trace = lease.get("trace") or {}
         thread = threading.Thread(
             target=self._heartbeat_loop,
-            args=(int(lease["lease_id"]), interval, stop,
-                  trace.get("trace_id")),
+            args=(int(lease["lease_id"]), interval, stop),
             name="worker-heartbeat", daemon=True,
         )
         thread.start()
@@ -492,32 +465,13 @@ class Worker:
     def _serve_lease(self, lease: dict, hb_stop) -> None:
         lease_id = int(lease["lease_id"])
         spec: JobSpec = lease["spec"]
-        # A grant carrying a trace context gets its cell timed; spans
-        # ride back *next to* the result payload, never inside it, so
-        # traced and untraced results stay byte-identical.
-        trace_ctx = lease.get("trace")
-        tracer = None
-        if trace_ctx:
-            from repro.obs.spans import SpanTracer
-
-            tracer = SpanTracer()
         if (self.chaos is not None and self.chaos_kill_cell is not None
                 and self.cells_done == self.chaos_kill_cell):
             # Crash mid-cell: armed at cell start, lands during run_cell.
             self.chaos.arm_midcell_kill(self.chaos_kill_delay)
         try:
-            with _span(tracer, "cell",
-                       workload=lease["workload"],
-                       solution=lease["solution"],
-                       attempt=int(lease.get("attempt", 1)),
-                       **({"trace_id": trace_ctx["trace_id"],
-                           "parent": trace_ctx["parent_span"]}
-                          if trace_ctx else {})):
-                # Pass ``tracer`` only when tracing is on: callers (and
-                # tests) may substitute run_cell with the plain signature.
-                extra = {"tracer": tracer} if tracer is not None else {}
-                result = run_cell(spec, lease["workload"], lease["solution"],
-                                  warm_cache=self._warm_for(spec), **extra)
+            result = run_cell(spec, lease["workload"], lease["solution"],
+                              warm_cache=self._warm_for(spec))
         except Exception as exc:
             hb_stop.set()
             self._send({"op": "nack", "worker_id": self.worker_id,
@@ -526,21 +480,10 @@ class Worker:
                         "transient": is_transient(exc)})
             return
         hb_stop.set()
-        message = {"op": "result", "worker_id": self.worker_id,
-                   "lease_id": lease_id, "payload": result}
-        if tracer is not None:
-            from repro.obs.spans import spans_as_dicts
-
-            message["trace"] = {
-                "trace_id": trace_ctx["trace_id"],
-                "worker_id": self.worker_id,
-                "pid": os.getpid(),
-                "epoch": tracer.epoch,
-                "lease_id": lease_id,
-                "spans": spans_as_dicts(tracer.spans),
-            }
         try:
-            self._send(message, raise_oversize=True)
+            self._send({"op": "result", "worker_id": self.worker_id,
+                        "lease_id": lease_id, "payload": result},
+                       raise_oversize=True)
         except FrameTooLarge as exc:
             # Nothing hit the wire, so the connection is intact: report
             # the failure in-band and let the scheduler requeue the cell
