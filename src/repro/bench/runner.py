@@ -1,6 +1,6 @@
 """Experiment runners: one solution, or a workload x solution matrix.
 
-The matrix runner supports three independent accelerations, all
+The matrix runner supports two independent accelerations, both
 result-preserving:
 
 * a :class:`~repro.sim.tracecache.TraceCache` per process, so each
@@ -12,11 +12,9 @@ result-preserving:
   own engine from ``(solution, workload, profile)`` with fully
   deterministic seeding, and cells are keyed (not ordered) on
   collection, so ``workers=4`` is bit-identical to ``workers=1``
-  (asserted by tests);
-* the vectorized hot paths (see :mod:`repro.perfflags`), inherited by
-  forked workers.
+  (asserted by tests).
 
-Fault injection composes with all three: each cell constructs a *fresh*
+Fault injection composes with both: each cell constructs a *fresh*
 injector from ``(fault_rate, fault_seed)``, so runs never share mutable
 injector state across processes or cells.
 """
@@ -821,8 +819,10 @@ def run_sweep(
 def _pool_map(fn, cells, workers: int, collector: "ObsContext | None" = None):
     """Fan ``cells`` over a process pool, optionally relaying live streams.
 
-    fork (where available) keeps startup cheap and inherits the
-    process-global perfflags switch; spawn re-imports with defaults.
+    fork (where available) keeps startup cheap and inherits
+    process-global state such as the page-table storage override
+    (:func:`repro.mm.pagetable.chunked_mode`); spawn re-imports with
+    defaults.
     When ``collector`` has streaming sinks and the platform forks, a
     bounded relay queue is installed *before* the pool starts (workers
     inherit it) and drained onto the collector's sinks between

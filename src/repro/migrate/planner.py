@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import nputil
-
-from repro import perfflags
 from repro.errors import MigrationBusyError, MigrationError, TierPressureError
 from repro.faults.injector import FaultInjector
 from repro.hw.frames import FrameAccountant
@@ -497,17 +495,12 @@ class MigrationPlanner:
         # chunk to the synchronous path, not the whole order.
         timing = MigrationTiming()
         writes_per_chunk: np.ndarray | None = None
-        if (
-            perfflags.vectorized()
-            and mmu is not None
-            and self.interval > 0
-            and pages.size
-        ):
-            # Group the per-chunk "writes over distinct entries" sums into
-            # one pass: resolve every page's entry once, dedupe
-            # (chunk, entry) pairs, and bincount the write counts per
-            # chunk.  The timing calls below keep their exact per-chunk
-            # order and arguments (they draw from the mechanism's RNG).
+        if mmu is not None and self.interval > 0 and pages.size:
+            # Each chunk's writes over its distinct entries, in one pass:
+            # resolve every page's entry once, dedupe (chunk, entry)
+            # pairs, and bincount the write counts per chunk.  The timing
+            # calls below keep their per-chunk order and arguments (they
+            # draw from the mechanism's RNG).
             ents_all = self.page_table.entry_index(pages)
             n_chunks = (int(pages.size) + PAGES_PER_HUGE_PAGE - 1) // PAGES_PER_HUGE_PAGE
             chunk_ids = np.arange(pages.size, dtype=np.int64) // PAGES_PER_HUGE_PAGE
@@ -524,10 +517,6 @@ class MigrationPlanner:
             write_rate = 0.0
             if writes_per_chunk is not None:
                 write_rate = int(writes_per_chunk[lo // PAGES_PER_HUGE_PAGE]) / self.interval
-            elif mmu is not None and self.interval > 0:
-                entries = np.unique(self.page_table.entry_index(chunk))
-                writes = int(mmu.entry_write_count(entries).sum())
-                write_rate = writes / self.interval
             chunk_timing = mechanism.timing(
                 int(chunk.size), src_node, dst_node, write_rate=write_rate
             )
@@ -573,25 +562,16 @@ class MigrationPlanner:
         if not np.any(huge_mask):
             return 0
         heads = nputil.unique(pages[huge_mask] - (pages[huge_mask] % PAGES_PER_HUGE_PAGE))
-        torn = 0
-        if perfflags.vectorized():
-            # A head's 2 MB span is fully covered iff the order holds all
-            # 512 distinct base pages of [head, head + 512) — countable
-            # with two searchsorted passes over the sorted unique pages.
-            uniq = nputil.unique(pages)
-            lo = np.searchsorted(uniq, heads)
-            hi = np.searchsorted(uniq, heads + PAGES_PER_HUGE_PAGE)
-            for head in heads[(hi - lo) != PAGES_PER_HUGE_PAGE]:
-                self.page_table.split_huge(int(head))
-                torn += 1
-            return torn
-        page_set = set(pages.tolist())
-        for head in heads:
-            span = range(int(head), int(head) + PAGES_PER_HUGE_PAGE)
-            if not all(p in page_set for p in span):
-                self.page_table.split_huge(int(head))
-                torn += 1
-        return torn
+        # A head's 2 MB span is fully covered iff the order holds all 512
+        # distinct base pages of [head, head + 512) — countable with two
+        # searchsorted passes over the sorted unique pages.
+        uniq = nputil.unique(pages)
+        lo = np.searchsorted(uniq, heads)
+        hi = np.searchsorted(uniq, heads + PAGES_PER_HUGE_PAGE)
+        partial = heads[(hi - lo) != PAGES_PER_HUGE_PAGE]
+        for head in partial.tolist():
+            self.page_table.split_huge(head)
+        return int(partial.size)
 
     @staticmethod
     def _accumulate(total: MigrationTiming, timing: MigrationTiming) -> None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels, perfflags
+from repro import kernels
 from repro.errors import ConfigError
 from repro.mm.pagetable import PageTable
 from repro.mm.pte import PteFlag
@@ -85,12 +85,10 @@ class Mmu:
         entries = self.page_table.entry_index(batch.pages)
         if entries.size == 0:
             hist = (_NO_ENTRIES, _NO_ENTRIES, _NO_ENTRIES, _NO_SOCKETS)
-        elif perfflags.vectorized() and (
-            batch.pages.size < 2 or np.all(batch.pages[1:] > batch.pages[:-1])
-        ):
-            # Strictly-ascending unique pages (the AccessBatch histogram
-            # invariant) give non-decreasing entries, so the histogram is
-            # one pass of run sums, fused with the PTE access/dirty bits.
+        else:
+            # Strictly-ascending unique pages (checked by AccessBatch)
+            # give non-decreasing entries, so the histogram is one pass
+            # of run sums, fused with the PTE access/dirty bits.
             hist = kernels.mmu_ingest(
                 entries,
                 batch.counts,
@@ -100,17 +98,6 @@ class Mmu:
                 int(PteFlag.ACCESSED),
                 int(PteFlag.DIRTY),
             )
-        else:
-            unique, inverse = np.unique(entries, return_inverse=True)
-            counts = np.zeros(unique.size, dtype=np.int64)
-            writes = np.zeros(unique.size, dtype=np.int64)
-            np.add.at(counts, inverse, batch.counts)
-            np.add.at(writes, inverse, batch.writes)
-            # The socket of each entry's last page in batch order.
-            last = np.zeros(unique.size, dtype=np.int64)
-            np.maximum.at(last, inverse, np.arange(entries.size))
-            hist = (unique, counts, writes, batch.sockets[last])
-            self.page_table.set_accessed(entries, written=batch.writes > 0)
         (self._hist_entries, self._hist_counts,
          self._hist_writes, self._hist_sockets) = hist
 

@@ -24,9 +24,11 @@ chunks cost nothing) and quarters the dense-chunk footprint.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from repro import kernels, perfflags
+from repro import kernels
 from repro.errors import ConfigError, TranslationError
 from repro.mm.chunked import DEFAULT_CHUNK_PAGES, ChunkedArray
 from repro.mm.layout import PageTableGeometry, X86_64_GEOMETRY
@@ -38,6 +40,28 @@ _UNMAPPED_NODE = -1
 #: Spaces at least this large default to chunked storage (4 Mi pages =
 #: 16 GB of 4 KB pages — past the regime where dense arrays are cheap).
 AUTO_CHUNK_PAGES = 1 << 22
+
+#: True inside :func:`chunked_mode`.
+_FORCE_CHUNKED = False
+
+
+@contextmanager
+def chunked_mode():
+    """Run a block in which every new :class:`PageTable` built with
+    ``chunked=None`` is chunked, whatever its size.
+
+    Storage layout is bit-identical either way; this is how the
+    differential suites exercise chunked storage on small spaces.  The
+    override is process-global, so pool workers forked inside the block
+    inherit it.
+    """
+    global _FORCE_CHUNKED
+    prev, _FORCE_CHUNKED = _FORCE_CHUNKED, True
+    try:
+        yield
+    finally:
+        _FORCE_CHUNKED = prev
+
 
 #: Pages a chunked span_entries() resolves per pass (~1.5 MB of temporaries).
 _SPAN_WINDOW_PAGES = 1 << 16
@@ -54,7 +78,7 @@ class PageTable:
         geometry: radix geometry, used for table-page counting.
         chunked: force chunked (True) or dense (False) storage; ``None``
             picks dense below :data:`AUTO_CHUNK_PAGES` pages and chunked
-            at or above it.
+            at or above it (or inside :func:`chunked_mode`).
         chunk_pages: chunk length for chunked storage; must be a power
             of two and a multiple of :data:`PAGES_PER_HUGE_PAGE`.
     """
@@ -71,9 +95,7 @@ class PageTable:
         self.n_pages = n_pages
         self.geometry = geometry
         if chunked is None:
-            chunked = perfflags.chunked_override()
-        if chunked is None:
-            chunked = n_pages >= AUTO_CHUNK_PAGES
+            chunked = _FORCE_CHUNKED or n_pages >= AUTO_CHUNK_PAGES
         self.chunked = bool(chunked)
         self.chunk_pages = int(chunk_pages) if chunk_pages else DEFAULT_CHUNK_PAGES
         if self.chunk_pages % PAGES_PER_HUGE_PAGE:
@@ -289,15 +311,9 @@ class PageTable:
         mapping it is the huge head (the single PMD entry).
         """
         pages = np.asarray(pages, dtype=np.int64)
-        if perfflags.vectorized():
-            # The maintained page->entry map: one gather, no flag math.
-            if self.chunked:
-                return pages + self._entry_delta[pages]
-            return self._entry[pages]
-        huge = (self.flags[pages] & HUGE_MASK) != 0
-        entries = pages.copy()
-        entries[huge] = pages[huge] - (pages[huge] % PAGES_PER_HUGE_PAGE)
-        return entries
+        if self.chunked:
+            return pages + self._entry_delta[pages]
+        return self._entry[pages]
 
     def span_entries(self, starts: np.ndarray, npages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unique leaf entries of many ``[start, start+npages)`` spans at once.

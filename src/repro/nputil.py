@@ -7,16 +7,13 @@ produces the exact same output (ascending unique values) in a fraction
 of the time for the array sizes the simulator handles, and degenerates
 to a single vectorized comparison when the input is already sorted.
 
-Every helper here is *output-identical* to its ``np.unique`` spelling;
-the legacy spelling is kept behind :func:`repro.perfflags.vectorized`
-so the pre-optimization code path stays measurable.
+Every helper here is *output-identical* to its ``np.unique`` spelling
+(values, inverse and dtype); ``tests/test_nputil.py`` compares them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro import perfflags
 
 
 def dedup_sorted(a: np.ndarray) -> np.ndarray:
@@ -35,32 +32,12 @@ def dedup_sorted(a: np.ndarray) -> np.ndarray:
 
 def unique(a: np.ndarray) -> np.ndarray:
     """``np.unique(a)`` for 1-D arrays, via sort + first-occurrence mask."""
-    if not perfflags.vectorized():
-        return np.unique(a)
     a = np.asarray(a).ravel()
     return dedup_sorted(np.sort(a))
 
 
-def unique_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(a, return_counts=True)`` via sort + run boundaries."""
-    if not perfflags.vectorized():
-        return np.unique(a, return_counts=True)
-    a = np.sort(np.asarray(a).ravel())
-    if a.size == 0:
-        return a, np.empty(0, dtype=np.intp)
-    keep = np.empty(a.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    idx = np.flatnonzero(keep)
-    counts = np.diff(np.append(idx, a.size))
-    return a[idx], counts
-
-
 def unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(a, return_inverse=True)`` via a stable argsort."""
-    if not perfflags.vectorized():
-        values, inverse = np.unique(a, return_inverse=True)
-        return values, inverse.ravel()
     a = np.asarray(a).ravel()
     if a.size == 0:
         return a.copy(), np.empty(0, dtype=np.intp)

@@ -553,19 +553,28 @@ def _read_once(path, wait, ready) -> RunFold:
         time.sleep(0.2)
 
 
-def _follow(path, fold: RunFold, lock, duration) -> threading.Event:
-    """Tail ``path`` into ``fold`` on a thread; set the event to stop."""
-    stop = threading.Event()
+def _follow(path, fold: RunFold, lock,
+            duration) -> tuple[threading.Event, threading.Event]:
+    """Tail ``path`` into ``fold`` on a thread.
+
+    Returns ``(stop, ended)``: set ``stop`` to end the tail; ``ended``
+    is set once the tail returned, whether at the ``end`` record, at
+    ``duration`` without data, or at the dead-writer escape.
+    """
+    stop, ended = threading.Event(), threading.Event()
 
     def pump() -> None:
-        for record in iter_ndjson(path, follow=True, timeout=duration):
-            with lock:
-                fold.feed(record)
-            if stop.is_set():
-                return
+        try:
+            for record in iter_ndjson(path, follow=True, timeout=duration):
+                with lock:
+                    fold.feed(record)
+                if stop.is_set():
+                    return
+        finally:
+            ended.set()
 
     threading.Thread(target=pump, daemon=True).start()
-    return stop
+    return stop, ended
 
 
 def _write_page(html, page) -> None:
@@ -575,9 +584,11 @@ def _write_page(html, page) -> None:
             fh.write(text)
 
 
-def _show(frame, page, *, once, refresh, duration, html, out) -> None:
+def _show(frame, page, *, once, refresh, duration, html, out,
+          ended=None) -> None:
     """Print ``frame()``'s text and write ``page()`` to ``html``: once,
     or every ``refresh`` seconds until the frame reports it finished,
+    the first frame drawn after ``ended`` is set (the source is done),
     ``duration`` passes, or Ctrl-C."""
     if once:
         text, _ = frame()
@@ -589,10 +600,11 @@ def _show(frame, page, *, once, refresh, duration, html, out) -> None:
     try:
         while True:
             time.sleep(refresh)
+            last = ended is not None and ended.is_set()
             text, finished = frame()
             out("\x1b[2J\x1b[H" + text if is_tty else text)
             _write_page(html, page)
-            if finished:
+            if finished or last:
                 return
             if duration is not None and time.monotonic() - started >= duration:
                 return
@@ -713,11 +725,11 @@ def run_watch(
     ``wait`` bounds how long ``--once`` waits for the stream to appear.
     """
     fold, lock = RunFold(), threading.Lock()
-    stop = collector = None
+    stop = ended = collector = None
     if run is not None and once:
         fold = _read_once(run, wait, lambda f: f.records)
     elif run is not None:
-        stop = _follow(run, fold, lock, duration)
+        stop, ended = _follow(run, fold, lock, duration)
     else:
         collector = SocketCollector(connect, fold, lock)
         collector.start()
@@ -734,7 +746,7 @@ def run_watch(
 
     try:
         _show(frame, page, once=once, refresh=refresh, duration=duration,
-              html=html, out=out or print)
+              html=html, out=out or print, ended=ended)
     finally:
         if stop is not None:
             stop.set()
@@ -767,7 +779,7 @@ def run_fleet(
     """
     fold, lock = RunFold(), threading.Lock()
     sampler = ThroughputSampler()
-    stop = client = None
+    stop = ended = client = None
     view = fold.fleet_view()
     polls = 0
     finished = False
@@ -779,7 +791,7 @@ def run_fleet(
     elif once:
         fold = _read_once(run, wait, lambda f: f.service_records)
     else:
-        stop = _follow(run, fold, lock, duration)
+        stop, ended = _follow(run, fold, lock, duration)
 
     def update() -> bool:
         """Refresh ``view`` and ``finished``; False while the daemon is
@@ -806,7 +818,7 @@ def run_fleet(
     try:
         _show(frame, lambda: render_fleet_html(view, sampler.rates),
               once=once, refresh=refresh, duration=duration, html=html,
-              out=out or print)
+              out=out or print, ended=ended)
     finally:
         if stop is not None:
             stop.set()

@@ -8,9 +8,7 @@ counted here; mechanism copies are charged by the migration planner.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import kernels, perfflags
+from repro import kernels
 from repro.hw.topology import TierTopology
 from repro.mm.pagetable import PageTable
 from repro.sim.trace import AccessBatch
@@ -34,22 +32,13 @@ class PcmCounters:
         if batch.pages.size == 0:
             return
         nodes = page_table.node_of(batch.pages)
-        if perfflags.vectorized():
-            # One per-node histogram instead of a mask + two sums per node;
-            # unmapped pages (node -1) land in slot 0 and are dropped,
-            # matching the per-node masks below.
-            length = max(self.topology.node_ids) + 2
-            acc, wr = kernels.node_accumulate(nodes, batch.counts, batch.writes, length)
-            for node in self.topology.node_ids:
-                if acc[node + 1] or wr[node + 1]:
-                    self.node_accesses[node] += int(acc[node + 1])
-                    self.node_writes[node] += int(wr[node + 1])
-            return
+        # One per-node histogram; unmapped pages (node -1) land in slot 0
+        # and are dropped.
+        length = max(self.topology.node_ids) + 2
+        acc, wr = kernels.node_accumulate(nodes, batch.counts, batch.writes, length)
         for node in self.topology.node_ids:
-            mask = nodes == node
-            if np.any(mask):
-                self.node_accesses[node] += int(batch.counts[mask].sum())
-                self.node_writes[node] += int(batch.writes[mask].sum())
+            self.node_accesses[node] += int(acc[node + 1])
+            self.node_writes[node] += int(wr[node + 1])
 
     def tier_accesses(self, socket: int = 0) -> dict[int, int]:
         """Access counts keyed by 1-based tier rank in ``socket``'s view.

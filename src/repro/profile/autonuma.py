@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import nputil
-
-from repro import perfflags
 from repro.errors import ConfigError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
@@ -157,16 +155,9 @@ class RandomWindowProfiler(Profiler):
         # hint fault per detected access.
         time = self.cost_model.scan_time(int(entries.size)) + self.cost_model.hint_fault_time(faults)
 
-        if perfflags.vectorized():
-            chunk_nodes = page_table.span_majority_nodes(
-                self._chunk_starts, self._chunk_sizes
-            )
-        else:
-            chunk_nodes = np.fromiter(
-                (self._majority_node(i) for i in range(self._chunk_starts.size)),
-                dtype=np.int64,
-                count=self._chunk_starts.size,
-            )
+        chunk_nodes = page_table.span_majority_nodes(
+            self._chunk_starts, self._chunk_sizes
+        )
         reports = [
             RegionReport(
                 start=int(self._chunk_starts[i]),
@@ -205,14 +196,3 @@ class RandomWindowProfiler(Profiler):
         if not pages:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(pages)
-
-    def _majority_node(self, chunk_idx: int) -> int:
-        assert self._page_table is not None
-        start = int(self._chunk_starts[chunk_idx])
-        size = int(self._chunk_sizes[chunk_idx])
-        nodes = self._page_table.node[start : start + size]
-        mapped = nodes[nodes >= 0]
-        if mapped.size == 0:
-            return -1
-        values, counts = nputil.unique_counts(mapped)
-        return int(values[np.argmax(counts)])

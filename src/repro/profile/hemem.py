@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import nputil
-
-from repro import perfflags
 from repro.errors import ConfigError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
@@ -115,32 +112,18 @@ class PebsOnlyProfiler(Profiler):
             valid = idx >= 0
             np.add.at(self._scores, idx[valid], sample_set.samples[valid].astype(np.float64))
 
-        if perfflags.vectorized():
-            # One bulk pass over the placement RLE instead of a per-chunk
-            # O(chunk_pages) slice+count; bit-identical node resolution
-            # (both tie-break toward the lowest node id).
-            nodes = page_table.span_majority_nodes(self._chunk_starts, self._chunk_sizes)
-            reports = [
-                RegionReport(
-                    start=int(self._chunk_starts[i]),
-                    npages=int(self._chunk_sizes[i]),
-                    score=float(self._scores[i]),
-                    whi=float(self._scores[i]),
-                    node=int(nodes[i]),
-                )
-                for i in range(self._chunk_starts.size)
-            ]
-        else:
-            reports = [
-                RegionReport(
-                    start=int(self._chunk_starts[i]),
-                    npages=int(self._chunk_sizes[i]),
-                    score=float(self._scores[i]),
-                    whi=float(self._scores[i]),
-                    node=int(self._majority_node(i)),
-                )
-                for i in range(self._chunk_starts.size)
-            ]
+        # Every chunk's resident node in one pass over the placement runs.
+        nodes = page_table.span_majority_nodes(self._chunk_starts, self._chunk_sizes)
+        reports = [
+            RegionReport(
+                start=int(self._chunk_starts[i]),
+                npages=int(self._chunk_sizes[i]),
+                score=float(self._scores[i]),
+                whi=float(self._scores[i]),
+                node=int(nodes[i]),
+            )
+            for i in range(self._chunk_starts.size)
+        ]
         time = self.cost_model.pebs_time(sample_set.total_samples)
         obs = self.obs
         if obs is not None:
@@ -164,14 +147,3 @@ class PebsOnlyProfiler(Profiler):
 
     def memory_overhead_bytes(self) -> int:
         return 8 * (self._scores.size if self._scores is not None else 0)
-
-    def _majority_node(self, chunk_idx: int) -> int:
-        assert self._page_table is not None and self._chunk_starts is not None
-        start = int(self._chunk_starts[chunk_idx])
-        size = int(self._chunk_sizes[chunk_idx])
-        nodes = self._page_table.node[start : start + size]
-        mapped = nodes[nodes >= 0]
-        if mapped.size == 0:
-            return -1
-        values, counts = nputil.unique_counts(mapped)
-        return int(values[np.argmax(counts)])

@@ -30,9 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import nputil
-
-from repro import kernels, perfflags
+from repro import kernels, nputil
 from repro.errors import ConfigError, SampleLossError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
@@ -260,38 +258,24 @@ class MtmProfiler(Profiler):
         to_profile: list[tuple[MemoryRegion, np.ndarray]] = []
         idle: list[MemoryRegion] = []
         pebs_active = cfg.use_pebs and pebs is not None
-        use_vec = perfflags.vectorized()
-        region_entries: list[np.ndarray] | None = None
         with obs.span("scan.resolve", cat="profile") if obs is not None else nullcontext():
-            if use_vec:
-                # Bulk-resolve every region's entries (and, when the PEBS filter
-                # needs them, resident nodes) in one pass over the page table.
-                # The per-region loop below then only slices precomputed arrays;
-                # all RNG draws keep their exact legacy order and arguments.
-                # O(touched): unchanged regions are served from the entry
-                # cache and only spans invalidated by formation or by
-                # huge-page transitions since last interval are gathered.
-                starts_arr, npages_arr, _ = self.regions.as_arrays()
-                region_entries = self._resolve_entries_cached(
-                    page_table, starts_arr, npages_arr
-                )
-                nodes_all = (
-                    page_table.span_majority_nodes(starts_arr, npages_arr)
-                    if pebs_active
-                    else None
-                )
+            # Bulk-resolve every region's entries (and, when the PEBS filter
+            # needs them, resident nodes) in one pass over the page table;
+            # the per-region loop below only slices precomputed arrays.
+            # O(touched): unchanged regions are served from the entry
+            # cache and only spans invalidated by formation or by
+            # huge-page transitions since last interval are gathered.
+            starts_arr, npages_arr, _ = self.regions.as_arrays()
+            region_entries = self._resolve_entries_cached(
+                page_table, starts_arr, npages_arr
+            )
+            if pebs_active:
+                nodes_all = page_table.span_majority_nodes(starts_arr, npages_arr)
             for idx, region in enumerate(regions):
-                if region_entries is not None:
-                    entries = region_entries[idx]
-                else:
-                    entries = region.entries(page_table)
+                entries = region_entries[idx]
                 if entries.size == 0:
                     continue
-                if pebs_active:
-                    node = int(nodes_all[idx]) if use_vec else region.node(page_table)
-                else:
-                    node = -1
-                if pebs_active and node in self.slowest_nodes:
+                if pebs_active and int(nodes_all[idx]) in self.slowest_nodes:
                     # Slow tiers are event-driven (Sec. 5.5): regions with no
                     # counter-observed traffic are skipped (and decay); active
                     # regions are scanned starting from the captured pages —
@@ -365,31 +349,7 @@ class MtmProfiler(Profiler):
 
         # -- scan and score --------------------------------------------------
         with obs.span("scan.classify", cat="profile") if obs is not None else nullcontext():
-            if use_vec:
-                self._scan_batched(mmu, to_profile)
-            else:
-                for region, chosen in to_profile:
-                    detected = mmu.scan_detect(
-                        chosen, cfg.num_scans, self.rng, exposure=cfg.scan_exposure
-                    )
-                    hi = float(detected.mean())
-                    max_diff = (
-                        float(detected.max() - detected.min()) if detected.size > 1 else 0.0
-                    )
-                    region.record_interval(hi, max_diff, cfg.alpha)
-                    if cfg.guided_splits:
-                        region.hottest_entry = (
-                            int(chosen[int(np.argmax(detected))]) if detected.max() > 0 else -1
-                        )
-                    else:
-                        region.hottest_entry = -1
-                    # Hint-fault attribution every hint_every_scans scans (Sec. 6.2).
-                    self._scan_counter += int(chosen.size) * cfg.num_scans
-                    if self._scan_counter >= cfg.hint_every_scans:
-                        self._scan_counter %= cfg.hint_every_scans
-                        accessor = int(mmu.accessor_socket(chosen[:1])[0])
-                        if accessor >= 0:
-                            region.dominant_socket = accessor
+            self._scan_batched(mmu, to_profile)
             # PEBS-observed-idle regions decay; budget-deferred ones stay stale.
             profiled = {id(r) for r, _ in to_profile}
             for region in idle:
@@ -433,40 +393,27 @@ class MtmProfiler(Profiler):
             self._last_pebs_time = self.cost_model.pebs_time(pebs_samples)
             time += self._last_pebs_time
 
-        if use_vec:
-            # Formation may have changed the region list; resolve resident
-            # nodes for the final layout in one bulk pass.
-            starts2, npages2, _ = self.regions.as_arrays()
-            nodes2 = page_table.span_majority_nodes(starts2, npages2)
-            # Drop cache entries for spans no longer in the layout so the
-            # cache stays bounded by the live region count.
-            live = set(zip(starts2.tolist(), npages2.tolist()))
-            self._entry_cache = {
-                k: v for k, v in self._entry_cache.items() if k in live
-            }
-            reports = [
-                RegionReport(
-                    start=r.start,
-                    npages=r.npages,
-                    score=r.whi,
-                    whi=r.whi,
-                    node=int(nodes2[j]),
-                    dominant_socket=r.dominant_socket,
-                )
-                for j, r in enumerate(self.regions)
-            ]
-        else:
-            reports = [
-                RegionReport(
-                    start=r.start,
-                    npages=r.npages,
-                    score=r.whi,
-                    whi=r.whi,
-                    node=r.node(page_table),
-                    dominant_socket=r.dominant_socket,
-                )
-                for r in self.regions
-            ]
+        # Formation may have changed the region list; resolve resident
+        # nodes for the final layout in one bulk pass.
+        starts2, npages2, _ = self.regions.as_arrays()
+        nodes2 = page_table.span_majority_nodes(starts2, npages2)
+        # Drop cache entries for spans no longer in the layout so the
+        # cache stays bounded by the live region count.
+        live = set(zip(starts2.tolist(), npages2.tolist()))
+        self._entry_cache = {
+            k: v for k, v in self._entry_cache.items() if k in live
+        }
+        reports = [
+            RegionReport(
+                start=r.start,
+                npages=r.npages,
+                score=r.whi,
+                whi=r.whi,
+                node=int(nodes2[j]),
+                dominant_socket=r.dominant_socket,
+            )
+            for j, r in enumerate(self.regions)
+        ]
         if obs is not None:
             self._emit_scan(
                 obs,
@@ -494,10 +441,10 @@ class MtmProfiler(Profiler):
     ) -> None:
         """Scan every chosen entry in one call and score each region.
 
-        Bit-identical to one ``scan_detect`` per region: ``rng.binomial``
-        draws element by element from one generator, and nothing else
-        draws between the per-region calls, so the concatenated draw
-        consumes the stream in the same order.  The region stats are
+        Bit-identical to one ``scan_detect`` per region (the reference
+        loop in ``tests/test_profile_mtm.py``): ``rng.binomial`` draws
+        element by element from one generator, so the concatenated draw
+        consumes the stream in region order.  The region stats are
         segment reductions, and one ``accessor_socket`` gather serves the
         hint-fault cadence.
         """

@@ -154,7 +154,7 @@ class SchedulerCore:
         self.jobs: dict[str, Job] = {}
         #: worker_id -> {"pid": int, "cells_done": int, "gen": int,
         #:               "warm_keys": frozenset, "warm": dict,
-        #:               "last_seen": float (monotonic)}
+        #:               "last_seen": float (``now`` of its last call)}
         self.workers: dict[str, dict] = {}
         #: monotonic registration counter (generation token source)
         self._worker_generation = 0
@@ -363,7 +363,7 @@ class SchedulerCore:
             self.advertise_warm(worker_id, warm_keys, warm_stats)
             entry = self.workers.get(worker_id)
             if entry is not None:
-                entry["last_seen"] = time.monotonic()
+                entry["last_seen"] = now
             if self.stopping:
                 return None
             generation = entry["gen"] if entry is not None else 0
@@ -398,7 +398,7 @@ class SchedulerCore:
                 self.advertise_warm(worker_id, warm_keys)
                 entry = self.workers.get(worker_id)
                 if entry is not None:
-                    entry["last_seen"] = time.monotonic()
+                    entry["last_seen"] = now
             return self.leases.heartbeat(lease_id, now)
 
     def _requeue_failed_completion(self, lease_id: int, now: float,
@@ -479,7 +479,7 @@ class SchedulerCore:
             worker = self.workers.get(lease.worker_id)
             if worker is not None:
                 worker["cells_done"] += 1
-                worker["last_seen"] = time.monotonic()
+                worker["last_seen"] = now
             self._refresh_gauges()
             self._emit(EV_SERVICE_CELL_DONE, job_id=lease.job_id,
                        workload=lease.workload, solution=lease.solution,
@@ -825,7 +825,6 @@ class SchedulerServer:
         self._stop = threading.Event()
         #: set once :meth:`shutdown` has finished, stream ``end`` included
         self._shut = threading.Event()
-        self._drain = threading.Event()
         self._accepting = True
         self._inline_warm = None
         self._wire_lock = threading.Lock()

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from repro import kernels, perfflags
+from repro import kernels
 from repro.errors import ConfigError
 from repro.hw.topology import TierTopology
 from repro.mm.pagetable import PageTable
@@ -206,30 +204,16 @@ class CostModel:
         nodes = page_table.node_of(batch.pages)
         latency_seconds = 0.0
         worst_drain = 0.0
-        if perfflags.vectorized():
-            # One per-node histogram replaces a mask + sum per node.
-            # Integer per-node sums are exact, so multiplying by
-            # rate_compensation afterwards is bit-identical to the
-            # per-node ``counts[mask].sum() * rate_compensation`` below
-            # (counts are >= 1, so a zero sum is exactly "no pages here").
-            length = max(self.topology.node_ids) + 2
-            acc, _ = kernels.node_accumulate(nodes, batch.counts, batch.writes, length)
-            for node in self.topology.node_ids:
-                total = int(acc[node + 1])
-                if not total:
-                    continue
-                n_accesses = total * p.rate_compensation
-                cost = self.topology.cost(socket, node)
-                latency_seconds += n_accesses * cost.latency
-                drain = n_accesses * ACCESS_SIZE / cost.bandwidth
-                worst_drain = max(worst_drain, drain)
-            latency_term = p.serial_fraction * latency_seconds / (p.threads * p.mlp)
-            return latency_term + worst_drain + self.compute_time(batch.total_accesses)
+        # One per-node histogram (slot 0 collects unmapped pages).  Integer
+        # per-node sums are exact, and counts are >= 1, so a zero sum is
+        # exactly "no pages on this node".
+        length = max(self.topology.node_ids) + 2
+        acc, _ = kernels.node_accumulate(nodes, batch.counts, batch.writes, length)
         for node in self.topology.node_ids:
-            mask = nodes == node
-            if not np.any(mask):
+            total = int(acc[node + 1])
+            if not total:
                 continue
-            n_accesses = batch.counts[mask].sum() * p.rate_compensation
+            n_accesses = total * p.rate_compensation
             cost = self.topology.cost(socket, node)
             latency_seconds += n_accesses * cost.latency
             drain = n_accesses * ACCESS_SIZE / cost.bandwidth

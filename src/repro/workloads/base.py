@@ -28,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import nputil
-
-from repro import perfflags
 from repro.errors import WorkloadError
 from repro.hw.placement import Placer
 from repro.mm.hugepage import ThpManager
@@ -153,42 +151,14 @@ class SegmentedWorkload(Workload):
         self._catch_up_segments()
         self._interval += 1
         self._current_segments = self.segments(self._interval)
-        if perfflags.vectorized():
-            return self._next_batch_fast(rng)
-        batches = []
-        for segment in self._current_segments:
-            if segment.rate <= 0:
-                continue
-            counts = rng.poisson(segment.rate, segment.npages)
-            touched = np.nonzero(counts)[0]
-            if touched.size == 0:
-                continue
-            pages = segment.start + touched.astype(np.int64)
-            page_counts = counts[touched].astype(np.int64)
-            writes = rng.binomial(page_counts, segment.write_ratio)
-            batches.append(
-                AccessBatch(
-                    pages=pages,
-                    counts=page_counts,
-                    writes=writes.astype(np.int64),
-                    sockets=np.full(pages.shape, segment.socket, dtype=np.int8),
-                )
-            )
-        return AccessBatch.merge(batches)
-
-    def _next_batch_fast(self, rng: np.random.Generator) -> AccessBatch:
-        """Batch assembly without intermediate per-segment ``AccessBatch``
-        objects.
-
-        :func:`~repro.sim.rng.poisson_nonzero` returns exactly the touched
-        pages of each segment's ``rng.poisson`` draw and leaves the
-        generator where that draw would, and segments are drawn in plan
-        order, so the result is bit-identical to the legacy loop.  When the
-        segments' touched page ranges are pairwise disjoint (always, for a
-        non-overlapping plan), every page appears once and the merged
-        histogram is their concatenation in address order; only
-        overlapping plans pay for the unique/scatter-add merge.
-        """
+        # Segments draw in plan order.  poisson_nonzero returns the touched
+        # pages of the segment's ``rng.poisson`` draw and leaves the
+        # generator where that draw would, so the batch equals the
+        # per-segment poisson/binomial loop merged by AccessBatch.merge
+        # (the reference in tests/test_workload_synthesis.py).  Pairwise
+        # disjoint touched ranges (always, for a non-overlapping plan)
+        # concatenate in address order; only overlapping plans pay for
+        # the unique/scatter-add merge.
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         for segment in self._current_segments:
             if segment.rate <= 0:

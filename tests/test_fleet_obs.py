@@ -14,7 +14,8 @@ The contracts, in test order:
   a fold of the scheduler's stream as a view of the same shape;
 * ``repro report --run STATE_DIR`` renders that view post hoc;
 * ``--run DIR`` is resolved as the run creates DIR, and follow mode
-  stops at the stream's ``end`` record.
+  stops at the stream's ``end`` record, or once its writer died without
+  one.
 """
 
 from __future__ import annotations
@@ -403,6 +404,31 @@ def test_fleet_follow_stops_at_the_stream_end(tmp_path):
                      out=frames.append) == 0
     assert time.monotonic() - started < 5
     assert "w-9" in frames[-1]
+
+
+def test_follow_stops_when_the_writer_died_without_end(tmp_path):
+    """A stream whose writer exited without an ``end`` record ends the
+    tail at the dead-writer escape; both dashboards then draw one last
+    frame and return, well before ``duration``."""
+    import subprocess
+    import sys
+
+    from repro.obs.stream import STREAM_SCHEMA_VERSION
+    from repro.obs.watch import run_fleet, run_watch
+
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    path = tmp_path / "stream.ndjson"
+    path.write_text(json.dumps(
+        {"v": STREAM_SCHEMA_VERSION, "type": "meta", "track": "t",
+         "pid": proc.pid, "t0": 0.0}) + "\n")
+    for dashboard, rc in ((run_watch, 0), (run_fleet, 1)):
+        frames: list = []
+        started = time.monotonic()
+        assert dashboard(run=str(path), refresh=0.1, duration=30,
+                         out=frames.append) == rc
+        assert time.monotonic() - started < 10, dashboard.__name__
+        assert frames
 
 
 def test_serve_forever_returns_after_the_stream_end(tmp_path):

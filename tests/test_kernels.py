@@ -7,10 +7,10 @@ Three invariants are enforced:
   independent per-element Python loop on adversarial inputs (huge-page
   duplicate entries, single runs, alternating runs, ties, unmapped
   spans);
-* **kernel-path bit-identity** — simulations on the kernel path, dense
-  and chunked, are fingerprint-identical to the ``legacy_mode()`` loops
-  across solutions, under fault injection, through snapshot fork/resume,
-  and at any worker count;
+* **kernel-path bit-identity** — whole simulations on the kernel path
+  agree dense and chunked, forked and straight, serial and on
+  ``workers=2``, and equal their goldens in ``tests/goldens.json``
+  across solutions and under fault injection;
 * **storage bit-identity** — chunked page tables (including multi-chunk
   layouts far below the auto threshold) are indistinguishable from the
   dense arrays above the :class:`~repro.mm.pagetable.PageTable` API.
@@ -19,38 +19,20 @@ Three invariants are enforced:
 import numpy as np
 import pytest
 
-from repro import kernels, perfflags
-from repro.bench.runner import run_matrix, run_solution
-from repro.bench.scaling import BenchProfile
-from repro.core.baselines import make_engine
+from repro import kernels
 from repro.errors import ConfigError
-from repro.faults.injector import FaultConfig, FaultInjector
 from repro.mm.chunked import ChunkedArray
-from repro.mm.pagetable import PageTable
+from repro.mm.pagetable import PageTable, chunked_mode
 from repro.sim.engine import SimulationEngine
-from tests.support import fingerprint, matrix_fingerprint
-
-SCALE = 1 / 512
-SOLUTIONS = ["first-touch", "hmc", "tiered-autonuma", "hemem", "thermostat", "mtm"]
-
-
-@pytest.fixture(scope="module")
-def tiny_profile():
-    return BenchProfile(
-        name="tiny",
-        scale=SCALE,
-        intervals={name: 4 for name in
-                   ("gups", "voltdb", "cassandra", "bfs", "sssp", "spark")},
-        seed=3,
-    )
-
-
-def _run(solution, workload, profile, legacy=False, **kwargs):
-    if legacy:
-        with perfflags.legacy_mode():
-            return fingerprint(
-                run_solution(solution, workload, profile, **kwargs))
-    return fingerprint(run_solution(solution, workload, profile, **kwargs))
+from tests import goldens
+from tests.goldens import (
+    FAULTS,
+    SOLUTIONS,
+    assert_golden,
+    solution_key,
+    solution_run,
+)
+from tests.support import fingerprint
 
 
 # -- per-element Python loops: the reference semantics of each kernel --------
@@ -278,59 +260,51 @@ class TestKernelDifferentials:
 
 
 class TestCompiledBitIdentity:
-    """Whole simulations on the kernel path against the legacy loops.
+    """Whole simulations on the kernel path: both page-table storage
+    layouts, fork and straight runs, and any worker count agree, and
+    equal the goldens in ``tests/goldens.json``.
 
     The names date from when these kernels were a separately built
-    ``compiled`` tier; they are now the default path, chunked page
-    tables included, so each check runs both storage layouts.
+    ``compiled`` tier; they are now the default path.
     """
 
     @pytest.mark.parametrize("solution", SOLUTIONS)
-    def test_compiled_equals_vectorized_and_legacy(self, tiny_profile, solution):
-        dense = _run(solution, "gups", tiny_profile)
-        with perfflags.chunked_mode(True):
-            assert _run(solution, "gups", tiny_profile) == dense
-        assert _run(solution, "gups", tiny_profile, legacy=True) == dense
+    def test_compiled_equals_vectorized_and_legacy(self, solution):
+        """Dense == chunked == golden."""
+        dense = solution_run("gups", solution)
+        with chunked_mode():
+            assert solution_run("gups", solution) == dense
+        assert_golden(solution_key("gups", solution), dense)
 
     @pytest.mark.parametrize("workload", ["voltdb", "bfs"])
-    def test_compiled_equals_vectorized_other_workloads(self, tiny_profile, workload):
-        dense = _run("mtm", workload, tiny_profile)
-        with perfflags.chunked_mode(True):
-            assert _run("mtm", workload, tiny_profile) == dense
+    def test_compiled_equals_vectorized_other_workloads(self, workload):
+        dense = solution_run(workload, "mtm")
+        with chunked_mode():
+            assert solution_run(workload, "mtm") == dense
 
-    def test_compiled_under_fault_injection(self, tiny_profile):
-        kwargs = dict(fault_rate=0.05, fault_seed=123)
-        legacy = _run("mtm", "gups", tiny_profile, legacy=True, **kwargs)
-        assert _run("mtm", "gups", tiny_profile, **kwargs) == legacy
-        with perfflags.chunked_mode(True):
-            assert _run("mtm", "gups", tiny_profile, **kwargs) == legacy
+    def test_compiled_under_fault_injection(self):
+        """Dense == chunked == golden, with faults on."""
+        dense = solution_run("gups", "mtm", **FAULTS)
+        with chunked_mode():
+            assert solution_run("gups", "mtm", **FAULTS) == dense
+        assert_golden("solution/gups/mtm/faults", dense)
 
     def test_compiled_snapshot_fork_resume(self):
+        """A fork at interval 3 == the cold straight run == golden."""
         intervals, warmup = 6, 3
-
-        def engine():
-            return make_engine("mtm", "gups", scale=SCALE, seed=3,
-                               injector=FaultInjector(
-                                   FaultConfig.uniform(0.05), seed=123))
-
-        with perfflags.legacy_mode():
-            reference = fingerprint(engine().run(intervals))
-        warm = engine()
+        straight = fingerprint(goldens.faulty_engine("gups").run(intervals))
+        warm = goldens.faulty_engine("gups")
         for _ in range(warmup):
             warm.step()
         forked = SimulationEngine.fork(warm.snapshot())
-        assert fingerprint(forked.run(intervals - warmup)) == reference
+        assert fingerprint(forked.run(intervals - warmup)) == straight
+        assert_golden("engine/gups/mtm/faults/6", straight)
 
-    def test_compiled_matrix_any_worker_count(self, tiny_profile):
-        workloads, solutions = ["gups"], ["first-touch", "mtm"]
-        serial = matrix_fingerprint(
-            run_matrix(workloads, solutions, tiny_profile, workers=1))
-        parallel = matrix_fingerprint(
-            run_matrix(workloads, solutions, tiny_profile, workers=2))
-        with perfflags.legacy_mode():
-            legacy = matrix_fingerprint(
-                run_matrix(workloads, solutions, tiny_profile, workers=1))
-        assert serial == parallel == legacy
+    def test_compiled_matrix_any_worker_count(self):
+        """Serial == ``workers=2`` == golden."""
+        serial = goldens.gups_matrix(workers=1)
+        assert goldens.gups_matrix(workers=2) == serial
+        assert_golden("matrix/gups/first-touch,mtm", serial)
 
 
 class TestChunkedArray:
@@ -589,20 +563,21 @@ class TestChunkedPageTable:
         with pytest.raises(ConfigError):
             PageTable(2048, chunked=True, chunk_pages=100)
 
-    @pytest.mark.parametrize("mode", ["legacy", "vectorized"])
-    def test_chunked_simulation_fingerprints(self, tiny_profile, mode):
-        legacy = mode == "legacy"
-        dense = _run("mtm", "gups", tiny_profile, legacy)
-        with perfflags.chunked_mode(True):
-            chunked = _run("mtm", "gups", tiny_profile, legacy)
+    # One mode; the ID keeps the test's name stable across history.
+    @pytest.mark.parametrize("mode", ["vectorized"])
+    def test_chunked_simulation_fingerprints(self, mode):
+        """Dense == chunked on a whole MTM run."""
+        dense = solution_run("gups", "mtm")
+        with chunked_mode():
+            chunked = solution_run("gups", "mtm")
         assert chunked == dense
 
-    def test_chunked_multi_chunk_simulation(self, tiny_profile, monkeypatch):
+    def test_chunked_multi_chunk_simulation(self, monkeypatch):
         # Force chunks far smaller than the footprint so the run crosses
         # many chunk boundaries.
         import repro.mm.pagetable as pagetable_mod
-        dense = _run("first-touch", "gups", tiny_profile)
+        dense = solution_run("gups", "first-touch")
         monkeypatch.setattr(pagetable_mod, "DEFAULT_CHUNK_PAGES", 512)
-        with perfflags.chunked_mode(True):
-            chunked = _run("first-touch", "gups", tiny_profile)
+        with chunked_mode():
+            chunked = solution_run("gups", "first-touch")
         assert chunked == dense

@@ -1,12 +1,10 @@
 """Unit tests for the MMU: interval state, detection model, attribution."""
 
 import tracemalloc
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro import perfflags
 from repro.errors import ConfigError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
@@ -72,10 +70,14 @@ class TestIntervalState:
         mmu.begin_interval(make_batch([vma.start + PAGES_PER_HUGE_PAGE], [2]))
         assert mmu.entry_count(np.array([vma.start]))[0] == 0
 
-    @pytest.mark.parametrize("legacy", [False, True], ids=["kernel", "legacy"])
+    # One ingest path, kernels.mmu_ingest; the ID keeps the tests' names
+    # stable across history.
+    @pytest.mark.parametrize("ingest", ["kernel"])
     @pytest.mark.parametrize("huge", [True, False], ids=["thp", "base"])
     @pytest.mark.parametrize("chunked", [False, True], ids=["dense", "chunked"])
-    def test_histogram_matches_dense_reference(self, chunked, huge, legacy):
+    def test_histogram_matches_dense_reference(self, chunked, huge, ingest):
+        """Every reader of the ingested histogram equals
+        :func:`_dense_reference`'s dense scatters."""
         # Each interval is checked against its own batch only, so entries
         # touched in an earlier interval must read 0 (-1 for the socket),
         # and after the final empty batch every entry reads untouched.
@@ -83,20 +85,19 @@ class TestIntervalState:
         rng = np.random.default_rng(17)
         batches = [_random_batch(rng, 1500) for _ in range(3)]
         everything = np.arange(pt.n_pages, dtype=np.int64)
-        with perfflags.legacy_mode() if legacy else nullcontext():
-            for batch in batches + [AccessBatch.empty()]:
-                mmu.begin_interval(batch)
-                counts, writes, sockets = _dense_reference(pt, batch)
-                np.testing.assert_array_equal(mmu.entry_count(everything), counts)
-                np.testing.assert_array_equal(mmu.entry_write_count(everything), writes)
-                np.testing.assert_array_equal(mmu.accessor_socket(everything), sockets)
-                np.testing.assert_array_equal(mmu.write_happened(everything), writes >= 1)
-                np.testing.assert_array_equal(mmu.fault_detect(everything), counts >= 1)
-                got = mmu.scan_detect(everything, 3, np.random.default_rng(5),
-                                      exposure=0.1)
-                want = np.random.default_rng(5).binomial(
-                    3, 1.0 - np.exp(-counts.astype(np.float64) * 0.1))
-                np.testing.assert_array_equal(got, want)
+        for batch in batches + [AccessBatch.empty()]:
+            mmu.begin_interval(batch)
+            counts, writes, sockets = _dense_reference(pt, batch)
+            np.testing.assert_array_equal(mmu.entry_count(everything), counts)
+            np.testing.assert_array_equal(mmu.entry_write_count(everything), writes)
+            np.testing.assert_array_equal(mmu.accessor_socket(everything), sockets)
+            np.testing.assert_array_equal(mmu.write_happened(everything), writes >= 1)
+            np.testing.assert_array_equal(mmu.fault_detect(everything), counts >= 1)
+            got = mmu.scan_detect(everything, 3, np.random.default_rng(5),
+                                  exposure=0.1)
+            want = np.random.default_rng(5).binomial(
+                3, 1.0 - np.exp(-counts.astype(np.float64) * 0.1))
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [_SPACE_PAGES, _SPACE_PAGES + 7, -1, -_SPACE_PAGES])
     def test_out_of_range_entries_raise(self, bad):

@@ -1,15 +1,16 @@
-"""Tests for the performance work: vectorized hot paths, the trace
+"""Tests for the performance work: the array hot paths, the trace
 cache, the parallel matrix runner, and the geomean fix.
 
-The load-bearing property throughout is *bit-identity*: every
-acceleration switch (``repro.perfflags``, ``TraceCache``, ``workers=K``)
-must change wall-clock time only, never a single simulated number.
+The load-bearing property throughout is *bit-identity*: the hot paths
+must reproduce the golden fingerprints recorded in
+``tests/goldens.json``, and every acceleration (``TraceCache``,
+``workers=K``, snapshot fork) must change wall-clock time only, never a
+single simulated number.
 """
 
 import numpy as np
 import pytest
 
-from repro import perfflags
 from repro.bench.runner import (
     MatrixResult,
     SweepVariant,
@@ -19,87 +20,52 @@ from repro.bench.runner import (
     run_sweep,
 )
 from repro.bench.scaling import BenchProfile
-from repro.core.baselines import make_engine
 from repro.errors import ConfigError
-from repro.faults.injector import FaultConfig, FaultInjector
 from repro.metrics.perfstats import CacheStats, PerfStats
 from repro.sim.tracecache import TraceCache
-from repro.workloads.registry import build_workload
-from tests.support import fingerprint, matrix_fingerprint, sweep_fingerprint
+from tests import goldens
+from tests.goldens import SCALE, assert_golden, solution_key
+from tests.support import fingerprint, matrix_fingerprint
 from tests.test_snapshot import TAU_VARIANTS, set_tau
-
-SCALE = 1 / 512
 
 
 @pytest.fixture(scope="module")
 def tiny_profile():
-    return BenchProfile(
-        name="tiny",
-        scale=SCALE,
-        intervals={name: 4 for name in
-                   ("gups", "voltdb", "cassandra", "bfs", "sssp", "spark")},
-        seed=3,
-    )
+    return goldens.TINY_PROFILE
 
 
 class TestVectorizedBitIdentity:
+    """Whole runs on the array hot paths against goldens recorded from
+    them when they were checked equal to the per-region loops."""
+
     @pytest.mark.parametrize("solution", ["mtm", "tiered-autonuma", "thermostat",
                                           "first-touch", "hmc", "hemem"])
     @pytest.mark.parametrize("workload", ["gups", "bfs", "voltdb", "cassandra"])
-    def test_vectorized_equals_legacy(self, tiny_profile, workload, solution):
-        with perfflags.legacy_mode():
-            legacy = fingerprint(run_solution(solution, workload, tiny_profile))
-        assert perfflags.vectorized()
-        fast = fingerprint(run_solution(solution, workload, tiny_profile))
-        assert legacy == fast
+    def test_vectorized_equals_legacy(self, workload, solution):
+        """The default run equals its golden."""
+        assert_golden(solution_key(workload, solution),
+                      goldens.solution_run(workload, solution))
 
-    def test_faults_fork_and_workers_equal_legacy(self, tiny_profile):
-        # One comparison through fault injection, snapshot fork and a
-        # two-process pool: forked cells on two workers against cold
-        # serial cells on the legacy paths.
-        kwargs = dict(fault_rate=0.05, fault_seed=123)
-        with perfflags.legacy_mode():
-            legacy = run_sweep(
-                "mtm", "gups", tiny_profile, TAU_VARIANTS, set_tau,
-                warmup_intervals=2, use_snapshots=False, workers=1, **kwargs,
-            )
-        fast = run_sweep(
-            "mtm", "gups", tiny_profile, TAU_VARIANTS, set_tau,
-            warmup_intervals=2, use_snapshots=True, workers=2, **kwargs,
-        )
-        assert sweep_fingerprint(fast) == sweep_fingerprint(legacy)
-        assert fast.results[TAU_VARIANTS[0].label].fault_log is not None
+    def test_faults_fork_and_workers_equal_legacy(self):
+        """Through fault injection, snapshot fork and a two-process pool:
+        forked cells on two workers equal cold serial cells, which equal
+        their golden."""
+        cold = goldens.tau_sweep(use_snapshots=False, workers=1)
+        assert goldens.tau_sweep(use_snapshots=True, workers=2) == cold
+        assert_golden("sweep/gups/mtm/tau/faults", cold)
+        # fault_events is each record's last field: faults were injected.
+        assert all(sum(r[-1] for r in fp["records"]) for fp in cold.values())
 
     def test_two_socket_mtm_under_faults_equals_legacy(self):
-        # The vectorized MTM pass scans every region in one call and
-        # gathers hint-fault sockets in one lookup.  Half the accesses
-        # come from socket 1, so that gather picks real sockets, and
-        # injected scan truncation shortens the chosen sets.
-        def run():
-            workload = build_workload("gups", SCALE, seed=3,
-                                      remote_thread_fraction=0.5)
-            engine = make_engine(
-                "mtm", workload, scale=SCALE, seed=3,
-                injector=FaultInjector(FaultConfig.uniform(0.05), seed=123),
-            )
-            result = fingerprint(engine.run(8))
-            regions = [(r.start, r.npages, r.whi, r.dominant_socket, r.hottest_entry)
-                       for r in engine.profiler.regions]
-            return engine, result, regions
-
-        with perfflags.legacy_mode():
-            _, legacy, legacy_regions = run()
-        engine, fast, regions = run()
-        assert fast == legacy
-        assert regions == legacy_regions
+        """The fingerprint and final regions equal their golden.  The MTM
+        pass scans every region in one call and gathers hint-fault
+        sockets in one lookup; half the accesses come from socket 1, so
+        that gather picks real sockets, and injected scan truncation
+        shortens the chosen sets."""
+        engine, result = goldens.two_socket_run()
+        assert_golden("engine/gups-two-socket/mtm/faults/8", result)
         assert engine.injector.log.truncated_scans > 0
-        assert {r[3] for r in regions} >= {0, 1}
-
-    def test_legacy_mode_restores_flag(self):
-        assert perfflags.vectorized()
-        with perfflags.legacy_mode():
-            assert not perfflags.vectorized()
-        assert perfflags.vectorized()
+        assert {r[3] for r in result["regions"]} >= {0, 1}
 
 
 class TestTraceCache:

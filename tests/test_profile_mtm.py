@@ -1,8 +1,11 @@
 """Unit tests for the MTM adaptive profiler."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.core.baselines import make_engine
 from repro.errors import ConfigError
 from repro.mm.hugepage import ThpManager
 from repro.mm.mmu import Mmu
@@ -14,6 +17,7 @@ from repro.sim.costmodel import CostModel, CostParams
 from repro.sim.trace import AccessBatch
 from repro.hw.topology import optane_4tier
 from repro.units import PAGES_PER_HUGE_PAGE
+from repro.workloads.registry import build_workload
 
 SCALE = 1.0 / 512.0
 
@@ -185,3 +189,84 @@ class TestAblations:
         cfg = MtmProfilerConfig(interval=10 * SCALE, adaptive_sampling=False)
         profiler, _ = self._run(setup, cfg)
         assert profiler.regions.total_samples() >= len(profiler.regions)
+
+
+def loop_scan(profiler, mmu, to_profile) -> int:
+    """One ``scan_detect`` per region: the reference semantics of
+    :meth:`MtmProfiler._scan_batched`.  Returns the hint-cadence
+    crossings."""
+    cfg = profiler.config
+    crossings = 0
+    for region, chosen in to_profile:
+        detected = mmu.scan_detect(chosen, cfg.num_scans, profiler.rng,
+                                   exposure=cfg.scan_exposure)
+        max_diff = float(detected.max() - detected.min()) if detected.size > 1 else 0.0
+        region.record_interval(float(detected.mean()), max_diff, cfg.alpha)
+        if cfg.guided_splits and detected.max() > 0:
+            region.hottest_entry = int(chosen[int(np.argmax(detected))])
+        else:
+            region.hottest_entry = -1
+        profiler._scan_counter += int(chosen.size) * cfg.num_scans
+        if profiler._scan_counter >= cfg.hint_every_scans:
+            profiler._scan_counter %= cfg.hint_every_scans
+            crossings += 1
+            accessor = int(mmu.accessor_socket(chosen[:1])[0])
+            if accessor >= 0:
+                region.dominant_socket = accessor
+    return crossings
+
+
+class TestBatchedScan:
+    """``_scan_batched`` against :func:`loop_scan` on a warmed engine's
+    real regions and MMU histogram, each side on a clone of the
+    profiler (and so of its generator)."""
+
+    @pytest.fixture(scope="class")
+    def warmed(self):
+        # Half the accesses come from socket 1, so hint faults move
+        # regions' dominant sockets.
+        workload = build_workload("gups", SCALE, seed=3, remote_thread_fraction=0.5)
+        engine = make_engine("mtm", workload, scale=SCALE, seed=3)
+        for _ in range(4):
+            engine.step()
+        return engine
+
+    @staticmethod
+    def _sampled(profiler) -> list[np.ndarray]:
+        """Each region's sampled entries, drawn as the profiler would."""
+        starts, npages, _ = profiler.regions.as_arrays()
+        entries, offsets = profiler._page_table.span_entries(starts, npages)
+        pick = np.random.default_rng(9)
+        chosen = []
+        for i, region in enumerate(profiler.regions):
+            span = entries[offsets[i]:offsets[i + 1]]
+            k = min(region.n_samples, span.size)
+            chosen.append(span[pick.choice(span.size, size=k, replace=False)])
+        return chosen
+
+    @pytest.mark.parametrize("guided_splits", [True, False], ids=["guided", "midpoint"])
+    def test_batched_scan_equals_per_region_loop(self, warmed, guided_splits):
+        mmu = warmed.mmu
+        chosen = self._sampled(warmed.profiler)
+        sides = []
+        for scan in ("batched", "loop"):
+            clone = copy.deepcopy(warmed.profiler)
+            clone.config.guided_splits = guided_splits
+            # Start one scan short of a hint fault: the first region crosses.
+            clone._scan_counter = clone.config.hint_every_scans - 1
+            to_profile = list(zip(clone.regions, chosen))
+            if scan == "batched":
+                clone._scan_batched(mmu, to_profile)
+            else:
+                crossings = loop_scan(clone, mmu, to_profile)
+            sides.append(clone)
+        batched, loop = sides
+        fields = ("hi", "whi", "prev_hi", "last_max_diff", "hottest_entry",
+                  "dominant_socket")
+        want = [tuple(getattr(r, f) for f in fields) for r in loop.regions]
+        assert [tuple(getattr(r, f) for f in fields) for r in batched.regions] == want
+        assert batched._scan_counter == loop._scan_counter
+        assert batched.rng.bit_generator.state == loop.rng.bit_generator.state
+        assert crossings > 1
+        assert len({r.dominant_socket for r in loop.regions}) > 1
+        assert any(r.hottest_entry >= 0 for r in loop.regions) is guided_splits

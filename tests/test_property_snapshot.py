@@ -6,20 +6,25 @@ solutions:
 * ``fork(snapshot(k)).run(n - k)`` is bit-identical to ``run(n)`` for
   every branch point ``k`` — with and without fault injection (fixed
   fault seed, as with ``--fault-seed``);
-* the delta-driven interval pipeline (part of the default
-  ``repro.perfflags.vectorized`` paths) matches ``legacy_mode()`` on
-  every ``SimulationResult`` field.
+* the delta-driven interval pipeline is exact: an engine whose
+  caches derived from page-table state (MTM's per-region entry cache,
+  the page table's node run-length encoding) are dropped before every
+  step matches one that keeps them on every ``SimulationResult`` field,
+  and the maintained page->entry map matches the HUGE-flag arithmetic
+  it replaces after every step.
 
 Example counts are small: each example simulates full runs, and the
 properties are about exactness, not about covering a large input space.
 """
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
-from repro import perfflags
 from repro.core.baselines import make_engine
 from repro.faults.injector import FaultConfig, FaultInjector
+from repro.mm.pte import HUGE_MASK
 from repro.sim.engine import SimulationEngine
+from repro.units import PAGES_PER_HUGE_PAGE
 from tests.support import fingerprint
 
 SCALE = 1.0 / 512.0
@@ -28,12 +33,28 @@ INTERVALS = 6
 SETTINGS = dict(max_examples=8, deadline=None)
 
 
-def _engine(workload: str, seed: int, fault_rate: float):
+def _engine(workload: str, seed: int, fault_rate: float, solution: str = "mtm"):
     injector = None
     if fault_rate > 0:
         injector = FaultInjector(FaultConfig.uniform(fault_rate), seed=123)
-    return make_engine("mtm", workload, scale=SCALE, seed=seed,
+    return make_engine(solution, workload, scale=SCALE, seed=seed,
                        injector=injector)
+
+
+def _drop_derived_caches(engine) -> None:
+    """Forget every cache derived from page-table state, so the next
+    step rebuilds each from scratch."""
+    engine.space.page_table._node_rle = None
+    profiler = engine.profiler
+    if hasattr(profiler, "_entry_cache"):
+        profiler._entry_cache = {}
+        profiler._entry_cache_version = -1
+
+
+def _flag_entry_index(page_table, pages: np.ndarray) -> np.ndarray:
+    """Each page's leaf entry from its HUGE flag: a huge page's head."""
+    huge = (page_table.flags[pages] & HUGE_MASK) != 0
+    return np.where(huge, pages - pages % PAGES_PER_HUGE_PAGE, pages)
 
 
 @settings(**SETTINGS)
@@ -59,15 +80,20 @@ def test_fork_resume_equals_straight_run(workload, seed, branch, fault_rate):
     seed=st.integers(min_value=0, max_value=2**16),
     fault_rate=st.sampled_from([0.0, 0.05]),
 )
+# Huge-page splits under faults dirty MTM's entry cache mid-run.
+@example(solution="mtm", workload="gups", seed=20173, fault_rate=0.05)
 def test_incremental_equals_legacy(solution, workload, seed, fault_rate):
-    def run():
-        injector = None
-        if fault_rate > 0:
-            injector = FaultInjector(FaultConfig.uniform(fault_rate), seed=123)
-        return make_engine(solution, workload, scale=SCALE, seed=seed,
-                           injector=injector).run(INTERVALS)
-
-    with perfflags.legacy_mode():
-        legacy = fingerprint(run())
-    assert perfflags.vectorized()
-    assert fingerprint(run()) == legacy
+    """An engine that keeps its derived caches equals one that drops them
+    before every step, and the page->entry map agrees with the HUGE
+    flags after every step."""
+    warm = _engine(workload, seed, fault_rate, solution)
+    cold = _engine(workload, seed, fault_rate, solution)
+    page_table = warm.space.page_table
+    pages = np.arange(page_table.n_pages, dtype=np.int64)
+    for _ in range(INTERVALS):
+        warm.step()
+        _drop_derived_caches(cold)
+        cold.step()
+        np.testing.assert_array_equal(page_table.entry_index(pages),
+                                      _flag_entry_index(page_table, pages))
+    assert fingerprint(warm.result()) == fingerprint(cold.result())

@@ -458,6 +458,22 @@ def test_core_rejects_completion_for_expired_lease(tmp_path):
     assert core.complete(retry["lease_id"], result, now=6.0)
 
 
+def test_core_stamps_last_seen_from_the_given_now(tmp_path):
+    """Claim, heartbeat and completion stamp the ``now`` they are given,
+    so ``fleet_snapshot(now=...)`` measures staleness on that clock."""
+    core = make_core(tmp_path)
+    core.submit(small_spec(workloads=("gups",), solutions=("first-touch",)),
+                now=0.0)
+    core.register_worker("w")
+    grant = core.claim("w", now=100.0)
+    assert core.fleet_snapshot(now=100.5)["workers"]["w"]["staleness"] == 0.5
+    assert core.heartbeat(grant["lease_id"], now=101.0, worker_id="w")
+    assert core.fleet_snapshot(now=103.0)["workers"]["w"]["staleness"] == 2.0
+    result = run_cell(grant["spec"], grant["workload"], grant["solution"])
+    assert core.complete(grant["lease_id"], result, now=104.0)
+    assert core.fleet_snapshot(now=110.0)["workers"]["w"]["staleness"] == 6.0
+
+
 def test_core_worker_lost_requeues_and_finishes(tmp_path):
     core = make_core(tmp_path)
     job_id = core.submit(small_spec(), now=0.0)

@@ -4,9 +4,10 @@
 numpy's multiplication method (``random_poisson_mult``).  Its contract is
 exact: the same nonzero offsets and counts as ``rng.poisson`` followed by
 ``np.nonzero``, and the same generator state afterwards.  These tests are
-what fails if a numpy upgrade changes that method.  The vectorized batch
-assembly built on it must match the legacy per-segment loop batch by
-batch.
+what fails if a numpy upgrade changes that method.  The batch assembly
+built on it must match :func:`loop_next_batch`, one ``rng.poisson`` and
+``rng.binomial`` per segment merged by ``AccessBatch.merge``, batch by
+batch and on the final generator state.
 """
 
 import math
@@ -15,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import perfflags
 from repro.errors import WorkloadError
 from repro.hw.placement import Placer
 from repro.mm.hugepage import ThpManager
@@ -222,19 +222,45 @@ def _disjoint(segments) -> bool:
     return all(a.end <= b.start for a, b in zip(ordered, ordered[1:]))
 
 
+def loop_next_batch(workload, rng: np.random.Generator) -> AccessBatch:
+    """The next interval's batch, one ``rng.poisson`` draw and one
+    per-segment ``AccessBatch`` at a time: the reference semantics of
+    ``Workload.next_batch``."""
+    workload._catch_up_segments()
+    workload._interval += 1
+    batches = []
+    for segment in workload.segments(workload._interval):
+        if segment.rate <= 0:
+            continue
+        counts = rng.poisson(segment.rate, segment.npages)
+        touched = np.nonzero(counts)[0]
+        if touched.size == 0:
+            continue
+        page_counts = counts[touched].astype(np.int64)
+        batches.append(AccessBatch(
+            pages=segment.start + touched.astype(np.int64),
+            counts=page_counts,
+            writes=rng.binomial(page_counts, segment.write_ratio).astype(np.int64),
+            sockets=np.full(touched.shape, segment.socket, dtype=np.int8),
+        ))
+    return AccessBatch.merge(batches)
+
+
 class TestFastAssembly:
-    """``_next_batch_fast`` against the legacy loop, batch by batch."""
+    """``Workload.next_batch`` against :func:`loop_next_batch`, batch by
+    batch and on the final generator state."""
 
     @pytest.mark.parametrize(
         "name, disjoint", [("gups", True), ("voltdb", False)]
     )
     def test_equals_legacy_loop(self, monkeypatch, name, disjoint):
+        """``next_batch`` equals :func:`loop_next_batch` on a twin
+        workload and generator."""
         legacy, fast = _built(name), _built(name)
         legacy_rng, fast_rng = np.random.default_rng(11), np.random.default_rng(11)
         merges = _spy_merge(monkeypatch)
         for _ in range(6):
-            with perfflags.legacy_mode():
-                want = legacy.next_batch(legacy_rng)
+            want = loop_next_batch(legacy, legacy_rng)
             del merges[:]
             got = fast.next_batch(fast_rng)
             segments = fast._current_segments

@@ -8,7 +8,11 @@ from repro.hw.placement import Placer
 from repro.mm.hugepage import ThpManager
 from repro.mm.vma import AddressSpace
 from repro.workloads.bfs import BfsConfig, BfsWorkload
-from repro.workloads.graph import CsrGraph, generate_power_law_graph
+from repro.workloads.graph import (
+    CsrGraph,
+    _generate_power_law_graph,
+    generate_power_law_graph,
+)
 from repro.workloads.sssp import SsspConfig, SsspWorkload
 
 SCALE = 1.0 / 512.0
@@ -88,6 +92,34 @@ class TestGenerator:
             generate_power_law_graph(100, zipf_a=1.0)
         with pytest.raises(ConfigError):
             generate_power_law_graph(100, locality=2.0)
+
+
+class TestMemos:
+    """Traversals and generated graphs are memoized; each memo equals the
+    uncached body it wraps."""
+
+    @staticmethod
+    def _lists(arrays):
+        return [a.tolist() for a in arrays]
+
+    def test_traversals_equal_uncached(self):
+        g = generate_power_law_graph(3000, weighted=True, seed=2)
+        for root in (0, 17, 0):
+            levels = g.bfs_levels(root)
+            assert self._lists(levels) == self._lists(g._bfs_levels_uncached(root))
+            levels.clear()  # callers get their own list
+            assert g.bfs_levels(root)
+            for max_rounds in (3, 64):
+                assert self._lists(g.sssp_rounds(root, max_rounds)) == \
+                    self._lists(g._sssp_rounds_uncached(root, max_rounds))
+
+    def test_graph_equals_uncached(self):
+        args = (2500, 12.0, 2.0, 0.6, True, 5)
+        graph = generate_power_law_graph(*args)
+        assert generate_power_law_graph(*args) is graph
+        fresh = _generate_power_law_graph(*args)
+        for field in ("offsets", "targets", "weights"):
+            np.testing.assert_array_equal(getattr(graph, field), getattr(fresh, field))
 
 
 class TestTraversalWorkloads:
