@@ -108,10 +108,10 @@ class PageTable:
         else:
             self.flags = np.zeros(n_pages, dtype=np.uint16)
             self.node = np.full(n_pages, _UNMAPPED_NODE, dtype=np.int16)
-        # Placement-change generation + cached run-length encoding of
-        # ``node``; see _node_runs().
-        self._node_version = 0
-        self._node_rle: tuple[int, np.ndarray, np.ndarray] | None = None
+        # Cached run-length encoding of ``node`` and the page window
+        # placement changed in since it was built; see _node_runs().
+        self._node_rle: tuple[np.ndarray, np.ndarray] | None = None
+        self._node_dirty: tuple[int, int] | None = None
         # Page -> leaf-entry map, maintained on huge collapse/split so
         # entry_index() is a single gather instead of flag arithmetic.
         # Chunked spaces store it as an int16 delta from the identity map
@@ -163,7 +163,7 @@ class PageTable:
             base |= HUGE_MASK
         self.flags[sl] = base
         self.node[sl] = node
-        self._node_version += 1
+        self._mark_nodes_dirty(start, start + npages)
         if huge:
             self._entry_mark_huge(start, start + npages)
 
@@ -180,7 +180,7 @@ class PageTable:
             )
         self.flags[sl] = 0
         self.node[sl] = _UNMAPPED_NODE
-        self._node_version += 1
+        self._mark_nodes_dirty(start, start + npages)
         self._entry_mark_identity(start, start + npages)
 
     def is_mapped(self, pages: np.ndarray | int) -> np.ndarray | bool:
@@ -205,7 +205,8 @@ class PageTable:
         if not np.all((self.flags[pages] & PRESENT_MASK) != 0):
             raise TranslationError("move_pages on unmapped page(s)")
         self.node[pages] = dst_node
-        self._node_version += 1
+        if pages.size:
+            self._mark_nodes_dirty(int(pages.min()), int(pages.max()) + 1)
 
     # -- huge pages --------------------------------------------------------------
 
@@ -384,45 +385,63 @@ class PageTable:
         """Run-length encoding of ``node``: ``(bounds, values)``.
 
         Run ``i`` covers pages ``[bounds[i], bounds[i+1])`` and sits on
-        ``values[i]``.  Placement is piecewise constant (migration moves
-        whole regions), so the encoding is tiny and is rebuilt only when
-        a mapping or migration bumped ``_node_version``.
+        ``values[i]``, and adjacent runs differ in value.  Placement is
+        piecewise constant (migration moves whole regions), so the
+        encoding is tiny.  After a mapping or migration only the window
+        it dirtied is encoded again: the runs before and after the window
+        are kept, cut at its edges, and runs of equal value merge at both
+        seams, so the result equals a full rebuild.
         """
-        if self._node_rle is None or self._node_rle[0] != self._node_version:
-            if self.chunked:
-                bounds, values = self._node_runs_chunked()
-            else:
-                bounds, values = kernels.node_rle(self.node)
-            self._node_rle = (self._node_version, bounds, values)
-        return self._node_rle[1], self._node_rle[2]
+        if self._node_rle is None:
+            starts, values = self._encode_nodes(0, self.n_pages)
+        elif self._node_dirty is not None:
+            lo, hi = self._node_dirty
+            bounds, old = self._node_rle
+            a = int(np.searchsorted(bounds, lo, side="right")) - 1  # run holding lo
+            left = a + 1 if bounds[a] < lo else a
+            mid_starts, mid_values = self._encode_nodes(lo, hi)
+            starts = [bounds[:left], mid_starts]
+            values = [old[:left], mid_values]
+            if hi < self.n_pages:
+                c = int(np.searchsorted(bounds, hi, side="right")) - 1  # run holding hi
+                starts += [[hi], bounds[c + 1 : -1]]
+                values.append(old[c:])
+            starts, values = _merge_equal_runs(np.concatenate(starts), np.concatenate(values))
+        else:
+            return self._node_rle
+        self._node_rle = (np.append(starts, self.n_pages), values)
+        self._node_dirty = None
+        return self._node_rle
 
-    def _node_runs_chunked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node RLE built chunk by chunk — scalar chunks contribute one
-        candidate run without ever densifying."""
+    def _encode_nodes(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Run starts and values of ``node[lo:hi]``.  Chunked tables
+        encode chunk by chunk, a scalar chunk contributing one candidate
+        run without ever densifying."""
+        if not self.chunked:
+            bounds, values = kernels.node_rle(self.node[lo:hi])
+            return bounds[:-1] + lo, values
         start_parts: list[np.ndarray] = []
         value_parts: list[np.ndarray] = []
-        prev_val: int | None = None
-        for start, _end, data in self.node.chunks():
+        for start, end, data in self.node.chunks():
+            s0, s1 = max(start, lo), min(end, hi)
+            if s0 >= s1:
+                continue
             if isinstance(data, np.ndarray):
-                change = np.flatnonzero(data[1:] != data[:-1])
-                run_starts = np.empty(change.size + 1, dtype=np.int64)
-                run_starts[0] = start
-                run_starts[1:] = start + change + 1
-                run_vals = data[np.concatenate(([0], change + 1))].astype(np.int64)
+                piece = data[s0 - start : s1 - start]
+                first = np.concatenate(([0], np.flatnonzero(piece[1:] != piece[:-1]) + 1))
+                start_parts.append(s0 + first)
+                value_parts.append(piece[first].astype(np.int64))
             else:
-                run_starts = np.array([start], dtype=np.int64)
-                run_vals = np.array([data], dtype=np.int64)
-            if prev_val is not None and run_vals.size and run_vals[0] == prev_val:
-                # First run continues the previous chunk's last run.
-                run_starts = run_starts[1:]
-                run_vals = run_vals[1:]
-            if run_vals.size:
-                start_parts.append(run_starts)
-                value_parts.append(run_vals)
-                prev_val = int(run_vals[-1])
-        bounds = np.concatenate(start_parts + [np.array([self.n_pages], dtype=np.int64)])
-        values = np.concatenate(value_parts)
-        return bounds, values
+                start_parts.append(np.array([s0], dtype=np.int64))
+                value_parts.append(np.array([data], dtype=np.int64))
+        return _merge_equal_runs(np.concatenate(start_parts), np.concatenate(value_parts))
+
+    def _mark_nodes_dirty(self, start: int, end: int) -> None:
+        """Widen the window of pages whose node changed to take ``[start, end)``."""
+        if self._node_dirty is not None:
+            start = min(start, self._node_dirty[0])
+            end = max(end, self._node_dirty[1])
+        self._node_dirty = (start, end)
 
     def span_majority_nodes(self, starts: np.ndarray, npages: np.ndarray) -> np.ndarray:
         """Majority resident node of many spans at once (-1 when unmapped).
@@ -550,3 +569,10 @@ class PageTable:
         crosses_start = (heads < start) & (heads + PAGES_PER_HUGE_PAGE > start)
         crosses_end = (heads < end) & (heads + PAGES_PER_HUGE_PAGE > end)
         return heads[crosses_start | crosses_end]
+
+
+def _merge_equal_runs(starts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop each run whose value equals its predecessor's, folding it in."""
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return starts[keep], values[keep]

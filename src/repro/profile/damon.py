@@ -26,7 +26,7 @@ from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
 from repro.perf.pebs import PebsSampler
 from repro.profile.base import Profiler, ProfileSnapshot, RegionReport
-from repro.profile.regions import MemoryRegion, RegionSet
+from repro.profile.regions import COLUMNS, RegionSet
 from repro.sim.costmodel import CostModel
 
 
@@ -125,8 +125,9 @@ class DamonProfiler(Profiler):
         self._page_table = page_table
         # DAMON's initial regions come straight from the VMA tree: one
         # region per VMA span (coarse — the paper's Fig. 6 point "B").
-        self.regions = RegionSet(
-            [MemoryRegion(start=s, npages=n) for s, n in spans if n > 0]
+        spans = [(s, n) for s, n in spans if n > 0]
+        self.regions = RegionSet.from_columns(
+            start=[s for s, _ in spans], npages=[n for _, n in spans]
         )
         self._interval = -1
 
@@ -151,63 +152,67 @@ class DamonProfiler(Profiler):
         # but the state the operator reads is the tail of the aggregation
         # stream (the last ~half second) — a noisy few-page estimate,
         # which is the root of DAMON's limited hot-page quality in Fig. 1.
-        for region in self.regions:
-            n_rounds = min(cfg.aggregations_per_interval, region.npages)
-            pages = self.rng.integers(region.start, region.end, n_rounds)
+        regions = self.regions
+        observed = []
+        for start, end, npages in zip(
+            regions.start.tolist(), regions.end.tolist(), regions.npages.tolist()
+        ):
+            n_rounds = min(cfg.aggregations_per_interval, npages)
+            pages = self.rng.integers(start, end, n_rounds)
             entries = page_table.entry_index(pages)
             detected = mmu.scan_detect(
                 entries, cfg.checks_per_aggregation, self.rng,
                 exposure=cfg.check_exposure,
             )
             tail = detected[-5:] if detected.size >= 5 else detected
-            region.record_interval(float(tail.mean()), 0.0, alpha=1.0)
+            observed.append(float(tail.mean()))
             scans += n_rounds * cfg.checks_per_aggregation
+        regions.record_interval(np.arange(len(regions)), observed, 0.0, alpha=1.0)
 
         # Merge adjacent regions whose counts differ by less than the
         # threshold (strictly — a 0-vs-1 pair stays distinct).
-        self.regions.merge_pass(cfg.merge_threshold, top_k_variance=1)
-        merges_delta = self.regions.stats.merges - merges_before
+        regions.merge_pass(cfg.merge_threshold, top_k_variance=1)
+        merges_delta = regions.stats.merges - merges_before
 
         # Split every region into two randomly sized halves when the count
-        # has room — DAMON's ad-hoc split (no huge-page alignment).
+        # has room — DAMON's ad-hoc split (no huge-page alignment).  The
+        # children keep the parent's hotness and reset everything else.
         splits_delta = 0
-        if len(self.regions) < self.max_regions / 2:
-            new_regions: list[MemoryRegion] = []
-            splits = 0
-            for region in self.regions:
-                if region.npages >= 2 and len(self.regions) + splits < self.max_regions:
-                    cut = int(self.rng.integers(1, region.npages))
-                    left = MemoryRegion(
-                        start=region.start, npages=cut,
-                        hi=region.hi, whi=region.whi, prev_hi=region.prev_hi,
-                    )
-                    right = MemoryRegion(
-                        start=region.start + cut, npages=region.npages - cut,
-                        hi=region.hi, whi=region.whi, prev_hi=region.prev_hi,
-                    )
-                    new_regions.extend((left, right))
-                    splits += 1
-                else:
-                    new_regions.append(region)
-            self.regions = RegionSet(new_regions)
-            self.regions.stats.splits += splits
-            splits_delta = splits
+        if len(regions) < self.max_regions / 2:
+            rows, cuts = [], []
+            for row, npages in enumerate(regions.npages.tolist()):
+                if npages >= 2 and len(regions) + len(rows) < self.max_regions:
+                    rows.append(row)
+                    cuts.append(int(self.rng.integers(1, npages)))
+            rows = np.asarray(rows, dtype=np.int64)
+            cuts = np.asarray(cuts, dtype=np.int64)
+            reps = np.ones(len(regions), dtype=np.int64)
+            reps[rows] = 2
+            left = rows + np.arange(rows.size)  # output index of each left child
+            children = np.zeros(len(regions) + rows.size, dtype=bool)
+            children[left] = children[left + 1] = True
+            cols = {name: np.repeat(getattr(regions, name), reps) for name in COLUMNS}
+            cols["start"][left + 1] += cuts
+            cols["npages"][left] = cuts
+            cols["npages"][left + 1] -= cuts
+            for name in ("n_samples", "last_max_diff", "dominant_socket", "hottest_entry"):
+                cols[name][children] = COLUMNS[name][1]
+            self.regions = RegionSet.from_columns(**cols)
+            splits_delta = int(rows.size)
+            self.regions.stats.splits += splits_delta
         self.regions.end_interval()
         if obs is not None:
             self._emit_formation(obs, merges=merges_delta, splits=splits_delta)
 
         # Every region's resident node in one pass over the placement runs.
-        starts, sizes, _ = self.regions.as_arrays()
-        nodes = page_table.span_majority_nodes(starts, sizes)
+        regions = self.regions
+        nodes = page_table.span_majority_nodes(regions.start, regions.npages)
         reports = [
-            RegionReport(
-                start=r.start,
-                npages=r.npages,
-                score=r.hi,
-                whi=r.hi,
-                node=int(nodes[j]),
+            RegionReport(start=start, npages=npages, score=hi, whi=hi, node=node)
+            for start, npages, hi, node in zip(
+                regions.start.tolist(), regions.npages.tolist(), regions.hi.tolist(),
+                nodes.tolist(),
             )
-            for j, r in enumerate(self.regions)
         ]
         # The scans happened over one wall-clock interval that stands for
         # the paper's 10 s; charge the same *fraction* of the simulated

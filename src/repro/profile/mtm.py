@@ -36,7 +36,7 @@ from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
 from repro.perf.pebs import PebsSampler
 from repro.profile.base import Profiler, ProfileSnapshot, RegionReport
-from repro.profile.regions import DEFAULT_REGION_PAGES, MemoryRegion, RegionSet
+from repro.profile.regions import DEFAULT_REGION_PAGES, RegionSet
 from repro.sim.costmodel import CostModel
 
 
@@ -173,12 +173,12 @@ class MtmProfiler(Profiler):
         self._scan_counter = 0  # drives the 1-hint-fault-per-12-scans cadence
         self._footprint_pages = 0
         self._last_pebs_time = 0.0
-        # (start, npages) -> unique leaf entries, valid as of the page
-        # table's entry_version below.  Lets the incremental path resolve
-        # only regions whose span changed (formation) or whose page->entry
-        # map was dirtied (huge collapse/split), instead of re-gathering
-        # the whole footprint every interval.
-        self._entry_cache: dict[tuple[int, int], np.ndarray] = {}
+        # Region-aligned unique leaf entries ``(entries, offsets)``, as
+        # ``PageTable.span_entries`` returns them for the region layout,
+        # valid as of the page table's entry_version below.  Formation
+        # joins and cuts the runs, and only regions whose page->entry map
+        # was dirtied (huge collapse/split) are gathered again.
+        self._entry_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._entry_cache_version = -1
 
     # -- lifecycle --------------------------------------------------------------
@@ -189,7 +189,7 @@ class MtmProfiler(Profiler):
         self._footprint_pages = sum(n for _, n in spans)
         self._tau_m_current = self.config.tau_m
         self._interval = -1
-        self._entry_cache = {}
+        self._entry_cache = None
         self._entry_cache_version = -1
 
     @property
@@ -226,6 +226,7 @@ class MtmProfiler(Profiler):
             raise ConfigError("profile() before setup()")
         cfg = self.config
         page_table = self._page_table
+        regions = self.regions
         self._interval += 1
         budget = self.budget
         obs = self.obs
@@ -254,111 +255,56 @@ class MtmProfiler(Profiler):
         # (PEBS saw nothing in a PM region -> decays toward cold), or
         # deferred for budget (keeps stale hi; the rotation ensures it is
         # scanned in a later interval).
-        regions = list(self.regions)
-        to_profile: list[tuple[MemoryRegion, np.ndarray]] = []
-        idle: list[MemoryRegion] = []
         pebs_active = cfg.use_pebs and pebs is not None
         with obs.span("scan.resolve", cat="profile") if obs is not None else nullcontext():
-            # Bulk-resolve every region's entries (and, when the PEBS filter
-            # needs them, resident nodes) in one pass over the page table;
-            # the per-region loop below only slices precomputed arrays.
-            # O(touched): unchanged regions are served from the entry
-            # cache and only spans invalidated by formation or by
-            # huge-page transitions since last interval are gathered.
-            starts_arr, npages_arr, _ = self.regions.as_arrays()
-            region_entries = self._resolve_entries_cached(
-                page_table, starts_arr, npages_arr
+            # Every region's entries come from the region-aligned cache;
+            # only spans invalidated by huge-page transitions since last
+            # interval are gathered again.
+            entries, offsets = self._region_entries(page_table)
+            scan_idx, chosen, chosen_offsets, idle = self._select(
+                entries, offsets, pebs_active, pebs_hot_entries
             )
-            if pebs_active:
-                nodes_all = page_table.span_majority_nodes(starts_arr, npages_arr)
-            for idx, region in enumerate(regions):
-                entries = region_entries[idx]
-                if entries.size == 0:
-                    continue
-                if pebs_active and int(nodes_all[idx]) in self.slowest_nodes:
-                    # Slow tiers are event-driven (Sec. 5.5): regions with no
-                    # counter-observed traffic are skipped (and decay); active
-                    # regions are scanned starting from the captured pages —
-                    # one page initially (Sec. 5.2), more as adaptive sampling
-                    # grants them quota, padded with random picks so a large
-                    # mixed region exposes its internal hotness spread (the
-                    # split signal).
-                    if pebs_hot_entries is None:
-                        idle.append(region)
-                        continue
-                    lo = np.searchsorted(pebs_hot_entries, region.start)
-                    hi_idx = np.searchsorted(pebs_hot_entries, region.end)
-                    if hi_idx <= lo:
-                        idle.append(region)
-                        continue
-                    captured = pebs_hot_entries[lo:hi_idx]
-                    k = min(region.n_samples, int(entries.size))
-                    take = min(k, int(captured.size))
-                    if take >= captured.size:
-                        chosen = captured
-                    else:
-                        chosen = captured[
-                            self.rng.choice(captured.size, size=take, replace=False)
-                        ]
-                    if k > chosen.size:
-                        pad = entries[
-                            self.rng.choice(entries.size, size=k - int(chosen.size), replace=False)
-                        ]
-                        chosen = nputil.unique(np.concatenate([chosen, pad]))
-                else:
-                    k = min(region.n_samples, int(entries.size))
-                    if k >= entries.size:
-                        chosen = entries
-                    else:
-                        chosen = entries[self.rng.choice(entries.size, size=k, replace=False)]
-                to_profile.append((region, chosen))
 
         # -- overhead control: fit the scan budget (Sec. 5.3) ----------------
-        requested = sum(int(c.size) for _, c in to_profile)
-        over_budget = requested > budget
+        lengths = np.diff(chosen_offsets)
+        over_budget = int(chosen_offsets[-1]) > budget
         if cfg.overhead_control and over_budget:
-            # Rotate which candidates get cut so coverage is eventually full.
-            offset = (self._interval * budget) % max(1, len(to_profile))
-            rotated = to_profile[offset:] + to_profile[:offset]
-            kept: list[tuple[MemoryRegion, np.ndarray]] = []
-            samples = 0
-            for region, chosen in rotated:
-                if samples >= budget:
-                    break
-                if samples + chosen.size > budget:
-                    chosen = chosen[: budget - samples]
-                kept.append((region, chosen))
-                samples += int(chosen.size)
-            to_profile = kept
+            # Rotate which candidates get cut so coverage is eventually
+            # full; keep candidates until the budget is spent, the last
+            # one cut to fit.
+            offset = (self._interval * budget) % max(1, len(scan_idx))
+            order = np.roll(np.arange(len(scan_idx)), -offset)
+            before = np.cumsum(lengths[order]) - lengths[order]
+            order = order[before < budget]
+            lengths = np.minimum(lengths[order], budget - before[: order.size])
+            scan_idx = scan_idx[order]
+            chosen, chosen_offsets = _gather_runs(chosen, chosen_offsets[order], lengths)
 
         # -- injected scan truncation ----------------------------------------
         # A preempted profiling pass covers only a prefix of the pages it
         # sampled; the region still gets a (noisier) hotness estimate from
         # whatever was visited before the preemption.
         if self.injector is not None:
-            truncated: list[tuple[MemoryRegion, np.ndarray]] = []
-            for region, chosen in to_profile:
-                keep = self.injector.truncated_scan_keep(int(chosen.size))
-                if keep < chosen.size:
-                    chosen = chosen[:keep]
-                if chosen.size:
-                    truncated.append((region, chosen))
-            to_profile = truncated
+            kept = np.array(
+                [min(self.injector.truncated_scan_keep(n), n) for n in lengths.tolist()],
+                dtype=np.int64,
+            )
+            order = np.flatnonzero(kept > 0)
+            scan_idx = scan_idx[order]
+            chosen, chosen_offsets = _gather_runs(chosen, chosen_offsets[order], kept[order])
 
-        scans_used = sum(int(c.size) for _, c in to_profile) * cfg.num_scans
+        scans_used = int(chosen_offsets[-1]) * cfg.num_scans
 
         # -- scan and score --------------------------------------------------
         with obs.span("scan.classify", cat="profile") if obs is not None else nullcontext():
-            self._scan_batched(mmu, to_profile)
+            self._scan_batched(mmu, scan_idx, chosen, chosen_offsets)
             # PEBS-observed-idle regions decay; budget-deferred ones stay stale.
-            profiled = {id(r) for r, _ in to_profile}
-            for region in idle:
-                if id(region) not in profiled:
-                    region.record_interval(0.0, 0.0, cfg.alpha)
+            regions.record_interval(np.flatnonzero(idle), 0.0, 0.0, cfg.alpha)
 
         # -- region formation (Sec. 5.1 / 5.3) ------------------------------
-        merges_before = self.regions.stats.merges
-        splits_before = self.regions.stats.splits
+        merges_before = regions.stats.merges
+        splits_before = regions.stats.splits
+        old_start = regions.start
         with obs.span("scan.formation", cat="profile") if obs is not None else nullcontext():
             if cfg.adaptive_regions:
                 if cfg.overhead_control and over_budget:
@@ -367,25 +313,25 @@ class MtmProfiler(Profiler):
                     )
                 else:
                     self._tau_m_current = cfg.tau_m
-                self.regions.merge_pass(
+                regions.merge_pass(
                     self._tau_m_current,
                     top_k_variance=cfg.top_k_variance,
                     max_pages=cfg.max_region_pages,
                     heterogeneity_guard=cfg.tau_s if cfg.heterogeneity_guard else None,
                     use_ema_guard=cfg.ema_merge_guard,
                 )
-                self.regions.split_pass(cfg.tau_s, page_table=page_table)
+                regions.split_pass(cfg.tau_s, page_table=page_table)
                 if not cfg.adaptive_sampling:
                     self._randomize_quota()
-                if cfg.overhead_control and len(self.regions) <= budget:
-                    self.regions.rebalance_to_budget(budget)
-        self.regions.end_interval()
+                if cfg.overhead_control and len(regions) <= budget:
+                    regions.rebalance_to_budget(budget)
+            merges = regions.stats.merges - merges_before
+            splits = regions.stats.splits - splits_before
+            if merges or splits:
+                self._entry_cache = self._follow_formation(page_table, old_start)
+        regions.end_interval()
         if obs is not None:
-            self._emit_formation(
-                obs,
-                merges=self.regions.stats.merges - merges_before,
-                splits=self.regions.stats.splits - splits_before,
-            )
+            self._emit_formation(obs, merges=merges, splits=splits)
 
         # -- charge time -----------------------------------------------------
         time = self.cost_model.scan_time(scans_used, with_hint_amortization=True)
@@ -393,33 +339,24 @@ class MtmProfiler(Profiler):
             self._last_pebs_time = self.cost_model.pebs_time(pebs_samples)
             time += self._last_pebs_time
 
-        # Formation may have changed the region list; resolve resident
-        # nodes for the final layout in one bulk pass.
-        starts2, npages2, _ = self.regions.as_arrays()
-        nodes2 = page_table.span_majority_nodes(starts2, npages2)
-        # Drop cache entries for spans no longer in the layout so the
-        # cache stays bounded by the live region count.
-        live = set(zip(starts2.tolist(), npages2.tolist()))
-        self._entry_cache = {
-            k: v for k, v in self._entry_cache.items() if k in live
-        }
+        # Resolve resident nodes for the final layout in one bulk pass.
+        nodes = page_table.span_majority_nodes(regions.start, regions.npages)
         reports = [
             RegionReport(
-                start=r.start,
-                npages=r.npages,
-                score=r.whi,
-                whi=r.whi,
-                node=int(nodes2[j]),
-                dominant_socket=r.dominant_socket,
+                start=start, npages=npages, score=whi, whi=whi, node=node,
+                dominant_socket=socket_,
             )
-            for j, r in enumerate(self.regions)
+            for start, npages, whi, node, socket_ in zip(
+                regions.start.tolist(), regions.npages.tolist(), regions.whi.tolist(),
+                nodes.tolist(), regions.dominant_socket.tolist(),
+            )
         ]
         if obs is not None:
             self._emit_scan(
                 obs,
                 interval=self._interval,
-                regions=len(self.regions),
-                scanned=len(to_profile),
+                regions=len(regions),
+                scanned=len(scan_idx),
                 scans_used=scans_used,
                 budget=budget,
                 over_budget=over_budget,
@@ -434,93 +371,238 @@ class MtmProfiler(Profiler):
             pebs_samples=pebs_samples,
         )
 
+    # -- selection ---------------------------------------------------------------
+
+    def _select(
+        self,
+        entries: np.ndarray,
+        offsets: np.ndarray,
+        pebs_active: bool,
+        pebs_hot_entries: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Choose each region's sampled entries for this interval.
+
+        ``entries``/``offsets`` are the regions' unique leaf entries;
+        ``pebs_hot_entries`` are the entries PEBS captured (None when the
+        window was lost), read only when the PEBS filter is active.  Returns
+        ``(scan_idx, chosen, chosen_offsets, idle)``: the regions to scan
+        in region order, their chosen entries concatenated (region
+        ``scan_idx[i]``'s are ``chosen[chosen_offsets[i]:chosen_offsets[i+1]]``),
+        and the mask of PEBS-observed-idle regions.
+
+        A region takes all its entries (or all its PEBS-captured ones)
+        when its quota covers them, which is one gather for every such
+        region.  Only the regions that draw from the generator run in a
+        loop, in region order, so the draw sequence is the per-region
+        loop's.
+        """
+        regions = self.regions
+        sizes = np.diff(offsets)
+        quota = np.minimum(regions.n_samples, sizes)
+        nonempty = sizes > 0
+        slow = np.zeros(len(regions), dtype=bool)
+        idle = slow
+        lo = hi = np.zeros(len(regions), dtype=np.int64)
+        if pebs_active:
+            # Slow tiers are event-driven (Sec. 5.5): regions with no
+            # counter-observed traffic are skipped (and decay); active
+            # regions are scanned starting from the captured pages — one
+            # page initially (Sec. 5.2), more as adaptive sampling grants
+            # them quota, padded with random picks so a large mixed region
+            # exposes its internal hotness spread (the split signal).
+            nodes = self._page_table.span_majority_nodes(regions.start, regions.npages)
+            slow = nonempty & np.isin(nodes, sorted(self.slowest_nodes))
+            if pebs_hot_entries is None:
+                idle = slow
+            else:
+                lo = np.searchsorted(pebs_hot_entries, regions.start)
+                hi = np.searchsorted(pebs_hot_entries, regions.end)
+                idle = slow & (hi <= lo)
+        captured = slow & ~idle
+        fast = nonempty & ~slow
+        ncaptured = hi - lo
+        draws = np.flatnonzero((fast & (quota < sizes)) | (captured & (quota != ncaptured)))
+        # Each scanned region's chosen entries as a run of ``pool``: its
+        # whole entry run, its captured PEBS entries, or its draw.
+        hot = pebs_hot_entries if pebs_hot_entries is not None else np.empty(0, np.int64)
+        begin = np.where(captured, lo + entries.size, offsets[:-1])
+        length = np.where(captured, ncaptured, sizes)
+        drawn = []
+        base = entries.size + hot.size
+        for i in draws.tolist():
+            ents = entries[offsets[i] : offsets[i + 1]]
+            k = int(quota[i])
+            if captured[i]:
+                chosen = hot[lo[i] : hi[i]]
+                take = min(k, chosen.size)
+                if take < chosen.size:
+                    chosen = chosen[self.rng.choice(chosen.size, size=take, replace=False)]
+                if k > chosen.size:
+                    pad = ents[self.rng.choice(ents.size, size=k - chosen.size, replace=False)]
+                    chosen = nputil.unique(np.concatenate([chosen, pad]))
+            else:
+                chosen = ents[self.rng.choice(ents.size, size=k, replace=False)]
+            drawn.append(chosen)
+            begin[i] = base
+            length[i] = chosen.size
+            base += chosen.size
+        scan_idx = np.flatnonzero(fast | captured)
+        pool = np.concatenate([entries, hot, *drawn])
+        chosen, chosen_offsets = _gather_runs(pool, begin[scan_idx], length[scan_idx])
+        return scan_idx, chosen, chosen_offsets, idle
+
     # -- batched scan ----------------------------------------------------------
 
     def _scan_batched(
-        self, mmu: Mmu, to_profile: list[tuple[MemoryRegion, np.ndarray]]
+        self, mmu: Mmu, scan_idx: np.ndarray, chosen: np.ndarray, offsets: np.ndarray
     ) -> None:
         """Scan every chosen entry in one call and score each region.
 
-        Bit-identical to one ``scan_detect`` per region (the reference
-        loop in ``tests/test_profile_mtm.py``): ``rng.binomial`` draws
-        element by element from one generator, so the concatenated draw
-        consumes the stream in region order.  The region stats are
-        segment reductions, and one ``accessor_socket`` gather serves the
+        Region ``scan_idx[i]`` sampled ``chosen[offsets[i]:offsets[i+1]]``
+        (at least one entry).  Bit-identical to one ``scan_detect`` per
+        region in ``scan_idx`` order (the reference loop in
+        ``tests/test_profile_mtm.py``): ``rng.binomial`` draws element by
+        element from one generator, so the concatenated draw consumes the
+        stream in that order.  The region stats are segment reductions
+        written by column, and one ``accessor_socket`` gather serves the
         hint-fault cadence.
         """
-        if not to_profile:
+        if not scan_idx.size:
             return
         cfg = self.config
-        chosen = np.concatenate([c for _, c in to_profile])
-        sizes = [int(c.size) for _, c in to_profile]
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        regions = self.regions
         detected = mmu.scan_detect(
             chosen, cfg.num_scans, self.rng, exposure=cfg.scan_exposure
         )
         totals, mins, maxs, args = kernels.score_detected(detected, offsets)
-        hottest = chosen[args].tolist()
-        accessors = mmu.accessor_socket(chosen[offsets[:-1]]).tolist()
-        for (region, _), size, total, dmin, dmax, entry, accessor in zip(
-            to_profile, sizes, totals.tolist(), mins.tolist(), maxs.tolist(),
-            hottest, accessors,
-        ):
-            # total/size equals detected.mean() bit-for-bit: detected
-            # counts are small integers, so numpy's float64 accumulation
-            # is exact and the final division is the same operation.
-            max_diff = float(dmax - dmin) if size > 1 else 0.0
-            region.record_interval(total / size, max_diff, cfg.alpha)
-            region.hottest_entry = entry if cfg.guided_splits and dmax > 0 else -1
-            # Hint-fault attribution every hint_every_scans scans (Sec. 6.2).
-            self._scan_counter += size * cfg.num_scans
-            if self._scan_counter >= cfg.hint_every_scans:
-                self._scan_counter %= cfg.hint_every_scans
-                if accessor >= 0:
-                    region.dominant_socket = accessor
+        sizes = np.diff(offsets)
+        # total/size equals detected.mean() bit-for-bit: detected counts
+        # are small integers, so numpy's float64 accumulation is exact and
+        # the final division is the same operation.
+        max_diff = np.where(sizes > 1, (maxs - mins).astype(np.float64), 0.0)
+        regions.record_interval(scan_idx, totals / sizes, max_diff, cfg.alpha)
+        regions.hottest_entry[scan_idx] = (
+            np.where(maxs > 0, chosen[args], -1) if cfg.guided_splits else -1
+        )
+        # Hint-fault attribution every hint_every_scans scans (Sec. 6.2):
+        # the running scan count, kept below hint_every_scans, crosses it
+        # in the regions where its prefix sum enters a new multiple.
+        every = cfg.hint_every_scans
+        scans = sizes * cfg.num_scans
+        reached = self._scan_counter + np.cumsum(scans)
+        crossed = reached // every > (reached - scans) // every
+        self._scan_counter = int(reached[-1] % every)
+        accessors = mmu.accessor_socket(chosen[offsets[:-1]])
+        hinted = crossed & (accessors >= 0)
+        regions.dominant_socket[scan_idx[hinted]] = accessors[hinted]
 
     # -- incremental entry resolution ------------------------------------------
 
-    def _resolve_entries_cached(
-        self,
-        page_table: PageTable,
-        starts: np.ndarray,
-        npages: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Per-region unique leaf entries, served from the span cache.
+    def _region_entries(self, page_table: PageTable) -> tuple[np.ndarray, np.ndarray]:
+        """Per-region unique leaf entries ``(entries, offsets)``.
 
-        Invalidates cached spans overlapping the page table's dirty log
-        since the cache's version, then bulk-resolves only the missing
-        spans.  Each cached array is element-wise identical to what
-        :meth:`PageTable.span_entries` returns for the span, so the result
-        is bit-identical to the uncached bulk gather.
+        Element-wise equal to :meth:`PageTable.span_entries` over the
+        region layout.  Served from the region-aligned cache; regions
+        overlapping the page table's dirty log since the cache's version
+        are gathered again in one call and spliced in.
         """
-        cache = self._entry_cache
+        regions = self.regions
         version = page_table.entry_version
-        if version != self._entry_cache_version:
-            for s, e in page_table.entry_dirty_since(self._entry_cache_version):
-                stale = [k for k in cache if k[0] < e and k[0] + k[1] > s]
-                for k in stale:
-                    del cache[k]
-            self._entry_cache_version = version
-        keys = list(zip(starts.tolist(), npages.tolist()))
-        missing = [i for i, k in enumerate(keys) if k not in cache]
-        if missing:
-            ents, offs = page_table.span_entries(starts[missing], npages[missing])
-            for j, i in enumerate(missing):
-                cache[keys[i]] = ents[offs[j] : offs[j + 1]]
-        return [cache[k] for k in keys]
+        cache = self._entry_cache
+        if cache is None:
+            cache = page_table.span_entries(regions.start, regions.npages)
+        elif version != self._entry_cache_version:
+            dirty = page_table.entry_dirty_since(self._entry_cache_version)
+            stale = _overlapping(regions.start, regions.end, dirty)
+            if stale.any():
+                entries, offsets = cache
+                fresh, fresh_offsets = page_table.span_entries(
+                    regions.start[stale], regions.npages[stale]
+                )
+                begin = offsets[:-1].copy()
+                length = np.diff(offsets)
+                begin[stale] = entries.size + fresh_offsets[:-1]
+                length[stale] = np.diff(fresh_offsets)
+                cache = _gather_runs(np.concatenate([entries, fresh]), begin, length)
+        self._entry_cache = cache
+        self._entry_cache_version = version
+        return cache
+
+    def _follow_formation(
+        self, page_table: PageTable, old_start: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The entry cache of the layout before formation (regions starting
+        at ``old_start``), re-cut to the current one.
+
+        Formation preserves coverage, so each new region's pages are a
+        contiguous piece of the old regions.  The concatenated runs are
+        non-decreasing, so the new region's run is the slice from the
+        first entry at or after its first page's entry to the last entry
+        before its end, clipped to the old runs it lies in.  A merge
+        joins its parts' runs, keeping once a huge entry that straddled
+        the seam, and a split cuts a run, a straddling huge entry going
+        to both sides.  The page table is the one the cache was resolved
+        against: nothing in ``profile()`` changes the page->entry map.
+        """
+        entries, offsets = self._entry_cache
+        regions = self.regions
+        start, end = regions.start, regions.end
+        first = np.searchsorted(old_start, start, side="right") - 1
+        last = np.searchsorted(old_start, end - 1, side="right") - 1
+        lo = np.maximum(
+            np.searchsorted(entries, page_table.entry_index(start)), offsets[first]
+        )
+        hi = np.minimum(np.searchsorted(entries, end), offsets[last + 1])
+        # A straddling huge entry ends one old run and starts the next.
+        seams = offsets[1:-1]
+        seams = seams[(seams > 0) & (seams < entries.size)]
+        dup = np.zeros(entries.size, dtype=bool)
+        dup[seams] = entries[seams] == entries[seams - 1]
+        counts = hi - lo
+        pos = _run_positions(lo, counts)
+        drop = dup[pos] & (pos != np.repeat(lo, counts))
+        dropped = np.bincount(np.repeat(np.arange(len(start)), counts)[drop],
+                              minlength=len(start))
+        new_offsets = np.zeros(len(start) + 1, dtype=np.int64)
+        np.cumsum(counts - dropped, out=new_offsets[1:])
+        return entries[pos[~drop]], new_offsets
 
     # -- ablation helper --------------------------------------------------------
 
     def _randomize_quota(self) -> None:
         """"w/o APS": spread the sample budget uniformly at random."""
         assert self.regions is not None
-        total = self.regions.total_samples()
-        regions = list(self.regions)
-        for region in regions:
-            region.n_samples = 1
-        extra = total - len(regions)
+        regions = self.regions
+        extra = regions.total_samples() - len(regions)
+        regions.n_samples[:] = 1
         if extra > 0:
             picks = self.rng.integers(0, len(regions), extra)
-            for i in picks:
-                regions[int(i)].n_samples += 1
+            regions.n_samples += np.bincount(picks, minlength=len(regions))
+
+
+def _run_positions(begin: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Positions ``begin[i] .. begin[i] + length[i] - 1`` of every run, concatenated."""
+    starts = np.cumsum(length) - length
+    return np.arange(int(length.sum()), dtype=np.int64) + np.repeat(begin - starts, length)
+
+
+def _gather_runs(
+    pool: np.ndarray, begin: np.ndarray, length: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Runs ``pool[begin[i]:begin[i] + length[i]]`` concatenated, with offsets."""
+    offsets = np.zeros(length.size + 1, dtype=np.int64)
+    np.cumsum(length, out=offsets[1:])
+    return pool[_run_positions(begin, length)], offsets
+
+
+def _overlapping(start: np.ndarray, end: np.ndarray, spans) -> np.ndarray:
+    """Mask of the sorted, disjoint ``[start, end)`` that overlap any ``(s, e)``."""
+    hits = np.zeros(start.size + 1, dtype=np.int64)
+    if spans:
+        s, e = np.asarray(spans, dtype=np.int64).T
+        first = np.searchsorted(end, s, side="right")  # first region ending after s
+        stop = np.searchsorted(start, e, side="left")  # regions starting before e
+        some = first < stop
+        np.add.at(hits, first[some], 1)
+        np.add.at(hits, stop[some], -1)
+    return np.cumsum(hits[:-1]) > 0

@@ -11,11 +11,18 @@ interval's ``hi`` for the variance signal that drives quota redistribution
 The split point is huge-page aware (Sec. 5.4): if the midpoint would land
 inside a huge page it is nudged to the huge-page boundary, so one huge page
 is never profiled by two regions.
+
+A :class:`RegionSet` stores its regions as nine columns, one numpy array
+per field of :class:`MemoryRegion`, so a profiler selects, scores and
+re-forms tens of thousands of regions with array operations.  The merge
+pass is the one formation step that stays a loop (over Python scalars):
+a merged region may merge again with its next neighbour, so each step
+depends on the one before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -26,10 +33,27 @@ from repro.units import PAGES_PER_HUGE_PAGE, PAGE_SIZE, format_bytes
 #: Default region span: one last-level PDE = 2 MB = 512 base pages.
 DEFAULT_REGION_PAGES = PAGES_PER_HUGE_PAGE
 
+#: The per-region columns of a :class:`RegionSet`: name -> (dtype, default).
+COLUMNS = {
+    "start": (np.int64, None),
+    "npages": (np.int64, None),
+    "n_samples": (np.int64, 1),
+    "hi": (np.float64, 0.0),
+    "whi": (np.float64, 0.0),
+    "prev_hi": (np.float64, 0.0),
+    "last_max_diff": (np.float64, 0.0),
+    "dominant_socket": (np.int64, -1),
+    "hottest_entry": (np.int64, -1),
+}
+
 
 @dataclass
 class MemoryRegion:
-    """One profiling region.
+    """One profiling region, as a plain row.
+
+    A :class:`RegionSet` is built from rows, and its iteration and
+    indexing yield rows, but a row is a copy: writing one does not write
+    the set.  Writes go through the set's columns.
 
     Attributes:
         start: first base page.
@@ -65,21 +89,6 @@ class MemoryRegion:
         if self.n_samples < 1:
             raise ConfigError(f"region needs >= 1 sample, got {self.n_samples}")
 
-    def __setattr__(self, name: str, value) -> None:
-        # Owner-notify hook: the containing RegionSet keeps O(1) running
-        # totals of quota and coverage, and regions are mutated directly
-        # all over the profiler (quota redistribution, ablations, tests).
-        # Routing the two aggregated fields through the owner keeps the
-        # cached totals correct no matter who mutates the region.
-        if name in ("n_samples", "npages"):
-            owner = self.__dict__.get("_owner")
-            old = self.__dict__.get(name)
-            self.__dict__[name] = value
-            if owner is not None and old is not None and value != old:
-                owner._region_field_changed(name, value - old)
-        else:
-            self.__dict__[name] = value
-
     @property
     def end(self) -> int:
         return self.start + self.npages
@@ -87,36 +96,6 @@ class MemoryRegion:
     @property
     def nbytes(self) -> int:
         return self.npages * PAGE_SIZE
-
-    @property
-    def variance_signal(self) -> float:
-        """Hotness swing across the last two intervals (Sec. 5.2)."""
-        return abs(self.hi - self.prev_hi)
-
-    def record_interval(self, hi: float, max_diff: float, alpha: float) -> None:
-        """Fold one interval's observation into the region state.
-
-        Args:
-            hi: this interval's hotness indication.
-            max_diff: max detected-count difference between sampled pages.
-            alpha: EMA weight of the current observation (Eq. 2).
-        """
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0,1], got {alpha}")
-        self.prev_hi = self.hi
-        self.hi = float(hi)
-        self.last_max_diff = float(max_diff)
-        self.whi = alpha * self.hi + (1.0 - alpha) * self.whi
-
-    def node(self, page_table: PageTable) -> int:
-        """Component holding the majority of this region's pages (-1 if
-        unmapped; ties go to the lowest node id)."""
-        starts = np.asarray([self.start], dtype=np.int64)
-        sizes = np.asarray([self.npages], dtype=np.int64)
-        return int(page_table.span_majority_nodes(starts, sizes)[0])
-
-    def pages(self) -> np.ndarray:
-        return np.arange(self.start, self.end, dtype=np.int64)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -149,82 +128,132 @@ class RegionSet:
 
     Regions never overlap and are kept sorted by start page.  Adjacency for
     merging means *contiguity* (``a.end == b.start``): the paper merges
-    "two contiguous regions".
+    "two contiguous regions".  Each field of :class:`MemoryRegion` is an
+    attribute holding one array (``rs.start``, ``rs.whi``, ...), row ``i``
+    of every array describing region ``i``.
     """
 
+    start: np.ndarray
+    npages: np.ndarray
+    n_samples: np.ndarray
+    hi: np.ndarray
+    whi: np.ndarray
+    prev_hi: np.ndarray
+    last_max_diff: np.ndarray
+    dominant_socket: np.ndarray
+    hottest_entry: np.ndarray
+
     def __init__(self, regions: list[MemoryRegion] | None = None) -> None:
-        self._regions: list[MemoryRegion] = []
-        self._total_samples = 0
-        self._total_pages = 0
         self.stats = RegionStats()
-        # One ordered pass: once sorted, a region can only overlap its
-        # predecessor, so no bisecting insert is needed.
-        prev = None
-        for region in sorted(regions or (), key=lambda r: r.start):
-            if prev is not None and region.start < prev.end:
-                raise ProfilingError(f"{region} overlaps {prev}")
-            self._regions.append(region)
-            self._adopt(region)
-            prev = region
+        rows = [astuple(r) for r in regions or ()]
+        self._load({
+            name: np.array([row[i] for row in rows], dtype=dtype)
+            for i, (name, (dtype, _)) in enumerate(COLUMNS.items())
+        })
+
+    @classmethod
+    def from_columns(cls, start, npages, **fields) -> "RegionSet":
+        """A set from per-region arrays; omitted fields take their default."""
+        unknown = set(fields) - set(COLUMNS)
+        if unknown:
+            raise ConfigError(f"unknown region fields: {sorted(unknown)}")
+        fields.update(start=start, npages=npages)
+        n = len(np.asarray(start))
+        cols = {
+            name: np.array(np.broadcast_to(fields.get(name, default), n), dtype=dtype)
+            for name, (dtype, default) in COLUMNS.items()
+        }
+        if np.any(cols["start"] < 0) or np.any(cols["npages"] < 1):
+            raise ConfigError("bad region: start < 0 or npages < 1")
+        if np.any(cols["n_samples"] < 1):
+            raise ConfigError("region needs >= 1 sample")
+        rs = cls()
+        rs._load(cols)
+        return rs
+
+    def _load(self, cols: dict[str, np.ndarray]) -> None:
+        """Adopt ``cols`` sorted by start, rejecting overlaps."""
+        start = cols["start"]
+        if np.any(start[1:] < start[:-1]):
+            order = np.argsort(start, kind="stable")
+            cols = {name: col[order] for name, col in cols.items()}
+        self._assign(cols)
+        overlap = np.flatnonzero(self.start[1:] < self.start[:-1] + self.npages[:-1])
+        if overlap.size:
+            i = int(overlap[0]) + 1
+            raise ProfilingError(f"{self[i]} overlaps {self[i - 1]}")
+
+    def _assign(self, cols: dict[str, np.ndarray]) -> None:
+        for name in COLUMNS:
+            setattr(self, name, cols[name])
 
     # -- container ----------------------------------------------------------
 
     def add(self, region: MemoryRegion) -> None:
         """Insert ``region``, enforcing disjointness."""
-        idx = self._insertion_index(region.start)
-        if idx > 0 and self._regions[idx - 1].end > region.start:
-            raise ProfilingError(f"{region} overlaps {self._regions[idx - 1]}")
-        if idx < len(self._regions) and region.end > self._regions[idx].start:
-            raise ProfilingError(f"{region} overlaps {self._regions[idx]}")
-        self._regions.insert(idx, region)
-        self._adopt(region)
-
-    def _adopt(self, region: MemoryRegion) -> None:
-        region.__dict__["_owner"] = self
-        self._total_samples += region.n_samples
-        self._total_pages += region.npages
-
-    def _orphan(self, region: MemoryRegion) -> None:
-        region.__dict__["_owner"] = None
-        self._total_samples -= region.n_samples
-        self._total_pages -= region.npages
-
-    def _region_field_changed(self, name: str, delta: int) -> None:
-        """Owner-notify callback from :class:`MemoryRegion.__setattr__`."""
-        if name == "n_samples":
-            self._total_samples += delta
-        else:
-            self._total_pages += delta
+        idx = int(np.searchsorted(self.start, region.start))
+        if idx > 0 and self.start[idx - 1] + self.npages[idx - 1] > region.start:
+            raise ProfilingError(f"{region} overlaps {self[idx - 1]}")
+        if idx < len(self) and region.end > self.start[idx]:
+            raise ProfilingError(f"{region} overlaps {self[idx]}")
+        self._assign({
+            name: np.insert(getattr(self, name), idx, value)
+            for name, value in zip(COLUMNS, astuple(region))
+        })
 
     def __len__(self) -> int:
-        return len(self._regions)
+        return len(self.start)
 
     def __iter__(self):
-        return iter(self._regions)
+        columns = [getattr(self, name).tolist() for name in COLUMNS]
+        return (MemoryRegion(*row) for row in zip(*columns))
 
     def __getitem__(self, idx: int) -> MemoryRegion:
-        return self._regions[idx]
+        return MemoryRegion(*(getattr(self, name)[idx].item() for name in COLUMNS))
 
     @property
-    def regions(self) -> tuple[MemoryRegion, ...]:
-        return tuple(self._regions)
+    def end(self) -> np.ndarray:
+        """Per-region end pages (exclusive)."""
+        return self.start + self.npages
 
     def total_samples(self) -> int:
-        """Total sample quota, from the cached running total (O(1))."""
-        return self._total_samples
+        """Total sample quota."""
+        return int(self.n_samples.sum())
 
     def total_pages(self) -> int:
-        """Pages covered by all regions, from the cached total (O(1))."""
-        return self._total_pages
+        """Pages covered by all regions."""
+        return int(self.npages.sum())
 
     def region_of(self, page: int) -> MemoryRegion:
         """The region containing ``page``."""
-        idx = self._insertion_index(page + 1) - 1
-        if idx >= 0:
-            region = self._regions[idx]
-            if region.start <= page < region.end:
-                return region
+        idx = int(np.searchsorted(self.start, page, side="right")) - 1
+        if idx >= 0 and page < self.start[idx] + self.npages[idx]:
+            return self[idx]
         raise ProfilingError(f"page {page} is not covered by any region")
+
+    def variance_signals(self) -> np.ndarray:
+        """Per-region hotness swings across the last two intervals (Sec. 5.2)."""
+        return np.abs(self.hi - self.prev_hi)
+
+    def record_interval(self, idx: np.ndarray, hi, max_diff, alpha: float) -> None:
+        """Fold one interval's observation into regions ``idx``.
+
+        Args:
+            idx: distinct region indices.
+            hi: this interval's hotness indication, per index or scalar.
+            max_diff: max detected-count difference between sampled pages.
+            alpha: EMA weight of the current observation (Eq. 2).
+        """
+        if not 0.0 <= alpha <= 1.0:
+            raise ConfigError(f"alpha must be in [0,1], got {alpha}")
+        self.prev_hi[idx] = self.hi[idx]
+        self.hi[idx] = hi
+        self.last_max_diff[idx] = max_diff
+        self.whi[idx] = alpha * self.hi[idx] + (1.0 - alpha) * self.whi[idx]
+
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(start, npages, n_samples)`` columns themselves."""
+        return self.start, self.npages, self.n_samples
 
     # -- formation: merge --------------------------------------------------------
 
@@ -240,7 +269,10 @@ class RegionSet:
 
         After each merge the combined sample quota is halved (floored at 1)
         and the saved quota is redistributed to the ``top_k_variance``
-        regions with the largest hotness swing (Sec. 5.2).
+        regions with the largest hotness swing (Sec. 5.2).  A merged
+        region's statistics are size-weighted, its ``last_max_diff`` is
+        the larger of its parts', its ``dominant_socket`` the larger
+        part's, and its ``hottest_entry`` unknown.
 
         Args:
             max_pages: never grow a region beyond this size.  Keeps every
@@ -268,58 +300,80 @@ class RegionSet:
             raise ConfigError(f"tau_m must be >= 0, got {tau_m}")
         if max_pages is not None and max_pages < 1:
             raise ConfigError(f"max_pages must be >= 1, got {max_pages}")
+        n = len(self)
+        if n < 2:
+            return 0
+        starts = self.start.tolist()
+        sizes = self.npages.tolist()
+        quotas = self.n_samples.tolist()
+        his = self.hi.tolist()
+        whis = self.whi.tolist()
+        prevs = self.prev_hi.tolist()
+        diffs = self.last_max_diff.tolist()
+        sockets = self.dominant_socket.tolist()
+        # One pass with the region being grown in scalars ``a_*``: each
+        # input region either merges into it or closes it and starts the
+        # next, so a merged region can merge again with its neighbour.
+        firsts = [0]  # input index each output region starts at
+        grown = []  # (output index, npages, n_samples, hi, whi, prev_hi, max_diff, socket)
+        a_end = starts[0] + sizes[0]
+        a_np, a_ns, a_hi, a_whi = sizes[0], quotas[0], his[0], whis[0]
+        a_prev, a_diff, a_sock = prevs[0], diffs[0], sockets[0]
+        a_merged = False
         merges = 0
         saved_quota = 0
-        i = 0
-        while i + 1 < len(self._regions):
-            a, b = self._regions[i], self._regions[i + 1]
-            fits = max_pages is None or a.npages + b.npages <= max_pages
+        for j in range(1, n):
+            b_np, b_hi, b_whi, b_diff = sizes[j], his[j], whis[j], diffs[j]
+            fits = max_pages is None or a_np + b_np <= max_pages
             homogeneous = heterogeneity_guard is None or (
-                a.last_max_diff <= heterogeneity_guard
-                and b.last_max_diff <= heterogeneity_guard
+                a_diff <= heterogeneity_guard and b_diff <= heterogeneity_guard
             )
             # Both the most recent observation (hi) and the EMA (whi) must
             # agree the regions are alike: one missed scan interval (a
             # PEBS capture miss) zeroes hi but not whi, and without the
             # EMA check a genuinely hot region would be absorbed into its
             # cold neighbourhood on such a blink.
-            alike = abs(a.hi - b.hi) < tau_m and (
-                not use_ema_guard or abs(a.whi - b.whi) < tau_m
+            alike = abs(a_hi - b_hi) < tau_m and (
+                not use_ema_guard or abs(a_whi - b_whi) < tau_m
             )
-            if fits and homogeneous and a.end == b.start and alike:
-                merged = self._merge_pair(a, b)
-                combined = a.n_samples + b.n_samples
-                merged.n_samples = max(1, combined // 2)
-                saved_quota += combined - merged.n_samples
-                self._orphan(a)
-                self._orphan(b)
-                self._regions[i : i + 2] = [merged]
-                self._adopt(merged)
+            if fits and homogeneous and a_end == starts[j] and alike:
+                total = a_np + b_np
+                w_a, w_b = a_np / total, b_np / total
+                a_hi = w_a * a_hi + w_b * b_hi
+                a_whi = w_a * a_whi + w_b * b_whi
+                a_prev = w_a * a_prev + w_b * prevs[j]
+                a_diff = max(a_diff, b_diff)
+                a_sock = a_sock if a_np >= b_np else sockets[j]
+                combined = a_ns + quotas[j]
+                a_ns = max(1, combined // 2)
+                saved_quota += combined - a_ns
+                a_np = total
+                a_end += b_np
+                a_merged = True
                 merges += 1
-                # Stay at i: the merged region may merge again leftward of
-                # the next neighbour.
-            else:
-                i += 1
+                continue
+            if a_merged:
+                grown.append((len(firsts) - 1, a_np, a_ns, a_hi, a_whi, a_prev, a_diff, a_sock))
+            firsts.append(j)
+            a_end = starts[j] + b_np
+            a_np, a_ns, a_hi, a_whi = b_np, quotas[j], b_hi, b_whi
+            a_prev, a_diff, a_sock = prevs[j], b_diff, sockets[j]
+            a_merged = False
+        if a_merged:
+            grown.append((len(firsts) - 1, a_np, a_ns, a_hi, a_whi, a_prev, a_diff, a_sock))
+        if merges:
+            cols = {name: getattr(self, name)[firsts] for name in COLUMNS}
+            out, *values = zip(*grown)
+            out = list(out)
+            for name, column in zip(("npages", "n_samples", "hi", "whi", "prev_hi",
+                                     "last_max_diff", "dominant_socket"), values):
+                cols[name][out] = column
+            cols["hottest_entry"][out] = -1
+            self._assign(cols)
         if saved_quota:
             self.redistribute_quota(saved_quota, top_k=top_k_variance)
         self.stats.merges += merges
         return merges
-
-    @staticmethod
-    def _merge_pair(a: MemoryRegion, b: MemoryRegion) -> MemoryRegion:
-        """Combine two contiguous regions; statistics are size-weighted."""
-        total = a.npages + b.npages
-        w_a, w_b = a.npages / total, b.npages / total
-        return MemoryRegion(
-            start=a.start,
-            npages=total,
-            n_samples=1,  # caller overrides
-            hi=w_a * a.hi + w_b * b.hi,
-            whi=w_a * a.whi + w_b * b.whi,
-            prev_hi=w_a * a.prev_hi + w_b * b.prev_hi,
-            last_max_diff=max(a.last_max_diff, b.last_max_diff),
-            dominant_socket=a.dominant_socket if a.npages >= b.npages else b.dominant_socket,
-        )
 
     # -- formation: split --------------------------------------------------------
 
@@ -328,90 +382,65 @@ class RegionSet:
 
         The split point is the midpoint, adjusted to a huge-page boundary
         when a page table is supplied and the midpoint falls inside a huge
-        mapping (Sec. 5.4).  The parent's quota is divided evenly so the
-        total PTE-scan count is unchanged.
+        mapping (Sec. 5.4).  When the profiler recorded which sampled
+        entry was hottest, the split lands on that entry's boundary
+        instead, so a hot fragment is carved out of a large mixed region
+        in one or two cuts rather than by repeated bisection.  A region
+        with no legal split point (e.g. a single huge page) stays whole.
+        The parent's quota is divided evenly so the total PTE-scan count
+        is unchanged; the children inherit its hotness and socket.
 
         Returns:
             Number of splits performed.
         """
         if tau_s < 0:
             raise ConfigError(f"tau_s must be >= 0, got {tau_s}")
-        splits = 0
-        out: list[MemoryRegion] = []
-        for region in self._regions:
-            if region.last_max_diff > tau_s and region.npages >= 2:
-                left, right = self.split_region(region, page_table)
-                if right is None:
-                    out.append(region)
-                else:
-                    self._orphan(region)
-                    out.extend((left, right))
-                    self._adopt(left)
-                    self._adopt(right)
-                    splits += 1
-            else:
-                out.append(region)
-        self._regions = out
+        rows = np.flatnonzero((self.last_max_diff > tau_s) & (self.npages >= 2))
+        start = self.start[rows]
+        end = start + self.npages[rows]
+        mid = self._split_points(start, end, self.hottest_entry[rows], page_table)
+        legal = (mid > start) & (mid < end)
+        rows, start, end, mid = rows[legal], start[legal], end[legal], mid[legal]
+        splits = int(rows.size)
+        if splits:
+            reps = np.ones(len(self), dtype=np.int64)
+            reps[rows] = 2
+            cols = {name: np.repeat(getattr(self, name), reps) for name in COLUMNS}
+            left = rows + np.arange(splits)  # output index of each left child
+            right = left + 1
+            quota_left = np.maximum(1, self.n_samples[rows] // 2)
+            cols["npages"][left] = mid - start
+            cols["start"][right] = mid
+            cols["npages"][right] = end - mid
+            cols["n_samples"][left] = quota_left
+            cols["n_samples"][right] = np.maximum(1, self.n_samples[rows] - quota_left)
+            for side in (left, right):
+                cols["last_max_diff"][side] = 0.0
+                cols["hottest_entry"][side] = -1
+            self._assign(cols)
         self.stats.splits += splits
         return splits
 
     @staticmethod
-    def split_region(
-        region: MemoryRegion, page_table: PageTable | None = None
-    ) -> tuple[MemoryRegion, MemoryRegion | None]:
-        """Split one region, huge-page aligned, guided by the hot sample.
-
-        When the profiler recorded which sampled entry was hottest, the
-        split lands on that entry's boundary, so a hot fragment is carved
-        out of a large mixed region in one or two cuts rather than by
-        repeated bisection.  Without guidance the midpoint is used.
-
-        Returns:
-            ``(left, right)``; ``right`` is None when no legal split point
-            exists (e.g. the region is a single huge page).
-        """
-        mid = region.start + region.npages // 2
-        hot = region.hottest_entry
-        if region.start < hot < region.end:
-            # Cut just before the hot entry's huge span; if the hot entry
-            # leads the region, cut just after it instead.
-            aligned_hot = hot - (hot % PAGES_PER_HUGE_PAGE)
-            if aligned_hot > region.start:
-                mid = aligned_hot
-            else:
-                mid = region.start + PAGES_PER_HUGE_PAGE
-        elif hot == region.start:
-            mid = region.start + PAGES_PER_HUGE_PAGE
-        if page_table is not None and page_table.is_huge(min(mid, page_table.n_pages - 1)):
-            aligned = mid - (mid % PAGES_PER_HUGE_PAGE)
-            if aligned <= region.start:
-                aligned = region.start + ((mid - region.start) // PAGES_PER_HUGE_PAGE + 1) * PAGES_PER_HUGE_PAGE
-            mid = aligned
-        if mid <= region.start or mid >= region.end:
-            return (region, None)
-        quota_left = max(1, region.n_samples // 2)
-        quota_right = max(1, region.n_samples - quota_left)
-        left = MemoryRegion(
-            start=region.start,
-            npages=mid - region.start,
-            n_samples=quota_left,
-            hi=region.hi,
-            whi=region.whi,
-            prev_hi=region.prev_hi,
-            last_max_diff=0.0,
-            dominant_socket=region.dominant_socket,
-        )
-        right = MemoryRegion(
-            start=mid,
-            npages=region.end - mid,
-            n_samples=quota_right,
-            hi=region.hi,
-            whi=region.whi,
-            prev_hi=region.prev_hi,
-            last_max_diff=0.0,
-            dominant_socket=region.dominant_socket,
-        )
-        return (left, right)
+    def _split_points(
+        start: np.ndarray, end: np.ndarray, hot: np.ndarray, page_table: PageTable | None
+    ) -> np.ndarray:
+        """Split page of each ``[start, end)``, huge-page aligned and
+        guided by its hottest sampled entry ``hot`` (-1 unknown)."""
+        P = PAGES_PER_HUGE_PAGE
+        mid = start + (end - start) // 2
+        # Cut just before the hot entry's huge span; if the hot entry
+        # leads the region, cut just after it instead.
+        aligned_hot = hot - hot % P
+        inside = (start < hot) & (hot < end)
+        mid = np.where(inside & (aligned_hot > start), aligned_hot, mid)
+        mid = np.where((inside & (aligned_hot <= start)) | (hot == start), start + P, mid)
+        if page_table is not None and mid.size:
+            huge = page_table.is_huge(np.minimum(mid, page_table.n_pages - 1))
+            aligned = mid - mid % P
+            aligned = np.where(aligned <= start, start + ((mid - start) // P + 1) * P, aligned)
+            mid = np.where(huge, aligned, mid)
+        return mid
 
     # -- quota management --------------------------------------------------------
 
@@ -419,21 +448,19 @@ class RegionSet:
         """Give ``quota`` extra samples to the top-``top_k`` variance regions.
 
         MTM keeps a running top-five of hotness-swing regions (Sec. 5.2);
-        the saved samples from merging go to them, round-robin.
+        the saved samples from merging go to them, round-robin (ties keep
+        region order).
         """
         if quota < 0:
             raise ConfigError(f"negative quota: {quota}")
-        if quota == 0 or not self._regions:
+        if quota == 0 or not len(self):
             return
-        # Stable descending argsort over the gathered signal array: same
-        # ordering (ties keep insertion order) as the old per-region
-        # ``sorted(key=..., reverse=True)`` without building key tuples.
-        order = np.argsort(-self._variance_signals(), kind="stable")
-        targets = [self._regions[int(i)] for i in order[: max(1, top_k)]]
+        targets = np.argsort(-self.variance_signals(), kind="stable")[: max(1, top_k)]
         # Round-robin from the first target, in closed form.
         base, rem = divmod(quota, len(targets))
-        for i, target in enumerate(targets):
-            target.n_samples += base + (1 if i < rem else 0)
+        extra = np.full(len(targets), base, dtype=np.int64)
+        extra[:rem] += 1
+        self.n_samples[targets] += extra
 
     def rebalance_to_budget(self, budget: int) -> None:
         """Force the total sample quota to exactly ``budget``.
@@ -443,28 +470,25 @@ class RegionSet:
         Requires ``len(self) <= budget``; the overhead controller must merge
         first if not (Sec. 5.3).
         """
-        if budget < len(self._regions):
+        if budget < len(self):
             raise ProfilingError(
-                f"budget {budget} < region count {len(self._regions)}; merge first"
+                f"budget {budget} < region count {len(self)}; merge first"
             )
         total = self.total_samples()
         if total < budget:
             self.redistribute_quota(budget - total)
         elif total > budget:
-            excess = total - budget
-            order = np.argsort(self._variance_signals(), kind="stable")
-            for i in order:
-                region = self._regions[int(i)]
-                take = min(excess, region.n_samples - 1)
-                region.n_samples -= take
-                excess -= take
-                if excess == 0:
-                    break
+            # Trim greedily in ascending variance: each region gives what
+            # it can spare until the excess is gone (a clipped prefix sum).
+            order = np.argsort(self.variance_signals(), kind="stable")
+            spare = self.n_samples[order] - 1
+            before = np.cumsum(spare) - spare
+            self.n_samples[order] -= np.minimum(spare, np.maximum(total - budget - before, 0))
 
     def end_interval(self) -> None:
         """Bump the per-interval statistics (call once per interval)."""
         self.stats.intervals += 1
-        self.stats.region_count_sum += len(self._regions)
+        self.stats.region_count_sum += len(self)
 
     # -- construction helpers --------------------------------------------------------
 
@@ -482,62 +506,27 @@ class RegionSet:
         """
         if region_pages < 1:
             raise ConfigError(f"region_pages must be >= 1, got {region_pages}")
-        regions = []
-        for start, npages in spans:
-            offset = start
-            remaining = npages
-            while remaining > 0:
-                size = min(region_pages, remaining)
-                regions.append(MemoryRegion(start=offset, npages=size))
-                offset += size
-                remaining -= size
-        return cls(regions)
-
-    # -- internals --------------------------------------------------------------
-
-    def _variance_signals(self) -> np.ndarray:
-        """Per-region hotness swings, gathered into one array."""
-        return np.fromiter(
-            (abs(r.hi - r.prev_hi) for r in self._regions),
-            dtype=np.float64,
-            count=len(self._regions),
+        spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
+        sizes = np.maximum(spans[:, 1], 0)
+        counts = -(-sizes // region_pages)
+        offset = (np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts))
+        offset *= region_pages
+        return cls.from_columns(
+            start=np.repeat(spans[:, 0], counts) + offset,
+            npages=np.minimum(region_pages, np.repeat(sizes, counts) - offset),
         )
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Struct-of-arrays snapshot ``(starts, npages, n_samples)``.
-
-        Bulk per-interval operations (the vectorized profiler) gather the
-        region list once and operate on arrays; the list of
-        :class:`MemoryRegion` objects stays canonical so held references
-        and direct mutation keep working.
-        """
-        n = len(self._regions)
-        starts = np.fromiter((r.start for r in self._regions), dtype=np.int64, count=n)
-        npages = np.fromiter((r.npages for r in self._regions), dtype=np.int64, count=n)
-        samples = np.fromiter((r.n_samples for r in self._regions), dtype=np.int64, count=n)
-        return starts, npages, samples
-
-    def _insertion_index(self, start: int) -> int:
-        lo, hi = 0, len(self._regions)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._regions[mid].start < start:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def check_invariants(self) -> None:
-        """Assert ordering/disjointness and cached totals; used by tests."""
-        for a, b in zip(self._regions, self._regions[1:]):
-            if a.end > b.start:
-                raise ProfilingError(f"regions overlap: {a} / {b}")
-            if a.start >= b.start:
-                raise ProfilingError(f"regions out of order: {a} / {b}")
-        samples = sum(r.n_samples for r in self._regions)
-        pages = sum(r.npages for r in self._regions)
-        if samples != self._total_samples or pages != self._total_pages:
-            raise ProfilingError(
-                f"cached totals drifted: samples {self._total_samples} vs {samples}, "
-                f"pages {self._total_pages} vs {pages}"
-            )
+        """Assert column shapes, ordering, disjointness and field bounds;
+        used by tests."""
+        n = len(self)
+        for name, (dtype, _) in COLUMNS.items():
+            col = getattr(self, name)
+            if col.shape != (n,) or col.dtype != dtype:
+                raise ProfilingError(f"column {name} is {col.dtype}{col.shape}, want {n} rows")
+        if np.any(self.start[1:] <= self.start[:-1]):
+            raise ProfilingError("regions out of order")
+        if np.any(self.start[1:] < self.end[:-1]):
+            raise ProfilingError("regions overlap")
+        if n and (self.start[0] < 0 or np.any(self.npages < 1) or np.any(self.n_samples < 1)):
+            raise ProfilingError("region with start < 0, npages < 1 or n_samples < 1")

@@ -108,13 +108,14 @@ class ThermostatProfiler(Profiler):
         page_table = self._page_table
         self._interval += 1
 
-        regions = list(self.regions)
+        regions = self.regions
         k = min(self.budget_regions, len(regions))
         picked = self.rng.choice(len(regions), size=k, replace=False)
-        faults = 0
-        for idx in picked:
-            region = regions[int(idx)]
-            page = int(self.rng.integers(region.start, region.end))
+        starts = regions.start.tolist()
+        ends = regions.end.tolist()
+        observed = []
+        for idx in picked.tolist():
+            page = int(self.rng.integers(starts[idx], ends[idx]))
             entry = page_table.entry_index(np.array([page]))
             # A 4 KB slice of a huge page sees ~1/512 of its accesses.
             scale = 1.0 / PAGES_PER_HUGE_PAGE if page_table.is_huge(page) else 1.0
@@ -125,21 +126,20 @@ class ThermostatProfiler(Profiler):
                 exposure=cfg.poison_exposure,
                 count_scale=scale,
             )
-            region.record_interval(float(detected[0]), 0.0, alpha=1.0)
-            faults += cfg.polls_per_interval
+            observed.append(float(detected[0]))
+        regions.record_interval(picked, observed, 0.0, alpha=1.0)
+        faults = k * cfg.polls_per_interval
         # Unsampled regions keep stale hi — Thermostat has no decay, which
         # is part of why its quality converges slowly (Fig. 1).
-        self.regions.end_interval()
+        regions.end_interval()
 
+        # Every region's resident node in one pass over the placement runs.
+        nodes = page_table.span_majority_nodes(regions.start, regions.npages)
         reports = [
-            RegionReport(
-                start=r.start,
-                npages=r.npages,
-                score=r.hi,
-                whi=r.hi,
-                node=r.node(page_table),
+            RegionReport(start=start, npages=npages, score=hi, whi=hi, node=node)
+            for start, npages, hi, node in zip(
+                starts, regions.npages.tolist(), regions.hi.tolist(), nodes.tolist()
             )
-            for r in self.regions
         ]
         return ProfileSnapshot(
             interval=self._interval,

@@ -27,6 +27,7 @@ from repro.bench.runner import run_matrix, run_solution, run_sweep
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.faults.injector import FaultConfig, FaultInjector
+from repro.mm.pagetable import chunked_mode
 from repro.workloads.registry import build_workload
 from tests.support import fingerprint, matrix_fingerprint, sweep_fingerprint
 from tests.test_snapshot import TAU_VARIANTS, set_tau
@@ -44,6 +45,14 @@ TINY_PROFILE = BenchProfile(
 WORKLOADS = ["gups", "bfs", "voltdb", "cassandra"]
 SOLUTIONS = ["first-touch", "hmc", "tiered-autonuma", "hemem", "thermostat", "mtm"]
 FAULTS = dict(fault_rate=0.05, fault_seed=123)
+#: Solutions whose region paths the 24 workload x solution goldens miss.
+REGION_SOLUTIONS = {
+    "damon": WORKLOADS,
+    **{f"mtm-no-{flag}": ["gups", "voltdb"] for flag in ("amr", "aps", "oc", "pebs")},
+}
+#: Every per-region field of :class:`~repro.profile.regions.MemoryRegion`.
+REGION_FIELDS = ("start", "npages", "n_samples", "hi", "whi", "prev_hi",
+                 "last_max_diff", "dominant_socket", "hottest_entry")
 
 
 def solution_run(workload: str, solution: str, **kwargs):
@@ -73,6 +82,21 @@ def two_socket_run():
     return engine, result
 
 
+def chunked_regions_run():
+    """gups under MTM at 1/128, seed 7, 12 intervals, on a chunked page
+    table.  It seeds 2,065 regions, and in interval 0 no region draws.
+
+    Returns the engine and its fingerprint, extended with every field of
+    every final region.
+    """
+    with chunked_mode():
+        engine = make_engine("mtm", "gups", scale=1 / 128, seed=7)
+        result = fingerprint(engine.run(12))
+    result["regions"] = [tuple(getattr(r, f) for f in REGION_FIELDS)
+                         for r in engine.profiler.regions]
+    return engine, result
+
+
 def tau_sweep(use_snapshots=False, workers=1):
     """Three MTM tau variants of gups under faults, warmed 2 intervals."""
     return sweep_fingerprint(run_sweep(
@@ -94,9 +118,12 @@ def solution_key(workload: str, solution: str) -> str:
 RECIPES = {
     **{solution_key(w, s): partial(solution_run, w, s)
        for w in WORKLOADS for s in SOLUTIONS},
+    **{solution_key(w, s): partial(solution_run, w, s)
+       for s, workloads in REGION_SOLUTIONS.items() for w in workloads},
     "solution/gups/mtm/faults": partial(solution_run, "gups", "mtm", **FAULTS),
     "engine/gups/mtm/faults/6": lambda: fingerprint(faulty_engine("gups").run(6)),
     "engine/gups-two-socket/mtm/faults/8": lambda: two_socket_run()[1],
+    "engine/gups/mtm/chunked/128/12": lambda: chunked_regions_run()[1],
     "sweep/gups/mtm/tau/faults": tau_sweep,
     "matrix/gups/first-touch,mtm": gups_matrix,
 }

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.errors import ConfigError, TranslationError
 from repro.mm.pagetable import PageTable
 from repro.mm.pte import PteFlag
@@ -145,3 +147,67 @@ class TestAccessBits:
         assert pt.has_flag(np.array([2]), PteFlag.RESERVED11)[0]
         pt.clear_flag(np.array([2]), PteFlag.RESERVED11)
         assert not pt.has_flag(np.array([2]), PteFlag.RESERVED11)[0]
+
+
+R = PAGES_PER_HUGE_PAGE
+N = 8 * R
+
+
+def _assert_node_runs_rebuilt(pt):
+    """The maintained node encoding equals a full rebuild of ``node``."""
+    bounds, values = pt._node_runs()
+    want_bounds, want_values = kernels.node_rle(np.asarray(pt.node))
+    np.testing.assert_array_equal(bounds, want_bounds)
+    np.testing.assert_array_equal(values, want_values)
+
+
+class TestNodeRuns:
+    """After a mapping change only the dirtied window is encoded again;
+    the spliced encoding equals a full rebuild on both storage layouts."""
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["dense", "chunked"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_windowed_rebuild_equals_full_rebuild(self, chunked, data):
+        pt = PageTable(N, chunked=chunked, chunk_pages=2 * R)
+        pt.map_range(0, N // 2, node=0, huge=True)
+        pt.map_range(N // 2, N // 2 - 3, node=1)
+        _assert_node_runs_rebuilt(pt)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+            op = data.draw(st.sampled_from(
+                ["first", "last", "inside", "erase", "scatter", "unmap", "map"]))
+            bounds, values = kernels.node_rle(np.asarray(pt.node))
+            node = data.draw(st.integers(min_value=0, max_value=3))
+            if op in ("unmap", "map"):
+                start = data.draw(st.integers(min_value=0, max_value=N - 1))
+                npages = data.draw(st.integers(min_value=1, max_value=N - start))
+                huge = op == "map" and data.draw(st.booleans())
+                try:
+                    if op == "unmap":
+                        pt.unmap_range(start, npages)
+                    else:
+                        pt.map_range(start, npages, node, huge=huge)
+                except (TranslationError, ConfigError):
+                    pass  # refused before any change
+            else:
+                run = data.draw(st.integers(min_value=0, max_value=values.size - 1))
+                lo, hi = int(bounds[run]), int(bounds[run + 1])
+                if op == "first":
+                    pages = np.array([0])
+                elif op == "last":
+                    pages = np.array([N - 1])
+                elif op == "inside":  # strictly inside one run
+                    pages = np.arange(lo + (hi - lo) // 3, lo + 2 * (hi - lo) // 3)
+                elif op == "erase" and run > 0 and values[run - 1] >= 0:
+                    # The run takes its mapped left neighbour's node.
+                    pages, node = np.arange(lo, hi), int(values[run - 1])
+                else:
+                    pages = np.unique(data.draw(st.lists(
+                        st.integers(min_value=0, max_value=N - 1), min_size=1, max_size=20)))
+                pages = pages[pt.is_mapped(pages)] if pages.size else pages
+                pt.move_pages(pages, node)
+            # Sometimes several changes widen one window before a rebuild.
+            if data.draw(st.booleans()):
+                _assert_node_runs_rebuilt(pt)
+        _assert_node_runs_rebuilt(pt)
+

@@ -46,6 +46,23 @@ class TestVectorizedBitIdentity:
         assert_golden(solution_key(workload, solution),
                       goldens.solution_run(workload, solution))
 
+    @pytest.mark.parametrize("key", [
+        solution_key(w, s)
+        for s, workloads in goldens.REGION_SOLUTIONS.items() for w in workloads
+    ])
+    def test_region_paths_equal_goldens(self, key):
+        """DAMON, which rebuilds its regions every interval, and MTM's
+        four ablations equal their goldens."""
+        assert_golden(key, goldens.RECIPES[key]())
+
+    def test_chunked_regions_equal_golden(self):
+        """gups/mtm at 1/128 on a chunked page table: the fingerprint and
+        all nine fields of every final region equal their golden."""
+        engine, result = goldens.chunked_regions_run()
+        assert_golden("engine/gups/mtm/chunked/128/12", result)
+        assert engine.space.page_table.chunked
+        assert len(result["regions"]) > 1
+
     def test_faults_fork_and_workers_equal_legacy(self):
         """Through fault injection, snapshot fork and a two-process pool:
         forked cells on two workers equal cold serial cells, which equal

@@ -5,8 +5,10 @@ import copy
 import numpy as np
 import pytest
 
+from repro import nputil
 from repro.core.baselines import make_engine
 from repro.errors import ConfigError
+from repro.faults.injector import FaultConfig, FaultInjector
 from repro.mm.hugepage import ThpManager
 from repro.mm.mmu import Mmu
 from repro.mm.vma import AddressSpace
@@ -18,6 +20,7 @@ from repro.sim.trace import AccessBatch
 from repro.hw.topology import optane_4tier
 from repro.units import PAGES_PER_HUGE_PAGE
 from repro.workloads.registry import build_workload
+from tests.test_property_regions import loop_record_interval
 
 SCALE = 1.0 / 512.0
 
@@ -191,17 +194,19 @@ class TestAblations:
         assert profiler.regions.total_samples() >= len(profiler.regions)
 
 
-def loop_scan(profiler, mmu, to_profile) -> int:
+def loop_scan(profiler, mmu, rows, to_profile) -> int:
     """One ``scan_detect`` per region: the reference semantics of
-    :meth:`MtmProfiler._scan_batched`.  Returns the hint-cadence
-    crossings."""
+    :meth:`MtmProfiler._scan_batched`.  ``to_profile`` pairs a region
+    index with its chosen entries; ``rows`` holds one region object per
+    region, updated in place.  Returns the hint-cadence crossings."""
     cfg = profiler.config
     crossings = 0
-    for region, chosen in to_profile:
+    for i, chosen in to_profile:
+        region = rows[i]
         detected = mmu.scan_detect(chosen, cfg.num_scans, profiler.rng,
                                    exposure=cfg.scan_exposure)
         max_diff = float(detected.max() - detected.min()) if detected.size > 1 else 0.0
-        region.record_interval(float(detected.mean()), max_diff, cfg.alpha)
+        loop_record_interval(region, float(detected.mean()), max_diff, cfg.alpha)
         if cfg.guided_splits and detected.max() > 0:
             region.hottest_entry = int(chosen[int(np.argmax(detected))])
         else:
@@ -214,6 +219,52 @@ def loop_scan(profiler, mmu, to_profile) -> int:
             if accessor >= 0:
                 region.dominant_socket = accessor
     return crossings
+
+
+def loop_select(profiler, entries, offsets, pebs_active, pebs_hot_entries):
+    """The per-region selection loop: the reference semantics of
+    :meth:`MtmProfiler._select`.  Returns ``(to_profile, idle)``: region
+    index and chosen entries per scanned region, and the idle indices."""
+    to_profile, idle = [], []
+    if pebs_active:
+        nodes = profiler._page_table.span_majority_nodes(profiler.regions.start,
+                                                         profiler.regions.npages)
+    for idx, region in enumerate(profiler.regions):
+        region_entries = entries[offsets[idx]:offsets[idx + 1]]
+        if region_entries.size == 0:
+            continue
+        if pebs_active and int(nodes[idx]) in profiler.slowest_nodes:
+            if pebs_hot_entries is None:
+                idle.append(idx)
+                continue
+            lo = np.searchsorted(pebs_hot_entries, region.start)
+            hi = np.searchsorted(pebs_hot_entries, region.end)
+            if hi <= lo:
+                idle.append(idx)
+                continue
+            captured = pebs_hot_entries[lo:hi]
+            k = min(region.n_samples, int(region_entries.size))
+            take = min(k, int(captured.size))
+            if take >= captured.size:
+                chosen = captured
+            else:
+                chosen = captured[profiler.rng.choice(captured.size, size=take, replace=False)]
+            if k > chosen.size:
+                pad = region_entries[profiler.rng.choice(
+                    region_entries.size, size=k - int(chosen.size), replace=False)]
+                chosen = nputil.unique(np.concatenate([chosen, pad]))
+        else:
+            k = min(region.n_samples, int(region_entries.size))
+            if k >= region_entries.size:
+                chosen = region_entries
+            else:
+                chosen = region_entries[profiler.rng.choice(
+                    region_entries.size, size=k, replace=False)]
+        to_profile.append((idx, chosen))
+    return to_profile, idle
+
+
+FIELDS = ("hi", "whi", "prev_hi", "last_max_diff", "hottest_entry", "dominant_socket")
 
 
 class TestBatchedScan:
@@ -248,25 +299,78 @@ class TestBatchedScan:
     def test_batched_scan_equals_per_region_loop(self, warmed, guided_splits):
         mmu = warmed.mmu
         chosen = self._sampled(warmed.profiler)
+        # Scan in a rotated order, as the overhead controller does.
+        order = np.roll(np.arange(len(chosen)), -3)
         sides = []
         for scan in ("batched", "loop"):
             clone = copy.deepcopy(warmed.profiler)
             clone.config.guided_splits = guided_splits
             # Start one scan short of a hint fault: the first region crosses.
             clone._scan_counter = clone.config.hint_every_scans - 1
-            to_profile = list(zip(clone.regions, chosen))
             if scan == "batched":
-                clone._scan_batched(mmu, to_profile)
+                runs = [chosen[i] for i in order]
+                offsets = np.cumsum([0] + [c.size for c in runs])
+                clone._scan_batched(mmu, order, np.concatenate(runs), offsets)
+                sides.append((clone, list(clone.regions)))
             else:
-                crossings = loop_scan(clone, mmu, to_profile)
-            sides.append(clone)
-        batched, loop = sides
-        fields = ("hi", "whi", "prev_hi", "last_max_diff", "hottest_entry",
-                  "dominant_socket")
-        want = [tuple(getattr(r, f) for f in fields) for r in loop.regions]
-        assert [tuple(getattr(r, f) for f in fields) for r in batched.regions] == want
+                rows = list(clone.regions)
+                crossings = loop_scan(clone, mmu, rows, [(i, chosen[i]) for i in order])
+                sides.append((clone, rows))
+        (batched, got), (loop, want) = sides
+        assert ([tuple(getattr(r, f) for f in FIELDS) for r in got]
+                == [tuple(getattr(r, f) for f in FIELDS) for r in want])
         assert batched._scan_counter == loop._scan_counter
         assert batched.rng.bit_generator.state == loop.rng.bit_generator.state
         assert crossings > 1
-        assert len({r.dominant_socket for r in loop.regions}) > 1
-        assert any(r.hottest_entry >= 0 for r in loop.regions) is guided_splits
+        assert len({r.dominant_socket for r in want}) > 1
+        assert any(r.hottest_entry >= 0 for r in want) is guided_splits
+
+
+class TestSelection:
+    """``_select`` against :func:`loop_select` on warmed engines, each side
+    on a clone of the profiler: the same entries per region, the same
+    idle regions and the same generator state after."""
+
+    @pytest.fixture(scope="class", params=["pebs", "pebs-lost", "pebs-faults", "no-pebs"])
+    def warmed(self, request):
+        """``(case, engine)``; ``pebs-lost`` has its PEBS window lost."""
+        solution = "mtm-no-pebs" if request.param == "no-pebs" else "mtm"
+        injector = None
+        if request.param == "pebs-faults":
+            injector = FaultInjector(FaultConfig.uniform(0.05), seed=123)
+        engine = make_engine(solution, "gups", scale=SCALE, seed=3, injector=injector)
+        for _ in range(5):
+            engine.step()
+        # Open the next interval as the engine would, so the MMU holds a
+        # batch for PEBS to sample.
+        engine.mmu.begin_interval(engine._next_batch())
+        return request.param, engine
+
+    def test_select_equals_per_region_loop(self, warmed):
+        case, engine = warmed
+        profiler = engine.profiler
+        page_table = profiler._page_table
+        pebs_hot = None
+        if case in ("pebs", "pebs-faults"):
+            sample = copy.deepcopy(engine.pebs).sample(
+                engine.mmu.current_batch, page_table,
+                duty_cycle=profiler.config.pebs_duty_cycle)
+            pebs_hot = nputil.unique(page_table.entry_index(sample.pages))
+        entries, offsets = page_table.span_entries(profiler.regions.start,
+                                                   profiler.regions.npages)
+        batched, loop = copy.deepcopy(profiler), copy.deepcopy(profiler)
+        use_pebs = profiler.config.use_pebs
+        scan_idx, chosen, chosen_offsets, idle = batched._select(
+            entries, offsets, use_pebs, pebs_hot)
+        want, want_idle = loop_select(loop, entries, offsets, use_pebs, pebs_hot)
+        assert scan_idx.tolist() == [i for i, _ in want]
+        got = np.split(chosen, chosen_offsets[1:-1])
+        assert all(np.array_equal(g, w) for g, (_, w) in zip(got, want))
+        assert np.flatnonzero(idle).tolist() == want_idle
+        assert batched.rng.bit_generator.state == loop.rng.bit_generator.state
+        # Some region drew from the generator, some took every entry it
+        # had, and with PEBS some slow-tier region was idle.
+        runs = np.split(entries, offsets[1:-1])
+        assert loop.rng.bit_generator.state != profiler.rng.bit_generator.state
+        assert any(np.array_equal(w, runs[i]) for i, w in want)
+        assert bool(want_idle) is profiler.config.use_pebs

@@ -5,11 +5,7 @@ import pytest
 
 from repro.errors import ConfigError, ProfilingError
 from repro.mm.pagetable import PageTable
-from repro.profile.regions import (
-    DEFAULT_REGION_PAGES,
-    MemoryRegion,
-    RegionSet,
-)
+from repro.profile.regions import MemoryRegion, RegionSet
 from repro.units import PAGES_PER_HUGE_PAGE
 
 
@@ -21,22 +17,24 @@ def region(start, npages, hi=0.0, whi=None, samples=1, max_diff=0.0):
 
 class TestMemoryRegion:
     def test_ema_update(self):
-        r = region(0, 512)
-        r.record_interval(hi=2.0, max_diff=1.0, alpha=0.5)
-        assert r.whi == pytest.approx(1.0)
-        r.record_interval(hi=2.0, max_diff=0.0, alpha=0.5)
-        assert r.whi == pytest.approx(1.5)
-        assert r.prev_hi == pytest.approx(2.0)
+        rs = RegionSet([region(0, 512), region(512, 512)])
+        rs.record_interval([0], hi=2.0, max_diff=1.0, alpha=0.5)
+        assert rs[0].whi == pytest.approx(1.0)
+        assert rs[0].last_max_diff == 1.0
+        rs.record_interval([0], hi=2.0, max_diff=0.0, alpha=0.5)
+        assert rs[0].whi == pytest.approx(1.5)
+        assert rs[0].prev_hi == pytest.approx(2.0)
+        assert rs[1] == region(512, 512)  # untouched
 
     def test_variance_signal(self):
-        r = region(0, 512)
-        r.record_interval(3.0, 0.0, 0.5)
-        r.record_interval(0.5, 0.0, 0.5)
-        assert r.variance_signal == pytest.approx(2.5)
+        rs = RegionSet([region(0, 512)])
+        rs.record_interval([0], 3.0, 0.0, 0.5)
+        rs.record_interval([0], 0.5, 0.0, 0.5)
+        assert rs.variance_signals()[0] == pytest.approx(2.5)
 
     def test_alpha_bounds(self):
         with pytest.raises(ConfigError):
-            region(0, 512).record_interval(1.0, 0.0, alpha=1.5)
+            RegionSet([region(0, 512)]).record_interval([0], 1.0, 0.0, alpha=1.5)
 
     def test_invalid_region_rejected(self):
         with pytest.raises(ConfigError):
@@ -48,9 +46,10 @@ class TestMemoryRegion:
         pt = PageTable(1024)
         pt.map_range(0, 512, node=1)
         pt.map_range(512, 512, node=2)
-        r = region(0, 1024)
+        rs = RegionSet([region(0, 1024)])
         pt.move_pages(np.arange(0, 100), 2)
-        assert r.node(pt) == 2  # 612 pages on 2 vs 412 on 1
+        # 612 pages on 2 vs 412 on 1.
+        assert pt.span_majority_nodes(rs.start, rs.npages).tolist() == [2]
 
 
 class TestRegionSetContainer:
@@ -94,7 +93,7 @@ class TestRegionSetContainer:
         assert seeded.total_samples() == one_by_one.total_samples()
         assert seeded.total_pages() == one_by_one.total_pages() == sum(n for _, n in spans)
         seeded.check_invariants()
-        seeded[1].n_samples += 4
+        seeded.n_samples[1] += 4
         assert seeded.total_samples() == one_by_one.total_samples() + 4
         seeded.check_invariants()
 
@@ -185,31 +184,31 @@ class TestSplit:
         pt = PageTable(2 * PAGES_PER_HUGE_PAGE)
         pt.map_range(0, 2 * PAGES_PER_HUGE_PAGE, node=0, huge=True)
         # Midpoint 700 of [0, 1400) falls inside huge page 1; must align.
-        r = region(0, 1024 + 376, max_diff=3.0)
-        left, right = RegionSet.split_region(r, pt)
-        assert right is not None
-        assert right.start % PAGES_PER_HUGE_PAGE == 0
+        rs = RegionSet([region(0, 1024 + 376, max_diff=3.0)])
+        assert rs.split_pass(tau_s=2.0, page_table=pt) == 1
+        assert rs[1].start % PAGES_PER_HUGE_PAGE == 0
 
     def test_single_huge_page_cannot_split(self):
         pt = PageTable(PAGES_PER_HUGE_PAGE)
         pt.map_range(0, PAGES_PER_HUGE_PAGE, node=0, huge=True)
-        r = region(0, PAGES_PER_HUGE_PAGE, max_diff=3.0)
-        left, right = RegionSet.split_region(r, pt)
-        assert right is None
+        rs = RegionSet([region(0, PAGES_PER_HUGE_PAGE, max_diff=3.0)])
+        assert rs.split_pass(tau_s=2.0, page_table=pt) == 0
+        assert rs[0].last_max_diff == 3.0  # kept whole, signal kept
 
     def test_guided_split_carves_hot_entry(self):
         r = region(0, 4 * PAGES_PER_HUGE_PAGE, max_diff=3.0)
         r.hottest_entry = 2 * PAGES_PER_HUGE_PAGE + 5
-        left, right = RegionSet.split_region(r)
-        assert right is not None
-        assert right.start == 2 * PAGES_PER_HUGE_PAGE
+        rs = RegionSet([r])
+        assert rs.split_pass(tau_s=2.0) == 1
+        assert rs[1].start == 2 * PAGES_PER_HUGE_PAGE
+        assert rs.hottest_entry.tolist() == [-1, -1]
 
     def test_guided_split_hot_at_start(self):
         r = region(0, 4 * PAGES_PER_HUGE_PAGE, max_diff=3.0)
         r.hottest_entry = 0
-        left, right = RegionSet.split_region(r)
-        assert right is not None
-        assert left.npages == PAGES_PER_HUGE_PAGE
+        rs = RegionSet([r])
+        assert rs.split_pass(tau_s=2.0) == 1
+        assert rs[0].npages == PAGES_PER_HUGE_PAGE
 
 
 class TestQuotaManagement:
@@ -219,8 +218,8 @@ class TestQuotaManagement:
         swinger.prev_hi = 0.0
         rs = RegionSet([calm, swinger])
         rs.redistribute_quota(4, top_k=1)
-        assert swinger.n_samples == 5
-        assert calm.n_samples == 1
+        assert rs.n_samples.tolist() == [1, 5]
+        assert swinger.n_samples == 1  # a row is a copy, not a view
 
     def test_rebalance_to_budget_up_and_down(self):
         rs = RegionSet([region(0, 512, samples=1), region(512, 512, samples=9)])

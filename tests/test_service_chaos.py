@@ -81,6 +81,28 @@ def spawn_worker(address: str, *extra: str) -> subprocess.Popen:
     )
 
 
+def spawn_registered(server: SchedulerServer, worker_id: str,
+                     *extra: str) -> subprocess.Popen:
+    """Spawn a worker and return once the scheduler has registered it.
+
+    A worker spawned after it then cannot drain the queue before this
+    one claims: the cells are tiny, and which process imports faster is
+    otherwise a race the chaos worker can lose, leaving it alive.
+    """
+    proc = spawn_worker(server.address, "--id", worker_id, *extra)
+    deadline = time.monotonic() + 30.0
+    try:
+        while worker_id not in server.core.stats()["workers"]:
+            assert proc.poll() is None, f"worker {worker_id} exited before registering"
+            assert time.monotonic() < deadline, f"worker {worker_id} never registered"
+            time.sleep(0.02)
+    except AssertionError:
+        server.shutdown(drain=False)
+        reap(proc, timeout=0.0)
+        raise
+    return proc
+
+
 def reap(*procs: subprocess.Popen, timeout: float = 20.0) -> None:
     for proc in procs:
         try:
@@ -94,8 +116,7 @@ def test_worker_killed_between_cells_sweep_still_bit_identical(
     tmp_path, serial_fingerprint
 ):
     server = start_server(tmp_path)
-    chaos = spawn_worker(server.address, "--id", "chaos",
-                         "--chaos-kill-after-cells", "1")
+    chaos = spawn_registered(server, "chaos", "--chaos-kill-after-cells", "1")
     steady = spawn_worker(server.address, "--id", "steady",
                           "--max-idle-claims", "60")
     try:
@@ -116,9 +137,8 @@ def test_worker_killed_mid_cell_requeues_and_matches(
     tmp_path, serial_fingerprint
 ):
     server = start_server(tmp_path)
-    chaos = spawn_worker(server.address, "--id", "chaos",
-                         "--chaos-kill-cell", "0",
-                         "--chaos-kill-delay", "0.02")
+    chaos = spawn_registered(server, "chaos", "--chaos-kill-cell", "0",
+                             "--chaos-kill-delay", "0.02")
     steady = spawn_worker(server.address, "--id", "steady",
                           "--max-idle-claims", "60")
     try:
@@ -177,11 +197,11 @@ def test_worker_killed_holding_warm_snapshots_mid_cell(tmp_path):
               for label in spec.solutions}
     spill = tmp_path / "spill"
     server = start_server(tmp_path, lease_timeout=3.0)
-    chaos = spawn_worker(server.address, "--id", "chaos",
-                         "--warm-spill-dir", str(spill),
-                         "--warm-bytes", "1",  # force every snapshot to disk
-                         "--chaos-kill-cell", "1",
-                         "--chaos-kill-delay", "0.05")
+    chaos = spawn_registered(server, "chaos",
+                             "--warm-spill-dir", str(spill),
+                             "--warm-bytes", "1",  # force every snapshot to disk
+                             "--chaos-kill-cell", "1",
+                             "--chaos-kill-delay", "0.05")
     steady = spawn_worker(server.address, "--id", "steady",
                           "--max-idle-claims", "60")
     try:
