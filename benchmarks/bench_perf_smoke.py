@@ -6,7 +6,8 @@ the script asserts itself:
 
 * **tau sweep** — a 6-point τ sensitivity sweep whose cells share a long
   warmup prefix, run cold (every cell from interval 0) versus forked
-  from one warmed :class:`~repro.sim.snapshot.EngineSnapshot`;
+  from one warmed :class:`~repro.sim.snapshot.EngineSnapshot`, with the
+  speedup kept as the median of per-round ratios;
 * **obs overhead** — a serial matrix run with observability off
   (``obs=None``), on (a fresh :class:`~repro.obs.context.ObsContext`),
   and *streaming* (a collector with ``ObsConfig(stream=True)`` flushing
@@ -33,6 +34,7 @@ from pathlib import Path
 
 from repro.bench.cli import update_bench_perf
 from repro.bench.runner import SweepVariant, run_matrix, run_sweep
+from repro.bench.sweeps import apply_tau
 from repro.mm.chunked import DEFAULT_CHUNK_PAGES
 from repro.mm.pagetable import AUTO_CHUNK_PAGES
 from repro.bench.scaling import BenchProfile
@@ -50,18 +52,14 @@ SWEEP_WORKLOAD = "gups"
 SWEEP_INTERVALS = 48
 SWEEP_WARMUP = 42
 
+#: Rounds of the cold and forked tau sweeps (alternating order, median
+#: ratio kept): the gate is a ratio, so one slow sweep must not decide it.
+SWEEP_ROUNDS = 3
+
 #: Rounds per observability-overhead arm (rotating order, median kept).
 #: Five rounds because the budget being measured (<5%) is smaller than
 #: single-shot wall-clock drift on shared machines.
 OBS_ROUNDS = 5
-
-
-def apply_tau(engine, params: dict) -> None:
-    """Install one sweep point's thresholds at the branch interval."""
-    cfg = engine.profiler.config
-    cfg.tau_m = params["tau_m"]
-    cfg.tau_s = params["tau_s"]
-    engine.profiler._tau_m_current = params["tau_m"]
 
 
 def tau_variants() -> list[SweepVariant]:
@@ -106,22 +104,27 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
     workloads = workloads if workloads is not None else WORKLOADS
 
     # -- tau-sweep arm ---------------------------------------------------
+    # Cold and forked sweeps run back to back in each round, the cold one
+    # first in every other round; the speedup is the median of the
+    # per-round cold/fork ratios, and the seconds are per-arm medians.
     variants = tau_variants()
-    t0 = time.perf_counter()
-    sweep_cold = run_sweep(
-        "mtm", SWEEP_WORKLOAD, profile, variants, apply_tau,
-        warmup_intervals=SWEEP_WARMUP, intervals=SWEEP_INTERVALS,
-        use_snapshots=False,
-    )
-    sweep_cold_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sweep_fork = run_sweep(
-        "mtm", SWEEP_WORKLOAD, profile, variants, apply_tau,
-        warmup_intervals=SWEEP_WARMUP, intervals=SWEEP_INTERVALS,
-        use_snapshots=True,
-    )
-    sweep_fork_seconds = time.perf_counter() - t0
+    sweeps: dict = {}
+    sweep_times: list[dict] = []
+    for round_idx in range(SWEEP_ROUNDS):
+        times = {}
+        for forked in (False, True) if round_idx % 2 == 0 else (True, False):
+            t0 = time.perf_counter()
+            sweeps[forked] = run_sweep(
+                "mtm", SWEEP_WORKLOAD, profile, variants, apply_tau,
+                warmup_intervals=SWEEP_WARMUP, intervals=SWEEP_INTERVALS,
+                use_snapshots=forked,
+            )
+            times["fork" if forked else "cold"] = time.perf_counter() - t0
+        sweep_times.append(times)
+    sweep_cold, sweep_fork = sweeps[False], sweeps[True]
+    sweep_cold_seconds = statistics.median(t["cold"] for t in sweep_times)
+    sweep_fork_seconds = statistics.median(t["fork"] for t in sweep_times)
+    sweep_speedup = statistics.median(t["cold"] / t["fork"] for t in sweep_times)
 
     if _sweep_summary(sweep_cold) != _sweep_summary(sweep_fork):
         raise AssertionError(
@@ -204,7 +207,6 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
 
     _assert_batch_released(profile)
 
-    sweep_speedup = sweep_cold_seconds / sweep_fork_seconds
     snap_stats = (
         sweep_fork.perf.snapshots.as_dict()
         if sweep_fork.perf is not None and sweep_fork.perf.snapshots is not None
@@ -225,6 +227,8 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
             "cold_seconds": round(sweep_cold_seconds, 3),
             "fork_seconds": round(sweep_fork_seconds, 3),
             "speedup": round(sweep_speedup, 3),
+            "round_ratios": [round(t["cold"] / t["fork"], 4)
+                             for t in sweep_times],
             "snapshots": snap_stats,
         },
         "obs": {
@@ -253,7 +257,8 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
 
     return (
         f"perf smoke ({profile.name} profile, {len(workloads)}x{len(SOLUTIONS)} matrix)\n"
-        f"  tau sweep ({len(TAU_POINTS)} points, warmup {SWEEP_WARMUP}/{SWEEP_INTERVALS}):\n"
+        f"  tau sweep ({len(TAU_POINTS)} points, warmup {SWEEP_WARMUP}/{SWEEP_INTERVALS}, "
+        f"medians of {SWEEP_ROUNDS} rounds):\n"
         f"    cold-start: {sweep_cold_seconds:6.2f}s\n"
         f"    snapshot-fork: {sweep_fork_seconds:6.2f}s\n"
         f"    speedup: {sweep_speedup:.2f}x\n"

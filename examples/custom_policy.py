@@ -7,6 +7,13 @@ interval" policy, wires it into the engine alongside MTM's profiler, and
 compares it against the real MTM policy — a template for experimenting
 with new placement ideas on the same substrate the paper's systems use.
 
+It plans on a :class:`~repro.policy.base.PlacementLedger`, as every
+built-in policy does: ``pages_on`` finds a region's pages on a node,
+``move`` orders them and updates the batch's free pages, and
+``make_room`` / ``lower_with_space`` demote to free a node.  A policy
+that wants the paper's migration budget takes a
+:class:`~repro.policy.base.PolicyConfig`.
+
 Usage::
 
     python examples/custom_policy.py [num_intervals]
@@ -19,7 +26,7 @@ import numpy as np
 from repro.core import make_engine
 from repro.hw.topology import optane_4tier
 from repro.migrate.mtm_mechanism import MoveMemoryRegionsMechanism
-from repro.policy.base import MigrationOrder, PlacementState, Policy
+from repro.policy.base import MigrationOrder, PlacementLedger, PlacementState, Policy
 from repro.profile.base import ProfileSnapshot
 from repro.profile.mtm import MtmProfiler, MtmProfilerConfig
 from repro.sim.costmodel import CostModel, CostParams, effective_interval
@@ -41,23 +48,18 @@ class GreedyTopOnePolicy(Policy):
     name = "greedy-top1"
 
     def decide(self, snapshot: ProfileSnapshot, state: PlacementState) -> list[MigrationOrder]:
-        view = state.topology.view(0)
-        fastest = view.node_at_tier(1)
+        fastest = state.topology.view(0).node_at_tier(1)
+        ledger = PlacementLedger(state)
         candidates = sorted(snapshot.reports, key=lambda r: r.score, reverse=True)
         for report in candidates:
             if report.score <= 0 or report.node < 0 or report.node == fastest:
                 continue
-            pages = np.arange(report.start, report.end, dtype=np.int64)
-            pages = pages[state.page_table.node[pages] == report.node]
-            if pages.size == 0 or state.frames.free_pages(fastest) < pages.size:
+            pages = ledger.pages_on(report, report.node)
+            if pages.size == 0 or ledger.free[fastest] < pages.size:
                 continue
-            return [
-                MigrationOrder(
-                    pages=pages, src_node=report.node, dst_node=fastest,
-                    reason="promotion", score=report.score,
-                )
-            ]
-        return []
+            ledger.move(report, pages, report.node, fastest, "promotion")
+            break
+        return ledger.orders
 
 
 def run_custom(intervals: int):

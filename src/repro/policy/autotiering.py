@@ -14,40 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError
-from repro.policy.base import MigrationOrder, PlacementState, Policy
-from repro.profile.base import ProfileSnapshot, RegionReport
-from repro.units import MiB, PAGE_SIZE, PAGES_PER_HUGE_PAGE
+from repro.hw.topology import TierView
+from repro.policy.base import (
+    MigrationOrder, PlacementLedger, PlacementState, Policy, PolicyConfig,
+)
+from repro.profile.base import ProfileSnapshot
+from repro.units import PAGE_SIZE
 
 
 @dataclass
-class AutoTieringConfig:
-    """AutoTiering tunables.
+class AutoTieringConfig(PolicyConfig):
+    """AutoTiering tunables (the budget caps promotions per interval).
 
     Attributes:
-        migration_budget_bytes: promotion throughput cap per interval;
-            ``None`` scales the paper's 200 MB with a 16-region floor.
-        scale: machine capacity scale.
-        default_socket: view socket for tier ranking.
         seed: RNG seed for the opportunistic choices.
     """
 
-    migration_budget_bytes: int | None = None
-    scale: float = 1.0
-    default_socket: int = 0
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def budget_bytes(self) -> int:
-        """Per-interval migration byte budget (scaled paper N, floored)."""
-        if self.migration_budget_bytes is not None:
-            return self.migration_budget_bytes
-        floor = 16 * PAGES_PER_HUGE_PAGE * PAGE_SIZE
-        return max(int(200 * MiB * self.scale), floor)
 
 
 class AutoTieringPolicy(Policy):
@@ -64,9 +47,7 @@ class AutoTieringPolicy(Policy):
         budget_pages = cfg.budget_bytes // PAGE_SIZE
         view = state.topology.view(cfg.default_socket)
         fastest = view.node_at_tier(1)
-        free = {n: state.frames.free_pages(n) for n in state.topology.node_ids}
-        orders: list[MigrationOrder] = []
-        moved: set[tuple[int, int]] = set()
+        ledger = PlacementLedger(state)
         promoted = 0
 
         # Candidates: anything the random-window profiler saw accessed, in
@@ -76,72 +57,36 @@ class AutoTieringPolicy(Policy):
         for report in candidates:
             if promoted >= budget_pages:
                 break
-            pages = self._pages_on_node(report, state, report.node)
+            pages = ledger.pages_on(report, report.node)
             if pages.size == 0:
                 continue
-            if free[fastest] < pages.size:
-                self._opportunistic_demotion(
-                    fastest, pages.size, snapshot, state, free, orders, moved
-                )
-            if free[fastest] < pages.size:
+            if ledger.free[fastest] < pages.size:
+                self._opportunistic_demotion(ledger, fastest, pages.size, snapshot, view)
+            if ledger.free[fastest] < pages.size:
                 continue
-            orders.append(
-                MigrationOrder(
-                    pages=pages, src_node=report.node, dst_node=fastest,
-                    reason="promotion", score=report.score,
-                )
-            )
-            moved.add((report.start, report.npages))
-            free[fastest] -= pages.size
-            free[report.node] += pages.size
+            ledger.move(report, pages, report.node, fastest, "promotion")
             promoted += pages.size
-        return orders
+        return ledger.orders
 
     # -- internals --------------------------------------------------------------
 
-    @staticmethod
-    def _pages_on_node(report: RegionReport, state: PlacementState, node: int) -> np.ndarray:
-        pages = np.arange(report.start, report.end, dtype=np.int64)
-        return pages[state.page_table.node[pages] == node]
-
     def _opportunistic_demotion(
         self,
+        ledger: PlacementLedger,
         dst: int,
         need: int,
         snapshot: ProfileSnapshot,
-        state: PlacementState,
-        free: dict[int, int],
-        orders: list[MigrationOrder],
-        moved: set[tuple[int, int]],
+        view: TierView,
     ) -> None:
         """Evict *random* resident regions (hot or not) to any lower tier
         with room — AutoTiering's opportunistic demotion."""
-        view = state.topology.view(self.config.default_socket)
+        # The shuffle draws per resident, so regions with orders leave
+        # the list before it.
         residents = [
             r for r in snapshot.reports
-            if r.node == dst and (r.start, r.npages) not in moved
+            if r.node == dst and (r.start, r.npages) not in ledger.moved
         ]
         self.rng.shuffle(residents)
-        for victim in residents:
-            if free[dst] >= need:
-                break
-            pages = self._pages_on_node(victim, state, dst)
-            if pages.size == 0:
-                continue
-            target = None
-            for tier in range(view.tier_of(dst) + 1, view.num_tiers + 1):
-                node = view.node_at_tier(tier)
-                if free[node] >= pages.size:
-                    target = node
-                    break
-            if target is None:
-                continue
-            orders.append(
-                MigrationOrder(
-                    pages=pages, src_node=dst, dst_node=target,
-                    reason="demotion", score=victim.score,
-                )
-            )
-            moved.add((victim.start, victim.npages))
-            free[target] -= pages.size
-            free[dst] += pages.size
+        ledger.make_room(
+            dst, need, residents, lambda npages: ledger.lower_with_space(view, dst, npages)
+        )

@@ -1,25 +1,34 @@
-"""Policy interface and migration orders.
+"""Policy interface, migration orders, and what the migrating policies share.
 
 A policy looks at one interval's :class:`~repro.profile.base.ProfileSnapshot`
 plus the current placement state and emits an ordered list of
 :class:`MigrationOrder` — demotions first where space must be made, then
 promotions.  The planner executes them in order through a mechanism and
 charges the time.
+
+Every migrating policy runs under one per-interval budget rule
+(:class:`PolicyConfig`) and plans its batch on one
+:class:`PlacementLedger`; each keeps only its candidates, targets and
+victim order.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.hw.frames import FrameAccountant
-from repro.hw.topology import TierTopology
+from repro.hw.topology import TierTopology, TierView
 from repro.mm.pagetable import PageTable
-from repro.profile.base import ProfileSnapshot
-from repro.units import PAGE_SIZE
+from repro.profile.base import ProfileSnapshot, RegionReport
+from repro.units import MiB, PAGE_SIZE, PAGES_PER_HUGE_PAGE
+
+#: The paper's per-interval migration budget ``N`` (Sec. 6.1).
+PAPER_MIGRATION_BUDGET = 200 * MiB
 
 
 @dataclass(frozen=True)
@@ -69,8 +78,134 @@ class PlacementState:
     frames: FrameAccountant
     topology: TierTopology
 
-    def free_pages(self, node: int) -> int:
-        return self.frames.free_pages(node)
+
+@dataclass
+class PolicyConfig:
+    """The budget every migrating policy runs under.
+
+    MTM promotes at most ``N`` bytes per interval (Sec. 6.1), and the
+    paper caps each baseline's migration throughput at the same ``N``
+    (Sec. 9), so one rule serves all six policies.
+
+    Attributes:
+        migration_budget_bytes: bytes per interval; ``None`` applies
+            :attr:`budget_bytes`'s rule.
+        scale: machine capacity scale (for the default budget).
+        default_socket: view socket for tier ranking when a region's
+            accessor is unknown or the policy sees one view only.
+    """
+
+    migration_budget_bytes: int | None = None
+    scale: float = 1.0
+    default_socket: int = 0
+
+    def __post_init__(self) -> None:
+        if self.scale <= 0:
+            raise ConfigError(f"scale must be positive, got {self.scale}")
+
+    @property
+    def budget_bytes(self) -> int:
+        """Per-interval migration budget: the paper's 200 MB ``N`` times
+        ``scale``, floored at sixteen 2 MB regions (32 MiB).
+
+        The floor is the one capacity that does not scale with the
+        machine.  It exceeds the scaled ``N`` at every scale below 1/6.25:
+        82x at 1/512, 20x at 1/128, 5x at 1/32 and 2x at 1/12.8 (the
+        end-to-end benchmark's paper-scale workload).
+        """
+        if self.migration_budget_bytes is not None:
+            return self.migration_budget_bytes
+        floor = 16 * PAGES_PER_HUGE_PAGE * PAGE_SIZE
+        return max(int(PAPER_MIGRATION_BUDGET * self.scale), floor)
+
+
+class PlacementLedger:
+    """One interval's batch of orders and the free pages it leaves.
+
+    A policy plans the whole batch before the planner executes any of it,
+    so the ledger seeds each node's free pages from the frame accountant
+    and shifts them with every order, which keeps the batch consistent.
+
+    Attributes:
+        state: the placement the batch is planned against.
+        free: free pages per node once the orders so far execute.
+        orders: the batch, in execution order.
+        moved: ``(start, npages)`` of every region given an order.
+    """
+
+    def __init__(self, state: PlacementState) -> None:
+        self.state = state
+        self.free = {n: state.frames.free_pages(n) for n in state.topology.node_ids}
+        self.orders: list[MigrationOrder] = []
+        self.moved: set[tuple[int, int]] = set()
+
+    def pages_on(self, report: RegionReport, node: int) -> np.ndarray:
+        """The pages of ``report``'s region that sit on ``node``.
+
+        A region may straddle components (partial moves, stale
+        placement), so its majority node need not hold all of it.
+        """
+        pages = np.arange(report.start, report.end, dtype=np.int64)
+        return pages[self.state.page_table.node[pages] == node]
+
+    def move(self, report: RegionReport, pages: np.ndarray, src: int, dst: int,
+             reason: str) -> None:
+        """Order ``pages`` of ``report``'s region from ``src`` to ``dst``."""
+        self.orders.append(MigrationOrder(
+            pages=pages, src_node=src, dst_node=dst, reason=reason, score=report.score,
+        ))
+        self.moved.add((report.start, report.npages))
+        self.free[dst] -= pages.size
+        self.free[src] += pages.size
+
+    def lower_with_space(self, view: TierView, node: int, need: int) -> int | None:
+        """The first node below ``node`` in ``view`` with ``need`` free
+        pages, or ``None``."""
+        for tier in range(view.tier_of(node) + 1, view.num_tiers + 1):
+            lower = view.node_at_tier(tier)
+            if self.free[lower] >= need:
+                return lower
+        return None
+
+    def make_room(
+        self,
+        dst: int,
+        need: int,
+        victims: Iterable[RegionReport],
+        target: Callable[[int], int | None],
+    ) -> list[RegionReport]:
+        """Demote ``victims``' pages off ``dst``, in order, until ``need``
+        pages are free there.
+
+        Regions already given an order are skipped, and so is a victim
+        for which ``target(npages)`` names no destination.  The demotions
+        stay in the batch even when room falls short.  Returns the
+        victims demoted.
+        """
+        demoted = []
+        for victim in victims:
+            if self.free[dst] >= need:
+                break
+            if (victim.start, victim.npages) in self.moved:
+                continue
+            pages = self.pages_on(victim, dst)
+            if pages.size == 0:
+                continue
+            node = target(pages.size)
+            if node is None:
+                continue
+            self.move(victim, pages, dst, node, "demotion")
+            demoted.append(victim)
+        return demoted
+
+    @staticmethod
+    def fit(pages: np.ndarray, remaining: int) -> np.ndarray:
+        """``pages`` cut to at most ``remaining`` pages at a huge-page
+        boundary, so THP mappings survive; empty when not one huge page
+        fits."""
+        if pages.size <= remaining:
+            return pages
+        return pages[: remaining // PAGES_PER_HUGE_PAGE * PAGES_PER_HUGE_PAGE]
 
 
 class Policy(abc.ABC):

@@ -17,47 +17,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.policy.base import MigrationOrder, PlacementState, Policy
-from repro.profile.base import ProfileSnapshot, RegionReport
-from repro.units import MiB, PAGE_SIZE, PAGES_PER_HUGE_PAGE
+from repro.policy.base import (
+    MigrationOrder, PlacementLedger, PlacementState, Policy, PolicyConfig,
+)
+from repro.profile.base import ProfileSnapshot
+from repro.units import PAGE_SIZE
 
 
 @dataclass
-class DamosConfig:
-    """DAMOS scheme parameters.
+class DamosConfig(PolicyConfig):
+    """DAMOS scheme parameters.  The budget is upstream's quota: every
+    migrated byte, either scheme's, counts against it.
 
     Attributes:
         hot_threshold: region access count (nr_accesses) at or above which
             the migrate-hot scheme applies.
         cold_threshold: count at or below which migrate-cold applies.
-        quota_bytes: max bytes migrated per interval (upstream's quota);
-            ``None`` scales the paper's 200 MB with a 16-region floor.
-        scale: machine capacity scale.
-        default_socket: view socket for tier ranking.
     """
 
     hot_threshold: float = 1.0
     cold_threshold: float = 0.0
-    quota_bytes: int | None = None
-    scale: float = 1.0
-    default_socket: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.cold_threshold > self.hot_threshold:
             raise ConfigError("cold_threshold must not exceed hot_threshold")
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def budget_bytes(self) -> int:
-        """Per-interval migration byte budget (scaled paper N, floored)."""
-        if self.quota_bytes is not None:
-            return self.quota_bytes
-        floor = 16 * PAGES_PER_HUGE_PAGE * PAGE_SIZE
-        return max(int(200 * MiB * self.scale), floor)
 
 
 class DamosPolicy(Policy):
@@ -73,8 +58,7 @@ class DamosPolicy(Policy):
         view = state.topology.view(cfg.default_socket)
         fastest = view.node_at_tier(1)
         budget = cfg.budget_bytes // PAGE_SIZE
-        free = {n: state.frames.free_pages(n) for n in state.topology.node_ids}
-        orders: list[MigrationOrder] = []
+        ledger = PlacementLedger(state)
         spent = 0
 
         # migrate_cold first: free space on the fast tiers.
@@ -86,18 +70,13 @@ class DamosPolicy(Policy):
         for report in cold:
             if spent >= budget:
                 break
-            pages = self._pages_on_node(report, state, report.node)
+            pages = ledger.pages_on(report, fastest)
             if pages.size == 0:
                 continue
-            target = self._next_lower_with_space(view, 1, pages.size, free)
+            target = ledger.lower_with_space(view, fastest, pages.size)
             if target is None:
                 continue
-            orders.append(MigrationOrder(
-                pages=pages, src_node=fastest, dst_node=target,
-                reason="demotion", score=report.score,
-            ))
-            free[target] -= pages.size
-            free[fastest] += pages.size
+            ledger.move(report, pages, fastest, target, "demotion")
             spent += pages.size
 
         # migrate_hot: hottest first, straight to the fastest tier.
@@ -110,33 +89,12 @@ class DamosPolicy(Policy):
         for report in hot:
             if spent >= budget:
                 break
-            pages = self._pages_on_node(report, state, report.node)
-            if pages.size == 0 or free[fastest] < pages.size:
+            pages = ledger.pages_on(report, report.node)
+            if pages.size == 0 or ledger.free[fastest] < pages.size:
                 continue
-            remaining = budget - spent
-            if pages.size > remaining:
-                cut = (remaining // PAGES_PER_HUGE_PAGE) * PAGES_PER_HUGE_PAGE
-                if cut == 0:
-                    break
-                pages = pages[:cut]
-            orders.append(MigrationOrder(
-                pages=pages, src_node=report.node, dst_node=fastest,
-                reason="promotion", score=report.score,
-            ))
-            free[fastest] -= pages.size
-            free[report.node] += pages.size
+            pages = ledger.fit(pages, budget - spent)
+            if pages.size == 0:
+                break
+            ledger.move(report, pages, report.node, fastest, "promotion")
             spent += pages.size
-        return orders
-
-    @staticmethod
-    def _pages_on_node(report: RegionReport, state: PlacementState, node: int) -> np.ndarray:
-        pages = np.arange(report.start, report.end, dtype=np.int64)
-        return pages[state.page_table.node[pages] == node]
-
-    @staticmethod
-    def _next_lower_with_space(view, from_tier: int, need: int, free) -> int | None:
-        for tier in range(from_tier + 1, view.num_tiers + 1):
-            node = view.node_at_tier(tier)
-            if free[node] >= need:
-                return node
-        return None
+        return ledger.orders

@@ -12,45 +12,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.policy.base import MigrationOrder, PlacementState, Policy
-from repro.profile.base import ProfileSnapshot, RegionReport
-from repro.units import MiB, PAGE_SIZE, PAGES_PER_HUGE_PAGE
+from repro.hw.tier import MemoryKind
+from repro.policy.base import (
+    MigrationOrder, PlacementLedger, PlacementState, Policy, PolicyConfig,
+)
+from repro.profile.base import ProfileSnapshot
+from repro.units import PAGE_SIZE
 
 
 @dataclass
-class HeMemPolicyConfig:
-    """HeMem tunables.
+class HeMemPolicyConfig(PolicyConfig):
+    """HeMem tunables (the budget caps promotions per interval; the
+    default socket's view defines "DRAM", tier 1).
 
     Attributes:
         hot_threshold: PEBS samples (accumulated, cooled) above which a
             chunk is hot.
-        migration_budget_bytes: bytes promoted per interval; ``None``
-            scales the paper's 200 MB with a 16-region floor.
-        scale: machine capacity scale.
-        default_socket: socket whose view defines "DRAM" (tier 1).
     """
 
     hot_threshold: float = 4.0
-    migration_budget_bytes: int | None = None
-    scale: float = 1.0
-    default_socket: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.hot_threshold < 0:
             raise ConfigError("hot_threshold must be >= 0")
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def budget_bytes(self) -> int:
-        """Per-interval migration byte budget (scaled paper N, floored)."""
-        if self.migration_budget_bytes is not None:
-            return self.migration_budget_bytes
-        floor = 16 * PAGES_PER_HUGE_PAGE * PAGE_SIZE
-        return max(int(200 * MiB * self.scale), floor)
 
 
 class HeMemPolicy(Policy):
@@ -66,9 +52,7 @@ class HeMemPolicy(Policy):
         view = state.topology.view(cfg.default_socket)
         dram = view.node_at_tier(1)
         budget_pages = cfg.budget_bytes // PAGE_SIZE
-        free = {n: state.frames.free_pages(n) for n in state.topology.node_ids}
-        orders: list[MigrationOrder] = []
-        moved: set[tuple[int, int]] = set()
+        ledger = PlacementLedger(state)
         promoted = 0
 
         hot = sorted(
@@ -79,79 +63,43 @@ class HeMemPolicy(Policy):
         for report in hot:
             if promoted >= budget_pages:
                 break
-            pages = self._pages_on_node(report, state, report.node)
+            pages = ledger.pages_on(report, report.node)
             if pages.size == 0:
                 continue
-            if free[dram] < pages.size:
-                self._demote_coldest(dram, pages.size, snapshot, state, free, orders, moved)
-            if free[dram] < pages.size:
+            if ledger.free[dram] < pages.size:
+                self._demote_coldest(ledger, dram, pages.size, snapshot, state)
+            if ledger.free[dram] < pages.size:
                 continue
-            orders.append(
-                MigrationOrder(
-                    pages=pages, src_node=report.node, dst_node=dram,
-                    reason="promotion", score=report.score,
-                )
-            )
-            moved.add((report.start, report.npages))
-            free[dram] -= pages.size
-            free[report.node] += pages.size
+            ledger.move(report, pages, report.node, dram, "promotion")
             promoted += pages.size
-        return orders
+        return ledger.orders
 
     # -- internals --------------------------------------------------------------
 
-    @staticmethod
-    def _pages_on_node(report: RegionReport, state: PlacementState, node: int) -> np.ndarray:
-        pages = np.arange(report.start, report.end, dtype=np.int64)
-        return pages[state.page_table.node[pages] == node]
-
     def _demote_coldest(
         self,
+        ledger: PlacementLedger,
         dram: int,
         need: int,
         snapshot: ProfileSnapshot,
         state: PlacementState,
-        free: dict[int, int],
-        orders: list[MigrationOrder],
-        moved: set[tuple[int, int]],
     ) -> None:
         """HeMem demotes the coldest DRAM chunks to "NVM": the PM
         components.  It is blind to the remote-DRAM middle tier — a page
         leaving DRAM goes straight to persistent memory."""
-        from repro.hw.tier import MemoryKind
-
         # Only chunks the threshold classifies as cold are demotable: a
         # stale chunk whose cooled count still sits above the threshold
         # keeps its DRAM residence (HeMem's hot/cold lists), which is why
         # HeMem reacts slowly when the hot set moves.
         victims = sorted(
-            (
-                r for r in snapshot.reports
-                if r.node == dram
-                and r.score < self.config.hot_threshold
-                and (r.start, r.npages) not in moved
-            ),
+            (r for r in snapshot.reports if r.node == dram and r.score < self.config.hot_threshold),
             key=lambda r: r.score,
         )
         nvm_nodes = [
             c.node_id for c in state.topology.components
             if c.kind != MemoryKind.DRAM
         ] or [n for n in state.topology.node_ids if n != dram]
-        for victim in victims:
-            if free[dram] >= need:
-                break
-            pages = self._pages_on_node(victim, state, dram)
-            if pages.size == 0:
-                continue
-            target = next((n for n in nvm_nodes if free[n] >= pages.size), None)
-            if target is None:
-                continue
-            orders.append(
-                MigrationOrder(
-                    pages=pages, src_node=dram, dst_node=target,
-                    reason="demotion", score=victim.score,
-                )
-            )
-            moved.add((victim.start, victim.npages))
-            free[target] -= pages.size
-            free[dram] += pages.size
+        ledger.make_room(
+            dram, need, victims,
+            lambda npages: next((n for n in nvm_nodes if ledger.free[n] >= npages), None),
+        )

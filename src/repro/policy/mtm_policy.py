@@ -18,33 +18,26 @@ Sec. 6 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
 from repro import nputil
 
 from repro.errors import ConfigError
-from repro.policy.base import MigrationOrder, PlacementState, Policy
+from repro.policy.base import (
+    MigrationOrder, PlacementLedger, PlacementState, Policy, PolicyConfig,
+)
 from repro.policy.histogram import WhiHistogram
 from repro.profile.base import ProfileSnapshot, RegionReport
-from repro.units import MiB, PAGE_SIZE, PAGES_PER_HUGE_PAGE
-
-#: The paper's per-interval migration budget (Sec. 6.1).
-PAPER_MIGRATION_BUDGET = 200 * MiB
-
+from repro.units import PAGE_SIZE
 
 @dataclass
-class MtmPolicyConfig:
-    """MTM policy tunables.
+class MtmPolicyConfig(PolicyConfig):
+    """MTM policy tunables (the budget ``N`` comes from :class:`PolicyConfig`).
 
     Attributes:
-        migration_budget_bytes: promoted bytes per interval (the paper's
-            ``N``).  ``None`` scales the paper's 200 MB by ``scale`` with a
-            floor of sixteen 2 MB regions (32 MB) so scaled machines still
-            migrate whole regions.
-        scale: machine capacity scale (for the default budget).
         num_buckets: WHI histogram resolution.
-        default_socket: view used when a region's accessor is unknown.
         min_score: regions scoring at or below this are never promoted.
         headroom: fraction of each tier's capacity left unassigned so
             promotion always has room to land without cascading demotions.
@@ -56,27 +49,15 @@ class MtmPolicyConfig:
             same role in the paper).
     """
 
-    migration_budget_bytes: int | None = None
-    scale: float = 1.0
     num_buckets: int = 16
-    default_socket: int = 0
     min_score: float = 0.0
     headroom: float = 0.02
     displacement_margin: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        super().__post_init__()
         if self.num_buckets < 2:
             raise ConfigError("num_buckets must be >= 2")
-
-    @property
-    def budget_bytes(self) -> int:
-        """Per-interval migration byte budget (scaled paper N, floored)."""
-        if self.migration_budget_bytes is not None:
-            return self.migration_budget_bytes
-        floor = 16 * PAGES_PER_HUGE_PAGE * PAGE_SIZE
-        return max(int(PAPER_MIGRATION_BUDGET * self.scale), floor)
 
 
 class MtmPolicy(Policy):
@@ -91,11 +72,7 @@ class MtmPolicy(Policy):
         cfg = self.config
         hist = WhiHistogram(snapshot.reports, num_buckets=cfg.num_buckets)
         budget_pages = cfg.budget_bytes // PAGE_SIZE
-
-        # Simulated free-page ledger so orders are consistent as a batch.
-        free = {n: state.frames.free_pages(n) for n in state.topology.node_ids}
-        orders: list[MigrationOrder] = []
-        moved_regions: set[tuple[int, int]] = set()
+        ledger = PlacementLedger(state)
 
         # Global view (Sec. 6): rank every region on every tier by WHI and
         # assign tiers by capacity — the hottest fill the fastest tier,
@@ -120,35 +97,18 @@ class MtmPolicy(Policy):
                     break
                 if view.tier_of(src_node) <= target_tier:
                     continue  # equal or faster: demotion is pressure-driven only
-                pages = region_pages[region_nodes == src_node]
                 # A chunk larger than the remaining budget is promoted
-                # partially, truncated at a huge-page boundary so THP
-                # mappings survive.
-                remaining = budget_pages - promoted_pages
-                if pages.size > remaining:
-                    cut = (remaining // PAGES_PER_HUGE_PAGE) * PAGES_PER_HUGE_PAGE
-                    if cut == 0:
-                        break
-                    pages = pages[:cut]
-                if not self._make_space(
-                    target_node, int(pages.size), free, hist, state, orders,
-                    moved_regions, promoting_score=report.score,
-                ):
+                # partially.
+                pages = ledger.fit(region_pages[region_nodes == src_node],
+                                   budget_pages - promoted_pages)
+                if pages.size == 0:
+                    break
+                if not self._make_space(ledger, target_node, int(pages.size), hist,
+                                        state, promoting_score=report.score):
                     continue
-                orders.append(
-                    MigrationOrder(
-                        pages=pages,
-                        src_node=src_node,
-                        dst_node=target_node,
-                        reason="promotion",
-                        score=report.score,
-                    )
-                )
-                moved_regions.add((report.start, report.npages))
-                free[target_node] -= pages.size
-                free[src_node] += pages.size
+                ledger.move(report, pages, src_node, target_node, "promotion")
                 promoted_pages += pages.size
-        return orders
+        return ledger.orders
 
     def _assign_targets(
         self, hist: WhiHistogram, state: PlacementState
@@ -198,80 +158,40 @@ class MtmPolicy(Policy):
         socket = report.dominant_socket if report.dominant_socket >= 0 else self.config.default_socket
         return state.topology.view(socket)
 
-    @staticmethod
-    def _pages_on_node(report: RegionReport, state: PlacementState, node: int) -> np.ndarray:
-        pages = np.arange(report.start, report.end, dtype=np.int64)
-        return pages[state.page_table.node[pages] == node]
-
     def _make_space(
         self,
+        ledger: PlacementLedger,
         dst: int,
         need: int,
-        free: dict[int, int],
         hist: WhiHistogram,
         state: PlacementState,
-        orders: list[MigrationOrder],
-        moved_regions: set[tuple[int, int]],
         promoting_score: float = float("inf"),
     ) -> bool:
         """Demote coldest regions out of ``dst`` until ``need`` pages fit.
 
         Demotion is slow: one tier down at a time, to the next lower tier
         with capacity (Sec. 6.2).  Victims must be colder than the
-        promoting region by the displacement margin.  Returns False when
-        space cannot be made.
+        promoting region by the displacement margin.  When space cannot be
+        made, the demotions staged for it are taken back out of the
+        ledger and False is returned.
         """
-        if free[dst] >= need:
+        if ledger.free[dst] >= need:
             return True
         view = state.topology.view(self.config.default_socket)
-        dst_tier = view.tier_of(dst)
-        staged: list[MigrationOrder] = []
-        staged_keys: list[tuple[int, int]] = []
-        freed = 0
-        for report in hist.coldest_first():
-            if free[dst] + freed >= need:
-                break
-            if report.score + self.config.displacement_margin >= promoting_score:
-                break  # coldest-first order: no colder victims remain
-            key = (report.start, report.npages)
-            if key in moved_regions:
-                continue
-            # A straddling region may hold pages on dst even when its
-            # majority lives elsewhere; demote exactly those pages.
-            pages = self._pages_on_node(report, state, dst)
-            if pages.size == 0:
-                continue
-            victim_dst = self._next_lower_tier_with_space(
-                view, dst_tier, pages.size, free, state
-            )
-            if victim_dst is None:
-                continue
-            staged.append(
-                MigrationOrder(
-                    pages=pages,
-                    src_node=dst,
-                    dst_node=victim_dst,
-                    reason="demotion",
-                    score=report.score,
-                )
-            )
-            staged_keys.append(key)
-            free[victim_dst] -= pages.size
-            freed += pages.size
-        if free[dst] + freed < need:
-            # Roll back the simulated ledger; orders were not emitted.
-            for order in staged:
-                free[order.dst_node] += order.npages
-            return False
-        orders.extend(staged)
-        moved_regions.update(staged_keys)
-        free[dst] += freed
-        return True
-
-    @staticmethod
-    def _next_lower_tier_with_space(view, from_tier: int, need: int, free, state) -> int | None:
-        for tier in range(from_tier + 1, view.num_tiers + 1):
-            node = view.node_at_tier(tier)
-            if free[node] >= need:
-                return node
-        return None
+        margin = self.config.displacement_margin
+        # Coldest first: once one region is within the margin of the
+        # promoting one, every later region is too.
+        victims = takewhile(lambda r: r.score + margin < promoting_score,
+                            hist.coldest_first())
+        staged = ledger.make_room(
+            dst, need, victims, lambda npages: ledger.lower_with_space(view, dst, npages)
+        )
+        if ledger.free[dst] >= need:
+            return True
+        # Room cannot be made: take the staged demotions back.
+        for _ in staged:
+            order = ledger.orders.pop()
+            ledger.free[order.src_node] -= order.npages
+            ledger.free[order.dst_node] += order.npages
+        ledger.moved.difference_update((r.start, r.npages) for r in staged)
+        return False

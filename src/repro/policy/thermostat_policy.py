@@ -12,46 +12,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.policy.base import MigrationOrder, PlacementState, Policy
-from repro.profile.base import ProfileSnapshot, RegionReport
-from repro.units import MiB, PAGE_SIZE, PAGES_PER_HUGE_PAGE
+from repro.policy.base import (
+    MigrationOrder, PlacementLedger, PlacementState, Policy, PolicyConfig,
+)
+from repro.profile.base import ProfileSnapshot
+from repro.units import PAGE_SIZE
 
 
 @dataclass
-class ThermostatPolicyConfig:
-    """Thermostat policy tunables.
+class ThermostatPolicyConfig(PolicyConfig):
+    """Thermostat policy tunables (every move, demotions too, counts
+    against the budget; the default socket's view defines the fast tier).
 
     Attributes:
         headroom_fraction: free space to maintain on the fast tier.
-        migration_budget_bytes: bytes moved per interval; ``None`` scales
-            the paper's 200 MB with a 16-region floor.
-        scale: machine capacity scale.
-        default_socket: view socket defining the fast tier.
         cold_threshold: scores at or below this are demotable.
     """
 
     headroom_fraction: float = 0.05
-    migration_budget_bytes: int | None = None
-    scale: float = 1.0
-    default_socket: int = 0
     cold_threshold: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 <= self.headroom_fraction < 1.0:
             raise ConfigError("headroom_fraction must be in [0, 1)")
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def budget_bytes(self) -> int:
-        """Per-interval migration byte budget (scaled paper N, floored)."""
-        if self.migration_budget_bytes is not None:
-            return self.migration_budget_bytes
-        floor = 16 * PAGES_PER_HUGE_PAGE * PAGE_SIZE
-        return max(int(200 * MiB * self.scale), floor)
 
 
 class ThermostatPolicy(Policy):
@@ -67,39 +52,26 @@ class ThermostatPolicy(Policy):
         view = state.topology.view(cfg.default_socket)
         fast = view.node_at_tier(1)
         budget_pages = cfg.budget_bytes // PAGE_SIZE
-        free = {n: state.frames.free_pages(n) for n in state.topology.node_ids}
+        ledger = PlacementLedger(state)
         target_free = int(state.frames.capacity_pages(fast) * cfg.headroom_fraction)
-        orders: list[MigrationOrder] = []
         spent = 0
 
         # Demote coldest fast-tier regions until the headroom target holds.
-        if free[fast] < target_free:
+        if ledger.free[fast] < target_free:
             victims = sorted(
                 (r for r in snapshot.reports if r.node == fast and r.score <= cfg.cold_threshold),
                 key=lambda r: r.score,
             )
             for victim in victims:
-                if free[fast] >= target_free or spent >= budget_pages:
+                if ledger.free[fast] >= target_free or spent >= budget_pages:
                     break
-                pages = self._pages_on_node(victim, state, fast)
+                pages = ledger.pages_on(victim, fast)
                 if pages.size == 0:
                     continue
-                target = None
-                for tier in range(2, view.num_tiers + 1):
-                    node = view.node_at_tier(tier)
-                    if free[node] >= pages.size:
-                        target = node
-                        break
+                target = ledger.lower_with_space(view, fast, pages.size)
                 if target is None:
                     break
-                orders.append(
-                    MigrationOrder(
-                        pages=pages, src_node=fast, dst_node=target,
-                        reason="demotion", score=victim.score,
-                    )
-                )
-                free[target] -= pages.size
-                free[fast] += pages.size
+                ledger.move(victim, pages, fast, target, "demotion")
                 spent += pages.size
 
         # Recover hot regions that ended up below (poor man's promotion).
@@ -111,21 +83,9 @@ class ThermostatPolicy(Policy):
         for report in hot:
             if spent >= budget_pages:
                 break
-            pages = self._pages_on_node(report, state, report.node)
-            if pages.size == 0 or free[fast] < pages.size:
+            pages = ledger.pages_on(report, report.node)
+            if pages.size == 0 or ledger.free[fast] < pages.size:
                 continue
-            orders.append(
-                MigrationOrder(
-                    pages=pages, src_node=report.node, dst_node=fast,
-                    reason="promotion", score=report.score,
-                )
-            )
-            free[fast] -= pages.size
-            free[report.node] += pages.size
+            ledger.move(report, pages, report.node, fast, "promotion")
             spent += pages.size
-        return orders
-
-    @staticmethod
-    def _pages_on_node(report: RegionReport, state: PlacementState, node: int) -> np.ndarray:
-        pages = np.arange(report.start, report.end, dtype=np.int64)
-        return pages[state.page_table.node[pages] == node]
+        return ledger.orders

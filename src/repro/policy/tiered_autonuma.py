@@ -18,45 +18,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.errors import ConfigError
-from repro.policy.base import MigrationOrder, PlacementState, Policy
+from repro.policy.base import (
+    MigrationOrder, PlacementLedger, PlacementState, Policy, PolicyConfig,
+)
 from repro.profile.base import ProfileSnapshot, RegionReport
-from repro.units import MiB, PAGE_SIZE, PAGES_PER_HUGE_PAGE
+from repro.units import PAGE_SIZE
 
 
 @dataclass
-class TieredAutoNumaConfig:
+class TieredAutoNumaConfig(PolicyConfig):
     """Tiered-AutoNUMA tunables.
 
+    The budget caps promotion throughput per interval, equal to MTM's
+    ``N`` as in the paper's comparison.
+
     Attributes:
-        migration_budget_bytes: promotion throughput cap per interval (set
-            equal to MTM's 200 MB in the paper's comparison); ``None``
-            scales by ``scale`` with a 16-region floor.
-        scale: machine capacity scale.
         auto_threshold: adjust the hot threshold to track the budget
             (the patched kernel's behaviour); False promotes anything with
             a positive score (vanilla).
-        default_socket: view socket for tier ranking.
     """
 
-    migration_budget_bytes: int | None = None
-    scale: float = 1.0
     auto_threshold: bool = True
-    default_socket: int = 0
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def budget_bytes(self) -> int:
-        """Per-interval migration byte budget (scaled paper N, floored)."""
-        if self.migration_budget_bytes is not None:
-            return self.migration_budget_bytes
-        floor = 16 * PAGES_PER_HUGE_PAGE * PAGE_SIZE
-        return max(int(200 * MiB * self.scale), floor)
 
 
 class TieredAutoNumaPolicy(Policy):
@@ -71,9 +53,7 @@ class TieredAutoNumaPolicy(Policy):
     def decide(self, snapshot: ProfileSnapshot, state: PlacementState) -> list[MigrationOrder]:
         cfg = self.config
         budget_pages = cfg.budget_bytes // PAGE_SIZE
-        free = {n: state.frames.free_pages(n) for n in state.topology.node_ids}
-        orders: list[MigrationOrder] = []
-        moved: set[tuple[int, int]] = set()
+        ledger = PlacementLedger(state)
         promoted = 0
 
         candidates = [r for r in snapshot.reports if r.score > self._hot_threshold and r.node >= 0]
@@ -84,27 +64,19 @@ class TieredAutoNumaPolicy(Policy):
             dst = self._one_step_up(report, state)
             if dst is None:
                 continue
-            pages = self._pages_on_node(report, state, report.node)
+            pages = ledger.pages_on(report, report.node)
             if pages.size == 0:
                 continue
-            if free[dst] < pages.size:
-                self._demote_for_space(dst, pages.size, snapshot, state, free, orders, moved)
-            if free[dst] < pages.size:
+            if ledger.free[dst] < pages.size:
+                self._demote_for_space(ledger, dst, pages.size, snapshot, state)
+            if ledger.free[dst] < pages.size:
                 continue
-            orders.append(
-                MigrationOrder(
-                    pages=pages, src_node=report.node, dst_node=dst,
-                    reason="promotion", score=report.score,
-                )
-            )
-            moved.add((report.start, report.npages))
-            free[dst] -= pages.size
-            free[report.node] += pages.size
+            ledger.move(report, pages, report.node, dst, "promotion")
             promoted += pages.size
 
         if cfg.auto_threshold:
             self._adjust_threshold(candidates, promoted, budget_pages)
-        return orders
+        return ledger.orders
 
     # -- internals --------------------------------------------------------------
 
@@ -136,20 +108,13 @@ class TieredAutoNumaPolicy(Policy):
                 return target
         return None
 
-    @staticmethod
-    def _pages_on_node(report: RegionReport, state: PlacementState, node: int) -> np.ndarray:
-        pages = np.arange(report.start, report.end, dtype=np.int64)
-        return pages[state.page_table.node[pages] == node]
-
     def _demote_for_space(
         self,
+        ledger: PlacementLedger,
         dst: int,
         need: int,
         snapshot: ProfileSnapshot,
         state: PlacementState,
-        free: dict[int, int],
-        orders: list[MigrationOrder],
-        moved: set[tuple[int, int]],
     ) -> None:
         """Demote coldest regions from ``dst`` one step down, same socket."""
         topo = state.topology
@@ -164,25 +129,10 @@ class TieredAutoNumaPolicy(Policy):
                 break
         if down is None:
             return
-        victims = sorted(
-            (r for r in snapshot.reports if r.node == dst and (r.start, r.npages) not in moved),
-            key=lambda r: r.score,
+        victims = sorted((r for r in snapshot.reports if r.node == dst), key=lambda r: r.score)
+        ledger.make_room(
+            dst, need, victims, lambda npages: down if ledger.free[down] >= npages else None
         )
-        for victim in victims:
-            if free[dst] >= need:
-                break
-            pages = self._pages_on_node(victim, state, dst)
-            if pages.size == 0 or free[down] < pages.size:
-                continue
-            orders.append(
-                MigrationOrder(
-                    pages=pages, src_node=dst, dst_node=down,
-                    reason="demotion", score=victim.score,
-                )
-            )
-            moved.add((victim.start, victim.npages))
-            free[down] -= pages.size
-            free[dst] += pages.size
 
     def _adjust_threshold(self, candidates: list[RegionReport], promoted: int, budget: int) -> None:
         """The patched kernel's automatic hot-threshold adjustment: raise

@@ -23,7 +23,7 @@ from repro.errors import ConfigError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
 from repro.perf.pebs import PebsSampler
-from repro.profile.base import Profiler, ProfileSnapshot, RegionReport
+from repro.profile.base import Profiler, ProfileSnapshot
 from repro.profile.regions import DEFAULT_REGION_PAGES
 from repro.sim.costmodel import CostModel
 from repro.units import MiB, PAGE_SIZE
@@ -155,22 +155,8 @@ class RandomWindowProfiler(Profiler):
         # hint fault per detected access.
         time = self.cost_model.scan_time(int(entries.size)) + self.cost_model.hint_fault_time(faults)
 
-        chunk_nodes = page_table.span_majority_nodes(
-            self._chunk_starts, self._chunk_sizes
-        )
-        reports = [
-            RegionReport(
-                start=int(self._chunk_starts[i]),
-                npages=int(self._chunk_sizes[i]),
-                score=float(self._scores[i]),
-                whi=float(self._scores[i]),
-                node=int(chunk_nodes[i]),
-            )
-            for i in range(self._chunk_starts.size)
-        ]
-        return ProfileSnapshot(
-            interval=self._interval,
-            reports=reports,
+        return ProfileSnapshot.from_regions(
+            self._interval, page_table, self._chunk_starts, self._chunk_sizes, self._scores,
             profiling_time=time,
             scans_performed=int(entries.size),
         )

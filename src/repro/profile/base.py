@@ -65,6 +65,36 @@ class ProfileSnapshot:
     scans_performed: int = 0
     pebs_samples: int = 0
 
+    @classmethod
+    def from_regions(
+        cls,
+        interval: int,
+        page_table: PageTable,
+        start: np.ndarray,
+        npages: np.ndarray,
+        score: np.ndarray,
+        dominant_socket: np.ndarray | None = None,
+        **fields,
+    ) -> "ProfileSnapshot":
+        """A snapshot of regions given as columns, one row per region.
+
+        Every region's resident node comes from one bulk pass over the
+        placement runs.  Each report's ``whi`` is its ``score``: every
+        profiler ranks by the hotness it keeps.  ``dominant_socket``
+        defaults to unknown (-1); ``fields`` are the snapshot's other
+        attributes (``profiling_time``, ``scans_performed``, ...).
+        """
+        nodes = page_table.span_majority_nodes(start, npages)
+        if dominant_socket is None:
+            dominant_socket = np.full(len(nodes), -1)
+        scores = score.tolist()
+        reports = [
+            RegionReport(*row)
+            for row in zip(start.tolist(), npages.tolist(), scores, scores,
+                           nodes.tolist(), dominant_socket.tolist())
+        ]
+        return cls(interval=interval, reports=reports, **fields)
+
     def page_scores(self, n_pages: int) -> np.ndarray:
         """Dense per-page hotness: each page gets its region's score."""
         scores = np.zeros(n_pages, dtype=np.float64)

@@ -25,7 +25,7 @@ from repro.errors import ConfigError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
 from repro.perf.pebs import PebsSampler
-from repro.profile.base import Profiler, ProfileSnapshot, RegionReport
+from repro.profile.base import Profiler, ProfileSnapshot
 from repro.profile.regions import COLUMNS, RegionSet
 from repro.sim.costmodel import CostModel
 
@@ -197,23 +197,15 @@ class DamonProfiler(Profiler):
             cols["npages"][left + 1] -= cuts
             for name in ("n_samples", "last_max_diff", "dominant_socket", "hottest_entry"):
                 cols[name][children] = COLUMNS[name][1]
+            # The rebuilt set carries the formation stats on (Table 7).
             self.regions = RegionSet.from_columns(**cols)
+            self.regions.stats = regions.stats
             splits_delta = int(rows.size)
             self.regions.stats.splits += splits_delta
         self.regions.end_interval()
         if obs is not None:
             self._emit_formation(obs, merges=merges_delta, splits=splits_delta)
 
-        # Every region's resident node in one pass over the placement runs.
-        regions = self.regions
-        nodes = page_table.span_majority_nodes(regions.start, regions.npages)
-        reports = [
-            RegionReport(start=start, npages=npages, score=hi, whi=hi, node=node)
-            for start, npages, hi, node in zip(
-                regions.start.tolist(), regions.npages.tolist(), regions.hi.tolist(),
-                nodes.tolist(),
-            )
-        ]
         # The scans happened over one wall-clock interval that stands for
         # the paper's 10 s; charge the same *fraction* of the simulated
         # interval.
@@ -232,9 +224,9 @@ class DamonProfiler(Profiler):
                 pebs_samples=0,
                 profiling_time=time,
             )
-        return ProfileSnapshot(
-            interval=self._interval,
-            reports=reports,
+        regions = self.regions
+        return ProfileSnapshot.from_regions(
+            self._interval, page_table, regions.start, regions.npages, regions.hi,
             profiling_time=time,
             scans_performed=scans,
         )

@@ -20,7 +20,7 @@ from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
 from repro.perf.events import PEBS_ALL_EVENTS
 from repro.perf.pebs import PebsSampler
-from repro.profile.base import Profiler, ProfileSnapshot, RegionReport
+from repro.profile.base import Profiler, ProfileSnapshot
 from repro.profile.regions import DEFAULT_REGION_PAGES
 from repro.sim.costmodel import CostModel
 
@@ -112,18 +112,6 @@ class PebsOnlyProfiler(Profiler):
             valid = idx >= 0
             np.add.at(self._scores, idx[valid], sample_set.samples[valid].astype(np.float64))
 
-        # Every chunk's resident node in one pass over the placement runs.
-        nodes = page_table.span_majority_nodes(self._chunk_starts, self._chunk_sizes)
-        reports = [
-            RegionReport(
-                start=int(self._chunk_starts[i]),
-                npages=int(self._chunk_sizes[i]),
-                score=float(self._scores[i]),
-                whi=float(self._scores[i]),
-                node=int(nodes[i]),
-            )
-            for i in range(self._chunk_starts.size)
-        ]
         time = self.cost_model.pebs_time(sample_set.total_samples)
         obs = self.obs
         if obs is not None:
@@ -138,9 +126,8 @@ class PebsOnlyProfiler(Profiler):
                 pebs_samples=sample_set.total_samples,
                 profiling_time=time,
             )
-        return ProfileSnapshot(
-            interval=self._interval,
-            reports=reports,
+        return ProfileSnapshot.from_regions(
+            self._interval, page_table, self._chunk_starts, self._chunk_sizes, self._scores,
             profiling_time=time,
             pebs_samples=sample_set.total_samples,
         )

@@ -35,7 +35,7 @@ from repro.errors import ConfigError, SampleLossError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
 from repro.perf.pebs import PebsSampler
-from repro.profile.base import Profiler, ProfileSnapshot, RegionReport
+from repro.profile.base import Profiler, ProfileSnapshot
 from repro.profile.regions import DEFAULT_REGION_PAGES, RegionSet
 from repro.sim.costmodel import CostModel
 
@@ -339,18 +339,6 @@ class MtmProfiler(Profiler):
             self._last_pebs_time = self.cost_model.pebs_time(pebs_samples)
             time += self._last_pebs_time
 
-        # Resolve resident nodes for the final layout in one bulk pass.
-        nodes = page_table.span_majority_nodes(regions.start, regions.npages)
-        reports = [
-            RegionReport(
-                start=start, npages=npages, score=whi, whi=whi, node=node,
-                dominant_socket=socket_,
-            )
-            for start, npages, whi, node, socket_ in zip(
-                regions.start.tolist(), regions.npages.tolist(), regions.whi.tolist(),
-                nodes.tolist(), regions.dominant_socket.tolist(),
-            )
-        ]
         if obs is not None:
             self._emit_scan(
                 obs,
@@ -363,9 +351,9 @@ class MtmProfiler(Profiler):
                 pebs_samples=pebs_samples,
                 profiling_time=time,
             )
-        return ProfileSnapshot(
-            interval=self._interval,
-            reports=reports,
+        return ProfileSnapshot.from_regions(
+            self._interval, page_table, regions.start, regions.npages, regions.whi,
+            regions.dominant_socket,
             profiling_time=time,
             scans_performed=scans_used,
             pebs_samples=pebs_samples,

@@ -23,7 +23,7 @@ from repro.errors import ConfigError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
 from repro.perf.pebs import PebsSampler
-from repro.profile.base import Profiler, ProfileSnapshot, RegionReport
+from repro.profile.base import Profiler, ProfileSnapshot
 from repro.profile.regions import DEFAULT_REGION_PAGES, RegionSet
 from repro.sim.costmodel import CostModel
 from repro.units import PAGES_PER_HUGE_PAGE
@@ -133,17 +133,8 @@ class ThermostatProfiler(Profiler):
         # is part of why its quality converges slowly (Fig. 1).
         regions.end_interval()
 
-        # Every region's resident node in one pass over the placement runs.
-        nodes = page_table.span_majority_nodes(regions.start, regions.npages)
-        reports = [
-            RegionReport(start=start, npages=npages, score=hi, whi=hi, node=node)
-            for start, npages, hi, node in zip(
-                starts, regions.npages.tolist(), regions.hi.tolist(), nodes.tolist()
-            )
-        ]
-        return ProfileSnapshot(
-            interval=self._interval,
-            reports=reports,
+        return ProfileSnapshot.from_regions(
+            self._interval, page_table, regions.start, regions.npages, regions.hi,
             profiling_time=faults * self.fault_cost,
             scans_performed=faults,
         )

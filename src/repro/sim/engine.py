@@ -393,15 +393,17 @@ class SimulationEngine:
 
         On the paper's machine a full 200 MB `move_pages()` budget costs
         ~6% of the 10 s interval.  A capacity-scaled machine migrates a
-        *relatively* larger budget (the 2 MB region quantum cannot
-        shrink), so the per-move cost is scaled such that spending the
-        policy's full budget through sequential `move_pages()` costs the
-        same ~6% share of the (scaled) interval.  The same factor applies
-        to every mechanism, so their relative speeds (Figs. 3/11) carry
-        straight into end-to-end runs.
+        *relatively* larger budget (the floor of
+        :attr:`~repro.policy.base.PolicyConfig.budget_bytes`), so the
+        per-move cost is scaled such that spending the policy's full
+        budget through sequential `move_pages()` costs the same ~6% share
+        of the (scaled) interval; a policy without a budget, or with one
+        below the paper's scaled N, is calibrated on the scaled N.  The
+        same factor applies to every mechanism, so their relative speeds
+        (Figs. 3/11) carry straight into end-to-end runs.
         """
         from repro.migrate.move_pages import MovePagesMechanism
-        from repro.policy.mtm_policy import PAPER_MIGRATION_BUDGET
+        from repro.policy.base import PAPER_MIGRATION_BUDGET
 
         share_target = 0.06
         budget_bytes = int(PAPER_MIGRATION_BUDGET * self.cost_model.params.scale)

@@ -50,6 +50,11 @@ REGION_SOLUTIONS = {
     "damon": WORKLOADS,
     **{f"mtm-no-{flag}": ["gups", "voltdb"] for flag in ("amr", "aps", "oc", "pebs")},
 }
+#: Every migrating policy.  The 4-interval runs above never make MTM
+#: demote, and miss two of these solutions; at 24 intervals each demotes.
+POLICY_SOLUTIONS = ["mtm", "tiered-autonuma", "vanilla-tiered-autonuma",
+                    "autotiering", "hemem", "thermostat", "damon"]
+POLICY_INTERVALS = 24
 #: Every per-region field of :class:`~repro.profile.regions.MemoryRegion`.
 REGION_FIELDS = ("start", "npages", "n_samples", "hi", "whi", "prev_hi",
                  "last_max_diff", "dominant_socket", "hottest_entry")
@@ -58,6 +63,13 @@ REGION_FIELDS = ("start", "npages", "n_samples", "hi", "whi", "prev_hi",
 def solution_run(workload: str, solution: str, **kwargs):
     """Fingerprint of ``run_solution`` under :data:`TINY_PROFILE`."""
     return fingerprint(run_solution(solution, workload, TINY_PROFILE, **kwargs))
+
+
+def engine_run(workload: str, solution: str):
+    """Fingerprint of ``solution`` on ``workload`` at 1/512, seed 3, run
+    for :data:`POLICY_INTERVALS` intervals."""
+    engine = make_engine(solution, workload, scale=SCALE, seed=3)
+    return fingerprint(engine.run(POLICY_INTERVALS))
 
 
 def faulty_engine(workload):
@@ -115,11 +127,17 @@ def solution_key(workload: str, solution: str) -> str:
     return f"solution/{workload}/{solution}"
 
 
+def engine_key(workload: str, solution: str) -> str:
+    return f"engine/{workload}/{solution}/{POLICY_INTERVALS}"
+
+
 RECIPES = {
     **{solution_key(w, s): partial(solution_run, w, s)
        for w in WORKLOADS for s in SOLUTIONS},
     **{solution_key(w, s): partial(solution_run, w, s)
        for s, workloads in REGION_SOLUTIONS.items() for w in workloads},
+    **{engine_key(w, s): partial(engine_run, w, s)
+       for w in ("gups", "voltdb") for s in POLICY_SOLUTIONS},
     "solution/gups/mtm/faults": partial(solution_run, "gups", "mtm", **FAULTS),
     "engine/gups/mtm/faults/6": lambda: fingerprint(faulty_engine("gups").run(6)),
     "engine/gups-two-socket/mtm/faults/8": lambda: two_socket_run()[1],

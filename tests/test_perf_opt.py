@@ -55,6 +55,16 @@ class TestVectorizedBitIdentity:
         four ablations equal their goldens."""
         assert_golden(key, goldens.RECIPES[key]())
 
+    @pytest.mark.parametrize("solution", goldens.POLICY_SOLUTIONS)
+    @pytest.mark.parametrize("workload", ["gups", "voltdb"])
+    def test_policy_paths_equal_goldens(self, workload, solution):
+        """Every migrating policy over 24 intervals, where each one
+        demotes (MTM's make-room and its rollback included), equals its
+        golden."""
+        result = goldens.engine_run(workload, solution)
+        assert_golden(goldens.engine_key(workload, solution), result)
+        assert result["migration"][1] > 0  # demoted pages
+
     def test_chunked_regions_equal_golden(self):
         """gups/mtm at 1/128 on a chunked page table: the fingerprint and
         all nine fields of every final region equal their golden."""

@@ -75,7 +75,7 @@ class TestDamosPolicy:
     def test_quota_bounds_traffic(self, machine):
         for i in range(8):
             place(machine, i * R, R, node=2)
-        policy = DamosPolicy(DamosConfig(scale=SCALE, quota_bytes=2 * R * PAGE_SIZE))
+        policy = DamosPolicy(DamosConfig(scale=SCALE, migration_budget_bytes=2 * R * PAGE_SIZE))
         reports = [
             RegionReport(start=i * R, npages=R, score=3.0, node=2) for i in range(8)
         ]

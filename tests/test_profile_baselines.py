@@ -4,10 +4,12 @@ PEBS-only (HeMem)."""
 import numpy as np
 import pytest
 
+from repro.core.baselines import make_engine
 from repro.errors import ConfigError
 from repro.mm.hugepage import ThpManager
 from repro.mm.mmu import Mmu
 from repro.mm.vma import AddressSpace
+from repro.obs.context import ObsContext
 from repro.perf.pebs import PebsSampler
 from repro.profile.autonuma import RandomWindowConfig, RandomWindowProfiler
 from repro.profile.damon import DamonConfig, DamonProfiler
@@ -100,6 +102,19 @@ class TestDamon:
         expected = cm.scan_time(snap.scans_performed) * (INTERVAL / PAPER_INTERVAL)
         assert snap.profiling_time == pytest.approx(expected)
         assert snap.profiling_time <= 0.08 * INTERVAL
+
+    def test_formation_stats_survive_splits(self):
+        """A splitting interval rebuilds DAMON's region set; its merge,
+        split and interval stats carry over and equal the run's obs
+        counters."""
+        obs = ObsContext()
+        engine = make_engine("damon", "gups", scale=SCALE, seed=3, obs=obs)
+        engine.run(20)
+        stats = engine.profiler.regions.stats
+        counters = [obs.registry.counter_value(f"profile.{name}", profiler="damon")
+                    for name in ("merges", "splits", "intervals")]
+        assert [stats.merges, stats.splits, stats.intervals] == counters
+        assert stats.intervals == 20 and stats.merges > 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
