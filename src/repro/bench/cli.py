@@ -25,7 +25,11 @@ which gives all of them a uniform flag set:
   exported (Chrome ``trace.json`` and the ``run.ndjson`` record that
   ``repro query``/``report``/``trace`` read) after the experiment
   finishes.  Observability never changes results — runs are
-  bit-identical with it on or off.
+  bit-identical with it on or off;
+* ``--obs-stream`` — also stream the record live to
+  ``OBS_OUT/stream.ndjson`` (pool workers relay through the parent), so
+  ``repro watch --run OBS_OUT`` can tail the experiment; implies
+  ``--obs``.
 
 Drivers that pin numbers into ``BENCH_perf.json`` write their blocks
 through :func:`update_bench_perf`.  Speed claims are not taken from
@@ -89,35 +93,24 @@ def bench_main(
         help="stream telemetry to OBS_OUT/stream.ndjson while cells run "
              "(pool workers relay through the parent); implies --obs",
     )
-    parser.add_argument(
-        "--obs-socket", default=None, metavar="ADDR",
-        help="also stream to a line-protocol socket (unix:PATH or "
-             "HOST:PORT) served by `repro watch --connect`; implies --obs",
-    )
     args = parser.parse_args(argv)
 
     set_default_workers(args.workers)
     set_default_snapshots(args.snapshots)
     collector = None
-    if args.obs or args.obs_stream or args.obs_socket:
+    if args.obs or args.obs_stream:
         import os
 
         from repro.obs.context import ObsConfig, ObsContext, set_default_context
 
-        collector = ObsContext(
-            ObsConfig(stream=bool(args.obs_stream or args.obs_socket)),
-            label="bench",
-        )
+        collector = ObsContext(ObsConfig(stream=args.obs_stream),
+                               label="bench")
         if args.obs_stream:
             from repro.obs.sinks import NdjsonFileSink
 
             collector.add_sink(
                 NdjsonFileSink(os.path.join(args.obs_out, "stream.ndjson"))
             )
-        if args.obs_socket:
-            from repro.obs.sinks import SocketSink
-
-            collector.add_sink(SocketSink(args.obs_socket))
         set_default_context(collector)
     profile = (
         profile_by_name(args.profile)

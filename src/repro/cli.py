@@ -9,7 +9,7 @@ Commands:
 * ``trace`` — query the migration-provenance log of a ``--obs`` run
   ("why did page N move?"), or tail a live stream with ``--follow``;
 * ``watch`` — live dashboard over a streaming (``--obs-stream``) run,
-  from its NDJSON file or as a listening socket server (``--connect``);
+  tailing its NDJSON file;
 * ``report`` — summarize an observability export (event counts,
   metrics; ``--json`` for scripts, with the ping-pong summary folded in
   when an analytics store exists);
@@ -30,8 +30,8 @@ Commands:
 ``run`` and ``compare`` accept ``--obs [--obs-out DIR]`` to record
 structured events, phase spans, metrics, and migration provenance, and
 export them as a Perfetto-loadable ``trace.json`` plus JSONL sinks;
-``--obs-stream``/``--obs-socket`` additionally publish the telemetry
-incrementally while the run is live.  Observability never changes
+``--obs-stream`` additionally publishes the telemetry incrementally to
+``stream.ndjson`` while the run is live.  Observability never changes
 simulated results.
 
 Example::
@@ -101,12 +101,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="stream telemetry incrementally to OBS_OUT/stream.ndjson "
              "while the run is live (tail it with `repro watch --run` or "
              "`repro trace --run DIR --follow`); implies --obs",
-    )
-    parser.add_argument(
-        "--obs-socket", default=None, metavar="ADDR",
-        help="also stream to a line-protocol socket (unix:PATH or "
-             "HOST:PORT) served by `repro watch --connect ADDR`; "
-             "implies --obs",
     )
     parser.add_argument(
         "--obs-compress", action="store_true",
@@ -184,15 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     watch = sub.add_parser(
         "watch", help="live dashboard over a streaming (--obs-stream) run"
     )
-    src = watch.add_mutually_exclusive_group(required=True)
-    src.add_argument(
-        "--run", metavar="DIR",
+    watch.add_argument(
+        "--run", required=True, metavar="DIR",
         help="tail DIR/stream.ndjson (an --obs-stream run's --obs-out)",
-    )
-    src.add_argument(
-        "--connect", metavar="ADDR",
-        help="listen on ADDR (unix:PATH or HOST:PORT) for simulations "
-             "streaming with --obs-socket ADDR",
     )
     watch.add_argument(
         "--refresh", type=float, default=1.0, metavar="SEC",
@@ -563,18 +551,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_obs(args: argparse.Namespace):
     """Collector from ``--obs``, or ``None`` when the flag is absent.
 
-    ``--obs-stream``/``--obs-socket`` imply ``--obs`` and attach the
-    matching sinks; the NDJSON file sink creates ``--obs-out`` lazily at
-    its first flush, so a run that fails early leaves no directory.
+    ``--obs-stream`` implies ``--obs`` and attaches the NDJSON file
+    sink, which creates ``--obs-out`` lazily at its first flush, so a run
+    that fails early leaves no directory.
     """
     stream = getattr(args, "obs_stream", False)
-    socket_addr = getattr(args, "obs_socket", None)
-    if not (getattr(args, "obs", False) or stream or socket_addr):
+    if not (getattr(args, "obs", False) or stream):
         return None
     from repro.obs.context import ObsConfig, ObsContext
 
-    ctx = ObsContext(ObsConfig(stream=bool(stream or socket_addr)),
-                     label="cli")
+    ctx = ObsContext(ObsConfig(stream=stream), label="cli")
     if stream:
         import os
 
@@ -582,10 +568,6 @@ def _make_obs(args: argparse.Namespace):
 
         ctx.add_sink(NdjsonFileSink(os.path.join(args.obs_out,
                                                  "stream.ndjson")))
-    if socket_addr:
-        from repro.obs.sinks import SocketSink
-
-        ctx.add_sink(SocketSink(socket_addr))
     return ctx
 
 
@@ -719,7 +701,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
     return run_watch(
         run=args.run,
-        connect=args.connect,
         refresh=args.refresh,
         once=args.once,
         duration=args.duration,

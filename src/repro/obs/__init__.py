@@ -11,7 +11,8 @@ Four cooperating pieces (see DESIGN.md "Observability architecture"):
 Plus the streaming plane (DESIGN.md "Streaming observability"):
 
 * :mod:`repro.obs.stream` — NDJSON record schema + incremental publisher;
-* :mod:`repro.obs.sinks` — append-only file, socket, and mp-queue sinks;
+* :mod:`repro.obs.sinks` — the append-only file sink and the mp-queue
+  relay that carries pool workers' records into it;
 * :mod:`repro.obs.watch` — the ``repro watch`` and ``repro fleet``
   dashboards, live views of :class:`repro.obs.analytics.RunFold`, the
   one fold every reader of the record shares.
@@ -52,7 +53,7 @@ from repro.obs.events import (
 )
 from repro.obs.export import build_chrome_trace, validate_chrome_trace
 from repro.obs.provenance import ProvenanceLog, ProvenanceRecord
-from repro.obs.sinks import NdjsonFileSink, RelaySink, Sink, SocketSink
+from repro.obs.sinks import NdjsonFileSink, RelaySink, Sink
 from repro.obs.stream import (
     STREAM_SCHEMA_VERSION,
     StreamPublisher,
@@ -98,7 +99,6 @@ __all__ = [
     "RelaySink",
     "STREAM_SCHEMA_VERSION",
     "Sink",
-    "SocketSink",
     "Span",
     "SpanTracer",
     "StreamPublisher",

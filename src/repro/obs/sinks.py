@@ -3,7 +3,7 @@
 A sink accepts batches of already-encoded NDJSON lines (see
 :mod:`repro.obs.stream` for the record schema) and must never raise into
 the simulation hot path: a sink that cannot deliver *drops and counts*.
-Three implementations:
+Two implementations:
 
 * :class:`NdjsonFileSink` — append-only file, opened lazily on the first
   flush (so ``--obs-out`` is never created for a run that dies before
@@ -11,10 +11,6 @@ Three implementations:
   file crash-tolerant: at worst the final line is truncated, and the tail
   readers (:func:`repro.obs.stream.iter_ndjson`) hold a partial line back
   until it completes.
-* :class:`SocketSink` — line protocol over a TCP or Unix stream socket
-  (``repro watch --connect`` is the matching listener).  Connects lazily,
-  reconnects with exponential backoff, and counts every line dropped
-  while disconnected.
 * :class:`RelaySink` — bounded ``multiprocessing`` queue bridge used by
   pool workers to relay their stream to the parent collector during a
   ``run_matrix``/``run_sweep``; a full queue is backpressure, so the
@@ -27,12 +23,7 @@ exported metrics.
 from __future__ import annotations
 
 import os
-import random
-import socket
-import time
 from pathlib import Path
-
-from repro.errors import ConfigError
 
 
 class Sink:
@@ -54,26 +45,6 @@ class Sink:
 
     def close(self) -> None:
         """Release resources (default: no-op)."""
-
-
-def parse_address(address: str) -> tuple[str, object]:
-    """Parse a stream address into ``("unix", path)`` or ``("tcp", (host, port))``.
-
-    Accepted forms: ``unix:/path/to.sock``, a bare path containing ``/``,
-    ``host:port``, or ``:port`` (binds/connects on 127.0.0.1).
-    """
-    if not address:
-        raise ConfigError("empty stream address")
-    if address.startswith("unix:"):
-        return ("unix", address[len("unix:"):])
-    if "/" in address or os.sep in address:
-        return ("unix", address)
-    host, _, port = address.rpartition(":")
-    if not port.isdigit():
-        raise ConfigError(
-            f"stream address must be unix:PATH, PATH, or HOST:PORT, got {address!r}"
-        )
-    return ("tcp", (host or "127.0.0.1", int(port)))
 
 
 class NdjsonFileSink(Sink):
@@ -169,107 +140,6 @@ class NdjsonFileSink(Sink):
         return True
 
 
-class SocketSink(Sink):
-    """Line-protocol client over a TCP or Unix stream socket.
-
-    Connects lazily on the first batch and reconnects with *jittered*
-    capped exponential backoff after any send failure: the retry window
-    doubles up to ``max_backoff``, and each wait draws uniformly from
-    the upper half of the window, so a fleet of publishers cut off by
-    one collector restart does not reconnect in lockstep (thundering
-    herd).  Lines offered while disconnected (or while the backoff
-    window is open) are dropped and counted — live telemetry must never
-    stall the simulation behind a dead collector.
-    """
-
-    def __init__(
-        self,
-        address: str,
-        connect_timeout: float = 0.5,
-        retry_backoff: float = 0.25,
-        max_backoff: float = 2.0,
-        jitter: bool = True,
-    ) -> None:
-        self.family, self.target = parse_address(address)
-        self.address = address
-        self.connect_timeout = connect_timeout
-        self.retry_backoff = retry_backoff
-        self.max_backoff = max_backoff
-        self.jitter = jitter
-        self.dropped = 0
-        self.lines_sent = 0
-        self.reconnects = 0
-        self._rng = random.Random()
-        self._sock: socket.socket | None = None
-        self._backoff = retry_backoff
-        self._next_attempt = 0.0
-
-    def _retry_delay(self) -> float:
-        """Next wait: the current window, half-jittered, then doubled.
-
-        Half jitter (``U(w/2, w)``) rather than full keeps a floor under
-        the retry spacing — a sink must never busy-spin a dead address —
-        while still decorrelating peers.
-        """
-        window = self._backoff
-        self._backoff = min(self._backoff * 2.0, self.max_backoff)
-        if not self.jitter:
-            return window
-        return window * (0.5 + 0.5 * self._rng.random())
-
-    def _connect(self) -> bool:
-        if self._sock is not None:
-            return True
-        now = time.monotonic()
-        if now < self._next_attempt:
-            return False
-        try:
-            if self.family == "unix":
-                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            else:
-                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.settimeout(self.connect_timeout)
-            sock.connect(self.target)
-            self._sock = sock
-            self._backoff = self.retry_backoff
-            self.reconnects += 1
-            return True
-        except OSError:
-            self._next_attempt = now + self._retry_delay()
-            return False
-
-    def _disconnect(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        self._next_attempt = time.monotonic() + self._retry_delay()
-
-    def write_lines(self, lines: list[str]) -> None:
-        """Send a batch, dropping (counted) while disconnected."""
-        if not lines:
-            return
-        if not self._connect():
-            self.dropped += len(lines)
-            return
-        try:
-            self._sock.sendall("".join(lines).encode("utf-8"))
-            self.lines_sent += len(lines)
-        except OSError:
-            self.dropped += len(lines)
-            self._disconnect()
-
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-
 class RelaySink(Sink):
     """Bridges a worker's stream onto a bounded multiprocessing queue.
 
@@ -298,6 +168,4 @@ __all__ = [
     "NdjsonFileSink",
     "RelaySink",
     "Sink",
-    "SocketSink",
-    "parse_address",
 ]

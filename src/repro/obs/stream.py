@@ -178,12 +178,6 @@ def validate_stream_record(record) -> list[str]:
                           f"!= {STREAM_SCHEMA_VERSION}")
         if not isinstance(record.get("pid"), int):
             errors.append("meta: missing/non-int pid")
-        pids = record.get("pids")
-        if pids is not None and (
-            not isinstance(pids, list)
-            or any(not isinstance(p, int) for p in pids)
-        ):
-            errors.append("meta: pids must be a list of ints")
     elif rtype == "event":
         if record.get("name") not in ALL_EVENTS:
             errors.append(f"event: name {record.get('name')!r} not in "
@@ -419,11 +413,10 @@ def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
     without the escape a ``repro watch`` (or CI tail) with no
     ``timeout`` would hang forever on its stream.
 
-    Writer pids accumulate across *all* meta records: a multi-process
-    stream (the socket collector's merged file, a relay) announces one
-    ``meta`` per track, each carrying the writer's ``pid`` and
-    optionally a ``pids`` list for processes writing through it; the
-    escape only triggers once every announced pid is gone.
+    Writer pids accumulate across *all* meta records: a relayed stream
+    (a pooled matrix or sweep) announces one ``meta`` per track, each
+    carrying its writer's ``pid``; the escape only triggers once every
+    announced pid is gone.
 
     The grace defaults to :data:`DEFAULT_DEAD_WRITER_GRACE`;
     ``dead_writer_grace=None`` disables the liveness probe.
@@ -487,10 +480,6 @@ def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
                             and record.get("type") == "meta"):
                         if isinstance(record.get("pid"), int):
                             writer_pids.add(record["pid"])
-                        pids = record.get("pids")
-                        if isinstance(pids, list):
-                            writer_pids.update(
-                                p for p in pids if isinstance(p, int))
                     yield record
                     if isinstance(record, dict) and record.get("type") == "end":
                         return

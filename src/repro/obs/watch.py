@@ -2,11 +2,10 @@
 
 Both render a :class:`~repro.obs.analytics.RunFold`, the one fold every
 reader of the NDJSON record shares, fed live from a growing
-``stream.ndjson`` (``--run DIR``) or, for watch, from a listening socket
-fed by :class:`~repro.obs.sinks.SocketSink` publishers (``--connect
-ADDR``; the watcher is the *server*, simulations push to it, so one
-dashboard can aggregate many runs).  A live fold keeps no rows, so a
-dashboard's memory is bounded by tracks, metric series and workers.
+``stream.ndjson`` (``--run DIR``).  One stream holds every simulation
+of a run: a pooled matrix or sweep relays its cells' records through
+the parent into it, one track per cell.  A live fold keeps no rows, so
+a dashboard's memory is bounded by tracks, metric series and workers.
 ``repro fleet --connect`` instead renders the scheduler's ``fleet``
 reply, which also carries queue depth, heartbeat staleness and lease
 latency.  Each dashboard prints refresh-loop terminal frames and may
@@ -22,7 +21,6 @@ and jobs.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -614,102 +612,11 @@ def _show(frame, page, *, once, refresh, duration, html, out,
         _write_page(html, page)
 
 
-class SocketCollector:
-    """Listening endpoint for SocketSink publishers (``--connect``).
-
-    The watcher binds/listens; each connected simulation pushes its
-    NDJSON lines, decoded and fed to the fold under ``lock``.
-    """
-
-    def __init__(self, address: str, fold: RunFold,
-                 lock: threading.Lock) -> None:
-        import json as _json
-        import socket as _socket
-
-        from repro.obs.sinks import parse_address
-
-        self._json = _json
-        self.fold = fold
-        self.lock = lock
-        family, target = parse_address(address)
-        if family == "unix":
-            try:
-                os.unlink(target)
-            except OSError:
-                pass
-            self.sock = _socket.socket(_socket.AF_UNIX, _socket.SOCK_STREAM)
-        else:
-            self.sock = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
-            self.sock.setsockopt(
-                _socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1
-            )
-        self.sock.bind(target)
-        self.sock.listen(8)
-        self.sock.settimeout(0.2)
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-
-    def start(self) -> None:
-        """Begin accepting publisher connections on a background thread."""
-        thread = threading.Thread(target=self._accept_loop, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self.sock.accept()
-            except OSError:
-                continue
-            thread = threading.Thread(
-                target=self._reader, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _reader(self, conn) -> None:
-        conn.settimeout(0.2)
-        buffer = b""
-        while not self._stop.is_set():
-            try:
-                chunk = conn.recv(65536)
-            except TimeoutError:
-                continue
-            except OSError:
-                break
-            if not chunk:
-                break
-            buffer += chunk
-            while True:
-                newline = buffer.find(b"\n")
-                if newline < 0:
-                    break
-                line, buffer = buffer[:newline], buffer[newline + 1:]
-                try:
-                    record = self._json.loads(line)
-                except ValueError:
-                    continue
-                with self.lock:
-                    self.fold.feed(record)
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        self._stop.set()
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
 # -- the dashboards -----------------------------------------------------------
 
 
 def run_watch(
-    run: str | None = None,
-    connect: str | None = None,
+    run: str,
     refresh: float = 1.0,
     once: bool = False,
     duration: float | None = None,
@@ -718,23 +625,19 @@ def run_watch(
     budget: float = DEFAULT_BUDGET,
     out=None,
 ) -> int:
-    """Drive the watch dashboard until the stream ends (or forever).
+    """Drive the watch dashboard over ``run`` (the obs dir or its
+    stream file) until the stream ends (or forever).
 
-    Exactly one of ``run``/``connect``.  ``once`` drains what is
-    available and prints a single frame (CI's tail-while-running mode);
-    ``wait`` bounds how long ``--once`` waits for the stream to appear.
+    ``once`` drains what is available and prints a single frame (CI's
+    tail-while-running mode); ``wait`` bounds how long ``--once`` waits
+    for the stream to appear.
     """
     fold, lock = RunFold(), threading.Lock()
-    stop = ended = collector = None
-    if run is not None and once:
+    stop = ended = None
+    if once:
         fold = _read_once(run, wait, lambda f: f.records)
-    elif run is not None:
-        stop, ended = _follow(run, fold, lock, duration)
     else:
-        collector = SocketCollector(connect, fold, lock)
-        collector.start()
-        if once:
-            time.sleep(wait if wait is not None else refresh)
+        stop, ended = _follow(run, fold, lock, duration)
 
     def frame():
         with lock:
@@ -750,8 +653,6 @@ def run_watch(
     finally:
         if stop is not None:
             stop.set()
-        if collector is not None:
-            collector.close()
     return 0 if fold.records or not once else 1
 
 
@@ -830,7 +731,6 @@ def run_fleet(
 __all__ = [
     "DEFAULT_BUDGET",
     "HTML_STYLE",
-    "SocketCollector",
     "ThroughputSampler",
     "escape_html",
     "render_fleet_html",

@@ -30,7 +30,6 @@ class RegionReport:
         score: hotness score; higher = hotter.  Scales differ between
             profilers (scan counts vs PEBS samples) but are consistent
             within one profiler, which is all ranking needs.
-        whi: the profiler's smoothed hotness (EMA), where maintained.
         node: component currently holding the region (-1 unknown).
         dominant_socket: socket issuing most accesses (-1 unknown).
     """
@@ -38,7 +37,6 @@ class RegionReport:
     start: int
     npages: int
     score: float
-    whi: float = 0.0
     node: int = -1
     dominant_socket: int = -1
 
@@ -79,18 +77,16 @@ class ProfileSnapshot:
         """A snapshot of regions given as columns, one row per region.
 
         Every region's resident node comes from one bulk pass over the
-        placement runs.  Each report's ``whi`` is its ``score``: every
-        profiler ranks by the hotness it keeps.  ``dominant_socket``
-        defaults to unknown (-1); ``fields`` are the snapshot's other
-        attributes (``profiling_time``, ``scans_performed``, ...).
+        placement runs.  ``dominant_socket`` defaults to unknown (-1);
+        ``fields`` are the snapshot's other attributes
+        (``profiling_time``, ``scans_performed``, ...).
         """
         nodes = page_table.span_majority_nodes(start, npages)
         if dominant_socket is None:
             dominant_socket = np.full(len(nodes), -1)
-        scores = score.tolist()
         reports = [
             RegionReport(*row)
-            for row in zip(start.tolist(), npages.tolist(), scores, scores,
+            for row in zip(start.tolist(), npages.tolist(), score.tolist(),
                            nodes.tolist(), dominant_socket.tolist())
         ]
         return cls(interval=interval, reports=reports, **fields)

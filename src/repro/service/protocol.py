@@ -552,15 +552,30 @@ class Connection:
             pass
 
 
+def parse_address(address: str) -> tuple[str, object]:
+    """Parse a service address into ``("unix", path)`` or ``("tcp", (host, port))``.
+
+    Accepted forms: ``unix:/path/to.sock``, a bare path containing ``/``,
+    ``host:port``, or ``:port`` (binds/connects on 127.0.0.1).
+    """
+    if not address:
+        raise ConfigError("empty service address")
+    if address.startswith("unix:"):
+        return ("unix", address[len("unix:"):])
+    if "/" in address or os.sep in address:
+        return ("unix", address)
+    host, _, port = address.rpartition(":")
+    if not port.isdigit():
+        raise ConfigError(
+            f"service address must be unix:PATH, PATH, or HOST:PORT, got {address!r}"
+        )
+    return ("tcp", (host or "127.0.0.1", int(port)))
+
+
 def connect(address: str, timeout: float = 5.0,
             secret: bytes | None = None) -> Connection:
-    """Open a client/worker connection to a scheduler at ``address``.
-
-    Accepts the same address forms as the streaming sinks
-    (``unix:PATH``, bare path, ``HOST:PORT``, ``:PORT``).
-    """
-    from repro.obs.sinks import parse_address
-
+    """Open a client/worker connection to a scheduler at ``address``
+    (any form :func:`parse_address` accepts)."""
     family, target = parse_address(address)
     if family == "unix":
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -593,6 +608,7 @@ __all__ = [
     "connect",
     "encode_frame",
     "negotiate_codec",
+    "parse_address",
     "recv_message",
     "recv_message_sized",
     "reply_error",

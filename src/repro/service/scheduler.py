@@ -53,6 +53,7 @@ from repro.service.protocol import (
     Connection,
     JobSpec,
     negotiate_codec,
+    parse_address,
     reply_error,
     reply_ok,
 )
@@ -270,7 +271,8 @@ class SchedulerCore:
 
     # -- worker registry -------------------------------------------------------
 
-    def register_worker(self, worker_id: str, pid: int = -1) -> int:
+    def register_worker(self, worker_id: str, pid: int = -1,
+                        now: float | None = None) -> int:
         """Admit ``worker_id`` to the registry; returns a generation token.
 
         Each registration gets a fresh generation.  A worker that
@@ -281,6 +283,8 @@ class SchedulerCore:
         """
         from repro.obs.events import EV_SERVICE_WORKER_JOINED
 
+        if now is None:
+            now = time.monotonic()
         with self.lock:
             self._worker_generation += 1
             gen = self._worker_generation
@@ -288,7 +292,7 @@ class SchedulerCore:
                                        "gen": gen,
                                        "warm_keys": frozenset(),
                                        "warm": {},
-                                       "last_seen": time.monotonic()}
+                                       "last_seen": now}
         self._emit(EV_SERVICE_WORKER_JOINED, worker=worker_id, pid=pid)
         return gen
 
@@ -775,8 +779,6 @@ def _bind_listener(address: str, secret: bytes | None = None,
     (pickle) to anyone who can reach the port, so it is refused unless
     explicitly overridden.
     """
-    from repro.obs.sinks import parse_address
-
     family, target = parse_address(address)
     if family == "unix":
         _reclaim_unix_path(target)

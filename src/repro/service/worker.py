@@ -10,8 +10,7 @@ A worker keeps two connections to the scheduler:
 
 Both channels reconnect with capped exponential backoff *plus jitter*
 (:func:`jittered_backoff`) — a fleet restarting after a scheduler bounce
-must not thundering-herd it (the same fix the streaming
-:class:`~repro.obs.sinks.SocketSink` got).
+must not thundering-herd it.
 
 Cell execution (:func:`run_cell`) goes through the exact serial path of
 :func:`repro.bench.runner.run_solution` with a per-process trace cache,

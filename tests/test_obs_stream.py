@@ -10,7 +10,6 @@ Covers the live-streaming contracts on top of the core obs plane:
 * relay: pool workers stream through the parent without perturbing the
   serial==pooled collector identity, and queue backpressure surfaces as
   ``obs.relay_backpressure``;
-* socket sink: connects lazily, survives the peer dying, reconnects;
 * bit-identity: streaming on (serial, pooled, faulty) never changes a
   simulated number;
 * a second process can tail a live ``--obs-stream`` run (the headline
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import subprocess
 import sys
 import threading
@@ -34,10 +32,9 @@ import pytest
 from repro.bench.runner import run_matrix
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
-from repro.errors import ConfigError
 from repro.obs.analytics import RunFold, fold_run
 from repro.obs.context import ObsConfig, ObsContext
-from repro.obs.sinks import NdjsonFileSink, RelaySink, SocketSink, parse_address
+from repro.obs.sinks import NdjsonFileSink, RelaySink
 from repro.obs.stream import (
     STREAM_SCHEMA_VERSION,
     iter_ndjson,
@@ -75,22 +72,6 @@ def read_records(path):
 
 
 # -- sinks ---------------------------------------------------------------------
-
-
-class TestParseAddress:
-    def test_unix_prefix_and_bare_path(self):
-        assert parse_address("unix:/tmp/s.sock") == ("unix", "/tmp/s.sock")
-        assert parse_address("/tmp/s.sock") == ("unix", "/tmp/s.sock")
-
-    def test_tcp_forms(self):
-        assert parse_address("localhost:9000") == ("tcp", ("localhost", 9000))
-        assert parse_address(":9000") == ("tcp", ("127.0.0.1", 9000))
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            parse_address("not-an-address")
-        with pytest.raises(ConfigError):
-            parse_address("host:notaport")
 
 
 class TestNdjsonFileSink:
@@ -254,128 +235,6 @@ class TestRelaySink:
         ctx.stream_flush()
         snap = ctx.snapshot()
         assert snap.counters[("obs.relay_backpressure", ())] > 0
-
-
-# -- socket sink ---------------------------------------------------------------
-
-
-class _LineServer:
-    """Minimal line-protocol listener for socket-sink tests."""
-
-    def __init__(self):
-        self.sock = socket.socket()
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.sock.bind(("127.0.0.1", 0))
-        self.sock.listen(1)
-        self.port = self.sock.getsockname()[1]
-        self.lines: list[str] = []
-        self._stop = False
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self.thread.start()
-
-    def _serve(self):
-        self.sock.settimeout(0.1)
-        buf = b""
-        conn = None
-        while not self._stop:
-            if conn is None:
-                try:
-                    conn, _ = self.sock.accept()
-                    conn.settimeout(0.1)
-                except TimeoutError:
-                    continue
-            try:
-                data = conn.recv(65536)
-            except TimeoutError:
-                continue
-            except OSError:
-                conn = None
-                continue
-            if not data:
-                conn.close()
-                conn = None
-                continue
-            buf += data
-            while b"\n" in buf:
-                line, buf = buf.split(b"\n", 1)
-                self.lines.append(line.decode())
-        if conn is not None:
-            conn.close()
-
-    def close(self):
-        self._stop = True
-        self.thread.join(timeout=2)
-        self.sock.close()
-
-
-class TestSocketSink:
-    def test_streams_lines_to_listener(self):
-        server = _LineServer()
-        try:
-            sink = SocketSink(f"127.0.0.1:{server.port}")
-            sink.write_lines(['{"a": 1}\n', '{"b": 2}\n'])
-            sink.flush()
-            deadline = time.monotonic() + 2
-            while len(server.lines) < 2 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert server.lines == ['{"a": 1}', '{"b": 2}']
-            sink.close()
-        finally:
-            server.close()
-
-    def test_drops_while_peer_down_then_reconnects(self):
-        server = _LineServer()
-        port = server.port
-        sink = SocketSink(f"127.0.0.1:{port}", retry_backoff=0.05,
-                          max_backoff=0.05)
-        sink.write_lines(["one\n"])
-        deadline = time.monotonic() + 2
-        while not server.lines and time.monotonic() < deadline:
-            time.sleep(0.02)
-        server.close()
-
-        # Peer gone: writes drop (counted), nothing raises.
-        dropped_some = False
-        for _ in range(20):
-            sink.write_lines(["lost\n"])
-            time.sleep(0.05)
-            if sink.dropped:
-                dropped_some = True
-                break
-        assert dropped_some
-
-        # Peer back on the same port: the sink reconnects and delivers.
-        server2 = _LineServer.__new__(_LineServer)
-        server2.sock = socket.socket()
-        server2.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server2.sock.bind(("127.0.0.1", port))
-        server2.sock.listen(1)
-        server2.port = port
-        server2.lines = []
-        server2._stop = False
-        server2.thread = threading.Thread(target=server2._serve, daemon=True)
-        server2.thread.start()
-        try:
-            delivered = False
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                sink.write_lines(["back\n"])
-                if "back" in server2.lines:
-                    delivered = True
-                    break
-                time.sleep(0.05)
-            assert delivered
-            assert sink.reconnects >= 1
-            sink.close()
-        finally:
-            server2.close()
-
-    def test_unreachable_peer_only_drops(self, tmp_path):
-        sink = SocketSink(f"unix:{tmp_path}/nobody.sock",
-                          retry_backoff=0.01, max_backoff=0.01)
-        sink.write_lines(["a\n"])
-        assert sink.dropped == 1
-        sink.close()
 
 
 # -- bit-identity with streaming on --------------------------------------------
@@ -556,14 +415,14 @@ class TestWatch:
         path, _ = self._stream(tmp_path)
         html = tmp_path / "dash.html"
         lines: list[str] = []
-        rc = run_watch(run=str(path.parent), connect=None, once=True,
+        rc = run_watch(run=str(path.parent), once=True,
                        html=str(html), out=lines.append)
         assert rc == 0
         assert lines and "tier occupancy" in lines[0]
         assert html.exists()
 
     def test_run_watch_once_missing_stream_fails(self, tmp_path):
-        rc = run_watch(run=str(tmp_path), connect=None, once=True,
+        rc = run_watch(run=str(tmp_path), once=True,
                        wait=0.1, out=lambda _line: None)
         assert rc == 1
 
@@ -573,34 +432,6 @@ class TestWatch:
         path, _ = self._stream(tmp_path)
         assert main(["watch", "--run", str(path.parent), "--once"]) == 0
         assert "tier occupancy" in capsys.readouterr().out
-
-    def test_socket_collector_receives_a_streaming_run(self, tmp_path):
-        addr = f"unix:{tmp_path}/watch.sock"
-        fold = RunFold()
-        lock = threading.Lock()
-        from repro.obs.watch import SocketCollector
-
-        collector = SocketCollector(addr, fold, lock)
-        collector.start()
-        try:
-            ctx = ObsContext(ObsConfig(stream=True), label="sock")
-            ctx.add_sink(SocketSink(addr))
-            engine = make_engine("mtm", "gups", scale=SCALE, seed=SEED,
-                                 obs=ctx)
-            engine.run(INTERVALS)
-            ctx.stream_close()
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                with lock:
-                    if fold.done:
-                        break
-                time.sleep(0.05)
-            with lock:
-                assert fold.done
-                assert fold.tracks["sock"].intervals == INTERVALS
-        finally:
-            collector.close()
-
 
 # -- trace --follow ------------------------------------------------------------
 
@@ -657,72 +488,6 @@ class TestCliLazyDir:
         assert fold.counters["engine.intervals"] == 4
 
 
-# -- socket collector under concurrency ----------------------------------------
-
-
-class TestSocketCollectorConcurrency:
-    def _push(self, addr, records):
-        """One publisher connection: send records as NDJSON lines."""
-        family, target = parse_address(addr)
-        sock = socket.socket(
-            socket.AF_UNIX if family == "unix" else socket.AF_INET,
-            socket.SOCK_STREAM)
-        sock.connect(target)
-        for record in records:
-            sock.sendall((json.dumps(record) + "\n").encode())
-        return sock
-
-    def test_concurrent_publishers_one_aborting_midstream(self, tmp_path):
-        """Three publishers at once; one dies abortively (RST, no FIN)
-        mid-stream.  The collector keeps the other feeds intact and
-        never folds the aborted connection's torn tail."""
-        addr = f"unix:{tmp_path}/collect.sock"
-        fold = RunFold()
-        lock = threading.Lock()
-        from repro.obs.watch import SocketCollector
-
-        collector = SocketCollector(addr, fold, lock)
-        collector.start()
-        try:
-            meta = {"v": STREAM_SCHEMA_VERSION, "type": "meta",
-                    "track": "x", "pid": os.getpid(), "t0": 0.0}
-            good_a = self._push(addr, [dict(meta, track="a")])
-            good_b = self._push(addr, [dict(meta, track="b")])
-            bad = self._push(addr, [dict(meta, track="dying")])
-            # the aborter sends a complete record, then a torn line,
-            # then resets the connection instead of closing it
-            bad.sendall(b'{"type": "event", "name": "interval.end", "tor')
-            bad.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                           __import__("struct").pack("ii", 1, 0))
-            bad.close()  # RST
-            for i, sock in enumerate((good_a, good_b)):
-                for interval in range(3):
-                    sock.sendall((json.dumps(
-                        {"type": "event", "name": "interval.end",
-                         "interval": interval, "track": "ab"[i]},
-                    ) + "\n").encode())
-                sock.close()
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                with lock:
-                    done = (fold.tracks.get("a") is not None
-                            and fold.tracks["a"].intervals == 3
-                            and fold.tracks.get("b") is not None
-                            and fold.tracks["b"].intervals == 3)
-                if done:
-                    break
-                time.sleep(0.05)
-            with lock:
-                assert fold.tracks["a"].intervals == 3
-                assert fold.tracks["b"].intervals == 3
-                # the aborted publisher's meta landed; its torn event
-                # line must not have been decoded
-                assert fold.tracks.get("dying") is not None
-                assert fold.tracks["dying"].intervals == 0
-        finally:
-            collector.close()
-
-
 # -- dead-writer grace resolution ----------------------------------------------
 
 
@@ -739,26 +504,4 @@ class TestDeadWriterGrace:
         got = list(iter_ndjson(path, follow=True, poll_interval=0.02,
                                dead_writer_grace=0.1))
         assert time.monotonic() - t0 < 5.0
-        assert [r["type"] for r in got] == ["meta"]
-
-    def test_meta_pids_list_keeps_stream_alive(self, tmp_path):
-        """A meta record may announce several writer pids; the escape
-        waits for all of them — a live pid in `pids` holds the tail
-        open even when the announcing pid is dead."""
-        path = tmp_path / "s.ndjson"
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()
-        record = {"v": STREAM_SCHEMA_VERSION, "type": "meta", "track": "t",
-                  "pid": proc.pid, "pids": [os.getpid()], "t0": 0.0}
-        assert validate_stream_record(record) == []
-        assert validate_stream_record(
-            dict(record, pids=["not-a-pid"])) != []
-        path.write_text(json.dumps(record) + "\n")
-        t0 = time.monotonic()
-        got = list(iter_ndjson(path, follow=True, poll_interval=0.02,
-                               timeout=0.5, dead_writer_grace=0.1))
-        elapsed = time.monotonic() - t0
-        # our own live pid blocked the dead-writer escape; only the
-        # explicit timeout ended the tail
-        assert elapsed >= 0.5
         assert [r["type"] for r in got] == ["meta"]

@@ -30,6 +30,7 @@ from repro.service.journal import Journal
 from repro.service.lease import LeaseTable
 from repro.service.protocol import (
     JobSpec,
+    parse_address,
     recv_message,
     send_message,
 )
@@ -150,6 +151,22 @@ def test_protocol_rejects_oversized_length():
     finally:
         a.close()
         b.close()
+
+
+class TestParseAddress:
+    def test_unix_prefix_and_bare_path(self):
+        assert parse_address("unix:/tmp/s.sock") == ("unix", "/tmp/s.sock")
+        assert parse_address("/tmp/s.sock") == ("unix", "/tmp/s.sock")
+
+    def test_tcp_forms(self):
+        assert parse_address("localhost:9000") == ("tcp", ("localhost", 9000))
+        assert parse_address(":9000") == ("tcp", ("127.0.0.1", 9000))
+
+    def test_rejects_garbage(self):
+        with pytest.raises(ConfigError):
+            parse_address("not-an-address")
+        with pytest.raises(ConfigError):
+            parse_address("host:notaport")
 
 
 def test_jobspec_validation():
@@ -354,19 +371,6 @@ def test_jittered_backoff_bounds():
     assert len(draws) > 1  # actually jittered, not constant
 
 
-def test_socket_sink_retry_jitter_bounds_and_cap():
-    from repro.obs.sinks import SocketSink
-
-    sink = SocketSink("127.0.0.1:1", retry_backoff=0.25, max_backoff=2.0)
-    windows = [0.25, 0.5, 1.0, 2.0, 2.0, 2.0]
-    for window in windows:
-        delay = sink._retry_delay()
-        assert window / 2.0 <= delay <= window  # half-jitter floor
-    plain = SocketSink("127.0.0.1:1", retry_backoff=0.25, max_backoff=2.0,
-                       jitter=False)
-    assert [plain._retry_delay() for _ in range(3)] == [0.25, 0.5, 1.0]
-
-
 # -- dead-writer escape ------------------------------------------------------
 
 
@@ -459,11 +463,14 @@ def test_core_rejects_completion_for_expired_lease(tmp_path):
 
 
 def test_core_stamps_last_seen_from_the_given_now(tmp_path):
-    """Claim, heartbeat and completion stamp the ``now`` they are given,
-    so ``fleet_snapshot(now=...)`` measures staleness on that clock."""
+    """Registration, claim, heartbeat and completion stamp the ``now``
+    they are given, so ``fleet_snapshot(now=...)`` measures staleness on
+    that clock, for an idle registered worker too."""
     core = make_core(tmp_path)
     core.submit(small_spec(workloads=("gups",), solutions=("first-touch",)),
                 now=0.0)
+    core.register_worker("idle", now=50.0)
+    assert core.fleet_snapshot(now=60.0)["workers"]["idle"]["staleness"] == 10.0
     core.register_worker("w")
     grant = core.claim("w", now=100.0)
     assert core.fleet_snapshot(now=100.5)["workers"]["w"]["staleness"] == 0.5

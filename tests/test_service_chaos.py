@@ -104,6 +104,12 @@ def spawn_registered(server: SchedulerServer, worker_id: str,
 
 
 def reap(*procs: subprocess.Popen, timeout: float = 20.0) -> None:
+    """Wait for each process, killing one that outlasts ``timeout``.
+
+    Terminate a steady worker first: once the server is gone its work
+    channel retries the connect without bound, and ``repro worker``
+    drains on SIGTERM (as CI's chaos job stops its steady worker).
+    """
     for proc in procs:
         try:
             proc.wait(timeout=timeout)
@@ -130,6 +136,7 @@ def test_worker_killed_between_cells_sweep_still_bit_identical(
         assert stats["dead_letters"] == 0  # no cell was lost
     finally:
         server.shutdown(drain=False)
+        steady.terminate()
         reap(chaos, steady)
 
 
@@ -154,6 +161,7 @@ def test_worker_killed_mid_cell_requeues_and_matches(
         assert stats["dead_letters"] == 0
     finally:
         server.shutdown(drain=False)
+        steady.terminate()
         reap(chaos, steady)
 
 
@@ -219,6 +227,7 @@ def test_worker_killed_holding_warm_snapshots_mid_cell(tmp_path):
         assert stats["requeues"] >= 1  # the mid-cell kill dropped a lease
     finally:
         server.shutdown(drain=False)
+        steady.terminate()
         reap(chaos, steady)
 
 
