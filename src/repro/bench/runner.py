@@ -46,6 +46,7 @@ from repro.workloads.registry import workload_spec
 if TYPE_CHECKING:
     from repro.obs.context import ObsConfig, ObsContext
     from repro.service.cache import ResultCache
+    from repro.sim.snapshot import EngineSnapshot
     from repro.sim.tracecache import TraceCache
 
 #: Process-wide default for ``run_matrix(workers=None)``; set by the
@@ -599,27 +600,56 @@ def _run_cold_cell(args: tuple) -> tuple[str, SimulationResult]:
     return label, result
 
 
+def _run_fork(
+    snap: "EngineSnapshot",
+    trace_cache: "TraceCache",
+    params: dict,
+    apply_fn: Callable,
+    rest: int,
+    obs_config: "ObsConfig | None",
+    obs_label: str,
+) -> SimulationResult:
+    """One forked sweep cell: fork, branch, finish.  The fork is freed
+    when this returns, before the caller forks the next cell."""
+    engine = SimulationEngine.fork(
+        snap, trace_cache=trace_cache, obs=_cell_obs(obs_config, label=obs_label)
+    )
+    apply_fn(engine, params)
+    result = engine.run(rest)
+    _close_cell_stream(engine.obs)
+    return result
+
+
+def _spill(obj, path: str) -> str:
+    """Pickle ``obj`` to ``path`` for pool workers to load; returns ``path``."""
+    with open(path, "wb") as fh:
+        pickle.dump(obj, fh, protocol=5)
+    return path
+
+
 #: Per-worker-process snapshot store, keyed by spill-file path, so every
 #: variant a worker runs unpickles the shared warmup payload only once.
 _worker_snapshots: dict = {}
 
 
 def _run_fork_cell(args: tuple) -> tuple[str, SimulationResult]:
-    """Forked sweep cell in a worker process (must be picklable)."""
-    path, label, params, apply_fn, rest, obs_config, obs_label = args
+    """Forked sweep cell in a worker process (must be picklable).
+
+    The first cell a worker runs also adopts the parent's trace-stream
+    cursor, spilled beside the snapshot, so the worker synthesizes only
+    the intervals after the branch point.
+    """
+    path, stream_path, label, params, apply_fn, rest, obs_config, obs_label = args
     snap = _worker_snapshots.get(path)
     if snap is None:
         with open(path, "rb") as fh:
             snap = pickle.load(fh)
         _worker_snapshots[path] = snap
-    engine = SimulationEngine.fork(
-        snap, trace_cache=_process_trace_cache(),
-        obs=_cell_obs(obs_config, label=obs_label),
-    )
-    apply_fn(engine, params)
-    result = engine.run(rest)
-    _close_cell_stream(engine.obs)
-    return label, result
+        if stream_path is not None:
+            with open(stream_path, "rb") as fh:
+                _process_trace_cache().adopt(snap.trace_key, pickle.load(fh))
+    return label, _run_fork(snap, _process_trace_cache(), params, apply_fn,
+                            rest, obs_config, obs_label)
 
 
 def run_sweep(
@@ -661,13 +691,18 @@ def run_sweep(
             (:func:`set_default_snapshots`).
         workers: processes to fan variants over, as in :func:`run_matrix`.
             With snapshots the parent warms up once, spills the snapshot
-            to disk, and workers fork from the spilled payload.
+            and its trace-stream cursor to disk, and workers fork from
+            the spilled payload and resume the stream at the branch.
         snapshot_cache: share warmed snapshots across sweeps keyed by
             ``(workload, scale, seed, solution, fault, warmup)``; ``None``
             builds a private one.
         obs: as in :func:`run_solution`.  Each variant records into its
             own context; the shared warmup (when actually simulated, i.e.
             on a snapshot-cache miss) appears as its own track.
+
+    A simulated warmup releases its trace-stream prefix from
+    ``trace_cache`` once captured (no fork reads it), and the serial
+    loop frees each finished fork before forking the next.
     """
     total = intervals if intervals is not None else profile.intervals_for(workload)
     if not 0 < warmup_intervals < total:
@@ -691,6 +726,7 @@ def run_sweep(
     snap_stats_before: CacheStats | None = None
     tmpdir: str | None = None
     warmup_obs: "ObsContext | None" = None
+    cursor = None  # the trace stream after a simulated warmup
 
     if not use_snapshots:
         if workers == 1:
@@ -738,7 +774,7 @@ def run_sweep(
         def _warmup() -> "EngineSnapshot":
             # The warmup only simulates on a snapshot-cache miss, so its
             # obs track exists exactly when warmup work actually happened.
-            nonlocal warmup_obs
+            nonlocal warmup_obs, cursor
             warmup_obs = _cell_obs(
                 obs_config, label=f"{workload}/{solution}/warmup"
             )
@@ -755,7 +791,10 @@ def run_sweep(
             )
             for _ in range(warmup_intervals):
                 engine.step()
-            return capture_engine(engine, key=key)
+            snapshot = capture_engine(engine, key=key)
+            trace_cache.release(snapshot.trace_key, warmup_intervals)
+            cursor = trace_cache.cursor(snapshot.trace_key)
+            return snapshot
 
         with _stream_collector(collector):
             snap = snapshot_cache.get_or_create(key, _warmup, obs=collector)
@@ -764,17 +803,13 @@ def run_sweep(
             if workers == 1:
                 with _stream_collector(collector):
                     for v in variants:
-                        engine = SimulationEngine.fork(
-                            snap,
-                            trace_cache=trace_cache,
-                            obs=_cell_obs(
-                                obs_config, label=f"{workload}/{solution}/{v.label}"
-                            ),
+                        collected[v.label] = _run_fork(
+                            snap, trace_cache, v.params, apply_fn, rest,
+                            obs_config, f"{workload}/{solution}/{v.label}",
                         )
-                        apply_fn(engine, v.params)
-                        collected[v.label] = engine.run(rest)
-                        _close_cell_stream(engine.obs)
             else:
+                if tmpdir is None:
+                    tmpdir = tempfile.mkdtemp(prefix="repro-snap-")
                 if snapshot_cache.spill_dir is not None:
                     path = snapshot_cache.spill_path(key)
                     if not os.path.exists(path):
@@ -782,13 +817,12 @@ def run_sweep(
                 else:
                     # Caller's cache is memory-only; mirror the payload to a
                     # temp file so workers can reach it.
-                    tmpdir = tempfile.mkdtemp(prefix="repro-snap-")
-                    path = os.path.join(tmpdir, "snapshot.pkl")
-                    with open(path, "wb") as fh:
-                        pickle.dump(snap, fh, protocol=5)
+                    path = _spill(snap, os.path.join(tmpdir, "snapshot.pkl"))
+                stream_path = (None if cursor is None
+                               else _spill(cursor, os.path.join(tmpdir, "stream.pkl")))
                 cells = [
-                    (path, v.label, v.params, apply_fn, rest, obs_config,
-                     f"{workload}/{solution}/{v.label}")
+                    (path, stream_path, v.label, v.params, apply_fn, rest,
+                     obs_config, f"{workload}/{solution}/{v.label}")
                     for v in variants
                 ]
                 for label, result in _pool_map(

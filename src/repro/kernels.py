@@ -107,25 +107,26 @@ def span_majority(
 def span_entries(
     starts: np.ndarray,
     npages: np.ndarray,
-    entry: np.ndarray,
+    delta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unique leaf entries of many spans over a dense page->entry map.
+    """Unique leaf entries of many spans over a dense entry-delta map.
 
-    Returns ``(entries, offsets)``; span ``i``'s entries are
-    ``entries[offsets[i]:offsets[i+1]]``, ascending (``entry`` is
-    non-decreasing within a span because huge mappings are aligned).
+    Page ``p``'s leaf entry is ``p + delta[p]``.  Returns ``(entries,
+    offsets)``; span ``i``'s entries are ``entries[offsets[i]:offsets[i+1]]``,
+    ascending (entries are non-decreasing within a span because huge
+    mappings are aligned).
     """
     if starts.size == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
     bounds = np.concatenate(([0], np.cumsum(npages)))
     total = int(bounds[-1])
     span_id = np.repeat(np.arange(starts.size), npages)
-    pages = (
+    entries = (
         np.arange(total, dtype=np.int64)
         - np.repeat(bounds[:-1], npages)
         + np.repeat(starts, npages)
     )
-    entries = entry[pages]
+    entries += delta[entries]
     first = np.empty(total, dtype=bool)
     first[0] = True
     np.logical_or(

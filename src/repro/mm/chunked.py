@@ -13,10 +13,9 @@ touch, not the footprint.
 
 The class implements the indexing surface the simulator's hot paths
 actually use — integer/slice/fancy get and set (including the
-read-modify-write ``arr[idx] |= x`` desugaring), ``tile`` (a pattern
-repeated over a range), whole-array ``== scalar``, bit tests over a
-range (``any_and``) or the whole array (``count_nonzero_and``), and
-``__array__`` — so :class:`~repro.mm.pagetable.PageTable` can swap it
+read-modify-write ``arr[idx] |= x`` desugaring), whole-array ``==
+scalar``, bit tests over a range (``any_and``) or the whole array
+(``count_nonzero_and``), ``nbytes`` and ``__array__`` — so :class:`~repro.mm.pagetable.PageTable` can swap it
 in without changing callers.  Scatter order is preserved per chunk, so duplicate-index assignment
 keeps numpy's last-write-wins semantics and stays bit-identical to the
 dense arrays.  Integer and fancy indices follow dense bounds rules:
@@ -233,24 +232,6 @@ class ChunkedArray:
             else:
                 self._dense(c)[local] = vals[sel]
 
-    def tile(self, start: int, stop: int, pattern: np.ndarray) -> None:
-        """Store ``pattern`` repeated over ``[start, stop)``.
-
-        ``start``, ``stop`` and the chunk length must be multiples of the
-        pattern's length, so every chunk receives whole periods and is
-        written in place by one broadcast: no temporary the size of the
-        range is built.
-        """
-        self._check_span(start, stop)
-        period = pattern.size
-        if start % period or stop % period or self.chunk_pages % period:
-            raise ConfigError(
-                f"[{start}, {stop}) with chunks of {self.chunk_pages} does not "
-                f"tile by a period of {period}"
-            )
-        for c, lo, hi in self._pieces(start, stop):
-            self._dense(c)[lo:hi].reshape(-1, period)[:] = pattern
-
     # -- whole-array operations ------------------------------------------------
 
     def __eq__(self, other):  # type: ignore[override]
@@ -317,6 +298,7 @@ class ChunkedArray:
         """Number of chunks that have been materialized."""
         return sum(1 for d in self._chunks if isinstance(d, np.ndarray))
 
-    def storage_nbytes(self) -> int:
+    @property
+    def nbytes(self) -> int:
         """Bytes held by materialized chunks (scalar chunks are free)."""
         return sum(d.nbytes for d in self._chunks if isinstance(d, np.ndarray))

@@ -16,10 +16,12 @@ space constructed with ``chunked=True``) use
 :class:`~repro.mm.chunked.ChunkedArray` segments so a sparse
 hundreds-of-GB address space only materializes the chunks it touches;
 the choice is invisible above the ``PageTable`` API and bit-identical.
-In chunked mode the page->entry map is stored as an ``int16``
-delta-from-identity (0 for base pages, ``-(page % 512)`` inside a huge
-span), which both fits the chunk scalar representation (untouched
-chunks cost nothing) and quarters the dense-chunk footprint.
+Both layouts store the page->entry map in one encoding, an ``int16``
+delta from the identity (0 for base pages, ``-(page % 512)`` inside a
+huge span, so ``entry = page + delta[page]``).  A dense table therefore
+holds 6 bytes per page (``uint16`` flags, ``int16`` node, ``int16``
+delta), and in a chunked table an untouched chunk of any of the three
+costs nothing.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ def chunked_mode():
 #: Pages a chunked span_entries() resolves per pass (~1.5 MB of temporaries).
 _SPAN_WINDOW_PAGES = 1 << 16
 
-#: Entry deltas of one huge span, ``-(page % 512)``; chunked tables tile it.
-_HUGE_ENTRY_DELTA = -np.arange(PAGES_PER_HUGE_PAGE, dtype=np.int16)
+#: Entry deltas of 64 huge spans, ``-(page % 512)`` (64 KB): huge mappings
+#: are written in pieces of this pattern, so no temporary is built.
+_HUGE_ENTRY_DELTAS = np.tile(-np.arange(PAGES_PER_HUGE_PAGE, dtype=np.int16), 64)
 
 
 class PageTable:
@@ -112,18 +115,14 @@ class PageTable:
         # placement changed in since it was built; see _node_runs().
         self._node_rle: tuple[np.ndarray, np.ndarray] | None = None
         self._node_dirty: tuple[int, int] | None = None
-        # Page -> leaf-entry map, maintained on huge collapse/split so
-        # entry_index() is a single gather instead of flag arithmetic.
-        # Chunked spaces store it as an int16 delta from the identity map
-        # (0 everywhere until a huge mapping appears), dense spaces as
-        # the resolved int64 entry per page.
+        # Page -> leaf-entry map as an int16 delta from the identity (0
+        # everywhere until a huge mapping appears), maintained on huge
+        # collapse/split so entry_index() is one gather and one add.
         if self.chunked:
-            self._entry = None
             self._entry_delta = ChunkedArray(n_pages, np.int16, 0, self.chunk_pages)
         else:
-            self._entry = np.arange(n_pages, dtype=np.int64)
-            self._entry_delta = None
-        # Entry-map change tracking: every mutation of ``_entry`` (huge
+            self._entry_delta = np.zeros(n_pages, dtype=np.int16)
+        # Entry-map change tracking: every mutation of the map (huge
         # map/unmap/collapse/split) bumps the version and records the
         # dirtied span, so incremental consumers (the MTM profiler's
         # per-region entry cache) invalidate exactly the regions whose
@@ -286,23 +285,15 @@ class PageTable:
 
     def _entry_mark_identity(self, start: int, end: int) -> None:
         """Point ``[start, end)`` back at base-page entries (delta 0)."""
-        if self.chunked:
-            self._entry_delta[start:end] = 0
-        else:
-            self._entry[start:end] = np.arange(start, end, dtype=np.int64)
+        self._entry_delta[start:end] = 0
         self._mark_entries_dirty(start, end)
 
     def _entry_mark_huge(self, start: int, end: int) -> None:
-        """Point the huge-aligned ``[start, end)`` at its span heads.
-
-        Written in place: chunked tables tile one span's deltas into each
-        chunk, dense tables broadcast each span's head over its row.
-        """
-        if self.chunked:
-            self._entry_delta.tile(start, end, _HUGE_ENTRY_DELTA)
-        else:
-            heads = np.arange(start, end, PAGES_PER_HUGE_PAGE, dtype=np.int64)
-            self._entry[start:end].reshape(-1, PAGES_PER_HUGE_PAGE)[:] = heads[:, None]
+        """Point the huge-aligned ``[start, end)`` at its span heads."""
+        step = _HUGE_ENTRY_DELTAS.size
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
+            self._entry_delta[lo:hi] = _HUGE_ENTRY_DELTAS[: hi - lo]
         self._mark_entries_dirty(start, end)
 
     def entry_index(self, pages: np.ndarray) -> np.ndarray:
@@ -312,9 +303,7 @@ class PageTable:
         mapping it is the huge head (the single PMD entry).
         """
         pages = np.asarray(pages, dtype=np.int64)
-        if self.chunked:
-            return pages + self._entry_delta[pages]
-        return self._entry[pages]
+        return pages + self._entry_delta[pages]
 
     def span_entries(self, starts: np.ndarray, npages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unique leaf entries of many ``[start, start+npages)`` spans at once.
@@ -333,7 +322,7 @@ class PageTable:
             return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
         if self.chunked:
             return self._span_entries_chunked(starts, npages)
-        return kernels.span_entries(starts, npages, self._entry)
+        return kernels.span_entries(starts, npages, self._entry_delta)
 
     def _span_entries_chunked(
         self, starts: np.ndarray, npages: np.ndarray
@@ -538,17 +527,11 @@ class PageTable:
     def storage_nbytes(self) -> int:
         """Bytes held by this table's per-page state arrays.
 
-        For chunked storage only materialized chunks count, which is the
-        number the large-footprint microbench compares against the dense
-        O(n_pages) cost.
+        A dense table holds 6 bytes per page; for chunked storage only
+        materialized chunks count, which is the number the large-footprint
+        microbench compares against the dense O(n_pages) cost.
         """
-        if self.chunked:
-            return (
-                self.flags.storage_nbytes()
-                + self.node.storage_nbytes()
-                + self._entry_delta.storage_nbytes()
-            )
-        return self.flags.nbytes + self.node.nbytes + self._entry.nbytes
+        return self.flags.nbytes + self.node.nbytes + self._entry_delta.nbytes
 
     # -- internals --------------------------------------------------------------
 

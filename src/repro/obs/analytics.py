@@ -117,7 +117,6 @@ class TrackTally:
     fault_events: int = 0
     first_end_ts: float | None = None
     last_end_ts: float | None = None
-    done: bool = False
 
 
 class RunFold:
@@ -207,7 +206,7 @@ class RunFold:
             if record.get("v") != STREAM_SCHEMA_VERSION:
                 self.schema_mismatch += 1
         elif rtype == "end":
-            self._track(record.get("track", "")).done = True
+            self._track(record.get("track", ""))
             self.done = True
             self.label = record.get("track")
         else:

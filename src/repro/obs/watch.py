@@ -42,6 +42,8 @@ def watch_view(fold: RunFold) -> dict:
 
     Counter totals sum over labels; tier occupancy and the ``service.*``
     gauges read the fold's merged gauges (the maximum over tracks).
+    A stream has one ``end`` record, the top-level run's, so every track
+    (relayed cells included) counts as done once it has arrived.
     """
     tracks = fold.tracks.values()
     registry = fold.registry()
@@ -73,7 +75,7 @@ def watch_view(fold: RunFold) -> dict:
             cap[node] = value
     return {
         "tracks": len(fold.tracks),
-        "tracks_done": sum(1 for t in tracks if t.done),
+        "tracks_done": len(fold.tracks) if fold.done else 0,
         "records": fold.records,
         "intervals": sum(t.intervals for t in tracks),
         "interval_rate": rate,

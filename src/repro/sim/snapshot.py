@@ -13,7 +13,8 @@ SimulationEngine` — simulated clock, the MMU's interval histogram, page
 table, frame accounting, profiler/policy/planner state, fault injector,
 and every named RNG stream — into one self-contained byte payload
 (pickle protocol 5).  At the quick bench scale (1/512) a warmed mtm
-engine dumps to ~10.5 MB, nearly all of it the page table, in ~10 ms.
+engine dumps to ~5.3 MB, nearly all of it the page table's 6 bytes per
+page, in ~5 ms.
 :func:`fork_engine` rebuilds an independent engine from it: forks share
 nothing mutable with the parent or with sibling forks, and running a
 fork is bit-identical to continuing the original run (test-enforced,
@@ -25,7 +26,9 @@ and its content regenerates deterministically.  A fork of a cache-fed
 engine must be fed by *some* cache — the engine's own ``"workload"`` RNG
 was never advanced, so it cannot synthesize batches itself — therefore
 :func:`fork_engine` reattaches the caller's cache or builds a private one
-that regenerates the stream from interval 0.
+that regenerates the stream from interval 0 (a pooled sweep instead
+hands its workers the parent's stream cursor, see
+:func:`~repro.bench.runner.run_sweep`).
 
 :class:`SnapshotCache` stores snapshots under explicit keys with an LRU
 byte budget (modeled on the trace cache), plus an optional spill

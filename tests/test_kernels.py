@@ -88,13 +88,13 @@ def loop_span_majority(starts, npages, bounds, values):
     return out
 
 
-def loop_span_entries(starts, npages, entry):
+def loop_span_entries(starts, npages, delta):
     out: list[int] = []
     offsets = [0]
     for s in range(starts.size):
         prev = None
         for p in range(int(starts[s]), int(starts[s]) + int(npages[s])):
-            e = int(entry[p])
+            e = p + int(delta[p])
             if e != prev:
                 out.append(e)
                 prev = e
@@ -214,15 +214,15 @@ class TestKernelDifferentials:
         rng = np.random.default_rng(4)
         for _ in range(25):
             n = int(rng.integers(1024, 8192))
-            entry = np.arange(n, dtype=np.int64)
+            delta = np.zeros(n, dtype=np.int16)
             for head in rng.integers(0, n // 512, size=3) * 512:
-                entry[head:head + 512] = head  # huge-collapsed runs
+                delta[head:head + 512] = -np.arange(512)  # huge-collapsed runs
             nspans = int(rng.integers(1, 30))
             starts = rng.integers(0, n - 1, nspans).astype(np.int64)
             npages = rng.integers(
                 1, np.maximum(2, n - starts), nspans).astype(np.int64)
-            ge, go = kernels.span_entries(starts, npages, entry)
-            we, wo = loop_span_entries(starts, npages, entry)
+            ge, go = kernels.span_entries(starts, npages, delta)
+            we, wo = loop_span_entries(starts, npages, delta)
             np.testing.assert_array_equal(ge, we)
             np.testing.assert_array_equal(go, wo)
 
@@ -413,7 +413,7 @@ class TestChunkedArray:
         assert chunked.dense_chunks() == 1
         chunked[0:self.CHUNK] = 0            # whole-chunk store re-collapses
         assert chunked.dense_chunks() == 0
-        assert chunked.storage_nbytes() < 4 * self.CHUNK * 8
+        assert chunked.nbytes < 4 * self.CHUNK * 8
 
     def test_eq_and_counts(self):
         chunked, dense = self._pair(2048, fill=-1, dtype=np.int16)
@@ -434,7 +434,7 @@ class TestChunkedArray:
         dense[200:400] = 7
         np.testing.assert_array_equal(chunked[dense == 7], dense[dense == 7])
 
-    def test_tile_and_any_and_match_dense(self):
+    def test_pattern_stores_and_any_and_match_dense(self):
         rng = np.random.default_rng(9)
         n = 4000  # the last chunk is partial
         chunked, dense = self._pair(n, fill=0, dtype=np.uint16)
@@ -443,8 +443,8 @@ class TestChunkedArray:
         for _ in range(300):
             op = rng.integers(0, 3)
             a, b = sorted(rng.integers(0, n // period + 1, 2) * period)
-            if op == 0:
-                chunked.tile(a, b, pattern)
+            if op == 0:  # array stores across chunk edges
+                chunked[a:b] = np.tile(pattern, (b - a) // period)
                 dense[a:b] = np.tile(pattern, (b - a) // period)
             elif op == 1:  # scalar stores keep some chunks scalar, some dense
                 a, b = sorted(rng.integers(0, n, 2))
@@ -456,13 +456,9 @@ class TestChunkedArray:
                 mask = np.uint16(1 << int(rng.integers(0, 3)))
                 assert chunked.any_and(mask, a, b) == bool(np.any(dense[a:b] & mask))
         np.testing.assert_array_equal(np.asarray(chunked), dense)
-        with pytest.raises(ConfigError):
-            chunked.tile(period // 2, period, pattern)
         for a, b in ((0, n + 100), (-period, period), (2 * period, period)):
             with pytest.raises(IndexError):
                 chunked.any_and(np.uint16(1), a, b)
-            with pytest.raises(IndexError):
-                chunked.tile(a, b, pattern)
 
 
 class TestChunkedPageTable:

@@ -391,6 +391,26 @@ class TestWatch:
                 last[int(dict(rec["labels"])["node"])] = rec["value"]
         assert {node: used for node, used, _ in tiers} != last
 
+    def test_every_track_is_done_at_the_stream_end(self, tmp_path):
+        """Cells close their tracks without an ``end`` record; the
+        stream's one ``end`` finishes all of them."""
+        ctx = ObsContext(ObsConfig(stream=True), label="matrix")
+        ctx.add_sink(NdjsonFileSink(tmp_path / "stream.ndjson"))
+        run_matrix(["gups"], ["first-touch", "mtm"],
+                   BenchProfile(name="watch-done", scale=SCALE, seed=7),
+                   intervals=INTERVALS, workers=1, obs=ctx)
+        ctx.stream_close()
+        records = read_records(tmp_path / "stream.ndjson")
+        assert records[-1]["type"] == "end"
+        fold = RunFold()
+        for rec in records[:-1]:
+            fold.feed(rec)
+        assert watch_view(fold)["tracks_done"] == 0
+        fold.feed(records[-1])
+        view = watch_view(fold)
+        assert view["tracks"] == view["tracks_done"] == 3
+        assert "tracks 3 (3 done)" in render_text(fold)
+
     def test_render_text_mentions_the_key_panels(self, tmp_path):
         path, _ = self._stream(tmp_path)
         fold = RunFold()

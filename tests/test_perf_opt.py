@@ -25,7 +25,7 @@ from repro.metrics.perfstats import CacheStats, PerfStats
 from repro.sim.tracecache import TraceCache
 from tests import goldens
 from tests.goldens import SCALE, assert_golden, solution_key
-from tests.support import fingerprint, matrix_fingerprint
+from tests.support import fingerprint, matrix_fingerprint, sweep_fingerprint
 from tests.test_snapshot import TAU_VARIANTS, set_tau
 
 
@@ -112,14 +112,44 @@ class TestTraceCache:
         assert stats.cached_bytes == cache.cached_bytes > 0
 
     def test_pooled_sweep_counts_one_outcome_per_request(self):
-        # Each pool worker forks onto a fresh cache, so its first request
-        # synthesizes the whole warmup prefix; that is still one miss.
+        # A request counts one outcome however many batches it
+        # synthesizes (see the next test for the batches themselves).
         profile = BenchProfile(name="t", scale=SCALE, seed=3, intervals={"gups": 12})
         variants = TAU_VARIANTS + [SweepVariant(label="tau_m=2", params={"tau_m": 2.0})]
         sweep = run_sweep("mtm", "gups", profile, variants, set_tau,
                           warmup_intervals=8, use_snapshots=True, workers=2)
         cache = sweep.perf.cache
         assert cache.hits + cache.misses == len(variants) * (12 - 8)
+
+    def test_pooled_fork_workers_resume_the_stream_at_the_branch(
+            self, tmp_path, monkeypatch):
+        """Each worker adopts the parent's stream cursor, so it
+        synthesizes only the 4 post-branch batches, not all 12."""
+        import os
+        from collections import Counter
+
+        from repro.workloads.base import SegmentedWorkload
+
+        log = tmp_path / "next_batch.log"
+        next_batch = SegmentedWorkload.next_batch
+
+        def counted(workload, rng):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return next_batch(workload, rng)
+
+        profile = BenchProfile(name="t", scale=SCALE, seed=3, intervals={"gups": 12})
+        variants = TAU_VARIANTS + [SweepVariant(label="tau_m=2", params={"tau_m": 2.0})]
+        monkeypatch.setattr(SegmentedWorkload, "next_batch", counted)
+        pooled = run_sweep("mtm", "gups", profile, variants, set_tau,
+                           warmup_intervals=8, use_snapshots=True, workers=2)
+        monkeypatch.undo()
+        calls = Counter(log.read_text().split())
+        assert calls.pop(str(os.getpid())) == 8  # the parent's warmup
+        assert calls and set(calls.values()) == {12 - 8}
+        serial = run_sweep("mtm", "gups", profile, variants, set_tau,
+                           warmup_intervals=8, use_snapshots=True, workers=1)
+        assert sweep_fingerprint(pooled) == sweep_fingerprint(serial)
 
     def test_cached_batches_are_immutable(self):
         cache = TraceCache()
