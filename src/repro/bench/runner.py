@@ -45,7 +45,6 @@ from repro.workloads.registry import workload_spec
 
 if TYPE_CHECKING:
     from repro.obs.context import ObsConfig, ObsContext
-    from repro.service.cache import ResultCache
     from repro.sim.snapshot import EngineSnapshot
     from repro.sim.tracecache import TraceCache
 
@@ -257,12 +256,10 @@ class MatrixResult:
     Attributes:
         results: ``results[workload][solution]`` -> SimulationResult.
         baseline: solution used for normalization.
-        perf: run-level counters summed over the cells this call
-            simulated: intervals, and the trace-cache hits, misses and
-            evictions each engine's own requests added (so a cache
-            shared by sibling cells is not double-counted, in this
-            process or in a pool worker).  Cells served from a result
-            cache carry no ``perf``.
+        perf: run-level counters summed over the cells: intervals,
+            and the trace-cache hits, misses and evictions each engine's
+            own requests added (so a cache shared by sibling cells is
+            not double-counted, in this process or in a pool worker).
     """
 
     results: dict[str, dict[str, SimulationResult]]
@@ -327,12 +324,11 @@ def _process_trace_cache() -> "TraceCache":
 def _row_tasks(
     workloads: list[str],
     solutions: list[str],
-    skip: frozenset,
     profile: BenchProfile,
     intervals: int | None,
     workers: int,
 ) -> list[tuple[str, tuple[str, ...]]]:
-    """The matrix's cells not in ``skip``, as ``(workload, solutions)`` tasks.
+    """The matrix's cells as ``(workload, solutions)`` tasks.
 
     A task is one workload row, run in solution order in one process,
     so that process's trace cache synthesizes the row's stream once and
@@ -343,23 +339,17 @@ def _row_tasks(
     ``ceil(workers / rows)`` contiguous chunks, so every worker has work.
     """
 
-    def weight(row: tuple[str, tuple[str, ...]]) -> int:
+    def weight(workload: str) -> int:
         """Paper footprint x intervals: what the row's stream costs."""
-        workload = row[0]
         n = intervals if intervals is not None else profile.intervals_for(workload)
         return workload_spec(workload).footprint_bytes * n
 
-    rows = [
-        (w, tuple(s for s in solutions if (w, s) not in skip)) for w in workloads
-    ]
-    rows = sorted(((w, sols) for w, sols in rows if sols), key=weight, reverse=True)
-    parts = math.ceil(workers / len(rows)) if rows else 1
-    tasks = []
-    for workload, sols in rows:
-        n = min(parts, len(sols))
-        bounds = [len(sols) * i // n for i in range(n + 1)]
-        tasks += [(workload, sols[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return tasks
+    row = tuple(solutions)
+    n = min(math.ceil(workers / max(len(workloads), 1)), len(row))
+    bounds = [len(row) * i // n for i in range(n + 1)]
+    return [(workload, row[a:b])
+            for workload in sorted(workloads, key=weight, reverse=True)
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def _run_row(
@@ -401,7 +391,6 @@ def run_matrix(
     fault_seed: int = 0,
     trace_cache: "TraceCache | None" = None,
     recovery: bool = True,
-    result_cache: "ResultCache | None" = None,
     obs="default",
 ) -> MatrixResult:
     """Run every solution on every workload (Fig. 4 / Fig. 5 driver).
@@ -420,15 +409,6 @@ def run_matrix(
         trace_cache: the serial run's cache; ``None`` builds a private
             one.  Pool workers each use their process's own cache, which
             synthesizes a stream once per row task it runs.
-        result_cache: optional on-disk
-            :class:`~repro.service.cache.ResultCache` (the sweep
-            service's): cells whose content address is already stored are
-            served from disk instead of simulating, and freshly computed
-            cells are published back.  Cached cells carry no ``perf``/
-            ``obs`` (they describe the run that computed them), so
-            aggregates never double-count.  Because cell execution is
-            deterministic in its content address, the assembled matrix
-            is bit-identical with or without the cache.
         obs: as in :func:`run_solution`; every cell records into a fresh
             private context and the collector absorbs each cell's data
             exactly once, serial and pooled alike.
@@ -442,31 +422,11 @@ def run_matrix(
     collector = _resolve_collector(obs)
     obs_config = collector.config if collector is not None else None
 
-    collected: dict[tuple[str, str], SimulationResult] = {}
-    cell_keys: dict[tuple[str, str], str] = {}
-    if result_cache is not None:
-        from repro.service.cache import cell_key
-        from repro.service.protocol import JobSpec
-
-        cache_spec = JobSpec(
-            workloads=tuple(workloads), solutions=tuple(solutions),
-            profile=profile, intervals=intervals, baseline=baseline,
-            fault_rate=fault_rate, fault_seed=fault_seed, recovery=recovery,
-        )
-        for workload in workloads:
-            for solution in solutions:
-                key = cell_key(cache_spec, workload, solution)
-                cell_keys[(workload, solution)] = key
-                hit = result_cache.get(key)
-                if hit is not None:
-                    collected[(workload, solution)] = hit
-    cached_coords = frozenset(collected)
-
     tasks = [
         (workload, chunk, profile, intervals, fault_rate, fault_seed,
          recovery, obs_config)
         for workload, chunk in _row_tasks(
-            workloads, solutions, cached_coords, profile, intervals, workers
+            workloads, solutions, profile, intervals, workers
         )
     ]
     if workers == 1:
@@ -477,15 +437,11 @@ def run_matrix(
         rows = (_run_row(task, trace_cache) for task in tasks)
     else:
         rows = _pool_map(_run_row, tasks, workers, collector=collector)
+    collected: dict[tuple[str, str], SimulationResult] = {}
     with _stream_collector(collector):
         for row in rows:
             for workload, solution, result in row:
                 collected[(workload, solution)] = result
-
-    if result_cache is not None:
-        for coords, result in collected.items():
-            if coords not in cached_coords:
-                result_cache.put(cell_keys[coords], result)
 
     results: dict[str, dict[str, SimulationResult]] = {}
     for workload in workloads:
@@ -508,8 +464,6 @@ def _aggregate_perf(results) -> PerfStats | None:
     """Merge per-cell perf stats (cache counters are per-cell deltas)."""
     merged: PerfStats | None = None
     for result in results:
-        if result.perf is None:
-            continue
         merged = result.perf if merged is None else merged.merge(result.perf)
     return merged
 

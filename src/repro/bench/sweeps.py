@@ -1,11 +1,10 @@
-"""Importable sweep-apply functions for service-distributed sweeps.
+"""Importable sweep-apply functions for :func:`~repro.bench.runner.run_sweep`.
 
-A :class:`~repro.service.protocol.SweepSpec` names its branch-point
-function as ``"module:function"`` so *workers* — separate processes,
-possibly separate machines — can resolve it with a plain import.
 Benchmark scripts under ``benchmarks/`` are not importable packages, so
-any apply function a distributed sweep uses lives here instead; the
-benchmarks import it back rather than keeping a private copy.
+an apply function that more than one of them uses lives here: the
+Fig. 9 driver, the perf smoke and the end-to-end benchmark's tau-sweep
+workload all import :func:`apply_tau` rather than keeping a private
+copy.
 
 An apply function takes ``(engine, params)`` and mutates the engine's
 configuration at the branch interval — after the shared warmup, before

@@ -18,14 +18,7 @@ Commands:
   top-K hot pages, lifecycle funnel, ping-pong, or generic
   filter/group/top-N table queries;
 * ``diff`` — compare two runs metric-by-metric (deltas, bootstrap CIs,
-  verdicts, optional ``--html`` report);
-* ``serve`` — the fault-tolerant sweep scheduler daemon: lease-based
-  cell assignment, crash-safe result cache, journal-backed resume;
-* ``worker`` — one fleet member serving cells for a ``serve`` daemon;
-* ``submit`` — hand a workload x solution matrix job to a daemon and
-  print the assembled table;
-* ``fleet`` — live fleet dashboard over a ``serve`` daemon (wire poll
-  with ``--connect``, or tail its ``--obs-stream`` NDJSON).
+  verdicts, optional ``--html`` report).
 
 ``run`` and ``compare`` accept ``--obs [--obs-out DIR]`` to record
 structured events, phase spans, metrics, and migration provenance, and
@@ -226,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--run", required=True, metavar="DIR",
-        help="artifact directory: a run/sweep --obs-out, a service "
-             "state dir, or a bare --obs-stream directory",
+        help="artifact directory: a run/sweep --obs-out or a bare "
+             "--obs-stream directory",
     )
     query.add_argument(
         "--store", default=None, metavar="FILE",
@@ -248,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--table", default="events", metavar="NAME",
         help="table for --analysis table (provenance/events/metrics/"
-             "spans/journal; default: events)",
+             "spans; default: events)",
     )
     query.add_argument(
         "--where", action="append", default=None, metavar="COL=VAL",
@@ -330,221 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a self-contained HTML diff report to FILE",
     )
 
-    serve = sub.add_parser(
-        "serve", help="run the fault-tolerant sweep scheduler daemon"
-    )
-    serve.add_argument(
-        "--address", default="127.0.0.1:0", metavar="ADDR",
-        help="listen address (unix:PATH or HOST:PORT; port 0 picks a "
-             "free port, printed on startup; default: 127.0.0.1:0)",
-    )
-    serve.add_argument(
-        "--state-dir", default="service-state", metavar="DIR",
-        help="directory for the result cache, job journal, dead-letter "
-             "log, and telemetry stream (default: service-state)",
-    )
-    serve.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SEC",
-        help="heartbeat-free seconds before a cell lease expires and "
-             "requeues (default: 30)",
-    )
-    serve.add_argument(
-        "--max-attempts", type=int, default=5, metavar="N",
-        help="lease grants per cell before dead-lettering (default: 5)",
-    )
-    serve.add_argument(
-        "--no-inline", action="store_true",
-        help="disable the in-process serial fallback that runs cells "
-             "while no workers are registered",
-    )
-    serve.add_argument(
-        "--no-resume", action="store_true",
-        help="skip journal replay of jobs interrupted by a previous "
-             "scheduler exit",
-    )
-    serve.add_argument(
-        "--obs-stream", action="store_true",
-        help="stream service telemetry to STATE_DIR/stream.ndjson "
-             "(watch it with `repro watch --run STATE_DIR`)",
-    )
-    serve.add_argument(
-        "--secret-file", default=None, metavar="PATH",
-        help="file holding the shared frame-authentication secret "
-             "(fallback: the REPRO_SERVICE_SECRET environment variable); "
-             "required to bind TCP on a non-loopback address",
-    )
-    serve.add_argument(
-        "--insecure", action="store_true",
-        help="allow binding plaintext TCP on a non-loopback address "
-             "without a secret (the wire protocol is pickle: anyone who "
-             "can reach the port can execute code — trusted networks only)",
-    )
-    serve.add_argument(
-        "--affinity-staleness", type=float, default=5.0, metavar="SEC",
-        help="max seconds the FIFO head may wait while claims redirect "
-             "to cells matching a worker's warm snapshots (0 disables "
-             "affinity; default: 5)",
-    )
-    serve.add_argument(
-        "--no-compress", action="store_true",
-        help="never negotiate frame compression with peers",
-    )
-
-    fleet = sub.add_parser(
-        "fleet", help="live fleet dashboard over a scheduler daemon"
-    )
-    fsrc = fleet.add_mutually_exclusive_group(required=True)
-    fsrc.add_argument(
-        "--connect", metavar="ADDR",
-        help="poll the scheduler's fleet snapshot over its wire address "
-             "(as printed by `repro serve`)",
-    )
-    fsrc.add_argument(
-        "--run", metavar="DIR",
-        help="tail DIR/stream.ndjson of a `repro serve --obs-stream` "
-             "state directory instead of connecting",
-    )
-    fleet.add_argument(
-        "--refresh", type=float, default=1.0, metavar="SEC",
-        help="dashboard refresh period (default: 1.0)",
-    )
-    fleet.add_argument(
-        "--once", action="store_true",
-        help="print one frame and exit",
-    )
-    fleet.add_argument(
-        "--wait", type=float, default=None, metavar="SEC",
-        help="with --once: wait up to SEC for the source to appear",
-    )
-    fleet.add_argument(
-        "--duration", type=float, default=None, metavar="SEC",
-        help="stop after SEC seconds",
-    )
-    fleet.add_argument(
-        "--html", default=None, metavar="FILE",
-        help="also write a static HTML fleet page to FILE each refresh",
-    )
-    fleet.add_argument(
-        "--secret-file", default=None, metavar="PATH",
-        help="file holding the scheduler's shared frame-authentication "
-             "secret (fallback: REPRO_SERVICE_SECRET; --connect only)",
-    )
-
-    worker = sub.add_parser(
-        "worker", help="serve sweep cells for a scheduler daemon"
-    )
-    worker.add_argument(
-        "--address", required=True, metavar="ADDR",
-        help="scheduler address (as printed by `repro serve`)",
-    )
-    worker.add_argument(
-        "--id", default=None, metavar="NAME",
-        help="worker identity (default: derived from pid)",
-    )
-    worker.add_argument(
-        "--max-idle-claims", type=int, default=None, metavar="N",
-        help="exit after N consecutive idle claims (default: serve forever)",
-    )
-    worker.add_argument(
-        "--chaos-kill-after-cells", type=int, default=None, metavar="N",
-        help="chaos: SIGKILL this worker after its Nth completed cell "
-             "(crash between cells)",
-    )
-    worker.add_argument(
-        "--chaos-kill-cell", type=int, default=None, metavar="N",
-        help="chaos: arm a delayed SIGKILL when starting the Nth cell "
-             "(crash mid-cell; 0 = the first cell)",
-    )
-    worker.add_argument(
-        "--chaos-kill-delay", type=float, default=0.05, metavar="SEC",
-        help="chaos: delay of the mid-cell SIGKILL (default: 0.05)",
-    )
-    worker.add_argument(
-        "--secret-file", default=None, metavar="PATH",
-        help="file holding the scheduler's shared frame-authentication "
-             "secret (fallback: REPRO_SERVICE_SECRET)",
-    )
-    worker.add_argument(
-        "--no-warm", action="store_true",
-        help="disable the warm-snapshot cache (every sweep cell "
-             "re-simulates its warmup from scratch)",
-    )
-    worker.add_argument(
-        "--warm-bytes", type=int, default=None, metavar="BYTES",
-        help="in-memory byte budget of the warm-snapshot cache "
-             "(default: 512 MiB)",
-    )
-    worker.add_argument(
-        "--warm-spill-dir", default=None, metavar="DIR",
-        help="directory for spilled warm snapshots (default: a private "
-             "temp dir, removed on drain)",
-    )
-    worker.add_argument(
-        "--no-pipeline", action="store_true",
-        help="disable prefetching the next lease while a cell runs",
-    )
-    worker.add_argument(
-        "--no-compress", action="store_true",
-        help="do not offer frame compression at hello",
-    )
-
-    submit = sub.add_parser(
-        "submit", help="submit a matrix job to a scheduler daemon"
-    )
-    submit.add_argument(
-        "--address", required=True, metavar="ADDR",
-        help="scheduler address (as printed by `repro serve`)",
-    )
-    submit.add_argument(
-        "--workloads", default="gups",
-        help="comma-separated workload names (default: gups)",
-    )
-    submit.add_argument(
-        "--solutions", default="first-touch,mtm",
-        help="comma-separated solution names (first is the baseline)",
-    )
-    submit.add_argument(
-        "--intervals", type=int, default=None,
-        help="profiling intervals per cell (default: the profile's "
-             "per-workload defaults)",
-    )
-    submit.add_argument(
-        "--scale-denominator", type=int, default=DEFAULT_SCALE_DENOM,
-        metavar="N", help="machine capacity scale 1/N (default: 256)",
-    )
-    submit.add_argument("--seed", type=int, default=0, help="RNG seed")
-    submit.add_argument(
-        "--faults", type=float, default=0.0, metavar="RATE",
-        help="per-cell fault-injection rate in [0, 1] (default: 0)",
-    )
-    submit.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for each cell's fault injector (default: 0)",
-    )
-    submit.add_argument(
-        "--fail-fast", action="store_true",
-        help="disable in-cell retry/backoff recovery",
-    )
-    submit.add_argument(
-        "--tag", default="", help="free-form job label (journal, status)",
-    )
-    submit.add_argument(
-        "--timeout", type=float, default=None, metavar="SEC",
-        help="give up waiting for the job after SEC seconds",
-    )
-    submit.add_argument(
-        "--no-wait", action="store_true",
-        help="print the job id and exit without waiting for results",
-    )
-    submit.add_argument(
-        "--secret-file", default=None, metavar="PATH",
-        help="file holding the scheduler's shared frame-authentication "
-             "secret (fallback: REPRO_SERVICE_SECRET)",
-    )
-    submit.add_argument(
-        "--no-compress", action="store_true",
-        help="do not offer frame compression at hello",
-    )
     return parser
 
 
@@ -710,23 +488,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """``fleet``: live fleet dashboard (wire poll or stream tail)."""
-    from repro.obs.watch import run_fleet
-    from repro.service.protocol import resolve_secret
-
-    return run_fleet(
-        connect=args.connect,
-        run=args.run,
-        refresh=args.refresh,
-        once=args.once,
-        duration=args.duration,
-        wait=args.wait,
-        html=args.html,
-        secret=resolve_secret(args.secret_file) if args.connect else None,
-    )
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """``report``: summarize an export directory."""
     import json as _json
@@ -874,134 +635,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 1 if diff["summary"]["regressed"] else 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """``serve``: run the sweep scheduler daemon in the foreground."""
-    import os
-    import signal
-
-    from repro.service.cache import ResultCache
-    from repro.service.journal import Journal, pid_file_write
-    from repro.service.protocol import resolve_secret
-    from repro.service.scheduler import (
-        SchedulerConfig,
-        SchedulerCore,
-        SchedulerServer,
-    )
-
-    secret = resolve_secret(args.secret_file)
-    obs = None
-    if args.obs_stream:
-        from repro.obs.context import ObsConfig, ObsContext
-        from repro.obs.sinks import NdjsonFileSink
-
-        obs = ObsContext(ObsConfig(stream=True), label="service")
-        obs.add_sink(NdjsonFileSink(os.path.join(args.state_dir,
-                                                 "stream.ndjson")))
-    core = SchedulerCore(
-        cache=ResultCache(os.path.join(args.state_dir, "cache")),
-        journal=Journal(args.state_dir),
-        config=SchedulerConfig(
-            lease_timeout=args.lease_timeout,
-            max_attempts=args.max_attempts,
-            inline_fallback=not args.no_inline,
-            affinity_staleness=args.affinity_staleness,
-        ),
-        obs=obs,
-    )
-    server = SchedulerServer(core, address=args.address, secret=secret,
-                             allow_insecure_tcp=args.insecure,
-                             compress=not args.no_compress)
-    pid_file_write(args.state_dir)
-    if not args.no_resume:
-        resumed = core.resume()
-        if resumed:
-            print(f"resumed {len(resumed)} interrupted job(s): "
-                  + ", ".join(resumed))
-
-    def _drain(_signum, _frame):
-        # SIGTERM/SIGINT: stop granting, let in-flight leases land,
-        # journal the interruption point, then exit.
-        import threading
-
-        threading.Thread(target=server.shutdown, kwargs={"drain": True},
-                         daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    print(f"scheduler listening on {server.address} "
-          f"(state: {args.state_dir})", flush=True)
-    server.serve_forever()
-    print("scheduler drained; exiting")
-    return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    """``worker``: claim and run cells for a scheduler daemon."""
-    from repro.service.protocol import resolve_secret
-    from repro.service.worker import worker_main
-
-    return worker_main(
-        args.address,
-        worker_id=args.id,
-        chaos_kill_after_cells=args.chaos_kill_after_cells,
-        chaos_kill_cell=args.chaos_kill_cell,
-        chaos_kill_delay=args.chaos_kill_delay,
-        max_idle_claims=args.max_idle_claims,
-        secret=resolve_secret(args.secret_file),
-        warm=not args.no_warm,
-        warm_bytes=args.warm_bytes,
-        warm_spill_dir=args.warm_spill_dir,
-        pipeline=not args.no_pipeline,
-        compress=not args.no_compress,
-    )
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """``submit``: send a matrix job to a daemon, print the table."""
-    from repro.bench.scaling import BenchProfile
-    from repro.service.client import ServiceClient
-    from repro.service.protocol import JobSpec, resolve_secret
-
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    solutions = [s.strip() for s in args.solutions.split(",") if s.strip()]
-    if not workloads or not solutions:
-        print("submit needs at least one workload and one solution",
-              file=sys.stderr)
-        return 2
-    spec = JobSpec(
-        workloads=tuple(workloads),
-        solutions=tuple(solutions),
-        profile=BenchProfile(
-            name="submit", scale=1.0 / args.scale_denominator, seed=args.seed
-        ),
-        intervals=args.intervals,
-        baseline=solutions[0],
-        fault_rate=args.faults,
-        fault_seed=args.fault_seed,
-        recovery=not args.fail_fast,
-        tag=args.tag,
-    )
-    with ServiceClient(args.address,
-                       secret=resolve_secret(args.secret_file),
-                       compress=not args.no_compress) as client:
-        job_id = client.submit(spec)
-        print(f"submitted {job_id} "
-              f"({len(workloads)}x{len(solutions)} cells)", flush=True)
-        if args.no_wait:
-            return 0
-
-        def _progress(status: dict) -> None:
-            print(f"  {status['cells_done']}/{status['cells_total']} cells "
-                  f"({status['cache_hits']} from cache)", flush=True)
-
-        client.wait(job_id, timeout=args.timeout, on_progress=_progress)
-        matrix = client.fetch(job_id)
-    print(matrix.table(
-        f"normalized execution time (baseline: {spec.baseline})"
-    ).render())
-    return 0
-
-
 def cmd_list(_args: argparse.Namespace) -> int:
     """``list``: print the available solutions and workloads."""
     from repro.core.baselines import SOLUTIONS
@@ -1032,20 +665,12 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_trace(args)
         if args.command == "watch":
             return cmd_watch(args)
-        if args.command == "fleet":
-            return cmd_fleet(args)
         if args.command == "report":
             return cmd_report(args)
         if args.command == "query":
             return cmd_query(args)
         if args.command == "diff":
             return cmd_diff(args)
-        if args.command == "serve":
-            return cmd_serve(args)
-        if args.command == "worker":
-            return cmd_worker(args)
-        if args.command == "submit":
-            return cmd_submit(args)
         return cmd_list(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,104 +76,3 @@ class TierPressureError(TransientError, CapacityError):
 
 class SampleLossError(TransientError, ProfilingError):
     """A sampling buffer overflowed and dropped part of its window."""
-
-
-# -- service layer -------------------------------------------------------------
-#
-# The sweep service (:mod:`repro.service`) fails at process granularity:
-# a worker dies mid-cell, a lease outlives its heartbeats, a cache entry
-# rots on disk.  All of these are *recoverable by re-execution* — the
-# cell is deterministic — so they join the transient taxonomy and flow
-# through the same retry/backoff dispatch the planner uses for EBUSY.
-
-
-class ServiceError(ReproError):
-    """Base class for sweep-service failures (scheduler, worker, cache)."""
-
-
-class ProtocolError(ServiceError):
-    """A service peer sent a malformed or unexpected message.
-
-    Not transient: a framing violation means the peers disagree about
-    the wire format, and retrying the same bytes cannot fix that.
-    """
-
-
-class FrameTooLarge(ProtocolError):
-    """A message would exceed the protocol frame bound.
-
-    Raised *before* any bytes hit the wire, so the connection stays
-    usable: the sender can report the failure in-band (the worker turns
-    an oversized ``result`` into a clean ``completion_error`` requeue)
-    instead of tearing the stream mid-frame.
-
-    Attributes:
-        frame_bytes: size the frame would have been (-1 unknown).
-    """
-
-    def __init__(self, message: str, *, frame_bytes: int = -1) -> None:
-        super().__init__(message)
-        self.frame_bytes = frame_bytes
-
-
-class LeaseExpired(TransientError, ServiceError):
-    """A cell lease outlived its deadline without heartbeats.
-
-    The scheduler raises/records this when it reclaims the cell; a
-    worker holding the stale lease sees its late ``result`` rejected.
-
-    Attributes:
-        lease_id: the expired lease (-1 unknown).
-        attempt: which attempt of the cell expired (-1 unknown).
-    """
-
-    def __init__(self, message: str, *, lease_id: int = -1,
-                 attempt: int = -1, **kwargs) -> None:
-        super().__init__(message, **kwargs)
-        self.lease_id = lease_id
-        self.attempt = attempt
-
-
-class WorkerLost(TransientError, ServiceError):
-    """A worker process died or its connection dropped mid-lease.
-
-    Attributes:
-        worker_id: the lost worker ("" unknown).
-    """
-
-    def __init__(self, message: str, *, worker_id: str = "", **kwargs) -> None:
-        super().__init__(message, **kwargs)
-        self.worker_id = worker_id
-
-
-class CacheCorrupt(TransientError, ServiceError):
-    """An on-disk result-cache entry failed its integrity check.
-
-    Raised by :meth:`repro.service.cache.ResultCache.load_entry` when an
-    entry's magic, length, or checksum does not match.  Transient by
-    design: the entry is quarantined and the cell recomputed, so the
-    corruption never surfaces to a client.
-
-    Attributes:
-        path: the corrupt entry file ("" unknown).
-        reason: short machine-readable cause (``"magic"``, ``"truncated"``,
-            ``"checksum"``, ``"unpickle"``).
-    """
-
-    def __init__(self, message: str, *, path: str = "",
-                 reason: str = "", **kwargs) -> None:
-        super().__init__(message, **kwargs)
-        self.path = path
-        self.reason = reason
-
-
-def is_transient(exc: BaseException) -> bool:
-    """Planner-style dispatch: is ``exc`` recoverable by retrying?
-
-    Covers the in-process taxonomy (EBUSY / ENOMEM / sample loss) and
-    the service layer (expired leases, lost workers, corrupt cache
-    entries) in one predicate, so retry loops at any level — planner
-    chunk retries, scheduler cell requeues, client reconnects — agree
-    on what is worth another attempt.
-    """
-    return isinstance(exc, TransientError)

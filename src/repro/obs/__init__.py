@@ -13,9 +13,9 @@ Plus the streaming plane (DESIGN.md "Streaming observability"):
 * :mod:`repro.obs.stream` — NDJSON record schema + incremental publisher;
 * :mod:`repro.obs.sinks` — the append-only file sink and the mp-queue
   relay that carries pool workers' records into it;
-* :mod:`repro.obs.watch` — the ``repro watch`` and ``repro fleet``
-  dashboards, live views of :class:`repro.obs.analytics.RunFold`, the
-  one fold every reader of the record shares.
+* :mod:`repro.obs.watch` — the ``repro watch`` dashboard, a live view
+  of :class:`repro.obs.analytics.RunFold`, the one fold every reader of
+  the record shares.
 
 :class:`~repro.obs.context.ObsContext` bundles them; the stack is
 instrumented against ``obs: ObsContext | None`` and emits nothing when

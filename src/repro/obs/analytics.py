@@ -4,17 +4,17 @@ Three layers on top of :mod:`repro.obs.store`:
 
 * **Ingest** — :class:`RunFold` (the *fold*) folds stream-schema
   records one at a time, and every reader of the record renders a view
-  of it: the ``repro watch`` and ``repro fleet`` dashboards live, and
-  :func:`fold_run` over a directory's one NDJSON record, ``run.ndjson``
-  written by the export or, with no export, the ``stream.ndjson`` the
-  run streamed (plain or ``.gz``).  Both are the stream schema, so one
-  set of merge rules rebuilds the events, spans, provenance, and merged
-  metrics of either.  :func:`ingest_run` folds a run/sweep/service
-  directory (service state directories add ``journal.ndjson``) into the
+  of it: the ``repro watch`` dashboard live, and :func:`fold_run` over a
+  directory's one NDJSON record, ``run.ndjson`` written by the export
+  or, with no export, the ``stream.ndjson`` the run streamed (plain or
+  ``.gz``).  Both are the stream schema, so one set of merge rules
+  rebuilds the events, spans, provenance, and merged metrics of either.
+  :func:`ingest_run` folds a run or sweep directory into the
   deterministic columnar bundle ``analytics.npz``, and the
-  ``report``/``trace`` CLIs render the same fold.  Rows are canonicalized (events and spans
-  stably sorted by track, provenance by its full key) so the bundle
-  bytes do not depend on absorb or relay order.
+  ``report``/``trace`` CLIs render the same fold.  Rows are
+  canonicalized (events and spans stably sorted by track, provenance by
+  its full key) so the bundle bytes do not depend on absorb or relay
+  order.
 * **Analyses** — :func:`dwell_time`, :func:`top_pages`,
   :func:`lifecycle_funnel`, :func:`ping_pong`, and a generic
   :func:`query_table` verb with filter/group/top-N.  Each returns a
@@ -43,20 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.obs.events import (
-    EV_FAULT_INJECTED,
-    EV_INTERVAL_END,
-    EV_SERVICE_CELL_DEAD_LETTER,
-    EV_SERVICE_CELL_DONE,
-    EV_SERVICE_CELL_REQUEUED,
-    EV_SERVICE_JOB_DONE,
-    EV_SERVICE_JOB_FAILED,
-    EV_SERVICE_JOB_SUBMITTED,
-    EV_SERVICE_LEASE_EXPIRED,
-    EV_SERVICE_LEASE_GRANTED,
-    EV_SERVICE_WORKER_JOINED,
-    EV_SERVICE_WORKER_LOST,
-)
+from repro.obs.events import EV_FAULT_INJECTED, EV_INTERVAL_END
 from repro.obs.export import RUN_RECORD
 from repro.obs.provenance import (
     STAGE_COMMITTED,
@@ -125,10 +112,10 @@ class RunFold:
     :meth:`feed` folds one decoded record of ``run.ndjson`` or
     ``stream.ndjson``; every reader of the record renders a view of it:
     ingest, ``repro report`` and ``repro trace`` through
-    :func:`fold_run`, and the ``repro watch`` and ``repro fleet``
-    dashboards live.  Only a fold made with ``keep_rows=True`` keeps the
-    event, span and provenance rows; without them its memory is bounded
-    by tracks, metric series and workers.
+    :func:`fold_run`, and the ``repro watch`` dashboard live.  Only a
+    fold made with ``keep_rows=True`` keeps the event, span and
+    provenance rows; without them its memory is bounded by tracks and
+    metric series.
 
     Metrics fold per track (counter deltas sum, a gauge keeps its last
     value, a histogram its last cumulative summary); the views merge the
@@ -151,7 +138,6 @@ class RunFold:
         done: an ``end`` record arrived.
         tracks: per-track tallies, for every track with a meta, event or
             end record.
-        service_records: ``service.*`` events and gauges folded.
     """
 
     def __init__(self, source: str = "stream", keep_rows: bool = False) -> None:
@@ -166,15 +152,9 @@ class RunFold:
         self.schema_mismatch = 0
         self.done = False
         self.tracks: dict[str, TrackTally] = {}
-        self.service_records = 0
         self._event_counts: dict[str, int] = {}
         self._metrics: dict[str, tuple[dict, dict, dict]] = {}
         self._merged: MetricsRegistry | None = None
-        self._workers: dict = {}
-        self._fleet_counters = {"leases_granted": 0, "leases_expired": 0,
-                                "requeues": 0, "completions": 0}
-        self._jobs = {"running": 0, "done": 0, "failed": 0}
-        self._dead_letters = 0
 
     def _track(self, name) -> TrackTally:
         tally = self.tracks.get(name)
@@ -222,8 +202,6 @@ class RunFold:
             counters[key] = counters.get(key, 0) + record.get("delta", 0)
         elif kind == "gauge":
             gauges[key] = record.get("value", 0)
-            if key[0].startswith("service."):
-                self.service_records += 1
         elif kind == "histogram":
             count = int(record.get("count", 0))
             histograms[key] = HistogramStat(
@@ -256,58 +234,6 @@ class RunFold:
                 tally.last_end_ts = ts
         elif name == EV_FAULT_INJECTED:
             tally.fault_events += 1
-        elif name.startswith("service."):
-            self._feed_service(name, record)
-
-    def _worker(self, wid) -> dict:
-        worker = self._workers.get(wid)
-        if worker is None:
-            worker = self._workers[wid] = {
-                "cells_done": 0, "staleness": 0.0, "warm_keys": 0,
-                "in_flight": [], "lost": False,
-            }
-        return worker
-
-    def _feed_service(self, name: str, record: dict) -> None:
-        """Fleet state from the scheduler's ``service.*`` events.
-
-        An event it does not know (an older stream's ``service.alert.*``)
-        counts as a service record and changes nothing else.
-        """
-        self.service_records += 1
-        wid = record.get("worker")
-        cell = {"workload": record.get("workload"),
-                "solution": record.get("solution")}
-        counters = self._fleet_counters
-        if name == EV_SERVICE_WORKER_JOINED:
-            self._worker(wid)["lost"] = False
-        elif name == EV_SERVICE_WORKER_LOST:
-            if wid in self._workers:
-                self._workers[wid].update(lost=True, in_flight=[])
-        elif name == EV_SERVICE_LEASE_GRANTED:
-            counters["leases_granted"] += 1
-            flight = self._worker(wid)["in_flight"]
-            if cell not in flight:
-                flight.append(cell)
-        elif name == EV_SERVICE_LEASE_EXPIRED:
-            counters["leases_expired"] += 1
-            if wid in self._workers and cell in self._workers[wid]["in_flight"]:
-                self._workers[wid]["in_flight"].remove(cell)
-        elif name == EV_SERVICE_CELL_DONE:
-            counters["completions"] += 1
-            worker = self._worker(wid)
-            worker["cells_done"] += 1
-            if cell in worker["in_flight"]:
-                worker["in_flight"].remove(cell)
-        elif name == EV_SERVICE_CELL_REQUEUED:
-            counters["requeues"] += 1
-        elif name == EV_SERVICE_CELL_DEAD_LETTER:
-            self._dead_letters += 1
-        elif name == EV_SERVICE_JOB_SUBMITTED:
-            self._jobs["running"] += 1
-        elif name in (EV_SERVICE_JOB_DONE, EV_SERVICE_JOB_FAILED):
-            self._jobs["running"] = max(0, self._jobs["running"] - 1)
-            self._jobs["done" if name == EV_SERVICE_JOB_DONE else "failed"] += 1
 
     # -- views -----------------------------------------------------------------
 
@@ -342,37 +268,6 @@ class RunFold:
         return {render_key(name, labels): stat.as_dict() for (name, labels), stat
                 in sorted(self.registry().histograms.items())}
 
-    def fleet_view(self) -> dict:
-        """The fleet as :meth:`SchedulerCore.fleet_snapshot` shapes it.
-
-        The stream carries no queue depth, heartbeat staleness or lease
-        latency, so those read 0 (or empty).  One key the snapshot
-        lacks: each worker's ``lost`` marks a ``service.worker_lost``.
-        """
-        gauges = self.registry().gauges
-
-        def family(prefix: str) -> dict:
-            return {name[len(prefix):]: value
-                    for (name, _), value in gauges.items()
-                    if name.startswith(prefix)}
-
-        return {
-            "queue_depth": 0,
-            "active_leases": sum(len(w["in_flight"])
-                                 for w in self._workers.values()
-                                 if not w["lost"]),
-            "dead_letters": self._dead_letters,
-            "counters": dict(self._fleet_counters),
-            "lease_latency": {},
-            # copies: a dashboard renders the view outside the fold's lock
-            "workers": {wid: dict(w, in_flight=list(w["in_flight"]))
-                        for wid, w in self._workers.items()},
-            "cache": family("service.cache."),
-            "warm": family("service.warm."),
-            "jobs": dict(self._jobs),
-            "stopping": False,
-        }
-
 
 def _provenance_record(record: dict) -> ProvenanceRecord:
     return ProvenanceRecord(
@@ -389,9 +284,13 @@ def _provenance_record(record: dict) -> ProvenanceRecord:
     )
 
 
-def fold_run(run_dir) -> RunFold | None:
+def fold_run(run_dir) -> RunFold:
     """Fold ``run.ndjson`` — or ``stream.ndjson`` when there is no
-    export — keeping its rows; ``None`` if neither exists."""
+    export — keeping its rows.
+
+    Raises:
+        ConfigError: the directory holds neither record.
+    """
     run_dir = Path(run_dir)
     path = find_artifact(run_dir, RUN_RECORD)
     source = "export"
@@ -399,7 +298,10 @@ def fold_run(run_dir) -> RunFold | None:
         path = find_artifact(run_dir, "stream.ndjson")
         source = "stream"
         if path is None:
-            return None
+            raise ConfigError(
+                f"{run_dir} holds no observability artifacts — was the "
+                f"run made with --obs?"
+            )
     fold = RunFold(source, keep_rows=True)
     for record in iter_ndjson(path):
         fold.feed(record)
@@ -462,27 +364,13 @@ def _ingest_metrics(builder: TableBuilder, fold: RunFold) -> None:
                     total=total, min=mn, max=mx)
 
 
-def _ingest_journal(builder: TableBuilder, state_dir: Path) -> None:
-    from repro.service.journal import Journal
-
-    for record in Journal(state_dir).records():
-        builder.add(op=record.get("op", ""),
-                    job=record.get("job_id", ""),
-                    workload=record.get("workload", ""),
-                    solution=record.get("solution", ""),
-                    source=record.get("source", ""),
-                    state=record.get("state", ""),
-                    attempt=int(record.get("attempt", -1)))
-
-
 def ingest_run(run_dir, store_path=None) -> Path:
     """Fold one artifact directory into ``analytics.npz``; returns its path.
 
-    Accepts a run/sweep export (``--obs-out``), a bare ``--obs-stream``
-    directory that never exported, or a service state directory
-    (journal + optional stream); :func:`fold_run` reads the first two.
-    Deterministic: ingesting the same directory twice writes
-    byte-identical bundles.
+    Accepts a run/sweep export (``--obs-out``) or a bare
+    ``--obs-stream`` directory that never exported, both read by
+    :func:`fold_run`.  Deterministic: ingesting the same directory twice
+    writes byte-identical bundles.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -490,34 +378,22 @@ def ingest_run(run_dir, store_path=None) -> Path:
     store_path = Path(store_path) if store_path else run_dir / STORE_NAME
 
     fold = fold_run(run_dir)
-    journal_path = find_artifact(run_dir, "journal.ndjson")
-    if fold is None and journal_path is None:
-        raise ConfigError(
-            f"{run_dir} holds no observability artifacts — was the run "
-            f"made with --obs (or the service with --obs-stream)?"
-        )
-
     tables: dict[str, dict] = {}
-    meta: dict = {"source": "service" if journal_path else fold.source}
+    meta: dict = {"source": fold.source}
+    if fold.label is not None:
+        meta["label"] = fold.label
+    metrics = TableBuilder("metrics")
+    _ingest_metrics(metrics, fold)
+    tables["metrics"] = metrics.freeze()
     events = TableBuilder("events")
+    _ingest_events(events, fold.events)
     prov = TableBuilder("provenance")
-    if fold is not None:
-        if fold.label is not None:
-            meta["label"] = fold.label
-        metrics = TableBuilder("metrics")
-        _ingest_metrics(metrics, fold)
-        tables["metrics"] = metrics.freeze()
-        _ingest_events(events, fold.events)
-        _ingest_provenance(prov, fold.provenance)
-        spans = TableBuilder("spans")
-        _ingest_span_records(spans, fold.spans)
-        tables["spans"] = spans.freeze()
+    _ingest_provenance(prov, fold.provenance)
+    spans = TableBuilder("spans")
+    _ingest_span_records(spans, fold.spans)
+    tables["spans"] = spans.freeze()
     tables["events"] = events.freeze()
     tables["provenance"] = prov.freeze()
-    if journal_path:
-        journal = TableBuilder("journal")
-        _ingest_journal(journal, run_dir)
-        tables["journal"] = journal.freeze()
 
     last = -1
     if len(events):
@@ -910,11 +786,10 @@ def query_table(store: Store, table: str, where=None, group: str | None = None,
 #: Metric-name prefixes where *lower* is better.
 LOWER_BETTER = ("perf.", "faults.", "fault.", "obs.dropped",
                 "obs.relay", "migrate.retries", "migrate.failed",
-                "analysis.pingpong", "analysis.funnel.latency",
-                "service.dead_letter", "seconds")
+                "analysis.pingpong", "analysis.funnel.latency", "seconds")
 #: Metric-name prefixes where *higher* is better.
 HIGHER_BETTER = ("cache.hits", "analysis.funnel.commit_share",
-                 "service.cache.hits", "speedup", "throughput")
+                 "speedup", "throughput")
 
 
 def _direction(name: str) -> int:

@@ -9,8 +9,7 @@ prints the merged metrics table and event counts of a run.
 Both render :func:`repro.obs.analytics.fold_run` over the directory's
 record — ``run.ndjson`` from ``--obs-out``, or the ``stream.ndjson`` of
 a streamed run that never exported; no live simulation state is
-needed.  On a scheduler state directory ``report`` renders the same
-fold's fleet view, the frame ``repro fleet --run`` prints.
+needed.
 """
 
 from __future__ import annotations
@@ -22,22 +21,12 @@ from repro.metrics.report import Table
 from repro.obs.provenance import STAGE_COMMITTED, ProvenanceLog
 
 
-def _fold(run_dir: Path):
-    from repro.obs.analytics import fold_run
-
-    fold = fold_run(run_dir)
-    if fold is None:
-        raise ConfigError(
-            f"no run.ndjson or stream.ndjson under {run_dir} — was the "
-            f"run made with --obs?"
-        )
-    return fold
-
-
 def trace_report(run_dir, page: int | None = None, limit: int = 50) -> str:
     """Human-readable provenance answer for one run directory."""
+    from repro.obs.analytics import fold_run
+
     run_dir = Path(run_dir)
-    log = ProvenanceLog(_fold(run_dir).provenance)
+    log = ProvenanceLog(fold_run(run_dir).provenance)
     lines: list[str] = []
     if page is None:
         table = Table(f"Migration provenance summary ({run_dir})",
@@ -116,30 +105,6 @@ def trace_follow(run_dir, page: int | None = None, timeout: float | None = None,
     return printed
 
 
-def service_report(state_dir) -> str:
-    """Fleet report for a scheduler state directory.
-
-    Renders the fold's fleet view of the ``service.*`` stream, the
-    post-hoc twin of ``repro fleet --run``.  A daemon run without
-    ``--obs-stream`` leaves only its journal, reported in one line.
-    """
-    from repro.obs.analytics import fold_run
-    from repro.obs.watch import render_fleet_text
-    from repro.service.journal import JOURNAL_NAME, Journal
-
-    state_dir = Path(state_dir)
-    fold = fold_run(state_dir)
-    if fold is not None:
-        return render_fleet_text(fold.fleet_view())
-    if not (state_dir / JOURNAL_NAME).exists():
-        raise ConfigError(
-            f"{state_dir} has neither a stream.ndjson nor a journal — "
-            f"not a scheduler state directory?"
-        )
-    return (f"{state_dir}: journal holds {Journal(state_dir).lines()} "
-            f"records; the fleet view needs `repro serve --obs-stream`")
-
-
 def _pingpong_summary(run_dir: Path) -> dict | None:
     """Ping-pong report from an already-ingested analytics store.
 
@@ -162,24 +127,14 @@ def _pingpong_summary(run_dir: Path) -> dict | None:
 def obs_report(run_dir, as_json: bool = False):
     """Metrics + event-count report for one run directory.
 
-    Service state directories (those holding a journal) route to
-    :func:`service_report` so ``repro report --run STATE_DIR`` folds
-    the fleet counters instead of erroring.  With
-    ``as_json`` the same content returns as a machine-readable dict
+    With ``as_json`` the same content returns as a machine-readable dict
     (scriptable ``repro report --json``); when the directory holds an
     analytics store, the ping-pong summary is folded into both forms.
     """
-    from repro.service.journal import JOURNAL_NAME
+    from repro.obs.analytics import fold_run
 
     run_dir = Path(run_dir)
-    if (run_dir / JOURNAL_NAME).exists():
-        if as_json:
-            from repro.service.journal import Journal
-
-            return {"kind": "service", "run": str(run_dir),
-                    "records": Journal(run_dir).lines()}
-        return service_report(run_dir)
-    fold = _fold(run_dir)
+    fold = fold_run(run_dir)
     counts = fold.event_counts()
     pingpong = _pingpong_summary(run_dir)
     if as_json:
@@ -221,4 +176,4 @@ def obs_report(run_dir, as_json: bool = False):
     return "\n".join(lines)
 
 
-__all__ = ["obs_report", "service_report", "trace_follow", "trace_report"]
+__all__ = ["obs_report", "trace_follow", "trace_report"]

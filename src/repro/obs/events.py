@@ -41,35 +41,12 @@ EV_SNAPSHOT_FORK = "snapshot.fork"
 EV_CACHE_HIT = "cache.hit"
 EV_CACHE_MISS = "cache.miss"
 
-# Sweep-service lifecycle (the scheduler daemon emits these; they stream
-# through the same NDJSON plumbing as engine telemetry, so `repro watch`
-# and the chaos CI's schema gate see service state transitions for free).
-EV_SERVICE_JOB_SUBMITTED = "service.job_submitted"
-EV_SERVICE_JOB_DONE = "service.job_done"
-EV_SERVICE_JOB_FAILED = "service.job_failed"
-EV_SERVICE_LEASE_GRANTED = "service.lease_granted"
-EV_SERVICE_LEASE_EXPIRED = "service.lease_expired"
-EV_SERVICE_CELL_DONE = "service.cell_done"
-EV_SERVICE_CELL_REQUEUED = "service.cell_requeued"
-EV_SERVICE_CELL_DEAD_LETTER = "service.cell_dead_letter"
-EV_SERVICE_WORKER_JOINED = "service.worker_joined"
-EV_SERVICE_WORKER_LOST = "service.worker_lost"
-EV_SERVICE_CACHE_HIT = "service.cache_hit"
-EV_SERVICE_CACHE_QUARANTINED = "service.cache_quarantined"
-EV_SERVICE_DRAIN = "service.drain"
-
 #: Every event name the stack emits (tests validate emissions against this).
 ALL_EVENTS = frozenset({
     EV_INTERVAL_START, EV_INTERVAL_END, EV_SCAN, EV_PEBS_BATCH,
     EV_REGION_SPLIT, EV_REGION_MERGE, EV_MIG_PLANNED, EV_MIG_ISSUED,
     EV_MIG_RETRIED, EV_MIG_FAILED, EV_MECH_SYNC_SWITCH, EV_FAULT_INJECTED,
     EV_SNAPSHOT_CAPTURE, EV_SNAPSHOT_FORK, EV_CACHE_HIT, EV_CACHE_MISS,
-    EV_SERVICE_JOB_SUBMITTED, EV_SERVICE_JOB_DONE, EV_SERVICE_JOB_FAILED,
-    EV_SERVICE_LEASE_GRANTED, EV_SERVICE_LEASE_EXPIRED,
-    EV_SERVICE_CELL_DONE, EV_SERVICE_CELL_REQUEUED,
-    EV_SERVICE_CELL_DEAD_LETTER, EV_SERVICE_WORKER_JOINED,
-    EV_SERVICE_WORKER_LOST, EV_SERVICE_CACHE_HIT,
-    EV_SERVICE_CACHE_QUARANTINED, EV_SERVICE_DRAIN,
 })
 
 #: Default bounded-buffer size; beyond it events are counted but dropped.
@@ -159,12 +136,5 @@ __all__ = [
     "EV_INTERVAL_END", "EV_INTERVAL_START", "EV_MECH_SYNC_SWITCH",
     "EV_MIG_FAILED", "EV_MIG_ISSUED", "EV_MIG_PLANNED", "EV_MIG_RETRIED",
     "EV_PEBS_BATCH", "EV_REGION_MERGE", "EV_REGION_SPLIT", "EV_SCAN",
-    "EV_SERVICE_CACHE_HIT", "EV_SERVICE_CACHE_QUARANTINED",
-    "EV_SERVICE_CELL_DEAD_LETTER", "EV_SERVICE_CELL_DONE",
-    "EV_SERVICE_CELL_REQUEUED", "EV_SERVICE_DRAIN",
-    "EV_SERVICE_JOB_DONE", "EV_SERVICE_JOB_FAILED",
-    "EV_SERVICE_JOB_SUBMITTED", "EV_SERVICE_LEASE_EXPIRED",
-    "EV_SERVICE_LEASE_GRANTED", "EV_SERVICE_WORKER_JOINED",
-    "EV_SERVICE_WORKER_LOST",
     "EV_SNAPSHOT_CAPTURE", "EV_SNAPSHOT_FORK",
 ]

@@ -87,56 +87,6 @@ class HistogramStat:
         }
 
 
-def quantile(sorted_samples: list[float], q: float) -> float:
-    """Linear-interpolated quantile of an already-sorted sample list."""
-    if not sorted_samples:
-        return 0.0
-    if len(sorted_samples) == 1:
-        return sorted_samples[0]
-    pos = q * (len(sorted_samples) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_samples) - 1)
-    frac = pos - lo
-    return sorted_samples[lo] * (1.0 - frac) + sorted_samples[hi] * frac
-
-
-class LatencyReservoir:
-    """Bounded sample ring for percentile estimation.
-
-    :class:`HistogramStat` keeps only count/sum/min/max, which cannot
-    answer "p95 lease latency".  This reservoir keeps the last
-    ``capacity`` raw samples (a ring, so long-running daemons converge
-    to a sliding window of recent behaviour) and computes interpolated
-    percentiles on demand.  O(1) observe; sort cost only at read time.
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ConfigError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring: list[float] = []
-        self._next = 0
-        #: total samples ever observed (>= len(ring))
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Fold one sample in, evicting the oldest once full."""
-        self.count += 1
-        if len(self._ring) < self.capacity:
-            self._ring.append(value)
-        else:
-            self._ring[self._next] = value
-            self._next = (self._next + 1) % self.capacity
-
-    def samples(self) -> list[float]:
-        return list(self._ring)
-
-    def percentiles(self, qs: tuple = (0.5, 0.95, 0.99)) -> dict[str, float]:
-        """``{"p50": ..., "p95": ...}`` over the retained window."""
-        ordered = sorted(self._ring)
-        return {f"p{int(q * 100)}": quantile(ordered, q) for q in qs}
-
-
 class MetricsRegistry:
     """Counters, gauges, and histograms with labels.
 
@@ -273,11 +223,9 @@ def delta_fields(now, before, counter_fields: tuple, gauge_fields: tuple = ()):
 
 __all__ = [
     "HistogramStat",
-    "LatencyReservoir",
     "MetricsRegistry",
     "combine_fields",
     "delta_fields",
     "label_key",
-    "quantile",
     "render_key",
 ]

@@ -75,10 +75,6 @@ TABLE_SCHEMAS: dict[str, dict[str, str]] = {
     "spans": {
         "name": "cat", "track": "cat", "ts": "f64", "dur": "f64",
     },
-    "journal": {
-        "op": "cat", "job": "cat", "workload": "cat", "solution": "cat",
-        "source": "cat", "state": "cat", "attempt": "i32",
-    },
 }
 
 #: Metric/event name prefixes that are host-side, not simulated (see
@@ -354,12 +350,6 @@ def sim_fingerprint(store: Store) -> str:
         schema = TABLE_SCHEMAS["metrics"]
         cols = [(store.decoded("metrics", c) if schema[c] == "cat"
                  else store.column("metrics", c))[keep] for c in schema]
-        _hash_rows(digest, cols)
-    if "journal" in tables:
-        digest.update(b"journal\n")
-        schema = TABLE_SCHEMAS["journal"]
-        cols = [store.decoded("journal", c) if schema[c] == "cat"
-                else store.column("journal", c) for c in schema]
         _hash_rows(digest, cols)
     return digest.hexdigest()
 

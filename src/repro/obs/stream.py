@@ -38,8 +38,8 @@ to ``run.ndjson`` through the same per-record encoders
 (:func:`meta_line`, :func:`event_line`, :func:`span_line`,
 :func:`provenance_line`, :func:`metric_line`, :func:`end_line`), so one
 fold (:class:`repro.obs.analytics.RunFold`) reads either file for every
-reader: ingest, ``report`` and ``trace``, and the live ``watch`` and
-``fleet`` dashboards.
+reader: ingest, ``report`` and ``trace``, and the live ``watch``
+dashboard.
 
 :func:`iter_ndjson` is the matching reader: it tolerates a truncated
 final line (a crash mid-``writelines`` loses at most that line — the

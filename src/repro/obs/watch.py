@@ -1,22 +1,18 @@
-"""The ``repro watch`` and ``repro fleet`` dashboards.
+"""The ``repro watch`` dashboard.
 
-Both render a :class:`~repro.obs.analytics.RunFold`, the one fold every
+It renders a :class:`~repro.obs.analytics.RunFold`, the one fold every
 reader of the NDJSON record shares, fed live from a growing
 ``stream.ndjson`` (``--run DIR``).  One stream holds every simulation
 of a run: a pooled matrix or sweep relays its cells' records through
 the parent into it, one track per cell.  A live fold keeps no rows, so
-a dashboard's memory is bounded by tracks, metric series and workers.
-``repro fleet --connect`` instead renders the scheduler's ``fleet``
-reply, which also carries queue depth, heartbeat staleness and lease
-latency.  Each dashboard prints refresh-loop terminal frames and may
-write a static HTML page.
+the dashboard's memory is bounded by tracks and metric series.  It
+prints refresh-loop terminal frames and may write a static HTML page.
 
 Watch answers MTM's online questions: is the run making intervals,
 where do pages sit per tier, how much bandwidth is migration moving,
 and is profiling overhead holding under the paper's 5% budget (§4's
 constraint) — plus the reliability counters (faults, retries, cache hit
-ratio, stream drops).  Fleet shows the sweep service's workers, leases
-and jobs.
+ratio, stream drops).
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import threading
 import time
 from html import escape
 
-from repro.errors import ServiceError
 from repro.obs.analytics import RunFold
 from repro.obs.events import EV_CACHE_HIT, EV_CACHE_MISS
 from repro.obs.stream import STREAM_SCHEMA_VERSION, iter_ndjson
@@ -40,8 +35,8 @@ DEFAULT_BUDGET = 0.05
 def watch_view(fold: RunFold) -> dict:
     """Everything the watch renderers need, as plain values.
 
-    Counter totals sum over labels; tier occupancy and the ``service.*``
-    gauges read the fold's merged gauges (the maximum over tracks).
+    Counter totals sum over labels; tier occupancy reads the fold's
+    merged gauges (the maximum over tracks).
     A stream has one ``end`` record, the top-level run's, so every track
     (relayed cells included) counts as done once it has arrived.
     """
@@ -99,10 +94,6 @@ def watch_view(fold: RunFold) -> dict:
         # (node, used_pages, capacity_pages) per tier
         "tiers": [(node, used[node], cap.get(node, 0.0))
                   for node in sorted(used)],
-        # scheduler-side telemetry; plain simulation streams carry none,
-        # so an empty dict hides the service panel entirely
-        "service": {name: value for (name, _), value in registry.gauges.items()
-                    if name.startswith("service.")},
         "done": fold.done,
     }
 
@@ -177,22 +168,6 @@ def render_text(fold: RunFold, budget: float = DEFAULT_BUDGET) -> str:
         f"trace cache: {s['cache_hit_ratio'] * 100:.1f}% hit "
         f"({s['cache_hits']:.0f} hits / {s['cache_misses']:.0f} misses)"
     )
-    svc = s["service"]
-    if svc:
-        lines.append(
-            f"service result cache: "
-            f"{svc.get('service.cache.hits', 0):.0f} hits / "
-            f"{svc.get('service.cache.misses', 0):.0f} misses · "
-            f"{svc.get('service.cache.stores', 0):.0f} stores · "
-            f"{svc.get('service.cache.corrupt', 0):.0f} corrupt"
-        )
-        lines.append(
-            f"warm fleet: {svc.get('service.warm.hits', 0):.0f} warm hits / "
-            f"{svc.get('service.warm.misses', 0):.0f} misses · "
-            f"{_fmt_bytes(svc.get('service.warm.cached_bytes', 0))} cached · "
-            f"affinity {svc.get('service.warm.affinity_hits', 0):.0f} hits / "
-            f"{svc.get('service.warm.affinity_skips', 0):.0f} redirects"
-        )
     lines.append(
         f"stream drops: events {s['dropped_events']:.0f} · "
         f"relay backpressure {s['relay_backpressure']:.0f}"
@@ -207,8 +182,8 @@ def render_text(fold: RunFold, budget: float = DEFAULT_BUDGET) -> str:
 
 # -- HTML rendering -----------------------------------------------------------
 
-#: The dataviz tokens every HTML page shares (the dashboards and the
-#: analytics diff report, ``repro diff --html``).
+#: The dataviz tokens every HTML page shares (the watch dashboard and
+#: the analytics diff report, ``repro diff --html``).
 HTML_STYLE = """
 :root { color-scheme: light dark; }
 .viz-root {
@@ -314,35 +289,6 @@ def render_html(fold: RunFold, budget: float = DEFAULT_BUDGET,
     verdict_cls = "status-over" if over else "status-ok"
     verdict = "✗ over budget" if over else "✓ within budget"
     status = "done" if s["done"] else "running"
-    svc = s["service"]
-    service_panel = ""
-    if svc:
-        svc_tiles = [
-            ("Result cache",
-             f"{svc.get('service.cache.hits', 0):.0f} hits",
-             f"{svc.get('service.cache.misses', 0):.0f} misses · "
-             f"{svc.get('service.cache.stores', 0):.0f} stores · "
-             f"{svc.get('service.cache.corrupt', 0):.0f} corrupt"),
-            ("Warm snapshots",
-             f"{svc.get('service.warm.hits', 0):.0f} hits",
-             f"{svc.get('service.warm.misses', 0):.0f} misses · "
-             f"{escape_html(_fmt_bytes(svc.get('service.warm.cached_bytes', 0)))}"
-             " cached"),
-            ("Affinity",
-             f"{svc.get('service.warm.affinity_hits', 0):.0f} warm grants",
-             f"{svc.get('service.warm.affinity_skips', 0):.0f} redirects "
-             "past the FIFO head"),
-        ]
-        svc_html = "".join(
-            f'<div class="tile"><div class="label">{escape_html(label)}</div>'
-            f'<div class="value">{value}</div>'
-            f'<div class="detail">{detail}</div></div>'
-            for label, value, detail in svc_tiles
-        )
-        service_panel = (
-            f'<div class="panel"><h2>Sweep service</h2>'
-            f'<div class="tiles">{svc_html}</div></div>'
-        )
     return f"""<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
 <meta name="viewport" content="width=device-width, initial-scale=1">
@@ -353,7 +299,6 @@ def render_html(fold: RunFold, budget: float = DEFAULT_BUDGET,
 <p class="sub">{status} · {s['records']} stream records · schema v{STREAM_SCHEMA_VERSION}</p>
 <div class="tiles">{tile_html}</div>
 <div class="panel"><h2>Tier occupancy</h2>{tier_rows or '<p class="sub">no occupancy gauges yet</p>'}</div>
-{service_panel}
 <div class="panel"><h2>Profiling overhead vs budget</h2>
 <div class="meter-row"><span class="name">profiling</span>
 <span class="meter"><span class="fill" style="width:{overhead_frac * 100:.1f}%"></span>
@@ -365,190 +310,19 @@ def render_html(fold: RunFold, budget: float = DEFAULT_BUDGET,
 """
 
 
-# -- the fleet dashboard ------------------------------------------------------
-
-_SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def _spark(values, width: int = 24) -> str:
-    """Unicode sparkline of the last ``width`` samples."""
-    tail = [max(0.0, float(v)) for v in list(values)[-width:]]
-    if not tail:
-        return ""
-    top = max(tail)
-    if top <= 0:
-        return _SPARK_CHARS[0] * len(tail)
-    steps = len(_SPARK_CHARS) - 1
-    return "".join(
-        _SPARK_CHARS[min(steps, int(v / top * steps + 0.5))] for v in tail
-    )
-
-
-class ThroughputSampler:
-    """Completions per second between refreshes, for the fleet sparkline."""
-
-    def __init__(self) -> None:
-        #: the last 120 rates, oldest first
-        self.rates: list[float] = []
-        self._last: tuple[float, float] | None = None
-
-    def sample(self, view: dict, now: float) -> None:
-        """One rate sample: completions since the previous call, per second."""
-        completions = float(view["counters"]["completions"])
-        if self._last is not None and now > self._last[0]:
-            then, before = self._last
-            self.rates.append(max(0.0, (completions - before) / (now - then)))
-            del self.rates[:-120]
-        self._last = (now, completions)
-
-
-def _worker_state(worker: dict) -> str:
-    if worker.get("lost"):
-        return "lost"
-    return "busy" if worker["in_flight"] else "idle"
-
-
-def _cells(worker: dict) -> list[str]:
-    return [f"{lease.get('workload')}/{lease.get('solution')}"
-            for lease in worker["in_flight"][:3]]
-
-
-def render_fleet_text(view: dict, throughput=()) -> str:
-    """One ``repro fleet`` frame as plain text.
-
-    ``view`` is a scheduler ``fleet`` reply or
-    :meth:`RunFold.fleet_view`; ``throughput`` the sampled rates.
-    """
-    c = view["counters"]
-    workers = view["workers"]
-    lost = sum(1 for w in workers.values() if w.get("lost"))
-    lines = []
-    status = "draining" if view["stopping"] else "serving"
-    lines.append(
-        f"repro fleet · {status} · workers {len(workers) - lost} "
-        f"(+{lost} lost) · queue {view['queue_depth']} · "
-        f"in flight {view['active_leases']}"
-    )
-    lines.append(
-        f"leases: {c['leases_granted']} granted · {c['completions']} done · "
-        f"{c['leases_expired']} expired · {c['requeues']} requeued · "
-        f"{view['dead_letters']} dead-lettered"
-    )
-    latency = view["lease_latency"]
-    if latency.get("count"):
-        lines.append(
-            f"lease latency: p50 {latency.get('p50', 0.0) * 1e3:.0f} ms · "
-            f"p95 {latency.get('p95', 0.0) * 1e3:.0f} ms · "
-            f"p99 {latency.get('p99', 0.0) * 1e3:.0f} ms "
-            f"({latency['count']} samples)"
-        )
-    jobs = view["jobs"]
-    lines.append(
-        f"jobs: {jobs.get('running', 0)} running · "
-        f"{jobs.get('done', 0)} done · {jobs.get('failed', 0)} failed"
-    )
-    spark = _spark(throughput)
-    if spark:
-        lines.append(f"throughput {spark} {throughput[-1]:.1f} cells/s")
-    cache = view["cache"]
-    if cache:
-        hits, misses = cache.get("hits", 0), cache.get("misses", 0)
-        ratio = hits / (hits + misses) if (hits + misses) else 0.0
-        lines.append(
-            f"result cache: {ratio * 100:.0f}% hit ({hits:.0f}/{misses:.0f}) "
-            f"· {cache.get('corrupt', 0):.0f} corrupt"
-        )
-    warm = view["warm"]
-    if warm:
-        lines.append(
-            f"warm snapshots: {warm.get('hits', 0):.0f} hits / "
-            f"{warm.get('misses', 0):.0f} misses · "
-            f"{_fmt_bytes(warm.get('cached_bytes', 0))} cached"
-        )
-    if workers:
-        lines.append("workers:")
-        for wid in sorted(workers):
-            worker = workers[wid]
-            flight = ", ".join(_cells(worker)) or "-"
-            lines.append(
-                f"  {wid:<28} {_worker_state(worker):<5} "
-                f"cells {worker['cells_done']:<5} "
-                f"stale {worker.get('staleness', 0.0):5.1f}s  "
-                f"warm {worker.get('warm_keys', 0):<3} running {flight}"
-            )
-    return "\n".join(lines)
-
-
-def render_fleet_html(view: dict, throughput=(),
-                      title: str = "repro fleet") -> str:
-    """Self-contained static fleet page (same dataviz skin as watch)."""
-    c = view["counters"]
-    workers = view["workers"]
-    lost = sum(1 for w in workers.values() if w.get("lost"))
-    latency = view["lease_latency"]
-    tiles = [
-        ("Workers", f"{len(workers) - lost}",
-         f"{lost} lost · {view['active_leases']} cells in flight"),
-        ("Queue", f"{view['queue_depth']}",
-         f"{c['leases_granted']} granted · {c['requeues']} requeued"),
-        ("Completions", f"{c['completions']}",
-         f"{c['leases_expired']} expired · {view['dead_letters']} dead letters"),
-        ("Lease p95", f"{latency.get('p95', 0.0) * 1e3:.0f} ms",
-         f"p50 {latency.get('p50', 0.0) * 1e3:.0f} · "
-         f"p99 {latency.get('p99', 0.0) * 1e3:.0f} ms "
-         f"({latency.get('count', 0)} samples)"),
-        ("Jobs", f"{view['jobs'].get('running', 0)} running",
-         f"{view['jobs'].get('done', 0)} done · "
-         f"{view['jobs'].get('failed', 0)} failed"),
-    ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{escape_html(label)}</div>'
-        f'<div class="value">{escape_html(value)}</div>'
-        f'<div class="detail">{escape_html(detail)}</div></div>'
-        for label, value, detail in tiles
-    )
-    worker_rows = ""
-    for wid in sorted(workers):
-        worker = workers[wid]
-        flight = ", ".join(_cells(worker)) or "—"
-        worker_rows += (
-            f'<div class="meter-row"><span class="name">{escape_html(wid)}</span>'
-            f'<span class="num">{escape_html(_worker_state(worker))} · '
-            f"{worker['cells_done']} cells · "
-            f"stale {worker.get('staleness', 0.0):.1f}s · "
-            f"{escape_html(flight)}</span></div>"
-        )
-    spark = _spark(throughput, width=48)
-    status = "draining" if view["stopping"] else "serving"
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{escape_html(title)}</title>
-<style>{HTML_STYLE}</style></head>
-<body class="viz-root">
-<h1>{escape_html(title)}</h1>
-<p class="sub">{status}</p>
-<div class="tiles">{tile_html}</div>
-<div class="panel"><h2>Throughput (cells/s)</h2>
-<p style="font-size:20px;margin:0">{escape_html(spark) or '—'}</p></div>
-<div class="panel"><h2>Workers</h2>{worker_rows or '<p class="sub">none registered</p>'}</div>
-</body></html>
-"""
-
-
 # -- sources and the refresh loop ---------------------------------------------
 
 
-def _read_once(path, wait, ready) -> RunFold:
-    """Fold the stream as it stands, re-reading it until ``ready(fold)``
-    or ``wait`` seconds pass (``--once``).  ``path`` is the obs dir or
-    the stream file, resolved at each read (:func:`iter_ndjson`)."""
+def _read_once(path, wait) -> RunFold:
+    """Fold the stream as it stands, re-reading it until it holds a
+    record or ``wait`` seconds pass (``--once``).  ``path`` is the obs
+    dir or the stream file, resolved at each read (:func:`iter_ndjson`)."""
     deadline = time.monotonic() + (wait or 0.0)
     while True:
         fold = RunFold()  # the file is re-read from the start
         for record in iter_ndjson(path):
             fold.feed(record)
-        if ready(fold) or time.monotonic() >= deadline:
+        if fold.records or time.monotonic() >= deadline:
             return fold
         time.sleep(0.2)
 
@@ -614,7 +388,7 @@ def _show(frame, page, *, once, refresh, duration, html, out,
         _write_page(html, page)
 
 
-# -- the dashboards -----------------------------------------------------------
+# -- the dashboard -----------------------------------------------------------
 
 
 def run_watch(
@@ -637,7 +411,7 @@ def run_watch(
     fold, lock = RunFold(), threading.Lock()
     stop = ended = None
     if once:
-        fold = _read_once(run, wait, lambda f: f.records)
+        fold = _read_once(run, wait)
     else:
         stop, ended = _follow(run, fold, lock, duration)
 
@@ -658,88 +432,12 @@ def run_watch(
     return 0 if fold.records or not once else 1
 
 
-def run_fleet(
-    connect: str | None = None,
-    run: str | None = None,
-    refresh: float = 1.0,
-    once: bool = False,
-    duration: float | None = None,
-    wait: float | None = None,
-    html: str | None = None,
-    secret: bytes | None = None,
-    out=None,
-) -> int:
-    """Drive the ``repro fleet`` dashboard.
-
-    Exactly one of ``connect`` (poll the scheduler's ``fleet`` op over
-    the wire protocol and render its reply) or ``run`` (tail a ``repro
-    serve --obs-stream`` NDJSON file into a fold and render
-    :meth:`RunFold.fleet_view`).  The loop ends once a polled fleet has
-    drained or the tailed stream's ``end`` record arrives (the fold is
-    done, as in :func:`run_watch`), after ``duration``, or on Ctrl-C.
-    Returns 0, or 1 when no reply or ``service.*`` record was ever
-    observed.
-    """
-    fold, lock = RunFold(), threading.Lock()
-    sampler = ThroughputSampler()
-    stop = ended = client = None
-    view = fold.fleet_view()
-    polls = 0
-    finished = False
-    if connect is not None:
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(connect, connect_timeout=wait or 10.0,
-                               secret=secret)
-    elif once:
-        fold = _read_once(run, wait, lambda f: f.service_records)
-    else:
-        stop, ended = _follow(run, fold, lock, duration)
-
-    def update() -> bool:
-        """Refresh ``view`` and ``finished``; False while the daemon is
-        away."""
-        nonlocal view, polls, finished
-        if client is None:
-            with lock:
-                view = fold.fleet_view()
-                finished = fold.done
-            return True
-        try:
-            view = client.fleet()
-        except ServiceError:
-            return False
-        polls += 1
-        finished = view["stopping"] and not view["workers"]
-        return True
-
-    def frame():
-        if update():
-            sampler.sample(view, time.monotonic())
-        return render_fleet_text(view, sampler.rates), finished
-
-    try:
-        _show(frame, lambda: render_fleet_html(view, sampler.rates),
-              once=once, refresh=refresh, duration=duration, html=html,
-              out=out or print, ended=ended)
-    finally:
-        if stop is not None:
-            stop.set()
-        if client is not None:
-            client.close()
-    return 0 if (polls if client is not None else fold.service_records) else 1
-
-
 __all__ = [
     "DEFAULT_BUDGET",
     "HTML_STYLE",
-    "ThroughputSampler",
     "escape_html",
-    "render_fleet_html",
-    "render_fleet_text",
     "render_html",
     "render_text",
-    "run_fleet",
     "run_watch",
     "watch_view",
 ]

@@ -171,7 +171,6 @@ class SnapshotCache:
         self.max_bytes = max_bytes
         self.spill_dir = spill_dir
         self._snapshots: OrderedDict[tuple, EngineSnapshot] = OrderedDict()
-        self._spilled: set[str] = set()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -221,7 +220,6 @@ class SnapshotCache:
             with open(tmp, "wb") as fh:
                 pickle.dump(snapshot, fh, protocol=5)
             os.replace(tmp, path)
-            self._spilled.add(path)
         self._evict(keep=key)
 
     def get_or_create(
@@ -240,38 +238,6 @@ class SnapshotCache:
             raise ConfigError("cache has no spill_dir")
         digest = hashlib.sha1(repr(key).encode()).hexdigest()
         return os.path.join(self.spill_dir, f"snap-{digest}.pkl")
-
-    def keys(self) -> list[tuple]:
-        """Keys currently resident in memory (MRU last).
-
-        Service workers advertise these (flattened) to the scheduler so
-        affinity can route same-warmup cells back to them.
-        """
-        return list(self._snapshots)
-
-    def cleanup_spill(self) -> int:
-        """Remove every spill file this cache wrote; returns the count.
-
-        Shutdown hygiene for worker fleets: a drained (or retiring)
-        worker must not leak warm-snapshot payloads on disk.  Only files
-        *this* cache spilled are touched — a shared spill directory's
-        other tenants keep theirs — and the directory itself is removed
-        only if that leaves it empty.
-        """
-        removed = 0
-        for path in sorted(self._spilled):
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
-        self._spilled.clear()
-        if self.spill_dir is not None:
-            try:
-                os.rmdir(self.spill_dir)
-            except OSError:
-                pass  # not empty or already gone
-        return removed
 
     # -- bookkeeping ---------------------------------------------------------
 

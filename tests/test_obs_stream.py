@@ -14,7 +14,12 @@ Covers the live-streaming contracts on top of the core obs plane:
   simulated number;
 * a second process can tail a live ``--obs-stream`` run (the headline
   acceptance test for `repro watch`);
-* the watch fold view/renderers and ``trace --follow``.
+* the watch fold view/renderers and ``trace --follow``;
+* ``--run DIR`` is resolved as the run creates DIR, and a follow stops
+  at the stream's ``end`` record, or once its writer died without one
+  (the dead-writer escape), but never while the writer lives;
+* a state directory of the retired sweep service is read as an
+  ordinary run, or refused with the usual no-artifacts error.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import pytest
 from repro.bench.runner import run_matrix
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
+from repro.errors import ConfigError
 from repro.obs.analytics import RunFold, fold_run
 from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.sinks import NdjsonFileSink, RelaySink
@@ -477,6 +483,68 @@ class TestTraceFollow:
         assert capsys.readouterr().out.strip()
 
 
+# -- --run DIR as the run makes it ---------------------------------------------
+
+RUN_STREAM = (
+    {"type": "event", "track": "t", "name": "interval.end", "ts": 0.1,
+     "sim_time": 0.1, "interval": 0, "app_time": 0.1},
+    {"type": "provenance", "track": "t", "interval": 3, "stage": "committed",
+     "page_start": 512, "npages": 512, "src_node": 2, "dst_node": 0,
+     "reason": "hot", "score": 1.0, "attempt": 1},
+    {"type": "end", "track": "t"},
+)
+
+
+def write_stream_later(run_dir, delay=0.3):
+    """Create ``run_dir`` and its ``stream.ndjson`` after ``delay``
+    seconds, the way ``--obs-out`` appears on a run's first write."""
+    def write():
+        os.makedirs(run_dir)
+        tmp = os.path.join(run_dir, "stream.tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for record in RUN_STREAM:
+                fh.write(json.dumps(record) + "\n")
+        os.replace(tmp, os.path.join(run_dir, "stream.ndjson"))
+
+    timer = threading.Timer(delay, write)
+    timer.start()
+    return timer
+
+
+class TestLateRunDir:
+    def test_run_dir_resolves_when_it_appears(self, tmp_path):
+        """``--run DIR`` named before the run creates DIR: watch (once
+        and follow) and the provenance follower all find
+        ``DIR/stream.ndjson`` once it appears."""
+        from repro.obs.cli import trace_follow
+
+        def later(name):
+            run_dir = tmp_path / name
+            return str(run_dir), write_stream_later(run_dir)
+
+        frames: list = []
+        run_dir, timer = later("watch-once")
+        assert run_watch(run=run_dir, once=True, wait=10,
+                         out=frames.append) == 0
+        timer.join()
+        assert "records 0" not in frames[-1]
+
+        frames.clear()
+        run_dir, timer = later("watch-follow")
+        started = time.monotonic()
+        assert run_watch(run=run_dir, refresh=0.1, duration=10,
+                         out=frames.append) == 0
+        timer.join()
+        assert time.monotonic() - started < 5  # stopped at the end record
+        assert "records 0" not in frames[-1]
+
+        printed: list = []
+        run_dir, timer = later("trace-follow")
+        assert trace_follow(run_dir, timeout=10, out=printed.append) == 1
+        timer.join()
+        assert "region 512+512" in printed[0]
+
+
 # -- CLI failure path ----------------------------------------------------------
 
 
@@ -525,3 +593,97 @@ class TestDeadWriterGrace:
                                dead_writer_grace=0.1))
         assert time.monotonic() - t0 < 5.0
         assert [r["type"] for r in got] == ["meta"]
+
+    def test_follow_keeps_following_live_writer(self, tmp_path):
+        path = tmp_path / "stream.ndjson"
+        path.write_text(json.dumps(
+            {"v": STREAM_SCHEMA_VERSION, "type": "meta", "track": "t",
+             "pid": os.getpid()}) + "\n")
+
+        def finish():
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"type": "end", "track": "t"}) + "\n")
+
+        timer = threading.Timer(0.3, finish)
+        timer.start()
+        try:
+            # The writer pid (this test) is alive, so the escape must
+            # not fire although the grace is far shorter than the wait.
+            got = list(iter_ndjson(path, follow=True, poll_interval=0.01,
+                                   dead_writer_grace=0.05, timeout=10.0))
+        finally:
+            timer.cancel()
+        assert got[-1]["type"] == "end"
+
+    def test_watch_returns_when_the_writer_died_without_end(self, tmp_path):
+        """A stream whose writer exited without an ``end`` record ends
+        the tail at the dead-writer escape; the dashboard then draws one
+        last frame and returns, well before ``duration``."""
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        path = tmp_path / "stream.ndjson"
+        path.write_text(json.dumps(
+            {"v": STREAM_SCHEMA_VERSION, "type": "meta", "track": "t",
+             "pid": proc.pid, "t0": 0.0}) + "\n")
+        frames: list = []
+        started = time.monotonic()
+        assert run_watch(run=str(path), refresh=0.1, duration=30,
+                         out=frames.append) == 0
+        assert time.monotonic() - started < 10
+        assert frames
+
+
+# -- a state directory of the retired sweep service ----------------------------
+
+OLD_SERVICE_STREAM = (
+    {"type": "meta", "v": STREAM_SCHEMA_VERSION, "track": "service", "pid": 1},
+    {"type": "event", "track": "service", "name": "service.worker_joined",
+     "ts": 0.1, "sim_time": 0.0, "interval": -1, "worker": "w-9"},
+    {"type": "event", "track": "service", "name": "service.cell_done",
+     "ts": 0.2, "sim_time": 0.0, "interval": -1, "worker": "w-9",
+     "workload": "gups", "solution": "mtm"},
+    {"type": "metric", "track": "service", "kind": "gauge",
+     "name": "service.cache.hits", "labels": [], "value": 3},
+    {"type": "end", "track": "service"},
+)
+OLD_JOURNAL = ('{"cells":1,"job_id":"job-1","op":"submit",'
+               '"spec_hex":"00","tag":""}\n')
+
+
+class TestOldServiceStateDir:
+    def test_reads_as_a_run_or_fails_cleanly(self, tmp_path, capsys):
+        """With only its journal, ``report`` exits 1 and ingest raises,
+        both with the fold's no-artifacts error; with its stream, the
+        stream folds as an ordinary run and the journal is ignored."""
+        from repro.cli import main
+        from repro.obs.analytics import ingest_run
+        from repro.obs.cli import obs_report
+        from repro.obs.store import Store
+
+        journal_only = tmp_path / "journal-only"
+        journal_only.mkdir()
+        (journal_only / "journal.ndjson").write_text(OLD_JOURNAL)
+        assert main(["report", "--run", str(journal_only)]) == 1
+        captured = capsys.readouterr()
+        assert "holds no observability artifacts" in captured.err
+        assert "journal" not in captured.out
+        with pytest.raises(ConfigError,
+                           match="holds no observability artifacts") as info:
+            ingest_run(journal_only)
+        assert "service" not in str(info.value)
+
+        streamed = tmp_path / "streamed"
+        streamed.mkdir()
+        (streamed / "journal.ndjson").write_text(OLD_JOURNAL)
+        (streamed / "stream.ndjson").write_text(
+            "".join(json.dumps(r) + "\n" for r in OLD_SERVICE_STREAM))
+        report = obs_report(streamed, as_json=True)
+        assert report["kind"] == "run" and report["label"] == "service"
+        assert report["event_counts"] == {"service.worker_joined": 1,
+                                          "service.cell_done": 1}
+        assert report["gauges"] == {"service.cache.hits": 3}
+        assert obs_report(streamed).startswith("Events (service)")
+        with Store(ingest_run(streamed)) as store:
+            assert store.meta["source"] == "stream"
+            assert "journal" not in store.tables()
+            assert store.rows("events") == 2

@@ -260,8 +260,8 @@ class TestParallelDeterminism:
         every_cell = sorted((w, s) for w in workloads for s in solutions)
         for workers, chunks_per_row in ((1, 1), (2, 1), (3, 1), (4, 2),
                                         (7, 3), (10, 3)):
-            tasks = _row_tasks(workloads, solutions, frozenset(),
-                               tiny_profile, None, workers)
+            tasks = _row_tasks(workloads, solutions, tiny_profile, None,
+                               workers)
             assert sorted((w, s) for w, chunk in tasks for s in chunk) == every_cell
             assert len(tasks) == len(workloads) * chunks_per_row
             order = [w for w, _ in tasks]
@@ -270,13 +270,12 @@ class TestParallelDeterminism:
                 row = [s for w, chunk in tasks if w == workload for s in chunk]
                 assert row == solutions
 
-        # Intervals weigh in too, and cached cells are left out.
+        # Intervals weigh in too.
         long_voltdb = BenchProfile(name="t", scale=SCALE, seed=3,
                                    intervals={"voltdb": 40, "bfs": 4, "gups": 4})
-        cached = frozenset({("voltdb", "first-touch"), ("gups", "first-touch"),
-                            ("gups", "hmc"), ("gups", "mtm")})
-        assert _row_tasks(workloads, solutions, cached, long_voltdb, None, 2) == [
-            ("voltdb", ("hmc", "mtm")), ("bfs", tuple(solutions)),
+        assert _row_tasks(workloads, solutions, long_voltdb, None, 2) == [
+            ("voltdb", tuple(solutions)), ("bfs", tuple(solutions)),
+            ("gups", tuple(solutions)),
         ]
 
     def test_split_row_bit_identical_to_serial(self, tiny_profile):
