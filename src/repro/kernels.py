@@ -4,11 +4,11 @@ Six numpy pipelines that the optimized interval path calls by module
 attribute (``kernels.mmu_ingest(...)``, so the layer ledger of
 ``benchmarks/e2e`` can wrap them in place): the MMU's fused batch ingest
 into an entry histogram, node-map run-length encoding, span
-majority-node resolution, span leaf-entry compaction, per-node
-access/write accumulation, and per-region scoring of a batched scan.
-Each is pure integer arithmetic and data movement (or element-wise
-float math) and never re-orders a float reduction, so it is
-bit-identical to the per-element loop it replaced;
+majority-node resolution, span leaf-entry compaction, the per-node
+access/write sums that PCM and the cost model read, and per-region
+scoring of a batched scan.  Each is pure integer arithmetic and data
+movement (or element-wise float math) and never re-orders a float
+reduction, so it is bit-identical to the per-element loop it replaced;
 ``tests/test_kernels.py`` checks every function against such a loop.
 
 The MMU ingest takes the page table's flag array as an argument and
@@ -146,14 +146,18 @@ def node_accumulate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node access/write sums; slot 0 collects unmapped (-1) pages.
 
-    Slot ``node + 1`` holds node's totals, exactly the shifted layout of
-    the PCM bincount path (float64 weighted sums of int64 counts are
-    exact below 2**53, so integer accumulation is bit-identical).
+    Slot ``node + 1`` holds node's totals.  A batch's pages ascend, so
+    they fall in few runs of equal node (placement is contiguous): the
+    counts are summed per run, and the runs into the slots, all in
+    int64.
     """
-    shifted = nodes.astype(np.int64) + 1
-    acc = np.bincount(shifted, weights=counts, minlength=n_slots)
-    wr = np.bincount(shifted, weights=writes, minlength=n_slots)
-    return acc.astype(np.int64), wr.astype(np.int64)
+    acc = np.zeros(n_slots, dtype=np.int64)
+    wr = np.zeros(n_slots, dtype=np.int64)
+    if nodes.size:
+        bounds, values = node_rle(nodes)
+        np.add.at(acc, values + 1, np.add.reduceat(counts, bounds[:-1]))
+        np.add.at(wr, values + 1, np.add.reduceat(writes, bounds[:-1]))
+    return acc, wr
 
 
 def score_detected(

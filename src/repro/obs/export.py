@@ -149,7 +149,8 @@ def export_context(ctx, out_dir, compress: bool = False) -> dict:
         "run": out / (RUN_RECORD + (".gz" if compress else "")),
     }
     with open(paths["trace"], "w") as fh:
-        json.dump(build_chrome_trace(ctx), fh)
+        # dumps takes the C encoder; dump always runs the Python one.
+        fh.write(json.dumps(build_chrome_trace(ctx)))
     with open_text(paths["run"], "w") as fh:
         fh.writelines(record_lines(ctx))
     return {key: str(path) for key, path in paths.items()}

@@ -131,27 +131,23 @@ class PebsSampler:
             return PebsSampleSet.empty()
 
         nodes = page_table.node_of(batch.pages)
-        eligible = self.eligible_nodes(socket)
-        mask = np.isin(nodes, list(eligible))
-        if not np.any(mask):
-            return PebsSampleSet.empty()
-
-        pages = batch.pages[mask]
+        # Eligibility by node lookup; the table's last slot is False, and
+        # an unmapped page's -1 indexes it.
+        eligible = np.zeros(max(self.topology.node_ids) + 2, dtype=bool)
+        eligible[list(self.eligible_nodes(socket))] = True
         # The programmed events are load-retired events: only the read
         # accesses are sampled.  Write-mostly pages are PEBS-invisible —
         # one reason counters alone miss hot pages (Sec. 5.5).
-        counts = batch.counts[mask] - batch.writes[mask]
-        node_of = nodes[mask]
-        nonzero = counts > 0
-        pages, counts, node_of = pages[nonzero], counts[nonzero], node_of[nonzero]
-        if pages.size == 0:
+        idx = np.flatnonzero(eligible.take(nodes) & (batch.counts > batch.writes))
+        if idx.size == 0:
             return PebsSampleSet.empty()
 
         # Each access is sampled w.p. duty_cycle / period.
         p = duty_cycle / self.period
-        draws = self.rng.binomial(counts, p)
-        hit = draws > 0
-        pages, draws, node_of = pages[hit], draws[hit], node_of[hit]
+        draws = self.rng.binomial(batch.counts[idx] - batch.writes[idx], p)
+        hit = np.flatnonzero(draws)
+        idx, draws = idx[hit], draws[hit]
+        pages, node_of = batch.pages[idx], nodes[idx]
 
         total = int(draws.sum())
         dropped = 0
@@ -164,9 +160,9 @@ class PebsSampler:
             excess = int(draws.sum()) - self.buffer_capacity
             if excess > 0:
                 order = np.argsort(draws)[::-1]
-                for idx in order:
-                    take = min(excess, int(draws[idx]))
-                    draws[idx] -= take
+                for i in order:
+                    take = min(excess, int(draws[i]))
+                    draws[i] -= take
                     excess -= take
                     if excess == 0:
                         break

@@ -46,13 +46,7 @@ class AccessBatch:
             self.sockets = np.asarray(self.sockets, dtype=np.int8)
         if not (self.pages.shape == self.counts.shape == self.writes.shape == self.sockets.shape):
             raise WorkloadError("pages/counts/writes/sockets shapes differ")
-        if self.pages.size:
-            if np.any(np.diff(self.pages) <= 0):
-                raise WorkloadError("pages must be strictly ascending (unique)")
-            if np.any(self.counts < 1):
-                raise WorkloadError("every listed page needs >= 1 access")
-            if np.any(self.writes < 0) or np.any(self.writes > self.counts):
-                raise WorkloadError("writes must satisfy 0 <= writes <= counts")
+        _check_rows(self.pages, self.counts, self.writes)
 
     # -- constructors --------------------------------------------------------
 
@@ -102,32 +96,70 @@ class AccessBatch:
         """Combine batches (e.g. per-thread) into one histogram.
 
         The dominant socket of a page is the socket contributing the most
-        accesses to it across the merged batches.
+        accesses to it across the merged batches (the lowest such socket
+        on ties).
         """
         batches = [b for b in batches if b.pages.size]
         if not batches:
             return cls.empty()
-        all_pages = np.concatenate([b.pages for b in batches])
-        all_counts = np.concatenate([b.counts for b in batches])
-        all_writes = np.concatenate([b.writes for b in batches])
-        all_sockets = np.concatenate([b.sockets for b in batches])
+        return cls.merge_parts(
+            np.concatenate([b.pages for b in batches]),
+            np.concatenate([b.counts for b in batches]),
+            np.concatenate([b.writes for b in batches]),
+            np.concatenate([b.sockets for b in batches]),
+            [b.pages.size for b in batches],
+        )
 
-        pages, inverse = nputil.unique_inverse(all_pages)
-        counts = np.zeros(pages.size, dtype=np.int64)
-        writes = np.zeros(pages.size, dtype=np.int64)
-        np.add.at(counts, inverse, all_counts)
-        np.add.at(writes, inverse, all_writes)
+    @classmethod
+    def merge_parts(
+        cls,
+        pages: np.ndarray,
+        counts: np.ndarray,
+        writes: np.ndarray,
+        sockets: np.ndarray,
+        lengths: list[int],
+    ) -> "AccessBatch":
+        """Merge histograms laid end to end, part ``i`` being the next
+        ``lengths[i]`` (>= 1) rows of the int64 columns and int8
+        ``sockets``.
 
-        sockets = np.zeros(pages.size, dtype=np.int8)
-        best = np.zeros(pages.size, dtype=np.int64)
-        for socket in nputil.unique(all_sockets):
-            contrib = np.zeros(pages.size, dtype=np.int64)
-            mask = all_sockets == socket
-            np.add.at(contrib, inverse[mask], all_counts[mask])
-            take = contrib > best
-            sockets[take] = socket
-            best[take] = contrib[take]
-        return cls(pages=pages, counts=counts, writes=writes, sockets=sockets)
+        Each part is checked as the constructor checks a batch; parts
+        may share pages.  A page's counts and writes sum over its parts,
+        and its socket is the one contributing the most accesses, the
+        lowest such socket on ties.
+        """
+        if pages.size == 0:
+            return cls.empty()
+        _check_rows(pages, counts, writes, np.cumsum(lengths)[:-1])
+        # One stable sort by (page, socket): sockets are int8, so
+        # ``page * 256 + socket`` orders rows by page, then socket.  Each
+        # part is already ascending, so the sort merges runs.
+        key = pages * 256 + sockets
+        order = np.argsort(key, kind="stable")
+        # Sum each (page, socket) pair's rows, then each page's pairs.
+        pair = _run_starts(key[order])
+        rows = order[pair]
+        pair_pages, pair_sockets = pages[rows], sockets[rows]
+        contrib = np.add.reduceat(counts[order], pair)
+        pair_writes = np.add.reduceat(writes[order], pair)
+        first = _run_starts(pair_pages)
+        if first.size == pair.size:
+            # No page has rows from two sockets.
+            return cls(pages=pair_pages, counts=contrib, writes=pair_writes,
+                       sockets=pair_sockets)
+        # A page's pairs ascend by socket, so its first pair at the
+        # maximum holds the lowest of the tied sockets.
+        best = np.maximum.reduceat(contrib, first)
+        at_max = contrib == np.repeat(best, np.diff(first, append=contrib.size))
+        winner = np.minimum.reduceat(
+            np.where(at_max, np.arange(contrib.size), contrib.size), first
+        )
+        return cls(
+            pages=pair_pages[first],
+            counts=np.add.reduceat(contrib, first),
+            writes=np.add.reduceat(pair_writes, first),
+            sockets=pair_sockets[winner],
+        )
 
     # -- queries --------------------------------------------------------------
 
@@ -181,3 +213,36 @@ class AccessBatch:
         k = max(1, int(round(self.pages.size * top_fraction)))
         order = np.argsort(self.counts, kind="stable")[::-1]
         return np.sort(self.pages[order[:k]])
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal ``values``."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
+def _check_rows(
+    pages: np.ndarray,
+    counts: np.ndarray,
+    writes: np.ndarray,
+    restarts: np.ndarray | None = None,
+) -> None:
+    """Reject columns that are not a valid histogram.
+
+    Pages must ascend strictly, except that each index in ``restarts``
+    begins a new part; every count must be >= 1 and every write count
+    in ``[0, count]``.
+    """
+    if pages.size == 0:
+        return
+    ascending = np.diff(pages) > 0
+    if restarts is not None:
+        ascending[restarts - 1] = True
+    if not np.all(ascending):
+        raise WorkloadError("pages must be strictly ascending (unique)")
+    if np.any(counts < 1):
+        raise WorkloadError("every listed page needs >= 1 access")
+    if np.any(writes < 0) or np.any(writes > counts):
+        raise WorkloadError("writes must satisfy 0 <= writes <= counts")

@@ -154,29 +154,36 @@ class SegmentedWorkload(Workload):
         # Segments draw in plan order.  poisson_nonzero returns the touched
         # pages of the segment's ``rng.poisson`` draw and leaves the
         # generator where that draw would, so the batch equals the
-        # per-segment poisson/binomial loop merged by AccessBatch.merge
-        # (the reference in tests/test_workload_synthesis.py).  Pairwise
-        # disjoint touched ranges (always, for a non-overlapping plan)
-        # concatenate in address order; only overlapping plans pay for
-        # the unique/scatter-add merge.
-        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        # per-segment poisson/binomial loop merged part by part (the
+        # reference in tests/test_workload_synthesis.py).  Each column is
+        # built once, with the parts in start order: pairwise disjoint
+        # touched ranges (always, for a non-overlapping plan) are then
+        # the batch itself, and only overlapping plans pay for the merge.
+        pages, counts, writes, sockets = [], [], [], []
         for segment in self._current_segments:
             if segment.rate <= 0:
                 continue
-            offsets, counts = poisson_nonzero(rng, segment.rate, segment.npages)
+            offsets, part_counts = poisson_nonzero(rng, segment.rate, segment.npages)
             if offsets.size == 0:
                 continue
-            pages = segment.start + offsets
-            writes = rng.binomial(counts, segment.write_ratio)
-            sockets = np.full(pages.shape, segment.socket, dtype=np.int8)
-            parts.append((pages, counts, writes, sockets))
-        if not parts:
+            pages.append(segment.start + offsets)
+            counts.append(part_counts)
+            writes.append(rng.binomial(part_counts, segment.write_ratio))
+            sockets.append(segment.socket)
+        if not pages:
             return AccessBatch.empty()
-        ordered = sorted(parts, key=lambda part: int(part[0][0]))
-        if all(a[0][-1] < b[0][0] for a, b in zip(ordered, ordered[1:])):
+        order = sorted(range(len(pages)), key=lambda i: int(pages[i][0]))
+        lengths = [pages[i].size for i in order]
+        columns = (
+            np.concatenate([pages[i] for i in order]),
+            np.concatenate([counts[i] for i in order]),
+            np.concatenate([writes[i] for i in order]),
+            np.repeat(np.array([sockets[i] for i in order], dtype=np.int8), lengths),
+        )
+        if all(pages[a][-1] < pages[b][0] for a, b in zip(order, order[1:])):
             # Each page's dominant socket is its only contributor's.
-            return AccessBatch(*map(np.concatenate, zip(*ordered)))
-        return AccessBatch.merge([AccessBatch(*part) for part in parts])
+            return AccessBatch(*columns)
+        return AccessBatch.merge_parts(*columns, lengths)
 
     def advance_interval(self) -> None:
         """Advance interval state without synthesizing a batch.

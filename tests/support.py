@@ -1,4 +1,4 @@
-"""Shared helpers for the perf-opt and snapshot test suites.
+"""Shared helpers for the bit-identity test suites.
 
 The central object is :func:`fingerprint`: a structural digest of every
 simulated quantity a :class:`~repro.sim.engine.SimulationResult` carries.
@@ -9,6 +9,8 @@ and what ``tests/goldens.json`` records a digest of.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def fingerprint(result):
@@ -44,3 +46,10 @@ def matrix_fingerprint(matrix):
 def sweep_fingerprint(sweep):
     """Fingerprints of every variant of a :class:`SweepResult`."""
     return {label: fingerprint(r) for label, r in sweep.results.items()}
+
+
+def assert_batches_equal(got, want) -> None:
+    """Two access batches hold equal columns of equal dtypes."""
+    for name in ("pages", "counts", "writes", "sockets"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name

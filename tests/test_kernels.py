@@ -239,6 +239,28 @@ class TestKernelDifferentials:
                 np.testing.assert_array_equal(ga, wa)
                 np.testing.assert_array_equal(gw, ww)
 
+    @pytest.mark.parametrize("case", ["node_per_page", "unmapped", "one_page",
+                                      "placement_runs"])
+    def test_node_accumulate_runs(self, case):
+        """Run sums equal the per-element loop at the extremes of
+        placement fragmentation; a node recurs in several runs."""
+        rng = np.random.default_rng(8)
+        n_slots = 5
+        nodes = {
+            "node_per_page": np.arange(900) % 4 - 1,
+            "unmapped": np.full(700, -1),
+            "one_page": np.array([2]),
+            "placement_runs": np.repeat(rng.integers(-1, 4, 30),
+                                        rng.integers(1, 200, 30)),
+        }[case].astype(np.int16)
+        counts = rng.integers(1, 1000, nodes.size).astype(np.int64)
+        writes = rng.integers(0, counts + 1).astype(np.int64)
+        got = kernels.node_accumulate(nodes, counts, writes, n_slots)
+        want = loop_node_accumulate(nodes, counts, writes, n_slots)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
     def test_score_detected_first_max_tiebreak(self):
         rng = np.random.default_rng(6)
         cases = [[np.array([7])], [np.full(100, 3)], [np.array([1, 9, 9, 9, 2])],

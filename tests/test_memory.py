@@ -1,8 +1,9 @@
 """Host memory held per simulated page and per cached batch entry.
 
-Deterministic byte counts, not RSS: a dense page table's per-page
-arrays, the trace cache's narrow batch storage and what ``release``
-frees, and how many forks a serial snapshot sweep keeps alive.  Every
+Deterministic byte counts and object lifetimes, not RSS: a dense page
+table's per-page arrays, the trace cache's narrow batch storage and what
+``release`` frees, that no interval's batch outlives its step, and how
+many forks a serial snapshot sweep keeps alive.  Every
 saving here must leave simulated values untouched, so each test also
 checks the values it stores or replays.
 """
@@ -15,11 +16,12 @@ import pytest
 from repro.bench.runner import SweepVariant, run_sweep
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
+from repro.faults.injector import FaultConfig, FaultInjector
 from repro.mm.pagetable import PageTable
 from repro.sim.engine import SimulationEngine
 from repro.sim.tracecache import TraceCache
 from repro.units import PAGES_PER_HUGE_PAGE
-from tests.support import sweep_fingerprint
+from tests.support import assert_batches_equal, sweep_fingerprint
 from tests.test_snapshot import TAU_VARIANTS, set_tau
 
 SCALE = 1 / 512
@@ -31,12 +33,6 @@ def _fresh_batches(workload: str, n: int) -> list:
     """The first ``n`` batches of an uncached engine's own synthesis."""
     engine = make_engine("first-touch", workload, scale=SCALE, seed=SEED)
     return [engine.workload.next_batch(engine.rngs["workload"]) for _ in range(n)]
-
-
-def _assert_batches_equal(got, want) -> None:
-    for name in ("pages", "counts", "writes", "sockets"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert getattr(got, name).dtype == getattr(want, name).dtype, name
 
 
 class TestDensePageTable:
@@ -73,7 +69,7 @@ class TestNarrowTraceCache:
         for i, want in enumerate(fresh):
             got = cache.get_batch(*KEY, i)
             again = cache.get_batch(*KEY, i)
-            _assert_batches_equal(got, want)
+            assert_batches_equal(got, want)
             assert got.pages.dtype == got.counts.dtype == got.writes.dtype == np.int64
             for name in ("pages", "counts", "writes", "sockets"):
                 assert getattr(got, name).flags.owndata
@@ -89,12 +85,12 @@ class TestNarrowTraceCache:
         last = cache.get_batch(*KEY, 3)  # kept: a hit
         assert cache.cached_bytes < held / 2
         assert (cache.hits, cache.misses) == (1, self.INTERVALS)
-        _assert_batches_equal(last, fresh[3])
+        assert_batches_equal(last, fresh[3])
         rebuilt = cache.get_batch(*KEY, 1)  # released: one miss, from interval 0
         assert (cache.hits, cache.misses) == (1, self.INTERVALS + 1)
-        _assert_batches_equal(rebuilt, fresh[1])
+        assert_batches_equal(rebuilt, fresh[1])
         for i in (0, 1, 2, 3):
-            _assert_batches_equal(cache.get_batch(*KEY, i), fresh[i])
+            assert_batches_equal(cache.get_batch(*KEY, i), fresh[i])
         assert cache.cached_bytes == held
 
     def test_released_cursor_continues_synthesis(self):
@@ -104,13 +100,47 @@ class TestNarrowTraceCache:
         cache.release(KEY, 2)  # everything materialized
         assert cache.cached_bytes == 0
         for i in (2, 3):
-            _assert_batches_equal(cache.get_batch(*KEY, i), fresh[i])
+            assert_batches_equal(cache.get_batch(*KEY, i), fresh[i])
         assert (cache.hits, cache.misses) == (0, 3)
         # Only intervals 2 and 3 were synthesized after the release.
         probe = TraceCache()
         probe.get_batch(*KEY, 3)
         probe.release(KEY, 2)
         assert cache.cached_bytes == probe.cached_bytes > 0
+
+
+class TestBatchLifetime:
+    """Once ``step`` returns, nothing holds that interval's batch: peak
+    RSS stays one interval's touched pages whatever the run length, and
+    a component that cached the batch would add a second one."""
+
+    @pytest.mark.parametrize("solution, workload, fault_rate", [
+        ("mtm", "gups", 0.0),
+        ("hemem", "gups", 0.0),
+        ("tiered-autonuma", "gups", 0.0),
+        ("hmc", "gups", 0.0),
+        ("mtm", "voltdb", 0.1),
+    ])
+    def test_step_drops_its_batch(self, solution, workload, fault_rate):
+        injector = (FaultInjector(FaultConfig.uniform(fault_rate), seed=1)
+                    if fault_rate else None)
+        engine = make_engine(solution, workload, scale=SCALE, seed=SEED,
+                             injector=injector)
+        synthesize = engine.workload.next_batch
+        batches: list[weakref.ref] = []
+
+        def tracked(rng):
+            batch = synthesize(rng)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        engine.workload.next_batch = tracked
+        for _ in range(5):
+            engine.step()
+            assert batches[-1]() is None
+        assert len(batches) == 5
+        if fault_rate:
+            assert engine.injector.log.total_events > 0
 
 
 class TestSnapshotSweep:

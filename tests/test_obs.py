@@ -16,6 +16,7 @@ lives in ``tests/test_obs_identity.py``.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -326,6 +327,17 @@ class TestExport:
         ]}
         problems = validate_chrome_trace(bad)
         assert len(problems) >= 4
+
+    def test_trace_json_bytes_equal_python_encoder(self, traced_run, tmp_path):
+        """trace.json is written with the C encoder; its bytes equal the
+        pure-Python encoder's ``json.dump`` of the same trace."""
+        obs, _ = traced_run
+        assert obs.event_count() and obs.tracer.spans
+        paths = export_context(obs, tmp_path / "out")
+        with open(tmp_path / "reference.json", "w") as fh:
+            json.dump(build_chrome_trace(obs), fh)
+        assert (Path(paths["trace"]).read_bytes()
+                == (tmp_path / "reference.json").read_bytes())
 
     def test_export_writes_all_sinks(self, traced_run, tmp_path):
         obs, _ = traced_run

@@ -6,8 +6,9 @@ exact: the same nonzero offsets and counts as ``rng.poisson`` followed by
 ``np.nonzero``, and the same generator state afterwards.  These tests are
 what fails if a numpy upgrade changes that method.  The batch assembly
 built on it must match :func:`loop_next_batch`, one ``rng.poisson`` and
-``rng.binomial`` per segment merged by ``AccessBatch.merge``, batch by
-batch and on the final generator state.
+``rng.binomial`` per segment merged by :func:`loop_merge`, batch by
+batch and on the final generator state; ``AccessBatch.merge`` must match
+:func:`loop_merge`.
 """
 
 import math
@@ -25,6 +26,7 @@ from repro.sim.rng import POISSON_DECODE_MAX_LAM, POISSON_DECODE_MIN_PAGES, pois
 from repro.sim.trace import AccessBatch
 from repro.workloads.base import RateSegment
 from repro.workloads.registry import build_workload
+from tests.support import assert_batches_equal
 
 CUTOFF = POISSON_DECODE_MAX_LAM
 MIN = POISSON_DECODE_MIN_PAGES
@@ -207,19 +209,49 @@ def _built(name: str):
 
 def _spy_merge(monkeypatch) -> list[int]:
     calls: list[int] = []
-    merge = AccessBatch.merge.__func__
+    merge = AccessBatch.merge_parts.__func__
 
-    def spy(cls, batches):
-        calls.append(len(batches))
-        return merge(cls, batches)
+    def spy(cls, *columns):
+        calls.append(len(columns[-1]))
+        return merge(cls, *columns)
 
-    monkeypatch.setattr(AccessBatch, "merge", classmethod(spy))
+    monkeypatch.setattr(AccessBatch, "merge_parts", classmethod(spy))
     return calls
 
 
 def _disjoint(segments) -> bool:
     ordered = sorted(segments, key=lambda s: s.start)
     return all(a.end <= b.start for a, b in zip(ordered, ordered[1:]))
+
+
+def loop_merge(batches: list[AccessBatch]) -> AccessBatch:
+    """Scatter-add merge with one pass per socket, the reference
+    semantics of ``AccessBatch.merge``: a page's socket is the lowest of
+    those contributing the most accesses to it."""
+    batches = [b for b in batches if b.pages.size]
+    if not batches:
+        return AccessBatch.empty()
+    all_pages = np.concatenate([b.pages for b in batches])
+    all_counts = np.concatenate([b.counts for b in batches])
+    all_writes = np.concatenate([b.writes for b in batches])
+    all_sockets = np.concatenate([b.sockets for b in batches])
+
+    pages, inverse = np.unique(all_pages, return_inverse=True)
+    counts = np.zeros(pages.size, dtype=np.int64)
+    writes = np.zeros(pages.size, dtype=np.int64)
+    np.add.at(counts, inverse, all_counts)
+    np.add.at(writes, inverse, all_writes)
+
+    sockets = np.zeros(pages.size, dtype=np.int8)
+    best = np.zeros(pages.size, dtype=np.int64)
+    for socket in np.unique(all_sockets):
+        contrib = np.zeros(pages.size, dtype=np.int64)
+        mask = all_sockets == socket
+        np.add.at(contrib, inverse[mask], all_counts[mask])
+        take = contrib > best
+        sockets[take] = socket
+        best[take] = contrib[take]
+    return AccessBatch(pages=pages, counts=counts, writes=writes, sockets=sockets)
 
 
 def loop_next_batch(workload, rng: np.random.Generator) -> AccessBatch:
@@ -243,7 +275,7 @@ def loop_next_batch(workload, rng: np.random.Generator) -> AccessBatch:
             writes=rng.binomial(page_counts, segment.write_ratio).astype(np.int64),
             sockets=np.full(touched.shape, segment.socket, dtype=np.int8),
         ))
-    return AccessBatch.merge(batches)
+    return loop_merge(batches)
 
 
 class TestFastAssembly:
@@ -273,8 +305,70 @@ class TestFastAssembly:
             assert any(s.npages >= MIN and 0 < s.rate < CUTOFF for s in segments)
             # Only overlapping plans pay for the merge.
             assert bool(merges) is not disjoint
-            for field in ("pages", "counts", "writes", "sockets"):
-                a, b = getattr(want, field), getattr(got, field)
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+            assert_batches_equal(got, want)
         assert fast_rng.bit_generator.state == legacy_rng.bit_generator.state
+
+
+def _part(pages, counts, writes, socket) -> AccessBatch:
+    pages = np.asarray(pages, dtype=np.int64)
+    return AccessBatch(pages=pages, counts=np.asarray(counts, dtype=np.int64),
+                       writes=np.asarray(writes, dtype=np.int64),
+                       sockets=np.full(pages.size, socket, dtype=np.int8))
+
+
+class TestMerge:
+    """``AccessBatch.merge`` (the one-sort merge ``next_batch`` shares)
+    against :func:`loop_merge`."""
+
+    def _check(self, parts):
+        want = loop_merge(parts)
+        assert_batches_equal(AccessBatch.merge(parts), want)
+        return want
+
+    def test_two_socket_tied_counts(self):
+        # Page 0 ties 3-3 and page 4 ties 2-2: the lowest socket wins in
+        # either part order.  Page 6's socket-1 rows outweigh socket 0.
+        high = _part([0, 2, 4, 6], [3, 1, 2, 2], [1, 0, 2, 0], socket=1)
+        low = _part([0, 1, 4, 6], [3, 5, 2, 3], [0, 5, 1, 3], socket=0)
+        more = _part([6], [2], [1], socket=1)
+        for parts in ([high, low, more], [low, more, high]):
+            merged = self._check(parts)
+            np.testing.assert_array_equal(merged.pages, [0, 1, 2, 4, 6])
+            np.testing.assert_array_equal(merged.sockets, [0, 0, 1, 0, 1])
+
+    def test_page_drawn_by_three_parts(self):
+        parts = [_part([3, 7], [1, 4], [0, 1], socket=0),
+                 _part([7, 9], [3, 1], [3, 0], socket=1),
+                 _part([5, 7], [2, 2], [2, 0], socket=1)]
+        merged = self._check(parts)
+        np.testing.assert_array_equal(merged.pages, [3, 5, 7, 9])
+        np.testing.assert_array_equal(merged.counts, [1, 2, 9, 1])
+        np.testing.assert_array_equal(merged.writes, [0, 2, 4, 0])
+        np.testing.assert_array_equal(merged.sockets, [0, 1, 1, 1])
+
+    def test_random_overlapping_parts(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            parts = []
+            for _ in range(int(rng.integers(1, 6))):
+                n = int(rng.integers(1, 30))
+                pages = np.sort(rng.choice(40, size=n, replace=False))
+                counts = rng.integers(1, 4, n)
+                parts.append(_part(pages, counts, rng.integers(0, counts + 1),
+                                   socket=int(rng.integers(-1, 3))))
+            self._check(parts)
+        assert AccessBatch.merge([]).pages.size == 0
+
+    def test_checks_each_part(self):
+        pages = np.array([4, 9, 2, 4], dtype=np.int64)
+        ones = np.ones(4, dtype=np.int64)
+        sockets = np.zeros(4, dtype=np.int8)
+        zeros = np.zeros(4, dtype=np.int64)
+        merged = AccessBatch.merge_parts(pages, ones, zeros, sockets, [2, 2])
+        np.testing.assert_array_equal(merged.counts, [1, 2, 1])
+        with pytest.raises(WorkloadError, match="ascending"):
+            AccessBatch.merge_parts(pages, ones, zeros, sockets, [3, 1])
+        with pytest.raises(WorkloadError, match=">= 1 access"):
+            AccessBatch.merge_parts(pages, zeros, zeros, sockets, [2, 2])
+        with pytest.raises(WorkloadError, match="writes"):
+            AccessBatch.merge_parts(pages, ones, ones + 1, sockets, [2, 2])
