@@ -7,7 +7,11 @@ interval" policy, wires it into the engine alongside MTM's profiler, and
 compares it against the real MTM policy — a template for experimenting
 with new placement ideas on the same substrate the paper's systems use.
 
-It plans on a :class:`~repro.policy.base.PlacementLedger`, as every
+A :class:`~repro.profile.base.ProfileSnapshot` holds its regions as
+columns (``start``, ``npages``, ``score``, ``node``,
+``dominant_socket``), one row per region, and a policy names a region
+by its row: ``by_score`` ranks the rows a mask selects.  The policy
+plans on a :class:`~repro.policy.base.PlacementLedger`, as every
 built-in policy does: ``pages_on`` finds a region's pages on a node,
 ``move`` orders them and updates the batch's free pages, and
 ``make_room`` / ``lower_with_space`` demote to free a node.  A policy
@@ -49,15 +53,17 @@ class GreedyTopOnePolicy(Policy):
 
     def decide(self, snapshot: ProfileSnapshot, state: PlacementState) -> list[MigrationOrder]:
         fastest = state.topology.view(0).node_at_tier(1)
-        ledger = PlacementLedger(state)
-        candidates = sorted(snapshot.reports, key=lambda r: r.score, reverse=True)
-        for report in candidates:
-            if report.score <= 0 or report.node < 0 or report.node == fastest:
-                continue
-            pages = ledger.pages_on(report, report.node)
+        ledger = PlacementLedger(state, snapshot)
+        node = snapshot.node
+        candidates = snapshot.by_score(
+            (snapshot.score > 0) & (node >= 0) & (node != fastest), hottest_first=True
+        )
+        for row in candidates.tolist():
+            src = int(node[row])
+            pages = ledger.pages_on(row, src)
             if pages.size == 0 or ledger.free[fastest] < pages.size:
                 continue
-            ledger.move(report, pages, report.node, fastest, "promotion")
+            ledger.move(row, pages, src, fastest, "promotion")
             break
         return ledger.orders
 

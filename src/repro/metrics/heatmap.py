@@ -50,10 +50,13 @@ class AccessHeatmap:
     def record_snapshot(self, snapshot: ProfileSnapshot) -> None:
         """Append one interval of a profiler's believed hotness."""
         row = np.zeros(self.address_bins, dtype=np.float64)
-        for report in snapshot.reports:
-            lo = report.start * self.address_bins // self.n_pages
-            hi = max(lo + 1, report.end * self.address_bins // self.n_pages)
-            row[lo : min(hi, self.address_bins)] += report.score
+        bins = self.address_bins
+        for start, end, score in zip(snapshot.start.tolist(),
+                                     (snapshot.start + snapshot.npages).tolist(),
+                                     snapshot.score.tolist()):
+            lo = start * bins // self.n_pages
+            hi = max(lo + 1, end * bins // self.n_pages)
+            row[lo : min(hi, bins)] += score
         self._append(row)
 
     def _append(self, row: np.ndarray) -> None:

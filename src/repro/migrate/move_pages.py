@@ -9,7 +9,7 @@ path; page copy alone is ~40% of the total for a 2 MB tier1->tier4 move
 
 from __future__ import annotations
 
-from repro.migrate.mechanism import Mechanism, MigrationTiming, StepTimes
+from repro.migrate.mechanism import Mechanism
 
 
 class MovePagesMechanism(Mechanism):
@@ -17,22 +17,16 @@ class MovePagesMechanism(Mechanism):
 
     name = "move_pages"
 
-    def timing(
-        self,
-        npages: int,
-        src_node: int,
-        dst_node: int,
-        write_rate: float = 0.0,
-    ) -> MigrationTiming:
-        self._check(npages, write_rate)
+    def _step_costs(self, npages: int, src_node: int, dst_node: int) -> tuple:
         cm = self.cost_model
+        return (
+            cm.alloc_time(npages),
+            cm.unmap_time(npages) + cm.map_time(npages),
+            cm.copy_time(npages, src_node, dst_node, parallelism=1),
+        )
+
+    def _move(self, costs: tuple, npages: int, write_rate: float):
+        alloc, remap, copy = costs
         # An injected stall preempts the single-threaded kernel copy loop,
         # stretching the fully-critical copy step.
-        critical = StepTimes(
-            allocate=cm.alloc_time(npages),
-            unmap_remap=cm.unmap_time(npages) + cm.map_time(npages),
-            copy=cm.copy_time(npages, src_node, dst_node, parallelism=1) * self._stall_factor(),
-        )
-        return self._record_timing(
-            MigrationTiming(critical=critical), npages, src_node, dst_node
-        )
+        return (alloc, remap, copy * self._stall_factor(), 0.0, 0.0), None, None

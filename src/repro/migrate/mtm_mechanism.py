@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.migrate.mechanism import Mechanism, MigrationTiming, StepTimes
+from repro.migrate.mechanism import Mechanism
 from repro.sim.costmodel import CostModel
 
 
@@ -77,34 +77,27 @@ class MoveMemoryRegionsMechanism(Mechanism):
         #: parallel synchronous mechanism.
         self.force_sync = force_sync
 
-    def timing(
-        self,
-        npages: int,
-        src_node: int,
-        dst_node: int,
-        write_rate: float = 0.0,
-    ) -> MigrationTiming:
-        self._check(npages, write_rate)
+    def _step_costs(self, npages: int, src_node: int, dst_node: int) -> tuple:
         cm = self.cost_model
         cfg = self.config
-        copy_time = cm.copy_time(npages, src_node, dst_node, parallelism=cfg.copy_threads)
-        alloc_time = cm.alloc_time(npages)
-        unmap_remap = (cm.unmap_time(npages) + cm.map_time(npages)) * cfg.remap_batch_factor
-        pte_migrate = cm.pte_migrate_time(npages)
+        remap = cm.unmap_time(npages) + cm.map_time(npages)
+        return (
+            cm.copy_time(npages, src_node, dst_node, parallelism=cfg.copy_threads),
+            cm.alloc_time(npages),
+            remap,
+            remap * cfg.remap_batch_factor,
+            cm.pte_migrate_time(npages),
+        )
 
+    def _move(self, costs: tuple, npages: int, write_rate: float):
+        cfg = self.config
+        copy_time, alloc_time, remap, batched_remap, pte_migrate = costs
         if self.force_sync:
             # "w/o async migration": the plain synchronous scheme — no
             # background staging, hence no batched remap either.  A stall
             # preempts the main-thread copy loop.
-            critical = StepTimes(
-                allocate=alloc_time,
-                unmap_remap=cm.unmap_time(npages) + cm.map_time(npages),
-                copy=copy_time * self._stall_factor(),
-                migrate_page_table=pte_migrate,
-            )
-            return self._record_timing(
-                MigrationTiming(critical=critical), npages, src_node, dst_node
-            )
+            critical = (alloc_time, remap, copy_time * self._stall_factor(), pte_migrate, 0.0)
+            return critical, None, None
 
         # Async attempt: arm write tracking (reserved bit + one flush).
         # An injected stall deschedules the helper threads, stretching the
@@ -112,19 +105,10 @@ class MoveMemoryRegionsMechanism(Mechanism):
         # mid-copy writes).
         tracking = cfg.tlb_flush_cost
         stall = self._stall_factor()
-        write_hits = self._write_lands_mid_copy(write_rate, (copy_time + alloc_time) * stall)
-
-        if not write_hits:
-            critical = StepTimes(
-                unmap_remap=unmap_remap,
-                migrate_page_table=pte_migrate,
-                dirtiness_tracking=tracking,
-            )
-            background = StepTimes(allocate=alloc_time * stall, copy=copy_time * stall)
-            return self._record_timing(
-                MigrationTiming(critical=critical, background=background),
-                npages, src_node, dst_node,
-            )
+        if not self._write_lands_mid_copy(write_rate, (copy_time + alloc_time) * stall):
+            critical = (0.0, batched_remap, 0.0, pte_migrate, tracking)
+            background = (alloc_time * stall, 0.0, copy_time * stall, 0.0, 0.0)
+            return critical, background, None
 
         # A write landed: one write-protect fault, abandon the async copy
         # (recopy_fraction of it was wasted) and redo synchronously.  The
@@ -133,26 +117,11 @@ class MoveMemoryRegionsMechanism(Mechanism):
         # the async protocol), and the copy — all on the critical path,
         # which is why the paper measures the write-heavy case on par with
         # move_pages() (Fig. 11 "W").
-        extra_pages = int(npages * cfg.recopy_fraction)
-        critical = StepTimes(
-            allocate=alloc_time,
-            unmap_remap=cm.unmap_time(npages) + cm.map_time(npages),
-            copy=copy_time,
-            migrate_page_table=pte_migrate,
-            dirtiness_tracking=tracking + cm.params.write_protect_fault_cost,
-        )
-        background = StepTimes(
-            copy=copy_time * cfg.recopy_fraction,  # the wasted async portion
-        )
-        return self._record_timing(
-            MigrationTiming(
-                critical=critical,
-                background=background,
-                switched_to_sync=True,
-                extra_copied_pages=extra_pages,
-            ),
-            npages, src_node, dst_node,
-        )
+        critical = (alloc_time, remap, copy_time, pte_migrate,
+                    tracking + self.cost_model.params.write_protect_fault_cost)
+        # The background copy is the wasted async portion.
+        background = (0.0, 0.0, copy_time * cfg.recopy_fraction, 0.0, 0.0)
+        return critical, background, int(npages * cfg.recopy_fraction)
 
     def _write_lands_mid_copy(self, write_rate: float, window: float) -> bool:
         """Bernoulli draw: does a write hit the region during the window?"""

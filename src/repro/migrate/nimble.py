@@ -10,7 +10,7 @@ includes these techniques and adds the adaptive async mechanism on top
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.migrate.mechanism import Mechanism, MigrationTiming, StepTimes
+from repro.migrate.mechanism import Mechanism
 from repro.sim.costmodel import CostModel
 
 
@@ -33,24 +33,16 @@ class NimbleMechanism(Mechanism):
         self.copy_threads = copy_threads
         self.exchange = exchange
 
-    def timing(
-        self,
-        npages: int,
-        src_node: int,
-        dst_node: int,
-        write_rate: float = 0.0,
-    ) -> MigrationTiming:
-        self._check(npages, write_rate)
+    def _step_costs(self, npages: int, src_node: int, dst_node: int) -> tuple:
         cm = self.cost_model
         # Exchange halves the allocation work (the swapped-in frames come
         # for free); the reverse copy shares the parallel copy threads.
-        alloc = cm.alloc_time(npages) * (0.5 if self.exchange else 1.0)
-        critical = StepTimes(
-            allocate=alloc,
-            unmap_remap=cm.unmap_time(npages) + cm.map_time(npages),
-            copy=cm.copy_time(npages, src_node, dst_node, parallelism=self.copy_threads)
-            * self._stall_factor(),
+        return (
+            cm.alloc_time(npages) * (0.5 if self.exchange else 1.0),
+            cm.unmap_time(npages) + cm.map_time(npages),
+            cm.copy_time(npages, src_node, dst_node, parallelism=self.copy_threads),
         )
-        return self._record_timing(
-            MigrationTiming(critical=critical), npages, src_node, dst_node
-        )
+
+    def _move(self, costs: tuple, npages: int, write_rate: float):
+        alloc, remap, copy = costs
+        return (alloc, remap, copy * self._stall_factor(), 0.0, 0.0), None, None

@@ -486,47 +486,40 @@ class MigrationPlanner:
         mechanism: Mechanism,
     ) -> MigrationTiming:
         """Apply one validated move: tear huge pages, time it, commit it."""
-        torn = self._tear_partial_huge_pages(pages)
+        # Every policy's orders ascend, so their pages need no sorting;
+        # _demote_for_room's victims need not ascend.
+        ascending = bool(np.all(pages[1:] > pages[:-1]))
+        torn = self._tear_partial_huge_pages(pages, ascending)
         self.log.huge_pages_torn += torn
 
         # The kernel moves one 2 MB region at a time (Fig. 3's unit), so a
         # large order is a sequence of region moves — each with its own
         # write-tracking window, so one written huge page only forces *its*
-        # chunk to the synchronous path, not the whole order.
-        timing = MigrationTiming()
-        writes_per_chunk: np.ndarray | None = None
+        # region to the synchronous path, not the whole order.  The
+        # mechanism times the whole sequence from per-region write rates.
+        n_chunks = -(-int(pages.size) // PAGES_PER_HUGE_PAGE)
         if mmu is not None and self.interval > 0 and pages.size:
             # Each chunk's writes over its distinct entries, in one pass:
             # resolve every page's entry once, dedupe (chunk, entry)
-            # pairs, and bincount the write counts per chunk.  The timing
-            # calls below keep their per-chunk order and arguments (they
-            # draw from the mechanism's RNG).
-            ents_all = self.page_table.entry_index(pages)
-            n_chunks = (int(pages.size) + PAGES_PER_HUGE_PAGE - 1) // PAGES_PER_HUGE_PAGE
+            # pairs, and bincount the write counts per chunk.  Ascending
+            # pages have non-decreasing entries (huge mappings are
+            # aligned), so their pairs are already sorted.
+            n = self.page_table.n_pages
             chunk_ids = np.arange(pages.size, dtype=np.int64) // PAGES_PER_HUGE_PAGE
-            keys = nputil.unique(chunk_ids * np.int64(self.page_table.n_pages) + ents_all)
-            writes_per_chunk = np.bincount(
-                keys // self.page_table.n_pages,
-                weights=mmu.entry_write_count(keys % self.page_table.n_pages).astype(
-                    np.float64
-                ),
+            keys = chunk_ids * np.int64(n) + self.page_table.entry_index(pages)
+            keys = nputil.dedup_sorted(keys) if ascending else nputil.unique(keys)
+            writes = np.bincount(
+                keys // n,
+                weights=mmu.entry_write_count(keys % n).astype(np.float64),
                 minlength=n_chunks,
             )
-        for lo in range(0, int(pages.size), PAGES_PER_HUGE_PAGE):
-            chunk = pages[lo : lo + PAGES_PER_HUGE_PAGE]
-            write_rate = 0.0
-            if writes_per_chunk is not None:
-                write_rate = int(writes_per_chunk[lo // PAGES_PER_HUGE_PAGE]) / self.interval
-            chunk_timing = mechanism.timing(
-                int(chunk.size), src_node, dst_node, write_rate=write_rate
-            )
-            self._accumulate(timing, chunk_timing)
+            write_rates = (writes / self.interval).tolist()
+        else:
+            write_rates = [0.0] * n_chunks
+        timing = mechanism.timing(int(pages.size), src_node, dst_node, write_rate=write_rates)
         if self.time_scale != 1.0:
-            for step in (
-                "allocate", "unmap_remap", "copy", "migrate_page_table", "dirtiness_tracking",
-            ):
-                setattr(timing.critical, step, getattr(timing.critical, step) * self.time_scale)
-                setattr(timing.background, step, getattr(timing.background, step) * self.time_scale)
+            timing.critical = timing.critical.scaled(self.time_scale)
+            timing.background = timing.background.scaled(self.time_scale)
 
         self.page_table.move_pages(pages, dst_node)
         self.frames.move(src_node, dst_node, int(pages.size))
@@ -551,21 +544,26 @@ class MigrationPlanner:
                        src_node, dst_node, reason, detail=mechanism.name)
         return timing
 
-    def _tear_partial_huge_pages(self, pages: np.ndarray) -> int:
+    def _tear_partial_huge_pages(self, pages: np.ndarray, ascending: bool) -> int:
         """Split huge mappings the order covers only partially.
 
         A huge page must live on one node; migrating a strict subset of
         its base pages forces the kernel to split it first.  Huge-aware
         orders (MTM's) never trigger this; DAMON-shaped regions can.
+        ``ascending`` says ``pages`` strictly ascend, so nothing needs
+        sorting.
         """
         huge_mask = self.page_table.is_huge(pages)
         if not np.any(huge_mask):
             return 0
-        heads = nputil.unique(pages[huge_mask] - (pages[huge_mask] % PAGES_PER_HUGE_PAGE))
+        heads = pages[huge_mask] - (pages[huge_mask] % PAGES_PER_HUGE_PAGE)
+        if ascending:
+            heads, uniq = nputil.dedup_sorted(heads), pages
+        else:
+            heads, uniq = nputil.unique(heads), nputil.unique(pages)
         # A head's 2 MB span is fully covered iff the order holds all 512
         # distinct base pages of [head, head + 512) — countable with two
         # searchsorted passes over the sorted unique pages.
-        uniq = nputil.unique(pages)
         lo = np.searchsorted(uniq, heads)
         hi = np.searchsorted(uniq, heads + PAGES_PER_HUGE_PAGE)
         partial = heads[(hi - lo) != PAGES_PER_HUGE_PAGE]
@@ -575,9 +573,8 @@ class MigrationPlanner:
 
     @staticmethod
     def _accumulate(total: MigrationTiming, timing: MigrationTiming) -> None:
-        for step in ("allocate", "unmap_remap", "copy", "migrate_page_table", "dirtiness_tracking"):
-            setattr(total.critical, step, getattr(total.critical, step) + getattr(timing.critical, step))
-            setattr(total.background, step, getattr(total.background, step) + getattr(timing.background, step))
+        total.critical.add(timing.critical)
+        total.background.add(timing.background)
         total.switched_to_sync = total.switched_to_sync or timing.switched_to_sync
         total.extra_copied_pages += timing.extra_copied_pages
 

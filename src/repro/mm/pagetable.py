@@ -111,10 +111,10 @@ class PageTable:
         else:
             self.flags = np.zeros(n_pages, dtype=np.uint16)
             self.node = np.full(n_pages, _UNMAPPED_NODE, dtype=np.int16)
-        # Cached run-length encoding of ``node`` and the page window
-        # placement changed in since it was built; see _node_runs().
+        # Cached run-length encoding of ``node`` and the page ranges
+        # placement changed in since it was built; see node_runs().
         self._node_rle: tuple[np.ndarray, np.ndarray] | None = None
-        self._node_dirty: tuple[int, int] | None = None
+        self._node_dirty: list[tuple[int, int]] = []
         # Page -> leaf-entry map as an int16 delta from the identity (0
         # everywhere until a huge mapping appears), maintained on huge
         # collapse/split so entry_index() is one gather and one add.
@@ -370,36 +370,41 @@ class PageTable:
         offsets[np.searchsorted(bounds, total, side="left"):] = kept
         return np.concatenate(parts), offsets
 
-    def _node_runs(self) -> tuple[np.ndarray, np.ndarray]:
+    def node_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Run-length encoding of ``node``: ``(bounds, values)``.
 
         Run ``i`` covers pages ``[bounds[i], bounds[i+1])`` and sits on
         ``values[i]``, and adjacent runs differ in value.  Placement is
         piecewise constant (migration moves whole regions), so the
-        encoding is tiny.  After a mapping or migration only the window
-        it dirtied is encoded again: the runs before and after the window
-        are kept, cut at its edges, and runs of equal value merge at both
-        seams, so the result equals a full rebuild.
+        encoding is tiny.  After mappings or migrations only the page
+        ranges they touched are encoded again: the runs between those
+        ranges are kept, cut at the range edges, and runs of equal value
+        merge at every seam, so the result equals a full rebuild.
         """
         if self._node_rle is None:
             starts, values = self._encode_nodes(0, self.n_pages)
-        elif self._node_dirty is not None:
-            lo, hi = self._node_dirty
+        elif self._node_dirty:
             bounds, old = self._node_rle
-            a = int(np.searchsorted(bounds, lo, side="right")) - 1  # run holding lo
-            left = a + 1 if bounds[a] < lo else a
-            mid_starts, mid_values = self._encode_nodes(lo, hi)
-            starts = [bounds[:left], mid_starts]
-            values = [old[:left], mid_values]
-            if hi < self.n_pages:
-                c = int(np.searchsorted(bounds, hi, side="right")) - 1  # run holding hi
-                starts += [[hi], bounds[c + 1 : -1]]
-                values.append(old[c:])
-            starts, values = _merge_equal_runs(np.concatenate(starts), np.concatenate(values))
+            start_parts: list = []
+            value_parts: list = []
+            pos = 0  # first page not yet encoded
+            for lo, hi in _merge_ranges(self._node_dirty) + [(self.n_pages, self.n_pages)]:
+                if pos < lo:  # the kept runs of [pos, lo)
+                    a = int(np.searchsorted(bounds, pos, side="right")) - 1
+                    b = int(np.searchsorted(bounds, lo, side="left"))
+                    start_parts += [[pos], bounds[a + 1 : b]]
+                    value_parts.append(old[a:b])
+                if lo < hi:
+                    fresh_starts, fresh_values = self._encode_nodes(lo, hi)
+                    start_parts.append(fresh_starts)
+                    value_parts.append(fresh_values)
+                pos = hi
+            starts, values = _merge_equal_runs(np.concatenate(start_parts),
+                                               np.concatenate(value_parts))
         else:
             return self._node_rle
         self._node_rle = (np.append(starts, self.n_pages), values)
-        self._node_dirty = None
+        self._node_dirty = []
         return self._node_rle
 
     def _encode_nodes(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -426,11 +431,8 @@ class PageTable:
         return _merge_equal_runs(np.concatenate(start_parts), np.concatenate(value_parts))
 
     def _mark_nodes_dirty(self, start: int, end: int) -> None:
-        """Widen the window of pages whose node changed to take ``[start, end)``."""
-        if self._node_dirty is not None:
-            start = min(start, self._node_dirty[0])
-            end = max(end, self._node_dirty[1])
-        self._node_dirty = (start, end)
+        """Record that the node of pages ``[start, end)`` may have changed."""
+        self._node_dirty.append((start, end))
 
     def span_majority_nodes(self, starts: np.ndarray, npages: np.ndarray) -> np.ndarray:
         """Majority resident node of many spans at once (-1 when unmapped).
@@ -446,7 +448,7 @@ class PageTable:
         npages = np.asarray(npages, dtype=np.int64)
         if starts.size == 0:
             return np.empty(0, dtype=np.int64)
-        bounds, values = self._node_runs()
+        bounds, values = self.node_runs()
         return kernels.span_majority(starts, npages, bounds, values)
 
     def huge_heads(self) -> np.ndarray:
@@ -552,6 +554,17 @@ class PageTable:
         crosses_start = (heads < start) & (heads + PAGES_PER_HUGE_PAGE > start)
         crosses_end = (heads < end) & (heads + PAGES_PER_HUGE_PAGE > end)
         return heads[crosses_start | crosses_end]
+
+
+def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``[start, end)`` ranges sorted, with overlapping or touching ones joined."""
+    merged: list[list[int]] = []
+    for lo, hi in sorted(ranges):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [(lo, hi) for lo, hi in merged]
 
 
 def _merge_equal_runs(starts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

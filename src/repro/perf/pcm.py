@@ -8,10 +8,45 @@ counted here; mechanism copies are charged by the migration planner.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
 from repro import kernels
 from repro.hw.topology import TierTopology
 from repro.mm.pagetable import PageTable
 from repro.sim.trace import AccessBatch
+
+
+@dataclass(frozen=True)
+class NodeSums:
+    """One batch's accesses and writes per node, under the placement at
+    the time they were summed.
+
+    The engine sums each interval's batch once; :meth:`PcmCounters.count`
+    and :meth:`~repro.sim.costmodel.CostModel.app_time` both read the
+    sums.  They hold nothing of the batch itself.
+
+    Attributes:
+        accesses: per-node access sums; slot ``node + 1`` holds node's,
+            slot 0 those of unmapped pages.
+        writes: per-node write sums, in the same slots.
+        total_accesses: the batch's accesses, mapped or not.
+    """
+
+    accesses: np.ndarray
+    writes: np.ndarray
+    total_accesses: int
+
+    @classmethod
+    def of(cls, batch: AccessBatch, page_table: PageTable,
+           topology: TierTopology) -> "NodeSums":
+        """Sum ``batch`` by the node currently holding each page."""
+        length = max(topology.node_ids) + 2
+        accesses, writes = kernels.node_accumulate(
+            page_table.node_of(batch.pages), batch.counts, batch.writes, length
+        )
+        return cls(accesses, writes, batch.total_accesses)
 
 
 class PcmCounters:
@@ -26,19 +61,12 @@ class PcmCounters:
         self.node_accesses: dict[int, int] = {n: 0 for n in topology.node_ids}
         self.node_writes: dict[int, int] = {n: 0 for n in topology.node_ids}
 
-    def count(self, batch: AccessBatch, page_table: PageTable) -> None:
-        """Attribute the batch's accesses to the nodes currently holding
-        each page."""
-        if batch.pages.size == 0:
-            return
-        nodes = page_table.node_of(batch.pages)
-        # One per-node histogram; unmapped pages (node -1) land in slot 0
-        # and are dropped.
-        length = max(self.topology.node_ids) + 2
-        acc, wr = kernels.node_accumulate(nodes, batch.counts, batch.writes, length)
+    def count(self, sums: NodeSums) -> None:
+        """Attribute a batch's accesses to the nodes holding its pages;
+        accesses to unmapped pages are dropped."""
         for node in self.topology.node_ids:
-            self.node_accesses[node] += int(acc[node + 1])
-            self.node_writes[node] += int(wr[node + 1])
+            self.node_accesses[node] += int(sums.accesses[node + 1])
+            self.node_writes[node] += int(sums.writes[node + 1])
 
     def tier_accesses(self, socket: int = 0) -> dict[int, int]:
         """Access counts keyed by 1-based tier rank in ``socket``'s view.

@@ -47,24 +47,26 @@ class AutoTieringPolicy(Policy):
         budget_pages = cfg.budget_bytes // PAGE_SIZE
         view = state.topology.view(cfg.default_socket)
         fastest = view.node_at_tier(1)
-        ledger = PlacementLedger(state)
+        ledger = PlacementLedger(state, snapshot)
         promoted = 0
 
         # Candidates: anything the random-window profiler saw accessed, in
         # arbitrary (shuffled) order — no hotness ranking.
-        candidates = [r for r in snapshot.reports if r.score > 0 and r.node >= 0 and r.node != fastest]
+        node = snapshot.node
+        candidates = np.flatnonzero((snapshot.score > 0) & (node >= 0) & (node != fastest))
         self.rng.shuffle(candidates)
-        for report in candidates:
+        nodes = node.tolist()
+        for i in candidates.tolist():
             if promoted >= budget_pages:
                 break
-            pages = ledger.pages_on(report, report.node)
+            pages = ledger.pages_on(i, nodes[i])
             if pages.size == 0:
                 continue
             if ledger.free[fastest] < pages.size:
-                self._opportunistic_demotion(ledger, fastest, pages.size, snapshot, view)
+                self._opportunistic_demotion(ledger, fastest, pages.size, view)
             if ledger.free[fastest] < pages.size:
                 continue
-            ledger.move(report, pages, report.node, fastest, "promotion")
+            ledger.move(i, pages, nodes[i], fastest, "promotion")
             promoted += pages.size
         return ledger.orders
 
@@ -75,7 +77,6 @@ class AutoTieringPolicy(Policy):
         ledger: PlacementLedger,
         dst: int,
         need: int,
-        snapshot: ProfileSnapshot,
         view: TierView,
     ) -> None:
         """Evict *random* resident regions (hot or not) to any lower tier
@@ -83,8 +84,8 @@ class AutoTieringPolicy(Policy):
         # The shuffle draws per resident, so regions with orders leave
         # the list before it.
         residents = [
-            r for r in snapshot.reports
-            if r.node == dst and (r.start, r.npages) not in ledger.moved
+            i for i in np.flatnonzero(ledger.snapshot.node == dst).tolist()
+            if i not in ledger.moved
         ]
         self.rng.shuffle(residents)
         ledger.make_room(

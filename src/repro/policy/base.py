@@ -24,7 +24,7 @@ from repro.errors import ConfigError
 from repro.hw.frames import FrameAccountant
 from repro.hw.topology import TierTopology, TierView
 from repro.mm.pagetable import PageTable
-from repro.profile.base import ProfileSnapshot, RegionReport
+from repro.profile.base import ProfileSnapshot
 from repro.units import MiB, PAGE_SIZE, PAGES_PER_HUGE_PAGE
 
 #: The paper's per-interval migration budget ``N`` (Sec. 6.1).
@@ -125,36 +125,66 @@ class PlacementLedger:
     A policy plans the whole batch before the planner executes any of it,
     so the ledger seeds each node's free pages from the frame accountant
     and shifts them with every order, which keeps the batch consistent.
+    Regions are named by their row in the snapshot, and their pages are
+    looked up in the page table's node runs, which planning leaves
+    unchanged.
 
     Attributes:
         state: the placement the batch is planned against.
+        snapshot: the regions the batch is planned over.
         free: free pages per node once the orders so far execute.
         orders: the batch, in execution order.
-        moved: ``(start, npages)`` of every region given an order.
+        moved: rows of every region given an order.
     """
 
-    def __init__(self, state: PlacementState) -> None:
+    def __init__(self, state: PlacementState, snapshot: ProfileSnapshot) -> None:
         self.state = state
+        self.snapshot = snapshot
         self.free = {n: state.frames.free_pages(n) for n in state.topology.node_ids}
         self.orders: list[MigrationOrder] = []
-        self.moved: set[tuple[int, int]] = set()
+        self.moved: set[int] = set()
+        bounds, values = state.page_table.node_runs()
+        end = snapshot.start + snapshot.npages
+        # Region i overlaps runs [_lo[i], _hi[i]).
+        self._lo = (np.searchsorted(bounds, snapshot.start, side="right") - 1).tolist()
+        self._hi = np.searchsorted(bounds, end, side="left").tolist()
+        self._bounds = bounds.tolist()
+        self._values = values.tolist()
+        self._start = snapshot.start.tolist()
+        self._end = end.tolist()
+        self._score = snapshot.score.tolist()
 
-    def pages_on(self, report: RegionReport, node: int) -> np.ndarray:
-        """The pages of ``report``'s region that sit on ``node``.
+    def nodes_of(self, i: int) -> list[int]:
+        """The nodes holding pages of region ``i``, ascending."""
+        values = self._values[self._lo[i] : self._hi[i]]
+        return sorted({v for v in values if v >= 0})
+
+    def pages_on(self, i: int, node: int) -> np.ndarray:
+        """The pages of region ``i`` that sit on ``node``, ascending.
 
         A region may straddle components (partial moves, stale
         placement), so its majority node need not hold all of it.
         """
-        pages = np.arange(report.start, report.end, dtype=np.int64)
-        return pages[self.state.page_table.node[pages] == node]
+        lo, hi = self._lo[i], self._hi[i]
+        start, end = self._start[i], self._end[i]
+        values = self._values
+        if hi - lo == 1:  # the whole region sits in one run
+            if values[lo] == node:
+                return np.arange(start, end, dtype=np.int64)
+            return np.empty(0, dtype=np.int64)
+        bounds = self._bounds
+        pieces = [
+            np.arange(max(bounds[r], start), min(bounds[r + 1], end), dtype=np.int64)
+            for r in range(lo, hi) if values[r] == node
+        ]
+        return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
 
-    def move(self, report: RegionReport, pages: np.ndarray, src: int, dst: int,
-             reason: str) -> None:
-        """Order ``pages`` of ``report``'s region from ``src`` to ``dst``."""
+    def move(self, i: int, pages: np.ndarray, src: int, dst: int, reason: str) -> None:
+        """Order ``pages`` of region ``i`` from ``src`` to ``dst``."""
         self.orders.append(MigrationOrder(
-            pages=pages, src_node=src, dst_node=dst, reason=reason, score=report.score,
+            pages=pages, src_node=src, dst_node=dst, reason=reason, score=self._score[i],
         ))
-        self.moved.add((report.start, report.npages))
+        self.moved.add(i)
         self.free[dst] -= pages.size
         self.free[src] += pages.size
 
@@ -171,11 +201,11 @@ class PlacementLedger:
         self,
         dst: int,
         need: int,
-        victims: Iterable[RegionReport],
+        victims: Iterable[int],
         target: Callable[[int], int | None],
-    ) -> list[RegionReport]:
-        """Demote ``victims``' pages off ``dst``, in order, until ``need``
-        pages are free there.
+    ) -> list[int]:
+        """Demote the pages on ``dst`` of regions ``victims``, in order,
+        until ``need`` pages are free there.
 
         Regions already given an order are skipped, and so is a victim
         for which ``target(npages)`` names no destination.  The demotions
@@ -186,7 +216,7 @@ class PlacementLedger:
         for victim in victims:
             if self.free[dst] >= need:
                 break
-            if (victim.start, victim.npages) in self.moved:
+            if victim in self.moved:
                 continue
             pages = self.pages_on(victim, dst)
             if pages.size == 0:

@@ -58,43 +58,39 @@ class DamosPolicy(Policy):
         view = state.topology.view(cfg.default_socket)
         fastest = view.node_at_tier(1)
         budget = cfg.budget_bytes // PAGE_SIZE
-        ledger = PlacementLedger(state)
+        ledger = PlacementLedger(state, snapshot)
+        score, node = snapshot.score, snapshot.node
+        nodes = node.tolist()
         spent = 0
 
         # migrate_cold first: free space on the fast tiers.
-        cold = sorted(
-            (r for r in snapshot.reports
-             if r.score <= cfg.cold_threshold and r.node == fastest),
-            key=lambda r: r.score,
-        )
-        for report in cold:
+        cold = snapshot.by_score((score <= cfg.cold_threshold) & (node == fastest))
+        for i in cold.tolist():
             if spent >= budget:
                 break
-            pages = ledger.pages_on(report, fastest)
+            pages = ledger.pages_on(i, fastest)
             if pages.size == 0:
                 continue
             target = ledger.lower_with_space(view, fastest, pages.size)
             if target is None:
                 continue
-            ledger.move(report, pages, fastest, target, "demotion")
+            ledger.move(i, pages, fastest, target, "demotion")
             spent += pages.size
 
         # migrate_hot: hottest first, straight to the fastest tier.
-        hot = sorted(
-            (r for r in snapshot.reports
-             if r.score >= cfg.hot_threshold and r.node >= 0 and r.node != fastest),
-            key=lambda r: r.score,
-            reverse=True,
+        hot = snapshot.by_score(
+            (score >= cfg.hot_threshold) & (node >= 0) & (node != fastest),
+            hottest_first=True,
         )
-        for report in hot:
+        for i in hot.tolist():
             if spent >= budget:
                 break
-            pages = ledger.pages_on(report, report.node)
+            pages = ledger.pages_on(i, nodes[i])
             if pages.size == 0 or ledger.free[fastest] < pages.size:
                 continue
             pages = ledger.fit(pages, budget - spent)
             if pages.size == 0:
                 break
-            ledger.move(report, pages, report.node, fastest, "promotion")
+            ledger.move(i, pages, nodes[i], fastest, "promotion")
             spent += pages.size
         return ledger.orders

@@ -52,25 +52,26 @@ class HeMemPolicy(Policy):
         view = state.topology.view(cfg.default_socket)
         dram = view.node_at_tier(1)
         budget_pages = cfg.budget_bytes // PAGE_SIZE
-        ledger = PlacementLedger(state)
+        ledger = PlacementLedger(state, snapshot)
+        node = snapshot.node
+        nodes = node.tolist()
         promoted = 0
 
-        hot = sorted(
-            (r for r in snapshot.reports if r.score >= cfg.hot_threshold and r.node >= 0 and r.node != dram),
-            key=lambda r: r.score,
-            reverse=True,
+        hot = snapshot.by_score(
+            (snapshot.score >= cfg.hot_threshold) & (node >= 0) & (node != dram),
+            hottest_first=True,
         )
-        for report in hot:
+        for i in hot.tolist():
             if promoted >= budget_pages:
                 break
-            pages = ledger.pages_on(report, report.node)
+            pages = ledger.pages_on(i, nodes[i])
             if pages.size == 0:
                 continue
             if ledger.free[dram] < pages.size:
-                self._demote_coldest(ledger, dram, pages.size, snapshot, state)
+                self._demote_coldest(ledger, dram, pages.size, state)
             if ledger.free[dram] < pages.size:
                 continue
-            ledger.move(report, pages, report.node, dram, "promotion")
+            ledger.move(i, pages, nodes[i], dram, "promotion")
             promoted += pages.size
         return ledger.orders
 
@@ -81,7 +82,6 @@ class HeMemPolicy(Policy):
         ledger: PlacementLedger,
         dram: int,
         need: int,
-        snapshot: ProfileSnapshot,
         state: PlacementState,
     ) -> None:
         """HeMem demotes the coldest DRAM chunks to "NVM": the PM
@@ -91,10 +91,10 @@ class HeMemPolicy(Policy):
         # stale chunk whose cooled count still sits above the threshold
         # keeps its DRAM residence (HeMem's hot/cold lists), which is why
         # HeMem reacts slowly when the hot set moves.
-        victims = sorted(
-            (r for r in snapshot.reports if r.node == dram and r.score < self.config.hot_threshold),
-            key=lambda r: r.score,
-        )
+        snapshot = ledger.snapshot
+        victims = snapshot.by_score(
+            (snapshot.node == dram) & (snapshot.score < self.config.hot_threshold)
+        ).tolist()
         nvm_nodes = [
             c.node_id for c in state.topology.components
             if c.kind != MemoryKind.DRAM

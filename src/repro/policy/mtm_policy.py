@@ -22,14 +22,12 @@ from itertools import takewhile
 
 import numpy as np
 
-from repro import nputil
-
 from repro.errors import ConfigError
 from repro.policy.base import (
     MigrationOrder, PlacementLedger, PlacementState, Policy, PolicyConfig,
 )
 from repro.policy.histogram import WhiHistogram
-from repro.profile.base import ProfileSnapshot, RegionReport
+from repro.profile.base import ProfileSnapshot
 from repro.units import PAGE_SIZE
 
 @dataclass
@@ -70,9 +68,13 @@ class MtmPolicy(Policy):
 
     def decide(self, snapshot: ProfileSnapshot, state: PlacementState) -> list[MigrationOrder]:
         cfg = self.config
-        hist = WhiHistogram(snapshot.reports, num_buckets=cfg.num_buckets)
+        hist = WhiHistogram(snapshot.score, num_buckets=cfg.num_buckets)
         budget_pages = cfg.budget_bytes // PAGE_SIZE
-        ledger = PlacementLedger(state)
+        ledger = PlacementLedger(state, snapshot)
+        # Each region's tiers follow the view of the socket that accesses
+        # it most (multi-view, Sec. 6.2).
+        ds = snapshot.dominant_socket
+        sockets = np.where(ds >= 0, ds, cfg.default_socket)
 
         # Global view (Sec. 6): rank every region on every tier by WHI and
         # assign tiers by capacity — the hottest fill the fastest tier,
@@ -80,100 +82,105 @@ class MtmPolicy(Policy):
         # is then: move the hottest mis-placed regions straight to their
         # assigned tier (no tier-by-tier staging), up to the budget N.
         # "Slow demotion" happens only inside _make_space.
-        targets = self._assign_targets(hist, state)
+        targets = self._assign_targets(snapshot, hist, state, sockets)
 
+        socket_of = sockets.tolist()
+        scores = snapshot.score.tolist()
+        coldest = hist.coldest_first().tolist()
         promoted_pages = 0
-        for report, target_node in targets:
+        for i, target_node in targets:
             if promoted_pages >= budget_pages:
                 break
-            view = self._view_for(report, state)
+            view = state.topology.view(socket_of[i])
             target_tier = view.tier_of(target_node)
             # A region may straddle components (partial promotions, stale
             # placement); promote its pages from every slower component.
-            region_pages = np.arange(report.start, report.end, dtype=np.int64)
-            region_nodes = state.page_table.node[region_pages]
-            for src_node in [int(n) for n in nputil.unique(region_nodes) if n >= 0]:
+            for src_node in ledger.nodes_of(i):
                 if promoted_pages >= budget_pages:
                     break
                 if view.tier_of(src_node) <= target_tier:
                     continue  # equal or faster: demotion is pressure-driven only
                 # A chunk larger than the remaining budget is promoted
                 # partially.
-                pages = ledger.fit(region_pages[region_nodes == src_node],
+                pages = ledger.fit(ledger.pages_on(i, src_node),
                                    budget_pages - promoted_pages)
                 if pages.size == 0:
                     break
-                if not self._make_space(ledger, target_node, int(pages.size), hist,
-                                        state, promoting_score=report.score):
+                if not self._make_space(ledger, target_node, int(pages.size), coldest,
+                                        scores, state, promoting_score=scores[i]):
                     continue
-                ledger.move(report, pages, src_node, target_node, "promotion")
+                ledger.move(i, pages, src_node, target_node, "promotion")
                 promoted_pages += pages.size
         return ledger.orders
 
     def _assign_targets(
-        self, hist: WhiHistogram, state: PlacementState
-    ) -> list[tuple[RegionReport, int]]:
+        self,
+        snapshot: ProfileSnapshot,
+        hist: WhiHistogram,
+        state: PlacementState,
+        sockets: np.ndarray,
+    ) -> list[tuple[int, int]]:
         """Match regions to tiers: hottest first into the fastest tiers.
 
         Ranking is *bucket-quantized*: regions in the same histogram
         bucket are equally hot, and within a bucket the ones already on
         faster tiers come first — so the assignment is stable and equal
         regions never trade places.  Each region's tier ladder follows the
-        view of its dominant accessor socket (multi-view, Sec. 6.2);
-        per-component capacity is shared across views.  Regions scoring at
-        or below ``min_score`` are left wherever they are.
+        view of its socket in ``sockets``; per-component capacity is
+        shared across views.  Regions scoring at or below ``min_score``
+        are left wherever they are.  Returns ``(row, node)`` pairs in
+        rank order.
         """
+        topo = state.topology
         remaining = {
             n: int(state.frames.capacity_pages(n) * (1.0 - self.config.headroom))
-            for n in state.topology.node_ids
+            for n in topo.node_ids
         }
+        ladders = [topo.view(s).ranked_nodes for s in range(topo.num_sockets)]
+        # tier_of[socket, node]: the node's tier in that socket's view.
+        tier_of = np.zeros((topo.num_sockets, max(topo.node_ids) + 1), dtype=np.int64)
+        for s, ladder in enumerate(ladders):
+            tier_of[s, list(ladder)] = np.arange(1, len(ladder) + 1)
 
-        def current_tier(report: RegionReport) -> int:
-            if report.node < 0:
-                return state.topology.num_tiers + 1
-            return self._view_for(report, state).tier_of(report.node)
+        rows = np.flatnonzero(snapshot.score > self.config.min_score)
+        node, socket = snapshot.node[rows], sockets[rows]
+        current = np.full(rows.size, topo.num_tiers + 1, dtype=np.int64)  # unmapped last
+        mapped = node >= 0
+        current[mapped] = tier_of[socket[mapped], node[mapped]]
+        ranked = rows[np.lexsort((-snapshot.score[rows], current, -hist.bucket_of[rows]))]
 
-        ranked = sorted(
-            (
-                (hist.bucket_index(i), report)
-                for i, report in enumerate(hist.reports)
-                if report.score > self.config.min_score
-            ),
-            key=lambda item: (-item[0], current_tier(item[1]), -item[1].score),
-        )
-        assignment: list[tuple[RegionReport, int]] = []
-        for _, report in ranked:
-            view = self._view_for(report, state)
-            for tier in range(1, view.num_tiers + 1):
-                node = view.node_at_tier(tier)
-                if remaining[node] >= report.npages:
-                    remaining[node] -= report.npages
-                    assignment.append((report, node))
+        npages = snapshot.npages.tolist()
+        socket_of = sockets.tolist()
+        assignment: list[tuple[int, int]] = []
+        for i in ranked.tolist():
+            need = npages[i]
+            for node in ladders[socket_of[i]]:
+                if remaining[node] >= need:
+                    remaining[node] -= need
+                    assignment.append((i, node))
                     break
         return assignment
 
     # -- internals --------------------------------------------------------------
-
-    def _view_for(self, report: RegionReport, state: PlacementState):
-        socket = report.dominant_socket if report.dominant_socket >= 0 else self.config.default_socket
-        return state.topology.view(socket)
 
     def _make_space(
         self,
         ledger: PlacementLedger,
         dst: int,
         need: int,
-        hist: WhiHistogram,
+        coldest: list[int],
+        scores: list[float],
         state: PlacementState,
         promoting_score: float = float("inf"),
     ) -> bool:
         """Demote coldest regions out of ``dst`` until ``need`` pages fit.
 
-        Demotion is slow: one tier down at a time, to the next lower tier
-        with capacity (Sec. 6.2).  Victims must be colder than the
-        promoting region by the displacement margin.  When space cannot be
-        made, the demotions staged for it are taken back out of the
-        ledger and False is returned.
+        ``coldest`` is every row, coldest first.  Demotion is slow: one
+        tier down at a time, to the next lower tier with capacity
+        (Sec. 6.2).  Victims must be colder than the promoting region by
+        the displacement margin.  When space cannot be made, the
+        demotions staged for it are taken back out of the ledger and
+        False is returned.
         """
         if ledger.free[dst] >= need:
             return True
@@ -181,8 +188,7 @@ class MtmPolicy(Policy):
         margin = self.config.displacement_margin
         # Coldest first: once one region is within the margin of the
         # promoting one, every later region is too.
-        victims = takewhile(lambda r: r.score + margin < promoting_score,
-                            hist.coldest_first())
+        victims = takewhile(lambda i: scores[i] + margin < promoting_score, coldest)
         staged = ledger.make_room(
             dst, need, victims, lambda npages: ledger.lower_with_space(view, dst, npages)
         )
@@ -193,5 +199,5 @@ class MtmPolicy(Policy):
             order = ledger.orders.pop()
             ledger.free[order.src_node] -= order.npages
             ledger.free[order.dst_node] += order.npages
-        ledger.moved.difference_update((r.start, r.npages) for r in staged)
+        ledger.moved.difference_update(staged)
         return False

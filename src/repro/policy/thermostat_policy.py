@@ -52,17 +52,15 @@ class ThermostatPolicy(Policy):
         view = state.topology.view(cfg.default_socket)
         fast = view.node_at_tier(1)
         budget_pages = cfg.budget_bytes // PAGE_SIZE
-        ledger = PlacementLedger(state)
+        ledger = PlacementLedger(state, snapshot)
         target_free = int(state.frames.capacity_pages(fast) * cfg.headroom_fraction)
+        score, node = snapshot.score, snapshot.node
         spent = 0
 
         # Demote coldest fast-tier regions until the headroom target holds.
         if ledger.free[fast] < target_free:
-            victims = sorted(
-                (r for r in snapshot.reports if r.node == fast and r.score <= cfg.cold_threshold),
-                key=lambda r: r.score,
-            )
-            for victim in victims:
+            victims = snapshot.by_score((node == fast) & (score <= cfg.cold_threshold))
+            for victim in victims.tolist():
                 if ledger.free[fast] >= target_free or spent >= budget_pages:
                     break
                 pages = ledger.pages_on(victim, fast)
@@ -75,17 +73,16 @@ class ThermostatPolicy(Policy):
                 spent += pages.size
 
         # Recover hot regions that ended up below (poor man's promotion).
-        hot = sorted(
-            (r for r in snapshot.reports if r.node >= 0 and r.node != fast and r.score > cfg.cold_threshold),
-            key=lambda r: r.score,
-            reverse=True,
+        hot = snapshot.by_score(
+            (node >= 0) & (node != fast) & (score > cfg.cold_threshold), hottest_first=True
         )
-        for report in hot:
+        nodes = node.tolist()
+        for i in hot.tolist():
             if spent >= budget_pages:
                 break
-            pages = ledger.pages_on(report, report.node)
+            pages = ledger.pages_on(i, nodes[i])
             if pages.size == 0 or ledger.free[fast] < pages.size:
                 continue
-            ledger.move(report, pages, report.node, fast, "promotion")
+            ledger.move(i, pages, nodes[i], fast, "promotion")
             spent += pages.size
         return ledger.orders

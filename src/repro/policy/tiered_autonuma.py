@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.policy.base import (
     MigrationOrder, PlacementLedger, PlacementState, Policy, PolicyConfig,
 )
-from repro.profile.base import ProfileSnapshot, RegionReport
+from repro.profile.base import ProfileSnapshot
 from repro.units import PAGE_SIZE
 
 
@@ -53,58 +55,64 @@ class TieredAutoNumaPolicy(Policy):
     def decide(self, snapshot: ProfileSnapshot, state: PlacementState) -> list[MigrationOrder]:
         cfg = self.config
         budget_pages = cfg.budget_bytes // PAGE_SIZE
-        ledger = PlacementLedger(state)
+        ledger = PlacementLedger(state, snapshot)
         promoted = 0
 
-        candidates = [r for r in snapshot.reports if r.score > self._hot_threshold and r.node >= 0]
-        candidates.sort(key=lambda r: r.score, reverse=True)
-        for report in candidates:
+        candidates = snapshot.by_score(
+            (snapshot.score > self._hot_threshold) & (snapshot.node >= 0), hottest_first=True
+        )
+        nodes = snapshot.node.tolist()
+        sockets = snapshot.dominant_socket.tolist()
+        for i in candidates.tolist():
             if promoted >= budget_pages:
                 break
-            dst = self._one_step_up(report, state)
+            dst = self._one_step_up(nodes[i], sockets[i], state)
             if dst is None:
                 continue
-            pages = ledger.pages_on(report, report.node)
+            pages = ledger.pages_on(i, nodes[i])
             if pages.size == 0:
                 continue
             if ledger.free[dst] < pages.size:
-                self._demote_for_space(ledger, dst, pages.size, snapshot, state)
+                self._demote_for_space(ledger, dst, pages.size, state)
             if ledger.free[dst] < pages.size:
                 continue
-            ledger.move(report, pages, report.node, dst, "promotion")
+            ledger.move(i, pages, nodes[i], dst, "promotion")
             promoted += pages.size
 
         if cfg.auto_threshold:
-            self._adjust_threshold(candidates, promoted, budget_pages)
+            self._adjust_threshold(snapshot.score[candidates], promoted, budget_pages)
         return ledger.orders
 
     # -- internals --------------------------------------------------------------
 
-    def _one_step_up(self, report: RegionReport, state: PlacementState) -> int | None:
-        """Next faster component, preferring moves within the page's socket.
+    def _one_step_up(self, node: int, dominant_socket: int,
+                     state: PlacementState) -> int | None:
+        """Next faster component for a region on ``node`` that
+        ``dominant_socket`` accesses most, preferring moves within the
+        page's socket.
 
         PM_s -> DRAM_s (same socket), then DRAM_remote -> DRAM_local of the
         dominant accessor.  Cross-socket PM moves are never taken directly,
         which is what makes promotion lag on multi-tier machines.
         """
         topo = state.topology
-        component = topo.component(report.node)
+        component = topo.component(node)
         socket = component.socket if component.socket is not None else self.config.default_socket
         view = topo.view(socket)
-        tier_here = view.tier_of(report.node)
+        tier_here = view.tier_of(node)
         # Within the page's own socket view, find the next faster component
         # on the same socket.
         for tier in range(tier_here - 1, 0, -1):
-            node = view.node_at_tier(tier)
-            if topo.component(node).socket == component.socket:
-                return node
+            faster = view.node_at_tier(tier)
+            if topo.component(faster).socket == component.socket:
+                return faster
         # Already on this socket's fastest component: allow one cross-socket
         # step toward the accessor's local tier, if the accessor differs.
-        accessor = report.dominant_socket if report.dominant_socket >= 0 else self.config.default_socket
+        accessor = dominant_socket if dominant_socket >= 0 else self.config.default_socket
         if accessor != socket:
             accessor_view = topo.view(accessor)
             target = accessor_view.node_at_tier(1)
-            if target != report.node and accessor_view.tier_of(target) < accessor_view.tier_of(report.node):
+            if target != node and accessor_view.tier_of(target) < accessor_view.tier_of(node):
                 return target
         return None
 
@@ -113,7 +121,6 @@ class TieredAutoNumaPolicy(Policy):
         ledger: PlacementLedger,
         dst: int,
         need: int,
-        snapshot: ProfileSnapshot,
         state: PlacementState,
     ) -> None:
         """Demote coldest regions from ``dst`` one step down, same socket."""
@@ -129,18 +136,18 @@ class TieredAutoNumaPolicy(Policy):
                 break
         if down is None:
             return
-        victims = sorted((r for r in snapshot.reports if r.node == dst), key=lambda r: r.score)
+        victims = ledger.snapshot.by_score(ledger.snapshot.node == dst).tolist()
         ledger.make_room(
             dst, need, victims, lambda npages: down if ledger.free[down] >= npages else None
         )
 
-    def _adjust_threshold(self, candidates: list[RegionReport], promoted: int, budget: int) -> None:
+    def _adjust_threshold(self, scores: np.ndarray, promoted: int, budget: int) -> None:
         """The patched kernel's automatic hot-threshold adjustment: raise
         the bar when there is more hot memory than throughput, lower it
-        when promotions undershoot."""
-        if promoted >= budget and candidates:
-            scores = sorted((r.score for r in candidates), reverse=True)
-            self._hot_threshold = scores[min(len(scores) - 1, max(0, len(scores) // 2))]
+        when promotions undershoot.  ``scores`` are the candidates',
+        hottest first."""
+        if promoted >= budget and scores.size:
+            self._hot_threshold = float(scores[min(scores.size - 1, max(0, scores.size // 2))])
         else:
             self._hot_threshold *= 0.5
             if self._hot_threshold < 1e-9:

@@ -24,13 +24,14 @@ budget (Eq. 1) to region count — the tension the whole design is about.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from repro import kernels
 from repro.errors import ConfigError
 from repro.hw.topology import TierTopology
-from repro.mm.pagetable import PageTable
-from repro.sim.trace import AccessBatch
 from repro.units import PAGE_SIZE, us, ns
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.perf.pcm import NodeSums
 
 
 #: Cache-line granularity of an individual memory access.
@@ -186,8 +187,9 @@ class CostModel:
 
     # -- application execution --------------------------------------------------
 
-    def app_time(self, batch: AccessBatch, page_table: PageTable, socket: int = 0) -> float:
-        """Execution time for ``batch`` under the current placement.
+    def app_time(self, sums: NodeSums, socket: int = 0) -> float:
+        """Execution time of a batch from its per-node ``sums`` under the
+        current placement.
 
         Two additive terms:
 
@@ -198,19 +200,13 @@ class CostModel:
           traffic is limited by its link bandwidth (components operate in
           parallel, so the slowest component's drain time dominates).
         """
-        if batch.pages.size == 0:
-            return 0.0
         p = self.params
-        nodes = page_table.node_of(batch.pages)
         latency_seconds = 0.0
         worst_drain = 0.0
-        # One per-node histogram (slot 0 collects unmapped pages).  Integer
-        # per-node sums are exact, and counts are >= 1, so a zero sum is
-        # exactly "no pages on this node".
-        length = max(self.topology.node_ids) + 2
-        acc, _ = kernels.node_accumulate(nodes, batch.counts, batch.writes, length)
+        # Integer per-node sums are exact, and counts are >= 1, so a zero
+        # sum is exactly "no pages on this node".
         for node in self.topology.node_ids:
-            total = int(acc[node + 1])
+            total = int(sums.accesses[node + 1])
             if not total:
                 continue
             n_accesses = total * p.rate_compensation
@@ -219,7 +215,7 @@ class CostModel:
             drain = n_accesses * ACCESS_SIZE / cost.bandwidth
             worst_drain = max(worst_drain, drain)
         latency_term = p.serial_fraction * latency_seconds / (p.threads * p.mlp)
-        return latency_term + worst_drain + self.compute_time(batch.total_accesses)
+        return latency_term + worst_drain + self.compute_time(sums.total_accesses)
 
     def compute_time(self, n_accesses: int) -> float:
         """Placement-independent CPU time for ``n_accesses`` raw accesses."""

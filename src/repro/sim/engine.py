@@ -46,7 +46,7 @@ from repro.mm.hugepage import ThpManager
 from repro.mm.mmu import Mmu
 from repro.mm.vma import AddressSpace
 from repro.obs.events import EV_INTERVAL_END, EV_INTERVAL_START
-from repro.perf.pcm import PcmCounters
+from repro.perf.pcm import NodeSums, PcmCounters
 from repro.perf.pebs import PebsSampler
 from repro.policy.base import PlacementState, Policy
 from repro.profile.base import Profiler
@@ -471,12 +471,13 @@ class SimulationEngine:
             batch = self._next_batch()
         self.mmu.begin_interval(batch)
         fast_before = self._fast_tier_count()
-        self.pcm.count(batch, self.space.page_table)
+        sums = NodeSums.of(batch, self.space.page_table, self.topology)
+        self.pcm.count(sums)
 
         if self.dram_cache is not None:
             app_time = self._hmc_app_time(batch)
         else:
-            app_time = self.cost_model.app_time(batch, self.space.page_table, self.socket)
+            app_time = self.cost_model.app_time(sums, self.socket)
         app_time *= self._calibration_multiplier(batch)
         self.clock.advance(app_time, CATEGORY_APP)
 
@@ -574,7 +575,7 @@ class SimulationEngine:
             )
         self.clock.advance(snapshot.profiling_time, CATEGORY_PROFILING)
         record.profiling_time = snapshot.profiling_time
-        record.region_count = len(snapshot.reports)
+        record.region_count = len(snapshot)
         if self.collect_quality:
             truth = self.workload.hot_pages()
             if truth.size:

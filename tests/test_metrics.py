@@ -44,9 +44,9 @@ class TestHeatmap:
 
     def test_record_snapshot_spreads_regions(self):
         hm = AccessHeatmap(n_pages=1000, address_bins=10)
-        snap = ProfileSnapshot(
-            interval=0,
-            reports=[RegionReport(start=0, npages=500, score=2.0)],
+        snap = ProfileSnapshot.from_reports(
+            0,
+            [RegionReport(start=0, npages=500, score=2.0)],
             profiling_time=0.0,
         )
         hm.record_snapshot(snap)
@@ -75,9 +75,9 @@ class TestHeatmap:
 class TestHotVolume:
     def test_accumulates_unique(self):
         tracker = HotVolumeTracker(n_pages=1000, detect_volume=100)
-        snap = ProfileSnapshot(
-            interval=0,
-            reports=[RegionReport(start=0, npages=50, score=2.0)],
+        snap = ProfileSnapshot.from_reports(
+            0,
+            [RegionReport(start=0, npages=50, score=2.0)],
             profiling_time=0.0,
         )
         tracker.record(snap)

@@ -24,22 +24,22 @@ class TestPteFlags:
 
 class TestSnapshotEdges:
     def test_top_hot_pages_zero_volume(self):
-        snap = ProfileSnapshot(
-            interval=0,
-            reports=[RegionReport(start=0, npages=10, score=1.0)],
+        snap = ProfileSnapshot.from_reports(
+            0,
+            [RegionReport(start=0, npages=10, score=1.0)],
             profiling_time=0.0,
         )
         assert snap.top_hot_pages(0).size == 0
 
     def test_top_hot_pages_negative_volume_rejected(self):
-        snap = ProfileSnapshot(interval=0, reports=[], profiling_time=0.0)
+        snap = ProfileSnapshot.from_reports(0, [], profiling_time=0.0)
         with pytest.raises(ProfilingError):
             snap.top_hot_pages(-1)
 
     def test_hot_volume_threshold(self):
-        snap = ProfileSnapshot(
-            interval=0,
-            reports=[
+        snap = ProfileSnapshot.from_reports(
+            0,
+            [
                 RegionReport(start=0, npages=10, score=0.5),
                 RegionReport(start=10, npages=10, score=2.0),
             ],

@@ -155,15 +155,16 @@ N = 8 * R
 
 def _assert_node_runs_rebuilt(pt):
     """The maintained node encoding equals a full rebuild of ``node``."""
-    bounds, values = pt._node_runs()
+    bounds, values = pt.node_runs()
     want_bounds, want_values = kernels.node_rle(np.asarray(pt.node))
     np.testing.assert_array_equal(bounds, want_bounds)
     np.testing.assert_array_equal(values, want_values)
 
 
 class TestNodeRuns:
-    """After a mapping change only the dirtied window is encoded again;
-    the spliced encoding equals a full rebuild on both storage layouts."""
+    """After mapping changes only the page ranges they touched are
+    encoded again; the spliced encoding equals a full rebuild on both
+    storage layouts."""
 
     @pytest.mark.parametrize("chunked", [False, True], ids=["dense", "chunked"])
     @settings(max_examples=40, deadline=None)
@@ -206,7 +207,7 @@ class TestNodeRuns:
                         st.integers(min_value=0, max_value=N - 1), min_size=1, max_size=20)))
                 pages = pages[pt.is_mapped(pages)] if pages.size else pages
                 pt.move_pages(pages, node)
-            # Sometimes several changes widen one window before a rebuild.
+            # Sometimes several changes pile up before a rebuild.
             if data.draw(st.booleans()):
                 _assert_node_runs_rebuilt(pt)
         _assert_node_runs_rebuilt(pt)

@@ -14,7 +14,7 @@ from repro.perf.events import (
     PEBS_ALL_EVENTS,
     PEBS_PMM_EVENTS,
 )
-from repro.perf.pcm import PcmCounters
+from repro.perf.pcm import NodeSums, PcmCounters
 from repro.perf.pebs import PebsSampler
 from repro.sim.trace import AccessBatch
 
@@ -136,7 +136,7 @@ class TestPcm:
     def test_counts_by_current_placement(self, topo, placed):
         pt, vma = placed
         pcm = PcmCounters(topo)
-        pcm.count(reads(np.arange(0, 2048), 2), pt)
+        pcm.count(NodeSums.of(reads(np.arange(0, 2048), 2), pt, topo))
         assert pcm.node_accesses[0] == 2048
         assert pcm.node_accesses[2] == 2048
         assert pcm.total_accesses() == 4096
@@ -144,7 +144,7 @@ class TestPcm:
     def test_tier_presentation(self, topo, placed):
         pt, vma = placed
         pcm = PcmCounters(topo)
-        pcm.count(reads(np.arange(0, 1024), 1), pt)
+        pcm.count(NodeSums.of(reads(np.arange(0, 1024), 1), pt, topo))
         tiers = pcm.tier_accesses(socket=0)
         assert tiers[1] == 1024
         assert tiers[3] == 0
@@ -153,12 +153,12 @@ class TestPcm:
         pt, vma = placed
         pcm = PcmCounters(topo)
         assert pcm.fastest_tier_share() == 0.0
-        pcm.count(reads(np.arange(0, 2048), 1), pt)
+        pcm.count(NodeSums.of(reads(np.arange(0, 2048), 1), pt, topo))
         assert pcm.fastest_tier_share() == pytest.approx(0.5)
 
     def test_reset(self, topo, placed):
         pt, vma = placed
         pcm = PcmCounters(topo)
-        pcm.count(reads([0], 5), pt)
+        pcm.count(NodeSums.of(reads([0], 5), pt, topo))
         pcm.reset()
         assert pcm.total_accesses() == 0

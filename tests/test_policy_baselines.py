@@ -34,7 +34,7 @@ def place(machine, start, npages, node):
 
 
 def snap(reports):
-    return ProfileSnapshot(interval=0, reports=reports, profiling_time=0.0)
+    return ProfileSnapshot.from_reports(0, reports, profiling_time=0.0)
 
 
 def state_of(machine):

@@ -9,7 +9,7 @@ from repro.profile.quality import ProfilingQuality, evaluate_quality, quality_ov
 
 
 def snap(reports):
-    return ProfileSnapshot(interval=0, reports=reports, profiling_time=0.0)
+    return ProfileSnapshot.from_reports(0, reports, profiling_time=0.0)
 
 
 class TestTopHotPages:

@@ -45,7 +45,7 @@ def _drop_derived_caches(engine) -> None:
     """Forget every cache derived from page-table state, so the next
     step rebuilds each from scratch."""
     engine.space.page_table._node_rle = None
-    engine.space.page_table._node_dirty = None
+    engine.space.page_table._node_dirty = []
     profiler = engine.profiler
     if hasattr(profiler, "_entry_cache"):
         profiler._entry_cache = None

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.mm.hugepage import ThpManager
 from repro.mm.vma import AddressSpace
+from repro.perf.pcm import NodeSums
 from repro.sim.costmodel import (
     CostModel,
     CostParams,
@@ -19,6 +20,11 @@ from repro.hw.topology import optane_4tier
 @pytest.fixture
 def model():
     return CostModel(optane_4tier(1 / 512), CostParams().with_scale(1 / 512))
+
+
+def app_time(model, batch, page_table):
+    """``model``'s time for ``batch`` under ``page_table``'s placement."""
+    return model.app_time(NodeSums.of(batch, page_table, model.topology))
 
 
 def place_and_batch(node: int, n_accesses: int = 1000):
@@ -48,17 +54,17 @@ class TestAppTime:
     def test_faster_tier_is_faster(self, model):
         pt_fast, batch = place_and_batch(0)
         pt_slow, _ = place_and_batch(2)
-        assert model.app_time(batch, pt_fast) < model.app_time(batch, pt_slow)
+        assert app_time(model, batch, pt_fast) < app_time(model, batch, pt_slow)
 
     def test_empty_batch_costs_nothing(self, model):
         pt, _ = place_and_batch(0)
-        assert model.app_time(AccessBatch.empty(), pt) == 0.0
+        assert app_time(model, AccessBatch.empty(), pt) == 0.0
 
     def test_compute_term_is_placement_independent(self, model):
         pt_fast, batch = place_and_batch(0)
         pt_slow, _ = place_and_batch(3)
-        fast = model.app_time(batch, pt_fast)
-        slow = model.app_time(batch, pt_slow)
+        fast = app_time(model, batch, pt_fast)
+        slow = app_time(model, batch, pt_slow)
         compute = model.compute_time(batch.total_accesses)
         # compute term bounds the achievable speedup
         assert fast >= compute
@@ -70,7 +76,7 @@ class TestAppTime:
         pt3, _ = place_and_batch(2)
         # tier4/tier3 latency ratio is only 340/275; the time ratio must
         # exceed it because of the bandwidth term.
-        ratio = model.app_time(batch, pt4) / model.app_time(batch, pt3)
+        ratio = app_time(model, batch, pt4) / app_time(model, batch, pt3)
         assert ratio > 340.0 / 275.0
 
 
